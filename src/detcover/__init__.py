@@ -13,8 +13,7 @@ from .oracle import (cover_weight_brute, dlx_count, dlx_enumerate,
 from .params import (ParamRow, REFERENCE_ROWS, general_bound, kdm_base,
                      optimize, repetitions, runtime_base,
                      success_probability_exact)
-from .solver import (Decision, SieveConfig, sieve_decide,
-                     sieve_decide_parallel, solve_kdm, solve_xkc)
+from .solver import Decision, SieveConfig, sieve_decide, solve_kdm, solve_xkc
 
 __version__ = "0.1.0"
 
@@ -29,7 +28,6 @@ __all__ = [
     "ie_count",
     "ParamRow", "REFERENCE_ROWS", "general_bound", "kdm_base", "optimize",
     "repetitions", "runtime_base", "success_probability_exact",
-    "Decision", "SieveConfig", "sieve_decide", "sieve_decide_parallel",
-    "solve_kdm", "solve_xkc",
+    "Decision", "SieveConfig", "sieve_decide", "solve_kdm", "solve_xkc",
     "__version__",
 ]

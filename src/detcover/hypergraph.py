@@ -82,6 +82,11 @@ def validate(H: Hypergraph) -> Violation | None:
         if len(set(e)) != H.k:
             return Violation("repeated-vertex", f"edge {eid} repeats a vertex")
     if H.partition is not None:
+        for b, block in enumerate(H.partition):
+            for v in block:
+                if not isinstance(v, int) or isinstance(v, bool):
+                    return Violation("vertex-range",
+                                     f"partition block {b} has non-integer vertex {v!r}")
         if H.n % H.k != 0:
             return Violation("partition-shape", f"n={H.n} is not divisible by k={H.k}")
         if len(H.partition) != H.k:
@@ -189,17 +194,17 @@ def parse(text: str) -> Hypergraph:
         raise ParseError("n must be an integer")
     if not isinstance(edges, list) or any(not isinstance(e, list) for e in edges):
         raise ParseError("edges must be a list of lists")
-    partition = None
-    if "partition" in doc and doc["partition"] is not None:
-        raw = doc["partition"]
-        if not isinstance(raw, list) or any(not isinstance(b, list) for b in raw):
+    partition = doc.get("partition")
+    if partition is not None:
+        if not isinstance(partition, list) or any(not isinstance(b, list) for b in partition):
             raise ParseError("partition must be a list of lists")
-        partition = [tuple(sorted(b)) for b in raw]
-    H = Hypergraph(n, k, [tuple(sorted(e)) for e in edges], partition)
-    violation = validate(H)
+    # validate before sorting: sorted() raises TypeError on mixed vertex types
+    violation = validate(Hypergraph(n, k, edges, partition))
     if violation is not None:
         raise ParseError(str(violation))
-    return H
+    if partition is not None:
+        partition = [tuple(sorted(b)) for b in partition]
+    return Hypergraph(n, k, [tuple(sorted(e)) for e in edges], partition)
 
 
 def serialize(H: Hypergraph) -> str:

@@ -17,6 +17,13 @@ def determinant(mat: list[list[int]], gf: GF2m) -> int:
     The input is copied, never modified.  The empty 0x0 matrix has
     determinant one.  Pivots are found by scanning each column downward
     for the first nonzero entry; a zero column means determinant zero.
+
+    Sieve matrices are sparse, so the elimination does only the work
+    whose result is read again.  A pivot is inverted only when some lower
+    row has a nonzero entry in its column and the pivot row has a nonzero
+    entry right of it, so never for the last column.  Rows are updated
+    from the column after the pivot, since the pivot column is never read
+    again, and only the nonzero entries of the pivot row are walked.
     """
     n = len(mat)
     for row in mat:
@@ -26,29 +33,26 @@ def determinant(mat: list[list[int]], gf: GF2m) -> int:
     mul = gf.mul
     det = 1
     for col in range(n):
-        pivot = -1
-        for r in range(col, n):
-            if a[r][col]:
-                pivot = r
-                break
-        if pivot < 0:
-            return 0
+        pivot = col
+        while not a[pivot][col]:
+            pivot += 1
+            if pivot == n:
+                return 0
+        arow = a[pivot]
         if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]  # no sign change in char 2
-        piv = a[col][col]
+            a[pivot] = a[col]  # no sign change in char 2
+            a[col] = arow
+        piv = arow[col]
         det = mul(det, piv)
+        tail = [(c, arow[c]) for c in range(col + 1, n) if arow[c]]
+        below = [brow for brow in a[col + 1:] if brow[col]]
+        if not (tail and below):
+            continue
         ipiv = gf.inv(piv)
-        arow = a[col]
-        for r in range(col + 1, n):
-            brow = a[r]
-            factor = brow[col]
-            if not factor:
-                continue
-            factor = mul(factor, ipiv)
-            for c in range(col, n):
-                v = arow[c]
-                if v:
-                    brow[c] ^= mul(factor, v)
+        for brow in below:
+            factor = mul(brow[col], ipiv)
+            for c, v in tail:
+                brow[c] ^= mul(factor, v)
     return det
 
 

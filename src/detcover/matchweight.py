@@ -14,8 +14,10 @@ count, and the graded sums are read off determinants:
     loop sums on the diagonal has a determinant that is a polynomial in
     s whose degree-i coefficient M_i sums, over perfect matchings using
     exactly i loops, the product of loop weights times squared pair
-    weights.  Evaluating at |U| + 1 distinct points and interpolating
-    recovers every M_i.
+    weights.  M_i vanishes unless i and |U| have the same parity, so the
+    determinant is s^(|U| mod 2) Q(s^2) with deg Q = floor(|U|/2), and
+    floor(|U|/2) + 1 evaluations recover every M_i through a recovery
+    matrix built once per |U| and field.
 
 cover_weight() combines the M_i with elementary symmetric sums Z_j of the
 untouched-edge weights: a cover of all n/k vertex groups decomposes into
@@ -24,6 +26,8 @@ the total cover weight is XOR over i of Z_j * M_i.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .gf2m import GF2m
 from .hypergraph import ProjectedView
@@ -83,22 +87,55 @@ def build_tutte(view: ProjectedView, weights, s: int, gf: GF2m) -> list[list[int
 def loop_weights(view: ProjectedView, weights, gf: GF2m) -> list[int]:
     """Matching sums M_0..M_|U| graded by loop count.
 
-    Interpolates det(tutte(s)) from |U| + 1 distinct evaluations; the
-    result does not depend on which distinct points are used.  M_i is
-    zero whenever i and |U| have different parity.
+    With p = |U| mod 2 and h = floor(|U|/2), det(tutte(s)) = s^p Q(s^2)
+    where Q has degree h and coefficients M_p, M_(p+2), ..., M_|U|; the
+    other M_i are zero.  Evaluating the determinant at h + 1 distinct
+    points pins Q down (squaring is injective in characteristic 2, so the
+    squared points stay distinct), and the cached matrix of
+    _recovery_basis turns the values into the M_i with mul and XOR only.
+    The result does not depend on which distinct points are used.
     """
     if view.dropped:
         raise ValueError("view still contains dropped edges")
     u = view.u_size
     off, loop_sums = _tutte_parts(view, weights)
-    xs = gf.distinct_points(u + 1)
-    points = []
+    xs, basis = _recovery_basis(u, gf)
+    mul = gf.mul
+    values = []
     for s in xs:
         mat = [row[:] for row in off]
         for i in range(u):
-            mat[i][i] = gf.mul(s, loop_sums[i])
-        points.append((s, determinant(mat, gf)))
-    return interpolate(points, u, gf)
+            mat[i][i] = mul(s, loop_sums[i])
+        values.append(determinant(mat, gf))
+    out = [0] * (u + 1)
+    for j, row in enumerate(basis):
+        acc = 0
+        for b, d in zip(row, values):
+            if d:
+                acc ^= mul(b, d)
+        out[2 * j + u % 2] = acc
+    return out
+
+
+@functools.cache
+def _recovery_basis(u: int, gf: GF2m) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Abscissas s_t and the matrix mapping det(tutte(s_t)) to M_(2j+p).
+
+    Entry (j, t) is entry (j, t) of the inverse Vandermonde matrix on the
+    squared points s_t^2, times s_t^-p to divide out the s^p factor.
+    Column t of that inverse is the interpolant of the t-th unit vector.
+    """
+    h = u // 2
+    xs = gf.distinct_points(h + 1)
+    squares = [gf.mul(s, s) for s in xs]
+    cols = []
+    for t, s in enumerate(xs):
+        col = interpolate([(y, 1 if i == t else 0) for i, y in enumerate(squares)], h, gf)
+        if u % 2:
+            scale = gf.inv(s)
+            col = [gf.mul(c, scale) for c in col]
+        cols.append(col)
+    return tuple(xs), tuple(zip(*cols))
 
 
 def elementary_symmetric(values, max_degree: int, gf: GF2m) -> list[int]:

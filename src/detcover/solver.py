@@ -20,11 +20,13 @@ until the attempt budget ceil(ln(1/eps)/p) is spent.  Answers are one
 sided: yes is always backed by a nonzero certificate.
 
 Threaded runs split the X counter range into contiguous chunks and XOR
-the partial sums, so results are bit-identical for any worker count.
+the partial sums, so results are bit-identical for any worker count; the
+chunks run on a pool of at most os.cpu_count() threads.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +46,11 @@ class SieveConfig:
     m: int = 64              # field degree, 8 or 64
     seed: int = 0            # master seed for U sampling and edge weights
     epsilon: float = 2.0 ** -20  # false-no budget of solve_xkc
-    threads: int = 1
+    threads: int = 1         # X chunks; run on at most os.cpu_count() workers
+
+    def __post_init__(self):
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass
@@ -119,7 +125,11 @@ def _sweep_kdm(entries, b, weights, gf, rest_bits, start, stop):
 
 
 def _run_chunks(kernel, total_codes: int, threads: int) -> int:
-    if threads <= 1 or total_codes <= 1:
+    """XOR of kernel(start, stop) over min(threads, total_codes) contiguous
+    chunks of the code range, run on at most os.cpu_count() workers."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads == 1 or total_codes <= 1:
         return kernel(0, total_codes)
     parts = min(threads, total_codes)
     step, extra = divmod(total_codes, parts)
@@ -129,7 +139,7 @@ def _run_chunks(kernel, total_codes: int, threads: int) -> int:
         size = step + (1 if i < extra else 0)
         ranges.append((start, start + size))
         start += size
-    with ThreadPoolExecutor(max_workers=parts) as pool:
+    with ThreadPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
         partials = list(pool.map(lambda r: kernel(*r), ranges))
     total = 0
     for p in partials:
@@ -137,7 +147,14 @@ def _run_chunks(kernel, total_codes: int, threads: int) -> int:
     return total
 
 
-def _sieve(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int) -> int:
+def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1) -> int:
+    """Summed cover weight at the given edge weights; nonzero proves a
+    cover exists.  Requires every edge to meet U at most twice.
+
+    With threads > 1 the X range is split into that many contiguous
+    chunks combined by XOR, so the value is bit-identical for every
+    worker count.
+    """
     if len(weights) != len(H.edges):
         raise ValueError(f"{len(weights)} weights for {len(H.edges)} edges")
     if H.n == 0 or H.n % H.k != 0:
@@ -158,22 +175,6 @@ def _sieve(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int) -> int:
         return _sweep_general(info, weights, H.n, H.k, gf, rest_bits, start, stop)
 
     return _run_chunks(kernel, 1 << len(rest_bits), threads)
-
-
-def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m) -> int:
-    """Summed cover weight at the given edge weights; nonzero proves a
-    cover exists.  Requires every edge to meet U at most twice."""
-    return _sieve(H, u_vertices, weights, gf, threads=1)
-
-
-def sieve_decide_parallel(H: Hypergraph, u_vertices, weights, gf: GF2m,
-                          threads: int) -> int:
-    """sieve_decide with the X range fanned out over worker threads.
-
-    Chunks are contiguous counter ranges combined by XOR, so the value
-    is bit-identical to the serial sweep for every worker count.
-    """
-    return _sieve(H, u_vertices, weights, gf, threads=threads)
 
 
 def solve_kdm(H: Hypergraph, cfg: SieveConfig | None = None) -> Decision:
@@ -253,7 +254,7 @@ def solve_xkc(H: Hypergraph, cfg: SieveConfig | None = None) -> Decision:
         keep = [eid for eid, mk in enumerate(masks) if (mk & u_mask).bit_count() <= 2]
         sub = Hypergraph(n, k, [H.edges[eid] for eid in keep])
         weights = [gf.sample(rng) for _ in keep]
-        total = _sieve(sub, u_vertices, weights, gf, cfg.threads)
+        total = sieve_decide(sub, u_vertices, weights, gf, cfg.threads)
         probes += probes_per_attempt
         if total:
             return Decision("yes", probes, attempt, time.perf_counter() - t0,

@@ -13,7 +13,7 @@ from detcover import (GF8, GF64, ProjectedView, REFERENCE_ROWS, SieveConfig,
                       cover_weight_brute, determinant, dlx_count, general_bound,
                       generate, enumerate_matchings, ie_count, kdm_base,
                       optimize, project, restrict_avoiding, runtime_base,
-                      sieve_decide_parallel, solve_kdm, solve_xkc)
+                      sieve_decide, solve_kdm, solve_xkc)
 from detcover import params as params_mod
 from detcover import solver as solver_mod
 
@@ -234,9 +234,9 @@ def test_criterion_11_worker_count_never_changes_the_sum():
         u = sorted(rng.sample(range(n), rng.choice([3, 4])))
         H = filtered_for(H0, u)
         w = [GF64.sample(rng) for _ in H.edges]
-        one = sieve_decide_parallel(H, u, w, GF64, 1)
-        assert sieve_decide_parallel(H, u, w, GF64, 4) == one
-        assert sieve_decide_parallel(H, u, w, GF64, 8) == one
+        one = sieve_decide(H, u, w, GF64, 1)
+        assert sieve_decide(H, u, w, GF64, 4) == one
+        assert sieve_decide(H, u, w, GF64, 8) == one
     _ok(11, "sieve sums bit-identical across 1, 4 and 8 workers on 50 instances")
 
 

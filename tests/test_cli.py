@@ -118,6 +118,21 @@ def test_solve_malformed_instance(tmp_path, capsys):
     assert code == 2 and "arity" in err
 
 
+@pytest.mark.parametrize("edges", ['[[0,"a",1]]', '[[0,[1],2]]', '[[0,1.5,2]]', '[[0,true,2]]'])
+def test_solve_non_integer_vertex_is_an_error(tmp_path, capsys, edges):
+    path = tmp_path / "bad.json"
+    path.write_text('{"k":3,"n":3,"edges":%s}' % edges)
+    code, _, err = _run(capsys, "solve", "--input", str(path))
+    assert code == 2 and "vertex-range" in err
+
+
+def test_solve_rejects_worker_count_below_one(tmp_path, capsys):
+    path = tmp_path / "inst.json"
+    path.write_text('{"k":3,"n":3,"edges":[[0,1,2]]}')
+    code, _, err = _run(capsys, "solve", "--input", str(path), "--threads", "0")
+    assert code == 2 and "threads" in err
+
+
 def test_solve_kdm_mode_needs_partition(tmp_path, capsys):
     path = tmp_path / "inst.json"
     path.write_text('{"k":3,"n":6,"edges":[[0,1,2]]}')

@@ -164,6 +164,12 @@ def test_parse_rejects_malformed():
         parse('{"k":3,"n":6,"edges":[[0,1]]}')
     with pytest.raises(ParseError, match="vertex-range"):
         parse('{"k":3,"n":6,"edges":[[0,1,9]]}')
+    for edge in ('[0,"a",1]', '[0,[1],2]', '[0,2.5,1]', '[0,true,2]', '[0,{},1]'):
+        with pytest.raises(ParseError, match="vertex-range"):
+            parse('{"k":3,"n":3,"edges":[%s]}' % edge)
+    for block in ('"x"', '2.5', '[2]', 'false'):
+        with pytest.raises(ParseError, match="vertex-range"):
+            parse('{"k":3,"n":3,"edges":[[0,1,2]],"partition":[[0],[1],[%s]]}' % block)
     with pytest.raises(ParseError):
         parse('[1,2,3]')
     with pytest.raises(ParseError):

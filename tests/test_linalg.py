@@ -54,6 +54,71 @@ def test_determinant_matches_cofactor_oracle():
         assert determinant(mat, GF8) == ref_det(mat, GF8)
 
 
+def _sieve_shaped(rng, size, gf, kind):
+    """Sparse matrix as the sieve builds them: a hidden perfect matching
+    on a random permutation (so pivoting must swap rows) plus a few
+    random entries; "zero-col" then clears one column, "upper" and
+    "lower" keep one triangle of a dense matrix with a nonzero diagonal."""
+    if kind in ("upper", "lower"):
+        mat = rand_matrix(rng, size, gf)
+        for r in range(size):
+            mat[r][r] = mat[r][r] or 1
+            for c in range(size):
+                if (c < r) if kind == "upper" else (c > r):
+                    mat[r][c] = 0
+        return mat
+    mat = [[0] * size for _ in range(size)]
+    perm = rng.sample(range(size), size)
+    for r in range(size):
+        mat[r][perm[r]] ^= gf.sample(rng) or 1
+    for _ in range(size):
+        mat[rng.randrange(size)][rng.randrange(size)] ^= gf.sample(rng)
+    if kind == "zero-col" and size:
+        col = rng.randrange(size)
+        for row in mat:
+            row[col] = 0
+    return mat
+
+
+@pytest.mark.parametrize("gf", [GF8, GF64])
+@pytest.mark.parametrize("kind", ["matching", "zero-col", "upper", "lower"])
+def test_determinant_matches_cofactor_oracle_on_sieve_shapes(gf, kind):
+    rng = random.Random(f"{gf.m}-{kind}")
+    for size in range(8):
+        for _ in range(25):
+            mat = _sieve_shaped(rng, size, gf, kind)
+            assert determinant(mat, gf) == ref_det(mat, gf)
+
+
+class _CountingField:
+    """The field with its inversions counted."""
+
+    def __init__(self, gf):
+        self.gf = gf
+        self.mul = gf.mul
+        self.inv_calls = 0
+
+    def inv(self, a):
+        self.inv_calls += 1
+        return self.gf.inv(a)
+
+
+def test_determinant_inverts_only_pivots_it_eliminates_with():
+    rng = random.Random(24)
+    # a lower-triangular pivot row has nothing right of the pivot to eliminate with
+    for kind in ("upper", "lower", "diagonal"):
+        mat = _sieve_shaped(rng, 6, GF64, "lower" if kind == "lower" else "upper")
+        if kind == "diagonal":
+            mat = [[v if r == c else 0 for c, v in enumerate(row)] for r, row in enumerate(mat)]
+        gf = _CountingField(GF64)
+        assert determinant(mat, gf) == ref_det(mat, GF64)
+        assert gf.inv_calls == 0
+    gf = _CountingField(GF64)
+    mat = rand_matrix(rng, 6, GF64)
+    assert determinant(mat, gf) == ref_det(mat, GF64)
+    assert gf.inv_calls <= 5  # the last pivot is never inverted
+
+
 def test_determinant_leaves_input_alone():
     rng = random.Random(8)
     mat = rand_matrix(rng, 4, GF64)

@@ -10,6 +10,8 @@ from detcover import (GF8, GF64, Hypergraph, ProjectedView, build_edmonds,
                       generate, interpolate, loop_weights, project,
                       restrict_avoiding)
 
+from detcover import matchweight as matchweight_mod
+
 from conftest import filtered_for
 
 
@@ -81,24 +83,43 @@ def test_loop_weights_single_loop():
 
 
 def test_loop_weights_match_enumeration():
+    # every |U| from 0 to 10, so both parities and the workloads' 8 and 10
     rng = random.Random(44)
-    for _ in range(150):
-        u = rng.randint(0, 6)
-        edge_count = rng.randint(0, 9)
-        pairs, loops = [], []
-        for eid in range(edge_count):
-            if u >= 2 and rng.random() < 0.7:
-                i, j = sorted(rng.sample(range(u), 2))
-                pairs.append((eid, i, j))
-            elif u >= 1:
-                loops.append((eid, rng.randrange(u)))
-        view = ProjectedView(tuple(range(u)), pairs=pairs, loops=loops)
-        w = [GF64.sample(rng) for _ in range(edge_count)]
-        got = loop_weights(view, w, GF64)
-        strata = [0] * (u + 1)
-        for loop_ct, weight in enumerate_matchings(view, w, GF64):
-            strata[loop_ct] ^= weight
-        assert got == strata
+    for u in range(11):
+        for rep in range(16):
+            gf = (GF8, GF64)[rep % 2]
+            edge_count = rng.randint(0, 2 * u + 3)
+            pairs, loops = [], []
+            for eid in range(edge_count):
+                if u >= 2 and rng.random() < 0.7:
+                    i, j = sorted(rng.sample(range(u), 2))
+                    pairs.append((eid, i, j))
+                elif u >= 1:
+                    loops.append((eid, rng.randrange(u)))
+            view = ProjectedView(tuple(range(u)), pairs=pairs, loops=loops)
+            w = [gf.sample(rng) for _ in range(edge_count)]
+            got = loop_weights(view, w, gf)
+            strata = [0] * (u + 1)
+            for loop_ct, weight in enumerate_matchings(view, w, gf):
+                strata[loop_ct] ^= weight
+            assert got == strata
+
+
+def test_loop_weights_evaluates_half_the_determinants(monkeypatch):
+    calls = []
+
+    def counting(mat, gf):
+        calls.append(len(mat))
+        return determinant(mat, gf)
+
+    monkeypatch.setattr(matchweight_mod, "determinant", counting)
+    rng = random.Random(47)
+    for u in range(11):
+        loops = [(eid, eid % u) for eid in range(u)] if u else []
+        w = [GF64.sample(rng) for _ in loops]
+        calls.clear()
+        loop_weights(ProjectedView(tuple(range(u)), loops=loops), w, GF64)
+        assert calls == [u] * (u // 2 + 1)
 
 
 def test_loop_weights_parity():

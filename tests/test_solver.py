@@ -5,8 +5,7 @@ import random
 import pytest
 
 from detcover import (GF64, Hypergraph, SieveConfig, dlx_count, generate,
-                      project, sieve_decide, sieve_decide_parallel, solve_kdm,
-                      solve_xkc)
+                      project, sieve_decide, solve_kdm, solve_xkc)
 from detcover import solver as solver_mod
 
 from conftest import covers_weight_sum, filtered_for, rand_instance
@@ -99,7 +98,54 @@ def test_parallel_sieve_is_bit_identical():
         w = [GF64.sample(rng) for _ in H.edges]
         serial = sieve_decide(H, u, w, GF64)
         for threads in (1, 2, 4, 8, 64):
-            assert sieve_decide_parallel(H, u, w, GF64, threads) == serial
+            assert sieve_decide(H, u, w, GF64, threads) == serial
+
+
+def test_worker_count_below_one_is_rejected():
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            SieveConfig(threads=threads)
+    H = Hypergraph(6, 3, [(0, 1, 2), (3, 4, 5)])
+    with pytest.raises(ValueError, match="threads"):
+        sieve_decide(H, [0, 3], [1, 2], GF64, 0)
+
+
+def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
+    # the stand-in executor records its size and runs the chunks inline,
+    # so huge worker counts are checked without starting a thread
+    sizes, chunks = [], []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, ranges):
+            chunks.append(list(ranges))
+            return [fn(r) for r in chunks[-1]]
+
+    monkeypatch.setattr(solver_mod, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(solver_mod.os, "cpu_count", lambda: 3)
+    rng = random.Random(12)
+    u = [0, 1, 4]
+    H = filtered_for(generate(rng, 3, 9, 6, plant=True), u)
+    w = [GF64.sample(rng) for _ in H.edges]
+    serial = sieve_decide(H, u, w, GF64)
+    for threads in (2, 4, 64, 100_000):
+        assert sieve_decide(H, u, w, GF64, threads) == serial
+    assert sizes == [2, 3, 3, 3]
+    assert [len(c) for c in chunks] == [2, 4, 64, 64]
+    for ranges in chunks:
+        assert ranges[0][0] == 0 and ranges[-1][1] == 64
+        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    kdm = generate(random.Random(13), 3, 12, 8, plant=True, kdm=True)
+    d = solve_kdm(kdm, SieveConfig(seed=1, threads=100_000))
+    assert d.yes and sizes[-1] == 3 and len(chunks[-1]) == d.probes == 16
 
 
 def test_solve_kdm_planted_yes():
