@@ -6,8 +6,8 @@ from .hypergraph import (Hypergraph, ParseError, ProjectedView, Violation,
                          generate, parse, project, restrict_avoiding,
                          serialize, validate)
 from .linalg import determinant, evaluate, interpolate
-from .matchweight import (build_edmonds, build_tutte, cover_weight,
-                          elementary_symmetric, loop_weights)
+from .matchweight import (build_tutte, cover_weight, elementary_symmetric,
+                          loop_weights)
 from .oracle import (cover_weight_brute, dlx_count, dlx_enumerate,
                      enumerate_matchings, ie_count)
 from .params import (ParamRow, REFERENCE_ROWS, general_bound, kdm_base,
@@ -22,8 +22,7 @@ __all__ = [
     "Hypergraph", "ParseError", "ProjectedView", "Violation",
     "generate", "parse", "project", "restrict_avoiding", "serialize", "validate",
     "determinant", "evaluate", "interpolate",
-    "build_edmonds", "build_tutte", "cover_weight", "elementary_symmetric",
-    "loop_weights",
+    "build_tutte", "cover_weight", "elementary_symmetric", "loop_weights",
     "cover_weight_brute", "dlx_count", "dlx_enumerate", "enumerate_matchings",
     "ie_count",
     "ParamRow", "REFERENCE_ROWS", "general_bound", "kdm_base", "optimize",

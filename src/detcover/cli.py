@@ -16,10 +16,10 @@ import random
 import sys
 import time
 
-from .hypergraph import Hypergraph, ParseError, generate, parse, serialize
+from .hypergraph import Hypergraph, generate, parse, serialize
 from .oracle import dlx_count, ie_count
 from .params import REFERENCE_ROWS, general_bound, kdm_base, optimize
-from .solver import SieveConfig, solve_kdm, solve_xkc
+from .solver import SieveConfig, solve_kdm, solve_xkc, u_size
 
 PROBE_EXPONENT_LIMIT = 30  # refuse 2^q sweeps beyond this without --force
 
@@ -52,17 +52,6 @@ def _effective_epsilon(args, k: int, n: int) -> float:
     return args.epsilon
 
 
-def _probe_exponent(H: Hypergraph, mode: str) -> int:
-    n, k = H.n, H.k
-    if n == 0 or n % k != 0:
-        return 0
-    if mode == "kdm":
-        return n - 2 * (n // k)
-    t = 1.0 if k == 2 else optimize(k).t
-    tn = min(n, max(2, round(t * n)))
-    return n - tn
-
-
 def cmd_solve(args) -> int:
     H = _load(args.input)
     mode = args.mode
@@ -71,7 +60,8 @@ def cmd_solve(args) -> int:
     if mode == "kdm" and H.partition is None:
         print("error: kdm mode needs an instance with a partition", file=sys.stderr)
         return 2
-    q = _probe_exponent(H, mode)
+    # an indivisible n is answered without a sweep
+    q = H.n - u_size(H, mode == "kdm") if H.n % H.k == 0 else 0
     if q > PROBE_EXPONENT_LIMIT and not args.force:
         print(f"error: sweep would take 2^{q} probes; rerun with --force "
               f"to accept the wait", file=sys.stderr)
@@ -89,9 +79,10 @@ def cmd_solve(args) -> int:
         "u_fraction": decision.u_fraction,
         "seed": seed,
         "m": args.m,
-        "epsilon": epsilon,
-        "elapsed_ms": round(decision.elapsed * 1000, 3),
     }
+    if mode == "xkc":
+        report["epsilon"] = epsilon  # kdm sweeps once; no attempt budget to set
+    report["elapsed_ms"] = round(decision.elapsed * 1000, 3)
     if decision.reason is not None:
         report["reason"] = decision.reason
     _emit(report, args.format)
@@ -180,6 +171,8 @@ def cmd_bench(args) -> int:
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "k", "mode", "probes", "attempts", "elapsed_ms", "answer"])
+        if args.mode == "xkc" and args.k >= 3:
+            optimize(args.k)  # keep the cached grid search out of the first timed solve
         for n in ns:
             edge_count = args.edges if args.edges is not None else 3 * (n // args.k)
             for rep in range(args.reps):
@@ -266,10 +259,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -80,10 +80,6 @@ class GF2m:
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, reduction={self.reduction:#x})"
 
-    def add(self, a: int, b: int) -> int:
-        """Sum (= difference) of two elements: bitwise XOR."""
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         """Product modulo the reduction polynomial.
 

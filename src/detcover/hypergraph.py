@@ -16,8 +16,9 @@ compact separators, so equal instances produce byte-identical documents.
 A ProjectedView classifies every edge by how it meets a chosen vertex set
 U: twice (pairs), once (loops), not at all (empties), or three-plus times
 (dropped).  The solver only ever sieves instances whose dropped list is
-empty.  Views are cheap throwaway values; the weight sweep rebuilds them
-per probe from per-edge vertex bitmasks.
+empty.  Views are cheap throwaway values: the general sieve projects once
+per U and derives each probe's view with restrict_avoiding, which drops
+the edges meeting the avoided set X by their vertex bitmasks.
 """
 
 from __future__ import annotations
@@ -130,7 +131,7 @@ class ProjectedView:
     def u_size(self) -> int:
         return len(self.u_order)
 
-    @property
+    @functools.cached_property
     def u_mask(self) -> int:
         return _mask(self.u_order)
 
@@ -155,13 +156,13 @@ def project(H: Hypergraph, u_vertices) -> ProjectedView:
     return view
 
 
-def restrict_avoiding(view: ProjectedView, H: Hypergraph, x_vertices) -> ProjectedView:
+def restrict_avoiding(view: ProjectedView, H: Hypergraph, x_mask: int) -> ProjectedView:
     """Copy of the view without any edge that meets the avoided set X.
 
-    X lives outside U, so classification of surviving edges is unchanged;
-    they are only kept or removed wholesale.
+    X is a vertex bitmask (bit v set iff v is in X).  X lives outside U,
+    so classification of surviving edges is unchanged; they are only kept
+    or removed wholesale.
     """
-    x_mask = _mask(x_vertices)
     if x_mask & view.u_mask:
         raise ValueError("X overlaps U")
     if x_mask >> H.n:
@@ -182,6 +183,8 @@ def parse(text: str) -> Hypergraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ParseError("document nests too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     for key in ("k", "n", "edges"):

@@ -2,22 +2,15 @@
 
 A view with only pairs and loops induces a multigraph on U.  Its perfect
 matchings (loops cover one vertex, pairs cover two) are graded by loop
-count, and the graded sums are read off determinants:
-
-  * bipartite, pairs only: the |U|/2 x |U|/2 matrix whose (row, col)
-    entry XORs the weights of edges joining left vertex `row` to right
-    vertex `col` has determinant equal to the matching sum, each matching
-    contributing the product of its edge weights.  In characteristic 2
-    the determinant is the permanent, so nothing cancels by sign.
-
-  * general, with loops: the symmetric |U| x |U| matrix with s-scaled
-    loop sums on the diagonal has a determinant that is a polynomial in
-    s whose degree-i coefficient M_i sums, over perfect matchings using
-    exactly i loops, the product of loop weights times squared pair
-    weights.  M_i vanishes unless i and |U| have the same parity, so the
-    determinant is s^(|U| mod 2) Q(s^2) with deg Q = floor(|U|/2), and
-    floor(|U|/2) + 1 evaluations recover every M_i through a recovery
-    matrix built once per |U| and field.
+count, and the graded sums are read off the symmetric |U| x |U| matrix
+with pair weights off the diagonal and s-scaled loop sums on it.  Its
+determinant is a polynomial in s whose degree-i coefficient M_i sums,
+over perfect matchings using exactly i loops, the product of loop
+weights times squared pair weights (in characteristic 2 the determinant
+is the permanent, so nothing cancels by sign).  M_i vanishes unless i
+and |U| have the same parity, so the determinant is s^(|U| mod 2) Q(s^2)
+with deg Q = floor(|U|/2), and floor(|U|/2) + 1 evaluations recover
+every M_i through a recovery matrix built once per |U| and field.
 
 cover_weight() combines the M_i with elementary symmetric sums Z_j of the
 untouched-edge weights: a cover of all n/k vertex groups decomposes into
@@ -34,54 +27,27 @@ from .hypergraph import ProjectedView
 from .linalg import determinant, interpolate
 
 
-def build_edmonds(view: ProjectedView, weights, left, right) -> list[list[int]]:
-    """Bipartite matching matrix for a pairs-only view.
-
-    left and right are the two vertex blocks (original ids); every pairs
-    edge must join them.  Parallel edges XOR into the same entry.  No
-    field is needed: accumulation is addition only.
-    """
-    if view.loops or view.empties or view.dropped:
-        raise ValueError("bipartite matrix needs a pairs-only view")
-    if len(left) != len(right):
-        raise ValueError("left and right blocks differ in size")
-    lpos = {v: i for i, v in enumerate(left)}
-    rpos = {v: i for i, v in enumerate(right)}
-    b = len(left)
-    mat = [[0] * b for _ in range(b)]
-    for eid, i, j in view.pairs:
-        vi, vj = view.u_order[i], view.u_order[j]
-        if vi in lpos and vj in rpos:
-            mat[lpos[vi]][rpos[vj]] ^= weights[eid]
-        elif vj in lpos and vi in rpos:
-            mat[lpos[vj]][rpos[vi]] ^= weights[eid]
-        else:
-            raise ValueError(f"edge {eid} does not join the two blocks")
-    return mat
-
-
-def _tutte_parts(view: ProjectedView, weights):
-    """Off-diagonal pair matrix and per-vertex loop weight sums."""
-    u = view.u_size
-    off = [[0] * u for _ in range(u)]
-    loop_sums = [0] * u
-    for eid, i, j in view.pairs:
-        w = weights[eid]
-        off[i][j] ^= w
-        off[j][i] ^= w
-    for eid, i in view.loops:
-        loop_sums[i] ^= weights[eid]
-    return off, loop_sums
-
-
 def build_tutte(view: ProjectedView, weights, s: int, gf: GF2m) -> list[list[int]]:
-    """Symmetric matching matrix at diagonal scale s."""
+    """Symmetric matching matrix at diagonal scale s.
+
+    Entry (i, j), i != j, XORs the weights of the pairs joining U
+    positions i and j; diagonal entry i is s times the XOR of the loop
+    weights at i.
+    """
     if view.dropped:
         raise ValueError("view still contains dropped edges")
-    off, loop_sums = _tutte_parts(view, weights)
-    for i in range(view.u_size):
-        off[i][i] = gf.mul(s, loop_sums[i])
-    return off
+    u = view.u_size
+    mat = [[0] * u for _ in range(u)]
+    for eid, i, j in view.pairs:
+        w = weights[eid]
+        mat[i][j] ^= w
+        mat[j][i] ^= w
+    loop_sums = [0] * u
+    for eid, i in view.loops:
+        loop_sums[i] ^= weights[eid]
+    for i, w in enumerate(loop_sums):
+        mat[i][i] = gf.mul(s, w)
+    return mat
 
 
 def loop_weights(view: ProjectedView, weights, gf: GF2m) -> list[int]:
@@ -95,18 +61,10 @@ def loop_weights(view: ProjectedView, weights, gf: GF2m) -> list[int]:
     _recovery_basis turns the values into the M_i with mul and XOR only.
     The result does not depend on which distinct points are used.
     """
-    if view.dropped:
-        raise ValueError("view still contains dropped edges")
     u = view.u_size
-    off, loop_sums = _tutte_parts(view, weights)
     xs, basis = _recovery_basis(u, gf)
+    values = [determinant(build_tutte(view, weights, s, gf), gf) for s in xs]
     mul = gf.mul
-    values = []
-    for s in xs:
-        mat = [row[:] for row in off]
-        for i in range(u):
-            mat[i][i] = mul(s, loop_sums[i])
-        values.append(determinant(mat, gf))
     out = [0] * (u + 1)
     for j, row in enumerate(basis):
         acc = 0

@@ -33,10 +33,6 @@ class ParamRow:
     attempt_base: float  # per-vertex growth of the attempt count
     base: float          # overall run-time exponent base
 
-    @property
-    def u_fraction(self) -> float:
-        return self.t
-
 
 # reference values, k -> (tau12, tau2, t, attempt_base, base)
 REFERENCE_ROWS = {

@@ -1,17 +1,25 @@
 """Randomized sieve deciding exact cover and k-dimensional matching.
 
-The decision procedure XORs the probe value cover_weight over every
-subset X of V - U.  Families of n/k edges that miss some vertex outside
-U are counted once per subset of the missed vertices, an even number of
-times, so they vanish in characteristic 2; what remains is the summed
-weight of exact covers at random edge weights.  A nonzero sum proves a
-cover exists; a zero sum is wrong only when the cover polynomial happens
-to vanish at the random point, probability about n / (k * 2^m).
+The decision procedure XORs a probe value over every subset X of V - U.
+Families of n/k edges that miss some vertex outside U are counted once
+per subset of the missed vertices, an even number of times, so they
+vanish in characteristic 2; what remains is the summed weight of exact
+covers at random edge weights.  A nonzero sum proves a cover exists; a
+zero sum is wrong only when the cover polynomial happens to vanish at
+the random point, probability about n / (k * 2^m).
 
-solve_kdm exploits a given vertex partition: with U the union of the
-first two blocks every edge projects to a pair joining them, so each
-probe is a single bipartite determinant and one sweep of 2^(n(k-2)/k)
-probes decides the instance.
+sieve_decide picks the probe from its input.  The general probe is
+matchweight.cover_weight on the view restricted to the edges avoiding
+X.  When the instance carries a partition and U is the union of its
+first two blocks, every edge projects to a pair joining them, and the
+probe is the b x b bipartite determinant (b = n/k) whose (row, col)
+entry XORs the weights of the edges joining left vertex `row` to right
+vertex `col`.  The general probe squares pair weights, the bipartite one
+does not; since squaring is additive in characteristic 2, the square of
+the bipartite sum is the general sum, so both return the same element.
+
+solve_kdm sieves once with U the first two blocks: 2^(n(k-2)/k) probes
+and a single weight draw decide the instance.
 
 solve_xkc knows no partition, so it samples U of size round(t*n) (t from
 the exponent optimizer), discards edges meeting U three or more times
@@ -31,9 +39,10 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 from .gf2m import GF2m, field_for
-from .hypergraph import Hypergraph, ProjectedView, project, validate
+from .hypergraph import Hypergraph, project, restrict_avoiding, validate
 from .linalg import determinant
 from .matchweight import cover_weight
 from .params import optimize, repetitions
@@ -70,6 +79,16 @@ class Decision:
         return self.answer == "yes"
 
 
+def u_size(H: Hypergraph, partitioned: bool) -> int:
+    """|U| of one sweep: the first two blocks (2n/k vertices) when
+    partitioned, else round(t*n) clamped to [2, n], with t from the
+    exponent optimizer (t = 1 for k = 2)."""
+    if partitioned:
+        return 2 * (H.n // H.k)
+    t = 1.0 if H.k == 2 else optimize(H.k).t
+    return min(H.n, max(2, round(t * H.n)))
+
+
 def _rest_bits(H: Hypergraph, u_order) -> list[int]:
     in_u = set(u_order)
     return [1 << v for v in range(H.n) if v not in in_u]
@@ -86,21 +105,31 @@ def _x_mask(code: int, rest_bits: list[int]) -> int:
     return mask
 
 
-def _sweep_general(info, weights, n, k, gf, rest_bits, start, stop):
+def _sweep_general(view, H, weights, gf, rest_bits, start, stop):
     """XOR of probe values for X codes in [start, stop)."""
-    u_order, pair_info, loop_info, empty_info = info
     total = 0
     for code in range(start, stop):
-        xm = _x_mask(code, rest_bits)
-        probe_view = ProjectedView(
-            u_order,
-            [(e, i, j) for mk, e, i, j in pair_info if not mk & xm],
-            [(e, i) for mk, e, i in loop_info if not mk & xm],
-            [e for mk, e in empty_info if not mk & xm],
-            [],
-        )
-        total ^= cover_weight(probe_view, weights, n, k, gf)
+        probe_view = restrict_avoiding(view, H, _x_mask(code, rest_bits))
+        total ^= cover_weight(probe_view, weights, H.n, H.k, gf)
     return total
+
+
+def _bipartite_entries(H: Hypergraph) -> list[tuple[int, int, int, int]]:
+    """(edge mask, edge id, row, col) per edge: row and col are the
+    positions of the edge's vertices in partition blocks 0 and 1."""
+    left, right = H.partition[0], H.partition[1]
+    if not len(left) == len(right) == H.n // H.k:
+        raise ValueError("partition blocks 0 and 1 must hold n/k vertices each")
+    lpos = {v: i for i, v in enumerate(left)}
+    rpos = {v: i for i, v in enumerate(right)}
+    entries = []
+    for eid, (e, mk) in enumerate(zip(H.edges, H.edge_masks)):
+        rows = [lpos[v] for v in e if v in lpos]
+        cols = [rpos[v] for v in e if v in rpos]
+        if len(rows) != 1 or len(cols) != 1:
+            raise ValueError(f"edge {eid} does not join partition blocks 0 and 1")
+        entries.append((mk, eid, rows[0], cols[0]))
+    return entries
 
 
 def _sweep_kdm(entries, b, weights, gf, rest_bits, start, stop):
@@ -151,6 +180,11 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     """Summed cover weight at the given edge weights; nonzero proves a
     cover exists.  Requires every edge to meet U at most twice.
 
+    When H carries a partition and U is exactly its blocks 0 and 1, every
+    edge must join those blocks; the probes are bipartite determinants
+    and the result is the square of their XOR.  Otherwise each probe is
+    cover_weight on the edges avoiding X.  Both give the same element.
+
     With threads > 1 the X range is split into that many contiguous
     chunks combined by XOR, so the value is bit-identical for every
     worker count.
@@ -162,19 +196,14 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     view = project(H, u_vertices)
     if view.dropped:
         raise ValueError(f"{len(view.dropped)} edges meet U more than twice")
-    masks = H.edge_masks
-    info = (
-        view.u_order,
-        [(masks[e], e, i, j) for e, i, j in view.pairs],
-        [(masks[e], e, i) for e, i in view.loops],
-        [(masks[e], e) for e in view.empties],
-    )
     rest_bits = _rest_bits(H, view.u_order)
-
-    def kernel(start, stop):
-        return _sweep_general(info, weights, H.n, H.k, gf, rest_bits, start, stop)
-
-    return _run_chunks(kernel, 1 << len(rest_bits), threads)
+    codes = 1 << len(rest_bits)
+    if H.partition is not None and set(view.u_order) == set(H.partition[0]) | set(H.partition[1]):
+        kernel = partial(_sweep_kdm, _bipartite_entries(H), H.n // H.k, weights, gf, rest_bits)
+        total = _run_chunks(kernel, codes, threads)
+        return gf.mul(total, total)
+    kernel = partial(_sweep_general, view, H, weights, gf, rest_bits)
+    return _run_chunks(kernel, codes, threads)
 
 
 def solve_kdm(H: Hypergraph, cfg: SieveConfig | None = None) -> Decision:
@@ -191,30 +220,13 @@ def solve_kdm(H: Hypergraph, cfg: SieveConfig | None = None) -> Decision:
         raise ValueError(str(violation))
     if H.partition is None:
         raise ValueError("partitioned solver needs an instance with a partition")
+    if H.n == 0:
+        return Decision("yes", 0, 0, time.perf_counter() - t0, reason="empty instance")
     gf = field_for(cfg.m)
     rng = random.Random(cfg.seed)
     weights = [gf.sample(rng) for _ in H.edges]
-    left, right = H.partition[0], H.partition[1]
-    view = project(H, list(left) + list(right))
-    lpos = {v: i for i, v in enumerate(left)}
-    rpos = {v: i for i, v in enumerate(right)}
-    masks = H.edge_masks
-    entries = []
-    for eid, i, j in view.pairs:
-        vi, vj = view.u_order[i], view.u_order[j]
-        if vi in lpos:
-            entries.append((masks[eid], eid, lpos[vi], rpos[vj]))
-        else:
-            entries.append((masks[eid], eid, lpos[vj], rpos[vi]))
-    rest_bits = _rest_bits(H, view.u_order)
-    b = H.n // H.k
-
-    def kernel(start, stop):
-        return _sweep_kdm(entries, b, weights, gf, rest_bits, start, stop)
-
-    probes = 1 << len(rest_bits)
-    total = _run_chunks(kernel, probes, cfg.threads)
-    return Decision("yes" if total else "no", probes, 1,
+    total = sieve_decide(H, [*H.partition[0], *H.partition[1]], weights, gf, cfg.threads)
+    return Decision("yes" if total else "no", 1 << (H.n - u_size(H, True)), 1,
                     time.perf_counter() - t0,
                     u_fraction=2.0 / H.k, max_attempts=1)
 
@@ -240,8 +252,7 @@ def solve_xkc(H: Hypergraph, cfg: SieveConfig | None = None) -> Decision:
                         reason=f"cardinality: n={n} is not a multiple of k={k}")
     gf = field_for(cfg.m)
     rng = random.Random(cfg.seed)
-    t = 1.0 if k == 2 else optimize(k).t
-    tn = min(n, max(2, round(t * n)))
+    tn = u_size(H, False)
     max_attempts = repetitions(n, k, tn / n, cfg.epsilon)
     masks = H.edge_masks
     probes_per_attempt = 1 << (n - tn)

@@ -8,8 +8,8 @@ import itertools
 import random
 import time
 
-from detcover import (GF8, GF64, ProjectedView, REFERENCE_ROWS, SieveConfig,
-                      build_edmonds, build_tutte, cover_weight,
+from detcover import (GF8, GF64, Hypergraph, ProjectedView, REFERENCE_ROWS,
+                      SieveConfig, build_tutte, cover_weight,
                       cover_weight_brute, determinant, dlx_count, general_bound,
                       generate, enumerate_matchings, ie_count, kdm_base,
                       optimize, project, restrict_avoiding, runtime_base,
@@ -91,16 +91,17 @@ def _bipartite_matching_sum(b, pairs, weights, gf):
 
 def test_criterion_05_determinants_equal_matching_enumeration():
     rng = random.Random(505)
-    for _ in range(250):  # bipartite half
+    for _ in range(250):  # bipartite half, through the sieve's bipartite probe
         b = rng.randint(1, 4)
         edge_count = rng.randint(0, 3 * b)
         pairs = [(eid, rng.randrange(b), b + rng.randrange(b))
                  for eid in range(edge_count)]
         w = [GF64.sample(rng) for _ in range(edge_count)]
-        view = ProjectedView(tuple(range(2 * b)),
-                             pairs=[(e, i, j) for e, i, j in pairs])
-        mat = build_edmonds(view, w, list(range(b)), list(range(b, 2 * b)))
-        assert determinant(mat, GF64) == _bipartite_matching_sum(b, pairs, w, GF64)
+        # k = 2 and U = every vertex: one probe, the determinant squared
+        H = Hypergraph(2 * b, 2, [(i, j) for _, i, j in pairs],
+                       [tuple(range(b)), tuple(range(b, 2 * b))])
+        expect = _bipartite_matching_sum(b, pairs, w, GF64)
+        assert sieve_decide(H, range(2 * b), w, GF64) == GF64.mul(expect, expect)
     for _ in range(250):  # loopy half at a random diagonal scale
         u = rng.randint(0, 8)
         pairs, loops = [], []
@@ -133,7 +134,7 @@ def test_criterion_06_probe_value_equals_brute_force():
         w = [GF64.sample(rng) for _ in H.edges]
         pool = sorted(set(range(n)) - set(u))
         x = sorted(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
-        view = restrict_avoiding(project(H, u), H, x)
+        view = restrict_avoiding(project(H, u), H, sum(1 << v for v in x))
         assert cover_weight(view, w, n, 3, GF64) == cover_weight_brute(H, u, x, w, GF64)
     _ok(6, "300 probe values match brute-force family enumeration")
 
@@ -245,12 +246,12 @@ def test_criterion_12_field_axioms_and_independent_product():
     for gf in (GF8, GF64):
         for _ in range(10_000):
             a, b, c = gf.sample(rng), gf.sample(rng), gf.sample(rng)
-            assert gf.add(a, b) == gf.add(b, a)
-            assert gf.add(gf.add(a, b), c) == gf.add(a, gf.add(b, c))
-            assert gf.add(a, a) == 0
+            assert a ^ b == b ^ a
+            assert (a ^ b) ^ c == a ^ (b ^ c)
+            assert a ^ a == 0
             assert gf.mul(a, b) == gf.mul(b, a)
             assert gf.mul(gf.mul(a, b), c) == gf.mul(a, gf.mul(b, c))
-            assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+            assert gf.mul(a, b ^ c) == gf.mul(a, b) ^ gf.mul(a, c)
             assert gf.mul(a, 1) == a and gf.mul(a, 0) == 0
             if a:
                 assert gf.mul(a, gf.inv(a)) == 1

@@ -1,0 +1,56 @@
+"""The names the benchmark in perfbench/ patches must exist where it looks.
+
+perfbench/tracing.py swaps module globals of detcover (and the field's
+mul/inv) for counting wrappers, and perfbench/run.py swaps cli.solve_kdm
+and cli.solve_xkc.  A rename breaks only traced benchmark runs, which
+this suite does not start, so the bindings are checked here.
+"""
+
+import importlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from detcover import GF64, cli
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_span_targets_are_module_attributes():
+    tracing = _tracing()
+    assert tracing.SPAN_TARGETS
+    for module, attr in tracing.SPAN_TARGETS:
+        mod = importlib.import_module(f"detcover.{module}")
+        assert callable(getattr(mod, attr, None)), f"detcover.{module}.{attr}"
+    for attr in tracing.FIELD_TARGETS:
+        assert callable(getattr(GF64, attr, None)), f"GF2m.{attr}"
+
+
+@pytest.mark.parametrize("mode", ["kdm", "xkc"])
+def test_cli_calls_the_solvers_through_module_globals(monkeypatch, tmp_path, capsys, mode):
+    attr = f"solve_{mode}"
+    inner = getattr(cli, attr)
+    calls = []
+
+    def recording(H, cfg):
+        calls.append(H.n)
+        return inner(H, cfg)
+
+    monkeypatch.setattr(cli, attr, recording)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"k": 3, "n": 6, "edges": [[0, 2, 4], [1, 3, 5]],
+                                "partition": [[0, 1], [2, 3], [4, 5]]}))
+    assert cli.main(["solve", "--input", str(path), "--mode", mode, "--seed", "1"]) == 0
+    assert calls == [6]
+    assert cli.main(["bench", "--mode", mode, "--n", "9", "--reps", "2"]) == 0
+    assert calls == [6, 9, 9]
+    capsys.readouterr()

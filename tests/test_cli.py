@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from detcover import optimize, parse, validate
+from detcover import cli, optimize, parse, validate
+from detcover import params as params_mod
 from detcover.cli import main
 
 
@@ -118,6 +119,28 @@ def test_solve_malformed_instance(tmp_path, capsys):
     assert code == 2 and "arity" in err
 
 
+def test_solve_deeply_nested_document_is_an_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = _run(capsys, "solve", "--input", str(path))
+    assert code == 2 and out == "" and "nests too deeply" in err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("mode", ["kdm", "xkc"])
+def test_solve_reports_epsilon_only_for_xkc(tmp_path, capsys, mode, fmt):
+    # kdm sweeps once with one weight draw; epsilon sets only xkc's budget
+    path = tmp_path / "inst.json"
+    path.write_text('{"k":3,"n":3,"edges":[[0,1,2]],"partition":[[0],[1],[2]]}')
+    code, out, _ = _run(capsys, "solve", "--input", str(path), "--seed", "1",
+                        "--mode", mode, "--format", fmt)
+    assert code == 0
+    keys = (list(json.loads(out)) if fmt == "json"
+            else [line.split(":")[0] for line in out.splitlines()])
+    assert keys[:2] == ["mode", "answer"] and keys[-1] == "elapsed_ms"
+    assert ("epsilon" in keys) == (mode == "xkc")
+
+
 @pytest.mark.parametrize("edges", ['[[0,"a",1]]', '[[0,[1],2]]', '[[0,1.5,2]]', '[[0,true,2]]'])
 def test_solve_non_integer_vertex_is_an_error(tmp_path, capsys, edges):
     path = tmp_path / "bad.json"
@@ -199,6 +222,25 @@ def test_bench_csv(capsys):
     probes = {int(r[0]): int(r[3]) for r in rows}
     assert probes == {6: 4, 9: 8, 12: 16, 15: 32}
     assert all(r[6] == "yes" for r in rows)
+
+
+def test_bench_keeps_the_optimizer_out_of_timed_solves(monkeypatch, capsys):
+    # the first xkc row must not pay for the cached exponent grid search
+    params_mod.optimize.cache_clear()
+    misses = []
+    inner = cli.solve_xkc
+
+    def timed(H, cfg):
+        before = params_mod.optimize.cache_info().misses
+        try:
+            return inner(H, cfg)
+        finally:
+            misses.append(params_mod.optimize.cache_info().misses - before)
+
+    monkeypatch.setattr(cli, "solve_xkc", timed)
+    code, _, _ = _run(capsys, "bench", "--mode", "xkc", "--n", "6,9", "--reps", "1",
+                      "--seed", "2")
+    assert code == 0 and misses == [0, 0]
 
 
 def test_bench_deterministic_modulo_timing(capsys):

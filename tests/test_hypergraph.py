@@ -109,12 +109,12 @@ def test_project_partitions_edges(data):
 def test_restrict_avoiding():
     H = _h(6, 3, [(0, 1, 2), (0, 3, 4), (3, 4, 5), (0, 1, 3)])
     view = project(H, [0, 1])
-    same = restrict_avoiding(view, H, [])
+    same = restrict_avoiding(view, H, 0)
     assert same == view
-    cut = restrict_avoiding(view, H, [4])
+    cut = restrict_avoiding(view, H, 1 << 4)
     assert cut.pairs == [(0, 0, 1), (3, 0, 1)]
     assert cut.loops == [] and cut.empties == []
-    nothing = restrict_avoiding(view, H, [2, 3])
+    nothing = restrict_avoiding(view, H, 1 << 2 | 1 << 3)
     assert not nothing.pairs and not nothing.loops and not nothing.empties
 
 
@@ -122,9 +122,9 @@ def test_restrict_avoiding_rejects_overlap():
     H = _h(6, 3, [(0, 1, 2)])
     view = project(H, [0, 1])
     with pytest.raises(ValueError):
-        restrict_avoiding(view, H, [1, 4])
+        restrict_avoiding(view, H, 1 << 1 | 1 << 4)
     with pytest.raises(ValueError):
-        restrict_avoiding(view, H, [6])
+        restrict_avoiding(view, H, 1 << 6)
 
 
 def test_restrict_avoiding_matches_set_arithmetic():
@@ -135,7 +135,7 @@ def test_restrict_avoiding_matches_set_arithmetic():
         u = set(rng.sample(range(n), rng.randint(0, 4)))
         pool = sorted(set(range(n)) - u)
         x = set(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
-        got = restrict_avoiding(project(H, u), H, x)
+        got = restrict_avoiding(project(H, u), H, sum(1 << v for v in x))
         survivors = [e for e in range(len(H.edges)) if not set(H.edges[e]) & x]
         kept = sorted([p[0] for p in got.pairs] + [l[0] for l in got.loops]
                       + got.empties + got.dropped)
@@ -174,6 +174,14 @@ def test_parse_rejects_malformed():
         parse('[1,2,3]')
     with pytest.raises(ParseError):
         parse('{"k":"3","n":6,"edges":[]}')
+
+
+def test_parse_rejects_deep_nesting():
+    # json.loads gives up with RecursionError, which must not escape parse
+    for text in ("[" * 100_000 + "]" * 100_000,
+                 '{"k":3,"n":3,"edges":' + "[" * 100_000 + "]" * 100_000 + "}"):
+        with pytest.raises(ParseError, match="nests too deeply"):
+            parse(text)
 
 
 def test_generate_deterministic():

@@ -4,49 +4,49 @@ import random
 
 import pytest
 
-from detcover import (GF8, GF64, Hypergraph, ProjectedView, build_edmonds,
-                      build_tutte, cover_weight, cover_weight_brute,
-                      determinant, elementary_symmetric, enumerate_matchings,
-                      generate, interpolate, loop_weights, project,
-                      restrict_avoiding)
+from detcover import (GF8, GF64, Hypergraph, ProjectedView, build_tutte,
+                      cover_weight, cover_weight_brute, determinant,
+                      elementary_symmetric, enumerate_matchings, generate,
+                      interpolate, loop_weights, project, restrict_avoiding,
+                      sieve_decide)
 
 from detcover import matchweight as matchweight_mod
 
 from conftest import filtered_for
 
 
-def _pairs_view(u, pairs):
-    return ProjectedView(tuple(range(u)), pairs=list(pairs))
+def _bipartite_probe(n, edges, weights, partition, gf=GF8):
+    # k = 2 and U = every vertex: the sieve runs one bipartite probe and
+    # returns that determinant squared
+    return sieve_decide(Hypergraph(n, 2, edges, partition), range(n), weights, gf)
 
 
 def test_edmonds_single_edge():
-    view = _pairs_view(2, [(0, 0, 1)])
-    assert build_edmonds(view, [0xAB], [0], [1]) == [[0xAB]]
+    assert _bipartite_probe(2, [(0, 1)], [0xAB], [(0,), (1,)]) == GF8.mul(0xAB, 0xAB)
 
 
 def test_edmonds_parallel_edges_xor():
-    view = _pairs_view(2, [(0, 0, 1), (1, 0, 1)])
-    assert build_edmonds(view, [0xAB, 0x0F], [0], [1]) == [[0xAB ^ 0x0F]]
+    got = _bipartite_probe(2, [(0, 1), (0, 1)], [0xAB, 0x0F], [(0,), (1,)])
+    assert got == GF8.mul(0xAB ^ 0x0F, 0xAB ^ 0x0F)
 
 
 def test_edmonds_two_by_two():
-    # vertices 0,1 left and 2,3 right; one edge per slot
-    view = _pairs_view(4, [(0, 0, 2), (1, 0, 3), (2, 1, 2), (3, 1, 3)])
+    # vertices 0,1 left and 2,3 right; one edge per slot: [[3, 5], [7, 11]]
     w = [3, 5, 7, 11]
-    mat = build_edmonds(view, w, [0, 1], [2, 3])
-    assert mat == [[3, 5], [7, 11]]
-    det = determinant(mat, GF8)
-    assert det == GF8.mul(3, 11) ^ GF8.mul(5, 7)
+    got = _bipartite_probe(4, [(0, 2), (0, 3), (1, 2), (1, 3)], w, [(0, 1), (2, 3)])
+    det = GF8.mul(3, 11) ^ GF8.mul(5, 7)
+    assert got == GF8.mul(det, det)
 
 
 def test_edmonds_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        build_edmonds(_pairs_view(2, [(0, 0, 1)]), [1], [0, 1], [])
-    with pytest.raises(ValueError):  # edge inside one side
-        build_edmonds(_pairs_view(4, [(0, 0, 1)]), [1], [0, 1], [2, 3])
-    view = ProjectedView((0, 1), pairs=[(0, 0, 1)], loops=[(1, 0)])
-    with pytest.raises(ValueError):
-        build_edmonds(view, [1, 2], [0], [1])
+    with pytest.raises(ValueError, match="n/k"):  # blocks differ in size
+        _bipartite_probe(4, [(0, 1)], [1], [(0,), (1, 2, 3)])
+    with pytest.raises(ValueError, match="join"):  # edge inside one side
+        _bipartite_probe(4, [(0, 1)], [1], [(0, 1), (2, 3)])
+    # an edge meeting U = blocks 0 and 1 only once joins nothing
+    H = Hypergraph(6, 3, [(0, 2, 4), (0, 4, 5)], [(0, 1), (2, 3), (4, 5)])
+    with pytest.raises(ValueError, match="join"):
+        sieve_decide(H, [0, 1, 2, 3], [1, 2], GF8)
 
 
 def test_tutte_single_loop():
@@ -213,7 +213,7 @@ def test_cover_weight_matches_brute_force():
         w = [GF64.sample(rng) for _ in H.edges]
         pool = sorted(set(range(n)) - set(u))
         x = sorted(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
-        view = restrict_avoiding(project(H, u), H, x)
+        view = restrict_avoiding(project(H, u), H, sum(1 << v for v in x))
         assert cover_weight(view, w, n, 3, GF64) == cover_weight_brute(H, u, x, w, GF64)
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from detcover import (GF64, Hypergraph, SieveConfig, dlx_count, generate,
+from detcover import (GF8, GF64, Hypergraph, SieveConfig, dlx_count, generate,
                       project, sieve_decide, solve_kdm, solve_xkc)
 from detcover import solver as solver_mod
 
@@ -174,6 +174,12 @@ def test_solve_kdm_trivial_sizes():
     assert solve_kdm(empty).answer == "yes"
 
 
+def test_solve_kdm_empty_instance_sweeps_nothing():
+    # sieve_decide rejects n = 0, so the solver answers before sweeping
+    d = solve_kdm(Hypergraph(0, 2, [], [(), ()]), SieveConfig(seed=4))
+    assert d.yes and d.probes == d.attempts == 0 and d.reason == "empty instance"
+
+
 def test_solve_kdm_needs_partition():
     with pytest.raises(ValueError):
         solve_kdm(Hypergraph(3, 3, [(0, 1, 2)]))
@@ -191,8 +197,41 @@ def test_solve_kdm_matches_general_sieve():
         wrng = random.Random(seed)
         w = [gf.sample(wrng) for _ in H.edges]
         u = list(H.partition[0]) + list(H.partition[1])
-        general = sieve_decide(H, u, w, gf)
+        general = sieve_decide(Hypergraph(H.n, H.k, H.edges), u, w, gf)
         assert (fast.answer == "yes") == bool(general)
+
+
+def test_bipartite_and_general_probes_agree(monkeypatch):
+    # the bipartite kernel squares its XOR, the general one squares pair
+    # weights per probe; in characteristic 2 both give the cover sum
+    kernels = []
+    for name in ("_sweep_kdm", "_sweep_general"):
+        def recording(*args, _name=name, _inner=getattr(solver_mod, name)):
+            kernels.append(_name)
+            return _inner(*args)
+        monkeypatch.setattr(solver_mod, name, recording)
+    rng = random.Random(14)
+    nonzero = 0
+    for rep in range(40):
+        gf = (GF8, GF64)[rep % 2]
+        k = rng.choice([3, 4])
+        n = k * rng.choice([2, 3])
+        H = rand_instance(rng, k, n, n // k + 4, min_edges=1, kdm=True)
+        if rep % 4 >= 2:  # blocks 0 and 1 trade places, so rows and columns do
+            p = H.partition
+            H = Hypergraph(H.n, H.k, H.edges, [p[1], p[0], *p[2:]])
+        u = [*H.partition[0], *H.partition[1]]
+        w = [gf.sample(rng) for _ in H.edges]
+        expect = covers_weight_sum(H, u, w, gf)
+        for threads in (1, 3):
+            kernels.clear()
+            assert sieve_decide(H, u, w, gf, threads) == expect
+            assert set(kernels) == {"_sweep_kdm"}
+            kernels.clear()
+            assert sieve_decide(Hypergraph(H.n, H.k, H.edges), u, w, gf, threads) == expect
+            assert set(kernels) == {"_sweep_general"}
+        nonzero += bool(expect)
+    assert nonzero >= 10
 
 
 def test_solve_xkc_planted_yes():
