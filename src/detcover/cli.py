@@ -47,7 +47,7 @@ def _effective_epsilon(args, k: int, n: int) -> float:
     factor more attempts.  k = 2 keeps the flat value (one attempt sees
     every cover there, so the budget only models smaller k >= 3 misses).
     """
-    if getattr(args, "epsilon_schedule", False) and k >= 3 and n > 0:
+    if args.epsilon_schedule and k >= 3 and n > 0:
         return optimize(k).base ** -n
     return args.epsilon
 

@@ -61,9 +61,6 @@ class GF2m:
     operations.  Instances are immutable and safe to share across threads.
     """
 
-    zero = 0
-    one = 1
-
     def __init__(self, m: int, reduction: int):
         if reduction.bit_length() != m + 1:
             raise ValueError(f"reduction polynomial must have degree {m}")

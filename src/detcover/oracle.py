@@ -151,10 +151,11 @@ def ie_count(H: Hypergraph) -> int:
 
     For each X, d(X) edges avoid X and contribute C(d(X), n/k) candidate
     families; signs by |X| parity leave exactly the families covering
-    every vertex.  Exponential in n (2^n terms).
+    every vertex.  Exponential in n (2^n terms).  No cover exists when k
+    does not divide n.
     """
     if H.n % H.k != 0:
-        raise ValueError(f"n={H.n} is not a multiple of k={H.k}")
+        return 0
     need = H.n // H.k
     masks = H.edge_masks
     comb = [math.comb(d, need) for d in range(len(masks) + 1)]

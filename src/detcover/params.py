@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -157,9 +158,10 @@ def success_probability_exact(n: int, k: int, t: float) -> Fraction:
 
 def repetitions(n: int, k: int, t: float, epsilon: float) -> int:
     """Attempts needed to push the miss probability below epsilon:
-    ceil(ln(1/epsilon) / p) with p the exact single-attempt probability."""
-    if not 0 < epsilon < 1:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
+    ceil(ln(1/epsilon) / p) with p the exact single-attempt probability.
+    Subnormal epsilon is rejected, since 1/epsilon can overflow."""
+    if not sys.float_info.min <= epsilon < 1:
+        raise ValueError(f"epsilon must be in [{sys.float_info.min}, 1), got {epsilon}")
     p = success_probability_exact(n, k, t)
     if p == 0:
         raise ValueError("single attempt can never succeed")

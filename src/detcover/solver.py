@@ -18,18 +18,21 @@ vertex `col`.  The general probe squares pair weights, the bipartite one
 does not; since squaring is additive in characteristic 2, the square of
 the bipartite sum is the general sum, so both return the same element.
 
-solve_kdm sieves once with U the first two blocks: 2^(n(k-2)/k) probes
-and a single weight draw decide the instance.
+Both solvers run one attempt loop: pick U, keep the edges meeting it at
+most twice (no cover edge meets it more often when U is good), draw one
+weight per kept edge and sieve; a nonzero sum ends the run with yes.
+solve_kdm fixes U to the first two partition blocks, which every edge
+meets exactly twice, so a single attempt of 2^(n(k-2)/k) probes decides
+the instance.  solve_xkc knows no partition: each attempt samples U of
+size round(t*n) (t from the exponent optimizer), and the attempt budget
+is ceil(ln(1/eps)/p).  Answers are one sided: yes is always backed by a
+nonzero certificate.
 
-solve_xkc knows no partition, so it samples U of size round(t*n) (t from
-the exponent optimizer), discards edges meeting U three or more times
-(no cover edge does, when U is good), and repeats with fresh weights
-until the attempt budget ceil(ln(1/eps)/p) is spent.  Answers are one
-sided: yes is always backed by a nonzero certificate.
-
-Threaded runs split the X counter range into contiguous chunks and XOR
-the partial sums, so results are bit-identical for any worker count; the
-chunks run on a pool of at most os.cpu_count() threads.
+A sweep walks X through the subsets of V - U in counter order, decoding
+only the first code of each chunk.  Threaded runs split the counter
+range into contiguous chunks and XOR the partial sums, so results are
+bit-identical for any worker count; the chunks run on a pool of at most
+os.cpu_count() threads.
 """
 
 from __future__ import annotations
@@ -89,28 +92,28 @@ def u_size(H: Hypergraph, partitioned: bool) -> int:
     return min(H.n, max(2, round(t * H.n)))
 
 
-def _rest_bits(H: Hypergraph, u_order) -> list[int]:
-    in_u = set(u_order)
-    return [1 << v for v in range(H.n) if v not in in_u]
-
-
-def _x_mask(code: int, rest_bits: list[int]) -> int:
-    mask = 0
-    idx = 0
+def _subsets(rest: int, start: int, stop: int):
+    """The subsets X of the vertex mask `rest` with counter codes in
+    [start, stop), in counter order: bit i of a code picks the i-th
+    lowest vertex of rest.  Only the start code is decoded; each later X
+    is the next subset, (x - rest) & rest."""
+    x, r, code = 0, rest, start
     while code:
+        low = r & -r
         if code & 1:
-            mask |= rest_bits[idx]
+            x |= low
         code >>= 1
-        idx += 1
-    return mask
+        r ^= low
+    for _ in range(stop - start):
+        yield x
+        x = (x - rest) & rest
 
 
-def _sweep_general(view, H, weights, gf, rest_bits, start, stop):
+def _sweep_general(view, H, weights, gf, rest, start, stop):
     """XOR of probe values for X codes in [start, stop)."""
     total = 0
-    for code in range(start, stop):
-        probe_view = restrict_avoiding(view, H, _x_mask(code, rest_bits))
-        total ^= cover_weight(probe_view, weights, H.n, H.k, gf)
+    for xm in _subsets(rest, start, stop):
+        total ^= cover_weight(restrict_avoiding(view, H, xm), weights, H.n, H.k, gf)
     return total
 
 
@@ -132,12 +135,11 @@ def _bipartite_entries(H: Hypergraph) -> list[tuple[int, int, int, int]]:
     return entries
 
 
-def _sweep_kdm(entries, b, weights, gf, rest_bits, start, stop):
+def _sweep_kdm(entries, b, weights, gf, rest, start, stop):
     """XOR of bipartite determinants for X codes in [start, stop)."""
     total = 0
     full = (1 << b) - 1
-    for code in range(start, stop):
-        xm = _x_mask(code, rest_bits)
+    for xm in _subsets(rest, start, stop):
         mat = [[0] * b for _ in range(b)]
         rows_hit = 0
         cols_hit = 0
@@ -196,54 +198,26 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     view = project(H, u_vertices)
     if view.dropped:
         raise ValueError(f"{len(view.dropped)} edges meet U more than twice")
-    rest_bits = _rest_bits(H, view.u_order)
-    codes = 1 << len(rest_bits)
+    rest = ((1 << H.n) - 1) ^ view.u_mask
+    codes = 1 << rest.bit_count()
     if H.partition is not None and set(view.u_order) == set(H.partition[0]) | set(H.partition[1]):
-        kernel = partial(_sweep_kdm, _bipartite_entries(H), H.n // H.k, weights, gf, rest_bits)
+        kernel = partial(_sweep_kdm, _bipartite_entries(H), H.n // H.k, weights, gf, rest)
         total = _run_chunks(kernel, codes, threads)
         return gf.mul(total, total)
-    kernel = partial(_sweep_general, view, H, weights, gf, rest_bits)
+    kernel = partial(_sweep_general, view, H, weights, gf, rest)
     return _run_chunks(kernel, codes, threads)
 
 
-def solve_kdm(H: Hypergraph, cfg: SieveConfig | None = None) -> Decision:
-    """Decide a partitioned instance with one sweep of bipartite probes.
-
-    U is the union of the first two partition blocks, so the instance is
-    its own filtered version and a single weight draw suffices; the only
-    error mode is a false no, at probability about (n/k) / 2^m.
-    """
+def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decision:
+    """The attempt loop of both solvers (see the module docstring):
+    partitioned runs fix U to blocks 0 and 1 and make one attempt."""
     t0 = time.perf_counter()
     cfg = cfg or SieveConfig()
     violation = validate(H)
     if violation is not None:
         raise ValueError(str(violation))
-    if H.partition is None:
+    if partitioned and H.partition is None:
         raise ValueError("partitioned solver needs an instance with a partition")
-    if H.n == 0:
-        return Decision("yes", 0, 0, time.perf_counter() - t0, reason="empty instance")
-    gf = field_for(cfg.m)
-    rng = random.Random(cfg.seed)
-    weights = [gf.sample(rng) for _ in H.edges]
-    total = sieve_decide(H, [*H.partition[0], *H.partition[1]], weights, gf, cfg.threads)
-    return Decision("yes" if total else "no", 1 << (H.n - u_size(H, True)), 1,
-                    time.perf_counter() - t0,
-                    u_fraction=2.0 / H.k, max_attempts=1)
-
-
-def solve_xkc(H: Hypergraph, cfg: SieveConfig | None = None) -> Decision:
-    """Decide an unpartitioned instance by repeated random-U sieving.
-
-    Each attempt samples U, keeps only edges meeting it at most twice,
-    draws fresh weights and sweeps; a nonzero sum ends the run with yes.
-    After ceil(ln(1/epsilon)/p) barren attempts the answer is no, wrong
-    with probability at most epsilon plus the vanishing-determinant term.
-    """
-    t0 = time.perf_counter()
-    cfg = cfg or SieveConfig()
-    violation = validate(H)
-    if violation is not None:
-        raise ValueError(str(violation))
     n, k = H.n, H.k
     if n == 0:
         return Decision("yes", 0, 0, time.perf_counter() - t0, reason="empty instance")
@@ -252,23 +226,33 @@ def solve_xkc(H: Hypergraph, cfg: SieveConfig | None = None) -> Decision:
                         reason=f"cardinality: n={n} is not a multiple of k={k}")
     gf = field_for(cfg.m)
     rng = random.Random(cfg.seed)
-    tn = u_size(H, False)
-    max_attempts = repetitions(n, k, tn / n, cfg.epsilon)
-    masks = H.edge_masks
-    probes_per_attempt = 1 << (n - tn)
-    probes = 0
+    tn = u_size(H, partitioned)
+    max_attempts = 1 if partitioned else repetitions(n, k, tn / n, cfg.epsilon)
+    answer = "no"
     for attempt in range(1, max_attempts + 1):
-        u_vertices = sorted(rng.sample(range(n), tn))
-        u_mask = 0
-        for v in u_vertices:
-            u_mask |= 1 << v
-        keep = [eid for eid, mk in enumerate(masks) if (mk & u_mask).bit_count() <= 2]
-        sub = Hypergraph(n, k, [H.edges[eid] for eid in keep])
+        if partitioned:
+            u_vertices = [*H.partition[0], *H.partition[1]]
+        else:
+            u_vertices = sorted(rng.sample(range(n), tn))
+        u_mask = sum(1 << v for v in u_vertices)
+        keep = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
+        sub = Hypergraph(n, k, [H.edges[eid] for eid in keep], H.partition)
         weights = [gf.sample(rng) for _ in keep]
-        total = sieve_decide(sub, u_vertices, weights, gf, cfg.threads)
-        probes += probes_per_attempt
-        if total:
-            return Decision("yes", probes, attempt, time.perf_counter() - t0,
-                            u_fraction=tn / n, max_attempts=max_attempts)
-    return Decision("no", probes, max_attempts, time.perf_counter() - t0,
+        if sieve_decide(sub, u_vertices, weights, gf, cfg.threads):
+            answer = "yes"
+            break
+    return Decision(answer, attempt << (n - tn), attempt, time.perf_counter() - t0,
                     u_fraction=tn / n, max_attempts=max_attempts)
+
+
+def solve_kdm(H: Hypergraph, cfg: SieveConfig | None = None) -> Decision:
+    """Decide a partitioned instance with one sweep of bipartite probes;
+    the only error mode is a false no, at probability about (n/k) / 2^m."""
+    return _solve(H, cfg, partitioned=True)
+
+
+def solve_xkc(H: Hypergraph, cfg: SieveConfig | None = None) -> Decision:
+    """Decide an unpartitioned instance by repeated random-U sieving; a
+    no is wrong with probability at most epsilon plus the
+    vanishing-determinant term."""
+    return _solve(H, cfg, partitioned=False)

@@ -3,7 +3,9 @@
 perfbench/tracing.py swaps module globals of detcover (and the field's
 mul/inv) for counting wrappers, and perfbench/run.py swaps cli.solve_kdm
 and cli.solve_xkc.  A rename breaks only traced benchmark runs, which
-this suite does not start, so the bindings are checked here.
+this suite does not start, so the bindings are checked here.  run.py also
+restates the |U| rule in its cost model; if that drifts from
+solver.u_size, every benchmark solve fails its probe-count check.
 """
 
 import importlib
@@ -13,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from detcover import GF64, cli
+from detcover import GF64, Hypergraph, cli, params, solver
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+RUN = TRACING.parent / "run.py"
 
 
 def _tracing():
@@ -54,3 +57,14 @@ def test_cli_calls_the_solvers_through_module_globals(monkeypatch, tmp_path, cap
     assert cli.main(["bench", "--mode", mode, "--n", "9", "--reps", "2"]) == 0
     assert calls == [6, 9, 9]
     capsys.readouterr()
+
+
+def test_benchmark_cost_model_matches_u_size(monkeypatch):
+    monkeypatch.syspath_prepend(str(RUN.parent))  # run.py imports its siblings
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    for w in run.WORKLOADS.values():
+        for n in (w.n, w.smoke_n):
+            u = solver.u_size(Hypergraph(n, run.K, []), w.mode == "kdm")
+            assert run.probes_per_attempt({"params": params}, w.mode, n) == 1 << (n - u), (w.name, n)

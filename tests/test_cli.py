@@ -1,11 +1,13 @@
 """Command line behaviour: exit codes, formats, determinism, guards."""
 
 import json
+import sys
 
 import pytest
 
 from detcover import cli, optimize, parse, validate
 from detcover import params as params_mod
+from detcover import solver as solver_mod
 from detcover.cli import main
 
 
@@ -59,6 +61,24 @@ def test_solve_reports_are_reproducible(tmp_path, capsys):
                  "--mode", "xkc") for _ in range(2)]
     assert runs[0][0] == runs[1][0] == 0
     assert _strip_elapsed(runs[0][1]) == _strip_elapsed(runs[1][1])
+
+
+def test_solve_subnormal_epsilon_is_an_error(tmp_path, monkeypatch, capsys):
+    def no_sweep(*args):
+        raise AssertionError("the budget check comes before any sweep")
+
+    monkeypatch.setattr(solver_mod, "sieve_decide", no_sweep)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"k": 3, "n": 6, "edges": [[0, 1, 2], [3, 4, 5]]}))
+    code, out, err = _run(capsys, "solve", "--input", str(path), "--seed", "1",
+                          "--epsilon", "1e-310")
+    assert code == 2 and out == "" and "epsilon" in err
+    # the schedule's base^(-n) is subnormal at n = 1761 for k = 3
+    assert 0 < optimize(3).base ** -1761 < sys.float_info.min
+    path.write_text(json.dumps({"k": 3, "n": 1761, "edges": [[0, 1, 2]]}))
+    code, out, err = _run(capsys, "solve", "--input", str(path), "--seed", "1",
+                          "--epsilon-schedule", "--force")
+    assert code == 2 and out == "" and "epsilon" in err
 
 
 def test_solve_json_format(tmp_path, capsys):
@@ -180,6 +200,13 @@ def test_count_methods_agree(tmp_path, capsys):
                             "--method", "ie", "--format", "json")
     assert code_d == code_i == 0
     assert json.loads(out_d)["count"] == json.loads(out_i)["count"] >= 1
+    # k does not divide n: no cover, and both methods count none
+    odd = tmp_path / "odd.json"
+    odd.write_text(json.dumps({"k": 3, "n": 4, "edges": [[0, 1, 2], [1, 2, 3]]}))
+    for method in ("dlx", "ie"):
+        code, out, _ = _run(capsys, "count", "--input", str(odd), "--method", method,
+                            "--format", "json")
+        assert code == 0 and json.loads(out)["count"] == 0
 
 
 def test_count_guard(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -112,6 +113,15 @@ def test_repetitions_known_values():
         repetitions(9, 3, 5 / 9, 0.0)
     with pytest.raises(ValueError):
         repetitions(9, 3, 5 / 9, 1.5)
+
+
+def test_repetitions_rejects_subnormal_epsilon():
+    # ln(1/epsilon) overflows for the smallest subnormals, so all are refused
+    tiny = sys.float_info.min
+    assert repetitions(9, 3, 5 / 9, tiny) > repetitions(9, 3, 5 / 9, 2.0 ** -20)
+    for eps in (tiny / 2, 1e-310, 5e-324, math.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            repetitions(9, 3, 5 / 9, eps)
 
 
 def test_repetitions_against_decimal_arithmetic():

@@ -1,6 +1,7 @@
 """The sieve against explicit enumeration, plus both end-to-end solvers."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -101,6 +102,32 @@ def test_parallel_sieve_is_bit_identical():
             assert sieve_decide(H, u, w, GF64, threads) == serial
 
 
+def test_sweep_filters_each_avoided_set_once(monkeypatch):
+    # the X masks handed to the filter: every subset of V - U exactly once,
+    # in increasing order when a single chunk sweeps them
+    seen = []
+    inner = solver_mod.restrict_avoiding
+
+    def recording(view, H, x_mask):
+        seen.append(x_mask)
+        return inner(view, H, x_mask)
+
+    monkeypatch.setattr(solver_mod, "restrict_avoiding", recording)
+    rng = random.Random(15)
+    u = [1, 4, 5, 7]
+    rest = [0, 2, 3, 6, 8]  # V - U has gaps, so codes and masks differ
+    H = filtered_for(rand_instance(rng, 3, 9, 9, min_edges=1), u)
+    w = [GF64.sample(rng) for _ in H.edges]
+    subsets = sorted(sum(1 << v for v in c) for r in range(len(rest) + 1)
+                     for c in combinations(rest, r))
+    for threads in (1, 3):
+        seen.clear()
+        sieve_decide(H, u, w, GF64, threads)
+        assert sorted(seen) == subsets
+        if threads == 1:
+            assert seen == subsets
+
+
 def test_worker_count_below_one_is_rejected():
     for threads in (0, -3):
         with pytest.raises(ValueError, match="threads"):
@@ -162,8 +189,13 @@ def test_solve_kdm_unsolvable_no():
     # every edge uses block-0 vertex 0, so vertex 1 is never covered
     H = Hypergraph(9, 3, [(0, 3, 6), (0, 4, 7), (0, 5, 8)],
                    [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+    n, k = 9, 3
     for seed in range(10):
-        assert solve_kdm(H, SieveConfig(seed=seed)).answer == "no"
+        d = solve_kdm(H, SieveConfig(seed=seed))
+        assert d.answer == "no" and d.reason is None
+        assert d.attempts == d.max_attempts == 1
+        assert d.probes == 2 ** (n - 2 * n // k)
+        assert d.u_fraction == 2 / k
 
 
 def test_solve_kdm_trivial_sizes():
