@@ -259,7 +259,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:  # ParseError is a ValueError
+    except (ValueError, OSError, OverflowError) as exc:  # ParseError is a ValueError;
+        # OverflowError is an n or k too large to convert to a float
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,11 +28,17 @@ size round(t*n) (t from the exponent optimizer), and the attempt budget
 is ceil(ln(1/eps)/p).  Answers are one sided: yes is always backed by a
 nonzero certificate.
 
-A sweep walks X through the subsets of V - U in counter order, decoding
-only the first code of each chunk.  Threaded runs split the counter
-range into contiguous chunks and XOR the partial sums, so results are
-bit-identical for any worker count; the chunks run on a pool of at most
-os.cpu_count() threads.
+A sweep walks X through the subsets of V - U in reflected Gray-code
+order, decoding only the first code of each chunk; every later X adds
+or removes one vertex.  The bipartite kernel follows the walk with one
+live matrix: a toggled vertex touches only the entries of its own edges,
+each an XOR of one weight into one cell.  A probe whose nonzero pattern
+has no perfect matching (checked by augmenting paths over the n/k rows)
+has determinant zero and is skipped.  The general kernel filters the
+edges afresh per probe.  Threaded runs split the code range into
+contiguous chunks and XOR the partial sums, so results are bit-identical
+for any worker count; the chunks run on a pool of at most os.cpu_count()
+threads.
 """
 
 from __future__ import annotations
@@ -93,20 +99,28 @@ def u_size(H: Hypergraph, partitioned: bool) -> int:
 
 
 def _subsets(rest: int, start: int, stop: int):
-    """The subsets X of the vertex mask `rest` with counter codes in
-    [start, stop), in counter order: bit i of a code picks the i-th
-    lowest vertex of rest.  Only the start code is decoded; each later X
-    is the next subset, (x - rest) & rest."""
-    x, r, code = 0, rest, start
-    while code:
+    """The subsets X of the vertex mask `rest` with codes in [start, stop),
+    in reflected Gray-code order: X deposits the bits of c ^ (c >> 1) on
+    the vertices of rest, bit i on the i-th lowest.  Only the start code is
+    decoded; each later code c toggles one vertex, the one at the index of
+    the lowest set bit of c, so consecutive X differ in exactly one vertex."""
+    bits = []
+    r = rest
+    while r:
         low = r & -r
-        if code & 1:
-            x |= low
-        code >>= 1
+        bits.append(low)
         r ^= low
-    for _ in range(stop - start):
+    x = 0
+    gray = start ^ (start >> 1)
+    for low in bits:
+        if gray & 1:
+            x |= low
+        gray >>= 1
+    if start < stop:
         yield x
-        x = (x - rest) & rest
+    for c in range(start + 1, stop):
+        x ^= bits[(c & -c).bit_length() - 1]
+        yield x
 
 
 def _sweep_general(view, H, weights, gf, rest, start, stop):
@@ -135,22 +149,101 @@ def _bipartite_entries(H: Hypergraph) -> list[tuple[int, int, int, int]]:
     return entries
 
 
-def _sweep_kdm(entries, b, weights, gf, rest, start, stop):
-    """XOR of bipartite determinants for X codes in [start, stop)."""
-    total = 0
-    full = (1 << b) - 1
-    for xm in _subsets(rest, start, stop):
-        mat = [[0] * b for _ in range(b)]
-        rows_hit = 0
-        cols_hit = 0
-        for mk, eid, r, c in entries:
-            if mk & xm:
+def _perfect_matching(rows: list[int]) -> bool:
+    """Whether a bipartite graph has a perfect matching; bit c of rows[r]
+    joins row r to column c.  Kuhn's algorithm: one augmenting path per
+    row, found by breadth-first search rather than recursion."""
+    b = len(rows)
+    row_of = [-1] * b   # column -> matched row
+    col_of = [-1] * b   # row -> matched column
+    return all(_augment(rows, root, row_of, col_of) for root in range(b))
+
+
+def _augment(rows, root, row_of, col_of) -> bool:
+    """Match row `root` by flipping an augmenting path; False if none."""
+    parent = {root: -1}
+    queue = [root]
+    seen = 0
+    for u in queue:  # the queue grows while it is walked
+        avail = rows[u] & ~seen
+        seen |= avail
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            c = low.bit_length() - 1
+            v = row_of[c]
+            if v >= 0:
+                parent[v] = u
+                queue.append(v)
                 continue
-            mat[r][c] ^= weights[eid]
-            rows_hit |= 1 << r
-            cols_hit |= 1 << c
-        if rows_hit != full or cols_hit != full:
-            continue  # some block vertex lost every edge, determinant is zero
+            while u >= 0:  # c is free: shift every row on the path to c
+                row_of[c] = u
+                c, col_of[u] = col_of[u], c
+                u = parent[u]
+            return True
+    return False
+
+
+def _sweep_kdm(entries, b, weights, gf, rest, start, stop):
+    """XOR of bipartite determinants for X codes in [start, stop).
+
+    One live matrix follows X along the Gray walk.  An entry (edge) is
+    live while none of its vertices is in X; a toggled vertex moves the
+    hit counts of the entries it touches only, and an entry that turns on
+    or off XORs its weight into its cell.  Live-edge counts per row and
+    column, and a bitmask of the nonzero cells of each row, are updated
+    with it.  A probe with an empty row or column, or whose nonzero
+    pattern has no perfect matching, has determinant zero and is skipped.
+    """
+    mat = [[0] * b for _ in range(b)]
+    row_live = [0] * b
+    col_live = [0] * b
+    touch = {}                  # vertex bit of rest -> (id, row, col, weight) of its entries
+    for i, (mk, eid, r, c) in enumerate(entries):
+        mat[r][c] ^= weights[eid]
+        row_live[r] += 1
+        col_live[c] += 1
+        own = mk & rest
+        while own:
+            low = own & -own
+            own ^= low
+            touch.setdefault(low, []).append((i, r, c, weights[eid]))
+    nonzero = [sum(1 << c for c, v in enumerate(row) if v) for row in mat]  # bit c iff row[c]
+    empty = row_live.count(0) + col_live.count(0)
+    hits = [0] * len(entries)   # vertices of X in each entry's edge
+    total = 0
+    x = 0
+    for nxt in _subsets(rest, start, stop):
+        diff, x = x ^ nxt, nxt
+        while diff:
+            low = diff & -diff
+            diff ^= low
+            entering = bool(x & low)
+            for i, r, c, w in touch.get(low, ()):
+                if entering:
+                    hits[i] += 1
+                    if hits[i] != 1:
+                        continue  # already off
+                else:
+                    hits[i] -= 1
+                    if hits[i]:
+                        continue  # still hit by another vertex of X
+                row = mat[r]
+                row[c] ^= w
+                if row[c]:
+                    nonzero[r] |= 1 << c
+                else:
+                    nonzero[r] &= ~(1 << c)
+                if entering:
+                    row_live[r] -= 1
+                    col_live[c] -= 1
+                    empty += (not row_live[r]) + (not col_live[c])
+                else:
+                    empty -= (not row_live[r]) + (not col_live[c])
+                    row_live[r] += 1
+                    col_live[c] += 1
+        if empty or not _perfect_matching(nonzero):
+            continue  # each determinant term is a perfect matching of nonzero entries
         total ^= determinant(mat, gf)
     return total
 

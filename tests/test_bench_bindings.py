@@ -5,7 +5,9 @@ mul/inv) for counting wrappers, and perfbench/run.py swaps cli.solve_kdm
 and cli.solve_xkc.  A rename breaks only traced benchmark runs, which
 this suite does not start, so the bindings are checked here.  run.py also
 restates the |U| rule in its cost model; if that drifts from
-solver.u_size, every benchmark solve fails its probe-count check.
+solver.u_size, every benchmark solve fails its probe-count check.  Its
+fixed sieve triples must still give the totals in fingerprints.json, or
+every benchmark solve fails as well.
 """
 
 import importlib
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from detcover import GF64, Hypergraph, cli, params, solver
+from detcover import GF64, Hypergraph, cli, field_for, hypergraph, params, solver
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 RUN = TRACING.parent / "run.py"
@@ -59,12 +61,46 @@ def test_cli_calls_the_solvers_through_module_globals(monkeypatch, tmp_path, cap
     capsys.readouterr()
 
 
-def test_benchmark_cost_model_matches_u_size(monkeypatch):
+def _run_module(monkeypatch):
     monkeypatch.syspath_prepend(str(RUN.parent))  # run.py imports its siblings
     spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
+    return run
+
+
+def test_benchmark_cost_model_matches_u_size(monkeypatch):
+    run = _run_module(monkeypatch)
     for w in run.WORKLOADS.values():
         for n in (w.n, w.smoke_n):
             u = solver.u_size(Hypergraph(n, run.K, []), w.mode == "kdm")
             assert run.probes_per_attempt({"params": params}, w.mode, n) == 1 << (n - u), (w.name, n)
+
+
+def test_committed_sieve_totals(monkeypatch):
+    # the benchmark fails every solve when a fixed triple's total drifts;
+    # kdm15 carries no partition there, so it is also run with one, which
+    # sends it through the bipartite kernel
+    run = _run_module(monkeypatch)
+    committed = json.loads((RUN.parent / "fingerprints.json").read_text())["sieve_totals"]
+    gf = field_for(run.FIELD_DEGREE)
+    triples = run.sieve_triples({"hypergraph": hypergraph})
+    assert sorted(name for name, *_ in triples) == sorted(committed)
+    for name, H, u, weights in triples:
+        for threads in (1, 3):
+            assert f"{solver.sieve_decide(H, u, weights, gf, threads):#x}" == committed[name]
+    kernels = []
+    inner = solver._sweep_kdm
+
+    def recording(*args):
+        kernels.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(solver, "_sweep_kdm", recording)
+    _, H, u, weights = next(t for t in triples if t[0] == "kdm15")
+    blocks = [tuple(range(0, 5)), tuple(range(5, 10)), tuple(range(10, 15))]
+    partitioned = Hypergraph(H.n, H.k, H.edges, blocks)
+    for threads in (1, 3):
+        kernels.clear()
+        assert f"{solver.sieve_decide(partitioned, u, weights, gf, threads):#x}" == committed["kdm15"]
+        assert kernels and set(kernels) == {5}

@@ -146,6 +146,22 @@ def test_solve_deeply_nested_document_is_an_error(tmp_path, capsys):
     assert code == 2 and out == "" and "nests too deeply" in err
 
 
+def test_solve_n_too_large_for_a_float_is_an_error(tmp_path, capsys):
+    # u_size rounds t * n, which cannot convert a 401-digit n to a float
+    path = tmp_path / "inst.json"
+    path.write_text('{"k":3,"n":3' + "0" * 400 + ',"edges":[]}')
+    code, out, err = _run(capsys, "solve", "--input", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_solve_k_too_large_for_a_float_is_an_error(tmp_path, capsys):
+    # the exponent optimizer works in floats
+    path = tmp_path / "inst.json"
+    path.write_text('{"k":1' + "0" * 400 + ',"n":0,"edges":[]}')
+    code, out, err = _run(capsys, "solve", "--input", str(path))
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("mode", ["kdm", "xkc"])
 def test_solve_reports_epsilon_only_for_xkc(tmp_path, capsys, mode, fmt):
@@ -236,6 +252,11 @@ def test_params_k2_row(capsys):
     assert code == 0
     row = json.loads(out)[0]
     assert row == {"k": 2, "kdm_base": 1.0}
+
+
+def test_params_k_too_large_for_a_float_is_an_error(capsys):
+    code, out, err = _run(capsys, "params", "--k", "1" + "0" * 400)
+    assert code == 2 and out == "" and err.startswith("error:")
 
 
 def test_bench_csv(capsys):

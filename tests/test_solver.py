@@ -1,7 +1,7 @@
 """The sieve against explicit enumeration, plus both end-to-end solvers."""
 
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -9,7 +9,7 @@ from detcover import (GF8, GF64, Hypergraph, SieveConfig, dlx_count, generate,
                       project, sieve_decide, solve_kdm, solve_xkc)
 from detcover import solver as solver_mod
 
-from conftest import covers_weight_sum, filtered_for, rand_instance
+from conftest import covers_weight_sum, filtered_for, rand_instance, ref_det
 
 
 def test_sieve_single_probe_when_u_is_everything():
@@ -103,8 +103,9 @@ def test_parallel_sieve_is_bit_identical():
 
 
 def test_sweep_filters_each_avoided_set_once(monkeypatch):
-    # the X masks handed to the filter: every subset of V - U exactly once,
-    # in increasing order when a single chunk sweeps them
+    # the X masks handed to the filter: every subset of V - U exactly once;
+    # within a chunk consecutive X differ in one vertex, and a single chunk
+    # sweeps them in reflected Gray-code order
     seen = []
     inner = solver_mod.restrict_avoiding
 
@@ -120,12 +121,19 @@ def test_sweep_filters_each_avoided_set_once(monkeypatch):
     w = [GF64.sample(rng) for _ in H.edges]
     subsets = sorted(sum(1 << v for v in c) for r in range(len(rest) + 1)
                      for c in combinations(rest, r))
-    for threads in (1, 3):
+    gray = [sum(1 << v for i, v in enumerate(rest) if (c ^ (c >> 1)) >> i & 1)
+            for c in range(1 << len(rest))]
+    for threads in (3, 1):
         seen.clear()
         sieve_decide(H, u, w, GF64, threads)
         assert sorted(seen) == subsets
-        if threads == 1:
-            assert seen == subsets
+    assert all((a ^ b).bit_count() == 1 for a, b in zip(seen, seen[1:]))
+    assert seen == gray
+    # a chunk starting anywhere decodes its first code and walks on from it
+    rest_mask = sum(1 << v for v in rest)
+    for cut in range(len(gray) + 1):
+        assert (list(solver_mod._subsets(rest_mask, 0, cut))
+                + list(solver_mod._subsets(rest_mask, cut, len(gray)))) == gray
 
 
 def test_worker_count_below_one_is_rejected():
@@ -264,6 +272,112 @@ def test_bipartite_and_general_probes_agree(monkeypatch):
             assert set(kernels) == {"_sweep_general"}
         nonzero += bool(expect)
     assert nonzero >= 10
+
+
+def _kdm_with_cancelling_twins(rng, gf, k, n, swap):
+    """Random partitioned instance plus, for two of its edges, twins that
+    share the edge's cell and weight: an exact copy, which cancels the
+    edge in that cell at every probe (a cell with live edges reads zero),
+    and one that differs outside blocks 0 and 1, which cancels it only
+    while both are live."""
+    H = rand_instance(rng, k, n, n // k + 3, plant_prob=0.9, min_edges=2, kdm=True)
+    p = H.partition
+    edges = list(H.edges)
+    w = [gf.sample(rng) for _ in edges]
+    for eid in rng.sample(range(len(H.edges)), 2):
+        e = H.edges[eid]
+        other = tuple(sorted([*(v for v in e if v in p[0] or v in p[1]),
+                              *(rng.choice(block) for block in p[2:])]))
+        edges += [e, other]
+        w += [w[eid], w[eid]]
+    if swap:  # blocks 0 and 1 trade places, so rows and columns do
+        p = [p[1], p[0], *p[2:]]
+    return Hypergraph(n, k, edges, p), w
+
+
+def test_bipartite_kernel_matches_cover_sum_at_every_split():
+    # the incremental kernel, restarted at every split point of the code
+    # range, against the cover enumeration; k = 4 puts two vertices of
+    # each edge in V - U, so hit counts reach 2
+    rng = random.Random(16)
+    nonzero = 0
+    for gf in (GF8, GF64):
+        for k, sizes in ((3, (6, 9, 12, 15)), (4, (8, 12))):
+            for swap in (False, True):
+                for n in (*sizes, *sizes):
+                    H, w = _kdm_with_cancelling_twins(rng, gf, k, n, swap)
+                    u = [*H.partition[0], *H.partition[1]]
+                    rest = ((1 << n) - 1) ^ sum(1 << v for v in u)
+                    codes = 1 << rest.bit_count()
+                    entries = solver_mod._bipartite_entries(H)
+                    whole = solver_mod._sweep_kdm(entries, n // k, w, gf, rest, 0, codes)
+                    assert gf.mul(whole, whole) == covers_weight_sum(H, u, w, gf)
+                    for cut in range(codes + 1):
+                        head = solver_mod._sweep_kdm(entries, n // k, w, gf, rest, 0, cut)
+                        tail = solver_mod._sweep_kdm(entries, n // k, w, gf, rest, cut, codes)
+                        assert head ^ tail == whole, (n, k, cut)
+                    nonzero += bool(whole)
+    assert nonzero >= 10
+
+
+def _matchable(rows):
+    b = len(rows)
+    return any(all(rows[r] >> perm[r] & 1 for r in range(b)) for perm in permutations(range(b)))
+
+
+def test_perfect_matching_check_against_permutations():
+    rng = random.Random(17)
+    seen = {True: 0, False: 0}
+    for _ in range(800):
+        b = rng.randint(0, 6)
+        density = rng.random()
+        rows = [sum(1 << c for c in range(b) if rng.random() < density) for _ in range(b)]
+        if b and rng.random() < 0.2:
+            rows[rng.randrange(b)] = 0
+        expect = _matchable(rows)
+        assert solver_mod._perfect_matching(rows) == expect, rows
+        seen[expect] += 1
+        if not expect:  # any matrix with this nonzero pattern is singular
+            mat = [[GF64.sample(rng) | 1 if rows[r] >> c & 1 else 0 for c in range(b)]
+                   for r in range(b)]
+            assert ref_det(mat, GF64) == 0
+    assert min(seen.values()) >= 100
+
+
+def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
+    # the same sweeps twice: with the check, counting determinants, and
+    # without it, keeping every matrix with no empty row or column; the
+    # check must skip exactly those with no perfect matching, all zero
+    probes = []
+    inner = solver_mod.determinant
+
+    def recording(mat, gf):
+        probes.append((gf, [row[:] for row in mat]))
+        return inner(mat, gf)
+
+    monkeypatch.setattr(solver_mod, "determinant", recording)
+    rng = random.Random(18)
+    cases = []
+    for rep in range(30):
+        gf = (GF8, GF64)[rep % 2]
+        k, n = rng.choice([(3, 12), (3, 15), (4, 12)])
+        cases.append((gf, *_kdm_with_cancelling_twins(rng, gf, k, n, rep % 4 >= 2)))
+
+    def sweep_all():
+        probes.clear()
+        for gf, H, w in cases:
+            sieve_decide(H, [*H.partition[0], *H.partition[1]], w, gf)
+        return len(probes)
+
+    checked = sweep_all()
+    monkeypatch.setattr(solver_mod, "_perfect_matching", lambda rows: True)
+    unchecked = sweep_all()
+    skipped = 0
+    for gf, mat in probes:
+        if not _matchable([sum(1 << c for c, v in enumerate(row) if v) for row in mat]):
+            skipped += 1
+            assert ref_det(mat, gf) == 0
+    assert skipped >= 20 and checked == unchecked - skipped
 
 
 def test_solve_xkc_planted_yes():
