@@ -5,9 +5,8 @@ from .gf2m import GF2m, GF8, GF64, field_for, is_irreducible
 from .hypergraph import (Hypergraph, ParseError, ProjectedView, Violation,
                          generate, parse, project, restrict_avoiding,
                          serialize, validate)
-from .linalg import determinant, evaluate, interpolate
-from .matchweight import (build_tutte, cover_weight, elementary_symmetric,
-                          loop_weights)
+from .linalg import determinant, evaluate, interpolate, series_determinant
+from .matchweight import cover_weight, elementary_symmetric, loop_weights
 from .oracle import (cover_weight_brute, dlx_count, dlx_enumerate,
                      enumerate_matchings, ie_count)
 from .params import (ParamRow, REFERENCE_ROWS, general_bound, kdm_base,
@@ -21,8 +20,8 @@ __all__ = [
     "GF2m", "GF8", "GF64", "field_for", "is_irreducible",
     "Hypergraph", "ParseError", "ProjectedView", "Violation",
     "generate", "parse", "project", "restrict_avoiding", "serialize", "validate",
-    "determinant", "evaluate", "interpolate",
-    "build_tutte", "cover_weight", "elementary_symmetric", "loop_weights",
+    "determinant", "evaluate", "interpolate", "series_determinant",
+    "cover_weight", "elementary_symmetric", "loop_weights",
     "cover_weight_brute", "dlx_count", "dlx_enumerate", "enumerate_matchings",
     "ie_count",
     "ParamRow", "REFERENCE_ROWS", "general_bound", "kdm_base", "optimize",

@@ -147,17 +147,6 @@ class GF2m:
         """Uniformly random element (zero included)."""
         return rng.getrandbits(self.m)
 
-    def distinct_points(self, count: int) -> list[int]:
-        """`count` pairwise-distinct nonzero elements, deterministically.
-
-        Used as interpolation abscissas; zero is excluded so the points
-        stay invertible denominators.
-        """
-        if count > self.order - 1:
-            raise ValueError(
-                f"cannot pick {count} distinct nonzero points in a field of order {self.order}")
-        return list(range(1, count + 1))
-
 
 GF8 = GF2m(8, 0x11B)
 GF64 = GF2m(64, (1 << 64) | 0x1B)

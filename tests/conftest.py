@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from detcover import Hypergraph, dlx_enumerate, generate
+from detcover import Hypergraph, ProjectedView, dlx_enumerate, generate
 
 
 def rand_instance(rng: random.Random, k: int, n: int, max_edges: int,
@@ -58,6 +58,46 @@ def ref_det(mat, gf) -> int:
         minor = [row[:j] + row[j + 1:] for row in mat[1:]]
         total ^= gf.mul(v, ref_det(minor, gf))
     return total
+
+
+class CountingField:
+    """A field with its multiplications and inversions counted."""
+
+    def __init__(self, gf):
+        self.gf = gf
+        self.mul_calls = 0
+        self.inv_calls = 0
+
+    def mul(self, a, b):
+        self.mul_calls += 1
+        return self.gf.mul(a, b)
+
+    def inv(self, a):
+        self.inv_calls += 1
+        return self.gf.inv(a)
+
+
+def build_tutte(view: ProjectedView, weights, s: int, gf) -> list[list[int]]:
+    """Symmetric matching matrix of a view at diagonal scale s.
+
+    Entry (i, j), i != j, XORs the weights of the pairs joining U
+    positions i and j; diagonal entry i is s times the XOR of the loop
+    weights at i.  Its determinant is sum_i M_i s^i, evaluated at one s.
+    """
+    if view.dropped:
+        raise ValueError("view still contains dropped edges")
+    u = view.u_size
+    mat = [[0] * u for _ in range(u)]
+    for eid, i, j in view.pairs:
+        w = weights[eid]
+        mat[i][j] ^= w
+        mat[j][i] ^= w
+    loop_sums = [0] * u
+    for eid, i in view.loops:
+        loop_sums[i] ^= weights[eid]
+    for i, w in enumerate(loop_sums):
+        mat[i][i] = gf.mul(s, w)
+    return mat
 
 
 def rand_matrix(rng: random.Random, size: int, gf) -> list[list[int]]:

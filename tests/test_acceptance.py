@@ -9,7 +9,7 @@ import random
 import time
 
 from detcover import (GF8, GF64, Hypergraph, ProjectedView, REFERENCE_ROWS,
-                      SieveConfig, build_tutte, cover_weight,
+                      SieveConfig, cover_weight,
                       cover_weight_brute, determinant, dlx_count, general_bound,
                       generate, enumerate_matchings, ie_count, kdm_base,
                       optimize, project, restrict_avoiding, runtime_base,
@@ -17,7 +17,7 @@ from detcover import (GF8, GF64, Hypergraph, ProjectedView, REFERENCE_ROWS,
 from detcover import params as params_mod
 from detcover import solver as solver_mod
 
-from conftest import filtered_for, rand_instance, ref_mul
+from conftest import build_tutte, filtered_for, rand_instance, ref_mul
 
 
 def _ok(num, msg):

@@ -1,8 +1,9 @@
 """The names the benchmark in perfbench/ patches must exist where it looks.
 
 perfbench/tracing.py swaps module globals of detcover (and the field's
-mul/inv) for counting wrappers, and perfbench/run.py swaps cli.solve_kdm
-and cli.solve_xkc.  A rename breaks only traced benchmark runs, which
+mul/inv) for counting wrappers, perfbench/run.py swaps cli.solve_kdm
+and cli.solve_xkc, and perfbench/micro.py times linalg.determinant and
+linalg.interpolate.  A rename breaks only traced benchmark runs, which
 this suite does not start, so the bindings are checked here.  run.py also
 restates the |U| rule in its cost model; if that drifts from
 solver.u_size, every benchmark solve fails its probe-count check.  Its
@@ -17,17 +18,24 @@ from pathlib import Path
 
 import pytest
 
-from detcover import GF64, Hypergraph, cli, field_for, hypergraph, params, solver
+from detcover import (GF64, Hypergraph, cli, field_for, hypergraph, linalg,
+                      params, solver)
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 RUN = TRACING.parent / "run.py"
+MICRO = TRACING.parent / "micro.py"
+BENCHMARK = TRACING.parent.parent / "BENCHMARK.json"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+def _tracing():
+    return _load(TRACING, "perfbench_tracing")
 
 
 def test_span_targets_are_module_attributes():
@@ -38,6 +46,20 @@ def test_span_targets_are_module_attributes():
         assert callable(getattr(mod, attr, None)), f"detcover.{module}.{attr}"
     for attr in tracing.FIELD_TARGETS:
         assert callable(getattr(GF64, attr, None)), f"GF2m.{attr}"
+
+
+def test_micro_loops_run_and_report_their_metrics(monkeypatch):
+    # the timed field and linalg loops of a traced run, each body run a
+    # few times; micro.py owns the per-layer times of those two layers
+    micro = _load(MICRO, "perfbench_micro")
+    monkeypatch.setattr(micro, "REPS", 1)
+    monkeypatch.setattr(micro, "TARGET_S", 1e-6)
+    out = micro.run(GF64, linalg)
+    declared = json.loads(BENCHMARK.read_text())["per_layer"]
+    owned = {m["name"] for m in declared
+             if m["name"].startswith(("gf2m.", "linalg.")) and m["name"].endswith(("_ns", "_us"))}
+    assert owned and set(out) == owned
+    assert all(v > 0 for v in out.values())
 
 
 @pytest.mark.parametrize("mode", ["kdm", "xkc"])
@@ -63,10 +85,7 @@ def test_cli_calls_the_solvers_through_module_globals(monkeypatch, tmp_path, cap
 
 def _run_module(monkeypatch):
     monkeypatch.syspath_prepend(str(RUN.parent))  # run.py imports its siblings
-    spec = importlib.util.spec_from_file_location("perfbench_run", RUN)
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
-    return run
+    return _load(RUN, "perfbench_run")
 
 
 def test_benchmark_cost_model_matches_u_size(monkeypatch):

@@ -1,11 +1,17 @@
 """Command line behaviour: exit codes, formats, determinism, guards."""
 
+import contextlib
+import io
 import json
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from detcover import cli, optimize, parse, validate
+from detcover import Hypergraph, ParseError, cli, optimize, parse, validate
 from detcover import params as params_mod
 from detcover import solver as solver_mod
 from detcover.cli import main
@@ -300,3 +306,56 @@ def test_bench_deterministic_modulo_timing(capsys):
         rows = [l.split(",") for l in out.strip().splitlines()[1:]]
         outs.append([r[:5] + r[6:] for r in rows])
     assert outs[0] == outs[1]
+
+
+# Fuzzing the input path: arbitrary JSON documents, and valid instances
+# with at most one field or vertex replaced by an arbitrary value.
+# Vertex counts stay small so every document that does parse is solved
+# and counted in milliseconds; the huge integers reach the size guards
+# and the float conversions.
+_SCALARS = (st.none() | st.booleans() | st.integers(-2, 12) | st.floats()
+            | st.sampled_from([2 ** 64, 10 ** 400, -(10 ** 400)]) | st.text(max_size=3))
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+
+
+@st.composite
+def _near_valid(draw):
+    k = draw(st.integers(2, 4))
+    n = k * draw(st.integers(1, 3))
+    edge = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    doc = {"k": k, "n": n, "edges": draw(st.lists(edge, max_size=6))}
+    if draw(st.booleans()):
+        size = n // k
+        doc["partition"] = [list(range(b * size, (b + 1) * size)) for b in range(k)]
+    broken = draw(st.sampled_from([None, "k", "n", "edges", "partition", "vertex", "extra"]))
+    if broken == "vertex" and doc["edges"]:
+        edge = draw(st.sampled_from(doc["edges"]))
+        edge[draw(st.integers(0, k - 1))] = draw(_SCALARS)
+    elif broken == "extra":
+        doc[draw(st.text(max_size=3))] = draw(_JSON)
+    elif broken not in (None, "vertex"):
+        doc[broken] = draw(_JSON)
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=_JSON | _near_valid())
+def test_fuzzed_documents_parse_or_fail_cleanly(doc):
+    text = json.dumps(doc)
+    try:
+        H = parse(text)
+    except ParseError:
+        H = None
+    assert H is None or isinstance(H, Hypergraph)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        for argv in (["solve", "--input", str(path), "--seed", "1"],
+                     ["count", "--input", str(path)]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2), (argv[0], text)

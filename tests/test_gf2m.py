@@ -108,16 +108,6 @@ def test_sample_deterministic_per_seed():
     assert a != c
 
 
-def test_distinct_points():
-    assert GF64.distinct_points(1) == [1]
-    pts = GF64.distinct_points(100)
-    assert len(set(pts)) == 100
-    assert 0 not in pts
-    assert len(GF8.distinct_points(255)) == 255
-    with pytest.raises(ValueError):
-        GF8.distinct_points(256)
-
-
 def test_constructor_rejects_bad_modulus():
     with pytest.raises(ValueError):
         GF2m(8, 0x100)  # x^8, obviously reducible

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detcover import GF8, GF64, determinant, evaluate, interpolate
+from detcover import (GF8, GF64, determinant, evaluate, interpolate,
+                      series_determinant)
 
-from conftest import rand_matrix, ref_det
+from conftest import CountingField, rand_matrix, ref_det
 
 
 def _matmul(a, b, gf):
@@ -90,19 +91,6 @@ def test_determinant_matches_cofactor_oracle_on_sieve_shapes(gf, kind):
             assert determinant(mat, gf) == ref_det(mat, gf)
 
 
-class _CountingField:
-    """The field with its inversions counted."""
-
-    def __init__(self, gf):
-        self.gf = gf
-        self.mul = gf.mul
-        self.inv_calls = 0
-
-    def inv(self, a):
-        self.inv_calls += 1
-        return self.gf.inv(a)
-
-
 def test_determinant_inverts_only_pivots_it_eliminates_with():
     rng = random.Random(24)
     # a lower-triangular pivot row has nothing right of the pivot to eliminate with
@@ -110,10 +98,10 @@ def test_determinant_inverts_only_pivots_it_eliminates_with():
         mat = _sieve_shaped(rng, 6, GF64, "lower" if kind == "lower" else "upper")
         if kind == "diagonal":
             mat = [[v if r == c else 0 for c, v in enumerate(row)] for r, row in enumerate(mat)]
-        gf = _CountingField(GF64)
+        gf = CountingField(GF64)
         assert determinant(mat, gf) == ref_det(mat, GF64)
         assert gf.inv_calls == 0
-    gf = _CountingField(GF64)
+    gf = CountingField(GF64)
     mat = rand_matrix(rng, 6, GF64)
     assert determinant(mat, gf) == ref_det(mat, GF64)
     assert gf.inv_calls <= 5  # the last pivot is never inverted
@@ -167,6 +155,105 @@ def test_determinant_rejects_non_square():
         determinant([[1, 2]], GF8)
 
 
+def _ref_series_det(mat, precision, gf):
+    """Cofactor expansion along the first row with products of
+    coefficient lists truncated below s^precision."""
+    n = len(mat)
+    if n == 0:
+        return [1] + [0] * (precision - 1)
+    total = [0] * precision
+    for j, entry in enumerate(mat[0]):
+        minor = [row[:j] + row[j + 1:] for row in mat[1:]]
+        sub = _ref_series_det(minor, precision, gf)
+        for a, x in enumerate(entry[:precision]):
+            for b in range(precision - a):
+                total[a + b] ^= gf.mul(x, sub[b])
+    return total
+
+
+def _sparse(mat):
+    return [{c: e for c, e in enumerate(row) if any(e)} for row in mat]
+
+
+def _rand_series_matrix(rng, size, length, gf, density):
+    """Entries s^v times a random polynomial, v up to 2; zero entries at
+    rate 1 - density.  Some coefficient lists are short, some long."""
+    mat = []
+    for _ in range(size):
+        row = []
+        for _ in range(size):
+            entry = [0] * rng.randint(0, length + 1)
+            if rng.random() < density:
+                for i in range(min(rng.randint(0, 2), len(entry)), len(entry)):
+                    entry[i] = gf.sample(rng)
+            row.append(entry)
+        mat.append(row)
+    return mat
+
+
+@pytest.mark.parametrize("gf", [GF8, GF64])
+def test_series_determinant_matches_cofactor_reference(gf):
+    rng = random.Random(f"series-{gf.m}")
+    for size in range(7):
+        for precision in range(1, 6):
+            for density in (0.3, 0.7, 1.0):
+                mat = _rand_series_matrix(rng, size, precision, gf, density)
+                padded = [[e + [0] * (precision - len(e)) for e in row] for row in mat]
+                expect = _ref_series_det(padded, precision, gf)
+                assert series_determinant(_sparse(mat), precision, gf) == expect
+
+
+def test_series_determinant_precision_one_is_determinant():
+    rng = random.Random(25)
+    for size in range(7):
+        for kind in ("matching", "zero-col", "upper", "lower"):
+            mat = _sieve_shaped(rng, size, GF64, kind)
+            rows = _sparse([[[v] for v in row] for row in mat])
+            assert series_determinant(rows, 1, GF64) == [determinant(mat, GF64)]
+
+
+def test_series_determinant_divides_out_valuation():
+    # s * I_3 has determinant s^3; diag(s, s^2, 1) has s^3 as well, and
+    # its first pivot search finds the unit at (2, 2)
+    eye = [{i: [0, 7]} for i in range(3)]
+    assert series_determinant(eye, 5, GF8) == [0, 0, 0, GF8.mul(GF8.mul(7, 7), 7), 0]
+    assert series_determinant(eye, 3, GF8) == [0, 0, 0]
+    mixed = [{0: [0, 1]}, {1: [0, 0, 1]}, {2: [1]}]
+    assert series_determinant(mixed, 4, GF8) == [0, 0, 0, 1]
+    assert series_determinant(mixed, 3, GF8) == [0, 0, 0]
+    assert series_determinant([{}, {1: [1]}], 2, GF8) == [0, 0]
+    assert series_determinant([], 3, GF8) == [1, 0, 0]
+
+
+def test_series_determinant_inverts_only_pivots_it_eliminates_with():
+    rng = random.Random(26)
+    gf = CountingField(GF64)
+    diagonal = [{i: [GF64.sample(rng) or 1, GF64.sample(rng)]} for i in range(6)]
+    series_determinant(diagonal, 2, gf)
+    assert gf.inv_calls == 0
+    for _ in range(20):
+        mat = _rand_series_matrix(rng, 6, 3, GF64, 1.0)
+        series_determinant(_sparse(mat), 3, gf)
+    assert gf.inv_calls <= 20 * 5  # the last pivot is never inverted
+
+
+def test_series_determinant_leaves_input_alone():
+    rng = random.Random(27)
+    rows = _sparse(_rand_series_matrix(rng, 5, 3, GF64, 0.8))
+    snapshot = [{c: e[:] for c, e in row.items()} for row in rows]
+    series_determinant(rows, 3, GF64)
+    assert rows == snapshot
+
+
+def test_series_determinant_rejects_bad_input():
+    with pytest.raises(ValueError):
+        series_determinant([{0: [1]}], 0, GF8)
+    with pytest.raises(ValueError):
+        series_determinant([{1: [1]}], 1, GF8)
+    with pytest.raises(ValueError):
+        series_determinant([{-1: [1]}, {}], 1, GF8)
+
+
 def test_evaluate_basics():
     assert evaluate([], 5, GF8) == 0
     assert evaluate([7], 5, GF8) == 7
@@ -189,7 +276,7 @@ def test_interpolate_roundtrip_degree_six():
     rng = random.Random(31)
     for _ in range(50):
         coeffs = [GF64.sample(rng) for _ in range(7)]
-        xs = GF64.distinct_points(7)
+        xs = list(range(1, 8))
         pts = [(x, evaluate(coeffs, x, GF64)) for x in xs]
         assert interpolate(pts, 6, GF64) == coeffs
 
@@ -197,7 +284,7 @@ def test_interpolate_roundtrip_degree_six():
 def test_interpolate_ignores_extra_points():
     rng = random.Random(32)
     coeffs = [GF8.sample(rng) for _ in range(4)]
-    pts = [(x, evaluate(coeffs, x, GF8)) for x in GF8.distinct_points(9)]
+    pts = [(x, evaluate(coeffs, x, GF8)) for x in range(1, 10)]
     assert interpolate(pts, 3, GF8) == coeffs
 
 
@@ -215,7 +302,7 @@ def test_interpolate_errors():
 def test_interpolate_inverts_evaluate(data, degree):
     coeffs = data.draw(st.lists(st.integers(0, 255),
                                 min_size=degree + 1, max_size=degree + 1))
-    xs = GF8.distinct_points(degree + 1)
+    xs = list(range(1, degree + 2))
     pts = [(x, evaluate(coeffs, x, GF8)) for x in xs]
     got = interpolate(pts, degree, GF8)
     for x, y in pts:

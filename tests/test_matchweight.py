@@ -4,15 +4,16 @@ import random
 
 import pytest
 
-from detcover import (GF8, GF64, Hypergraph, ProjectedView, build_tutte,
+from detcover import (GF8, GF64, Hypergraph, ProjectedView,
                       cover_weight, cover_weight_brute, determinant,
                       elementary_symmetric, enumerate_matchings, generate,
                       interpolate, loop_weights, project, restrict_avoiding,
                       sieve_decide)
 
+from detcover import linalg as linalg_mod
 from detcover import matchweight as matchweight_mod
 
-from conftest import filtered_for
+from conftest import CountingField, build_tutte, filtered_for
 
 
 def _bipartite_probe(n, edges, weights, partition, gf=GF8):
@@ -72,84 +73,144 @@ def test_tutte_rejects_dropped():
         build_tutte(view, [1], 1, GF8)
 
 
+def test_loop_weights_rejects_dropped():
+    view = ProjectedView((0, 1), dropped=[0])
+    with pytest.raises(ValueError):
+        loop_weights(view, [1], GF8, 1)
+
+
 def test_loop_weights_no_edges():
     view = ProjectedView((0, 1))
-    assert loop_weights(view, [], GF64) == [0, 0, 0]
+    assert loop_weights(view, [], GF64, 2) == [0, 0, 0]
 
 
 def test_loop_weights_single_loop():
     view = ProjectedView((3,), loops=[(0, 0)])
-    assert loop_weights(view, [0x77], GF64) == [0, 0x77]
+    assert loop_weights(view, [0x77], GF64, 1) == [0, 0x77]
+
+
+def _random_view(rng, u, edge_count, gf, pair_prob=0.7):
+    pairs, loops = [], []
+    for eid in range(edge_count):
+        if u >= 2 and rng.random() < pair_prob:
+            i, j = sorted(rng.sample(range(u), 2))
+            pairs.append((eid, i, j))
+        elif u >= 1:
+            loops.append((eid, rng.randrange(u)))
+    view = ProjectedView(tuple(range(u)), pairs=pairs, loops=loops)
+    return view, [gf.sample(rng) for _ in range(edge_count)]
+
+
+def _strata(view, w, gf, top):
+    strata = [0] * (max(view.u_size, top) + 1)
+    for loop_ct, weight in enumerate_matchings(view, w, gf):
+        strata[loop_ct] ^= weight
+    return strata[:top + 1]
 
 
 def test_loop_weights_match_enumeration():
-    # every |U| from 0 to 10, so both parities and the workloads' 8 and 10
+    # every |U| from 0 to 10, so both parities and the workloads' 8 and
+    # 10, at every truncation from M_0 alone to one past M_|U|
     rng = random.Random(44)
     for u in range(11):
         for rep in range(16):
             gf = (GF8, GF64)[rep % 2]
-            edge_count = rng.randint(0, 2 * u + 3)
-            pairs, loops = [], []
-            for eid in range(edge_count):
-                if u >= 2 and rng.random() < 0.7:
-                    i, j = sorted(rng.sample(range(u), 2))
-                    pairs.append((eid, i, j))
-                elif u >= 1:
-                    loops.append((eid, rng.randrange(u)))
-            view = ProjectedView(tuple(range(u)), pairs=pairs, loops=loops)
-            w = [gf.sample(rng) for _ in range(edge_count)]
-            got = loop_weights(view, w, gf)
-            strata = [0] * (u + 1)
-            for loop_ct, weight in enumerate_matchings(view, w, gf):
-                strata[loop_ct] ^= weight
-            assert got == strata
+            view, w = _random_view(rng, u, rng.randint(0, 2 * u + 3), gf)
+            for top in range(u + 2):
+                assert loop_weights(view, w, gf, top) == _strata(view, w, gf, top), (u, top)
 
 
-def test_loop_weights_evaluates_half_the_determinants(monkeypatch):
-    calls = []
+def test_loop_weights_top_zero_is_loop_free_determinant():
+    rng = random.Random(52)
+    for u in range(11):
+        for gf in (GF8, GF64):
+            view, w = _random_view(rng, u, 2 * u, gf)
+            assert loop_weights(view, w, gf, 0) == [determinant(build_tutte(view, w, 0, gf), gf)]
 
-    def counting(mat, gf):
-        calls.append(len(mat))
-        return determinant(mat, gf)
 
-    monkeypatch.setattr(matchweight_mod, "determinant", counting)
+def test_loop_weights_loops_only():
+    # every entry lies on the diagonal with valuation 1, so the first
+    # pivot search divides each row by s and the valuation becomes |U|;
+    # with top < |U| it stops there, before any field operation
+    rng = random.Random(53)
+    for u in range(1, 9):
+        loops = [(eid, eid % u) for eid in range(2 * u)]
+        view = ProjectedView(tuple(range(u)), loops=loops)
+        w = [GF64.sample(rng) for _ in loops]
+        product = 1
+        for i in range(u):
+            product = GF64.mul(product, w[i] ^ w[i + u])
+        gf = CountingField(GF64)
+        assert loop_weights(view, w, gf, u + 1) == [0] * u + [product, 0]
+        assert gf.inv_calls == 0
+        gf = CountingField(GF64)
+        assert loop_weights(view, w, gf, u - 1) == [0] * u
+        assert (gf.mul_calls, gf.inv_calls) == (0, 0)
+
+
+def test_loop_weights_without_matching_in_budget_is_zero():
+    # one pair plus loops everywhere needs |U| - 2 loops at least; a pair
+    # pattern with an uncovered vertex has no matching at all
+    rng = random.Random(54)
+    u = 6
+    view = ProjectedView(tuple(range(u)), pairs=[(0, 0, 1)],
+                         loops=[(eid + 1, eid) for eid in range(u)])
+    w = [GF64.sample(rng) for _ in range(u + 1)]
+    for top in range(u - 2):
+        assert loop_weights(view, w, GF64, top) == [0] * (top + 1)
+    assert loop_weights(view, w, GF64, u - 2) == _strata(view, w, GF64, u - 2)
+    assert loop_weights(view, w, GF64, u - 2)[u - 2] != 0
+    gf = CountingField(GF64)
+    bare = ProjectedView((0, 1, 2, 3), pairs=[(0, 0, 1), (1, 1, 2)])
+    assert loop_weights(bare, w[:2], gf, 4) == [0] * 5
+    assert (gf.mul_calls, gf.inv_calls) == (0, 0)
+
+
+def test_loop_weights_one_elimination(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("loop_weights must not evaluate and interpolate")
+
+    for mod in (matchweight_mod, linalg_mod):
+        monkeypatch.setattr(mod, "determinant", forbidden)
+        monkeypatch.setattr(mod, "interpolate", forbidden)
     rng = random.Random(47)
     for u in range(11):
-        loops = [(eid, eid % u) for eid in range(u)] if u else []
-        w = [GF64.sample(rng) for _ in loops]
-        calls.clear()
-        loop_weights(ProjectedView(tuple(range(u)), loops=loops), w, GF64)
-        assert calls == [u] * (u // 2 + 1)
+        for _ in range(8):
+            view, w = _random_view(rng, u, rng.randint(0, 3 * u), GF64)
+            gf = CountingField(GF64)
+            assert loop_weights(view, w, gf, u) == _strata(view, w, GF64, u)
+            assert gf.inv_calls <= u
 
 
 def test_loop_weights_parity():
     rng = random.Random(45)
     for _ in range(50):
         u = rng.randint(1, 6)
-        pairs, loops = [], []
-        for eid in range(rng.randint(1, 8)):
-            if u >= 2 and rng.random() < 0.5:
-                i, j = sorted(rng.sample(range(u), 2))
-                pairs.append((eid, i, j))
-            else:
-                loops.append((eid, rng.randrange(u)))
-        w = [GF64.sample(rng) for _ in range(len(pairs) + len(loops))]
-        got = loop_weights(ProjectedView(tuple(range(u)), pairs=pairs, loops=loops), w, GF64)
+        view, w = _random_view(rng, u, rng.randint(1, 8), GF64, pair_prob=0.5)
+        got = loop_weights(view, w, GF64, u)
         for i, v in enumerate(got):
             if (i ^ u) & 1:
                 assert v == 0
 
 
-def test_loop_weights_abscissa_independent():
-    # same strata out of a disjoint abscissa set
+def test_loop_weights_equals_interpolated_determinants():
+    # the evaluate-and-interpolate route: det(tutte(s)) = s^p Q(s^2) with
+    # p = |U| mod 2, so floor(|U|/2) + 1 determinants pin down Q, whose
+    # coefficients are M_p, M_(p+2), ...
     rng = random.Random(46)
-    view = ProjectedView((0, 1, 2), pairs=[(0, 0, 1), (1, 1, 2)],
-                         loops=[(2, 0), (3, 2), (4, 1)])
-    w = [GF64.sample(rng) for _ in range(5)]
-    got = loop_weights(view, w, GF64)
-    shifted = [x + 1000 for x in GF64.distinct_points(4)]
-    pts = [(s, determinant(build_tutte(view, w, s, GF64), GF64)) for s in shifted]
-    assert interpolate(pts, 3, GF64) == got
+    for u in range(11):
+        view, w = _random_view(rng, u, 2 * u + 2, GF64, pair_prob=0.6)
+        h, p = u // 2, u % 2
+        pts = []
+        for s in range(1, h + 2):
+            det = determinant(build_tutte(view, w, s, GF64), GF64)
+            if p:
+                det = GF64.mul(det, GF64.inv(s))
+            pts.append((GF64.mul(s, s), det))
+        expect = [0] * (u + 1)
+        for j, c in enumerate(interpolate(pts, h, GF64)):
+            expect[2 * j + p] = c
+        assert loop_weights(view, w, GF64, u) == expect
 
 
 def test_elementary_symmetric_small_cases():
@@ -224,4 +285,4 @@ def test_cover_weight_all_pairs_is_tutte_stratum():
     u = list(H.partition[0]) + list(H.partition[1])
     view = project(H, u)
     w = [GF64.sample(rng) for _ in H.edges]
-    assert cover_weight(view, w, 6, 3, GF64) == loop_weights(view, w, GF64)[0]
+    assert cover_weight(view, w, 6, 3, GF64) == loop_weights(view, w, GF64, 0)[0]
