@@ -3,8 +3,9 @@
 Exit status of solve is 0 for yes, 1 for no, 2 for any error; the other
 subcommands use 0/2 (params --check uses 1 for a reference mismatch).
 Reports are plain key: value lines or single-line JSON with --format
-json.  Every randomized path takes --seed and reports the seed it used,
-so runs can be replayed byte for byte (timings aside).
+json; there the params --check verdict goes to stderr.  Every
+randomized path takes --seed and reports the seed it used, so runs can
+be replayed byte for byte (timings aside).
 """
 
 from __future__ import annotations
@@ -158,10 +159,11 @@ def cmd_params(args) -> int:
                 or abs(row["t"] - t) > 0.01 or abs(row["attempt_base"] - attempt_base) > 0.002
                 or abs(row["base"] - base) > 0.001):
             bad.append(row["k"])
+    verdict = sys.stderr if args.format == "json" else sys.stdout
     if bad:
-        print(f"reference check FAILED for k in {bad}")
+        print(f"reference check FAILED for k in {bad}", file=verdict)
         return 1
-    print("reference check passed")
+    print("reference check passed", file=verdict)
     return 0
 
 

@@ -3,11 +3,12 @@
 Everything here works on lists of plain ints plus a GF2m instance.  In
 characteristic 2 row and column swaps do not flip the determinant's sign
 and the determinant coincides with the permanent, which is what the
-matching machinery relies on.  series_determinant() works over the
-truncated power-series ring GF(2^m)[s]/(s^precision), with each entry a
-list of ascending coefficients.  The solver does not interpolate;
-interpolate() and evaluate() remain for the benchmark's micro-loops and
-as the reference route in the tests.
+matching machinery relies on.  There is one Gaussian elimination,
+series_determinant(), over the truncated power-series ring
+GF(2^m)[s]/(s^precision) with sparse rows of ascending coefficient
+lists; determinant() is its precision-1 case on a plain matrix.  The
+solver does not interpolate; interpolate() and evaluate() remain for the
+benchmark's micro-loops and as the reference route in the tests.
 """
 
 from __future__ import annotations
@@ -16,48 +17,18 @@ from .gf2m import GF2m
 
 
 def determinant(mat: list[list[int]], gf: GF2m) -> int:
-    """Determinant by Gaussian elimination over the field.
+    """Determinant of a square matrix over the field: series_determinant()
+    at precision 1 on the matrix's nonzero entries.
 
-    The input is copied, never modified.  The empty 0x0 matrix has
-    determinant one.  Pivots are found by scanning each column downward
-    for the first nonzero entry; a zero column means determinant zero.
-
-    Sieve matrices are sparse, so the elimination does only the work
-    whose result is read again.  A pivot is inverted only when some lower
-    row has a nonzero entry in its column and the pivot row has a nonzero
-    entry right of it, so never for the last column.  Rows are updated
-    from the column after the pivot, since the pivot column is never read
-    again, and only the nonzero entries of the pivot row are walked.
+    The input is never modified.  The empty 0x0 matrix has determinant
+    one.
     """
     n = len(mat)
     for row in mat:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    a = [row[:] for row in mat]
-    mul = gf.mul
-    det = 1
-    for col in range(n):
-        pivot = col
-        while not a[pivot][col]:
-            pivot += 1
-            if pivot == n:
-                return 0
-        arow = a[pivot]
-        if pivot != col:
-            a[pivot] = a[col]  # no sign change in char 2
-            a[col] = arow
-        piv = arow[col]
-        det = mul(det, piv)
-        tail = [(c, arow[c]) for c in range(col + 1, n) if arow[c]]
-        below = [brow for brow in a[col + 1:] if brow[col]]
-        if not (tail and below):
-            continue
-        ipiv = gf.inv(piv)
-        for brow in below:
-            factor = mul(brow[col], ipiv)
-            for c, v in tail:
-                brow[c] ^= mul(factor, v)
-    return det
+    rows = [{c: [v] for c, v in enumerate(row) if v} for row in mat]
+    return series_determinant(rows, 1, gf)[0]
 
 
 def series_determinant(rows: list[dict[int, list[int]]], precision: int, gf: GF2m) -> list[int]:
@@ -78,8 +49,10 @@ def series_determinant(rows: list[dict[int, list[int]]], precision: int, gf: GF2
     (least (row entries - 1) x (column entries - 1), Markowitz's rule),
     inverted with one field inversion of its constant term, and its
     column is eliminated with products truncated to the precision still
-    needed, skipping zero coefficients.  As in determinant(), a pivot is
-    inverted only when it eliminates something.
+    needed, skipping zero coefficients.  Sieve matrices are sparse, so a
+    pivot is inverted only when it eliminates something: when its row has
+    another entry and some other remaining row has a nonzero entry in its
+    column, so never for the last pivot.
     """
     if precision < 1:
         raise ValueError("precision must be positive")

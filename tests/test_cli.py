@@ -253,6 +253,17 @@ def test_params_table_and_check(capsys):
     assert abs(row["bound"] - 1.508) < 1e-3
 
 
+def test_params_json_check_prints_one_document(capsys, monkeypatch):
+    # the verdict goes to stderr so stdout stays one JSON document
+    code, out, err = _run(capsys, "params", "--k", "3", "--format", "json", "--check")
+    assert code == 0 and json.loads(out)[0]["k"] == 3
+    assert "reference check passed" in err
+    monkeypatch.setitem(cli.REFERENCE_ROWS, 3, (0.5, 0.5, 0.5, 1.0, 1.2))
+    code, out, err = _run(capsys, "params", "--k", "3", "--format", "json", "--check")
+    assert code == 1 and json.loads(out)[0]["k"] == 3
+    assert "reference check FAILED" in err
+
+
 def test_params_k2_row(capsys):
     code, out, _ = _run(capsys, "params", "--k", "2", "--format", "json")
     assert code == 0

@@ -57,7 +57,7 @@ def test_determinant_matches_cofactor_oracle():
 
 def _sieve_shaped(rng, size, gf, kind):
     """Sparse matrix as the sieve builds them: a hidden perfect matching
-    on a random permutation (so pivoting must swap rows) plus a few
+    on a random permutation (so pivots lie off the diagonal) plus a few
     random entries; "zero-col" then clears one column, "upper" and
     "lower" keep one triangle of a dense matrix with a nonzero diagonal."""
     if kind in ("upper", "lower"):
@@ -89,6 +89,42 @@ def test_determinant_matches_cofactor_oracle_on_sieve_shapes(gf, kind):
         for _ in range(25):
             mat = _sieve_shaped(rng, size, gf, kind)
             assert determinant(mat, gf) == ref_det(mat, gf)
+
+
+def _kdm_shaped(rng, size, gf):
+    """A hidden permutation plus two random entries per row, as the kdm
+    probes at b = n/k = 14 look."""
+    mat = [[0] * size for _ in range(size)]
+    perm = rng.sample(range(size), size)
+    for r in range(size):
+        mat[r][perm[r]] ^= gf.sample(rng) or 1
+        for _ in range(2):
+            mat[r][rng.randrange(size)] ^= gf.sample(rng)
+    return mat
+
+
+@pytest.mark.parametrize("gf", [GF8, GF64])
+def test_determinant_at_kdm_scale(gf):
+    # permuting rows and columns or transposing changes the Markowitz
+    # pivot order but not the value
+    rng = random.Random(f"kdm-scale-{gf.m}")
+    for size in range(8, 15):
+        for _ in range(4):
+            mat = _kdm_shaped(rng, size, gf)
+            det = determinant(mat, gf)
+            assert det == ref_det(mat, gf)
+            for _ in range(3):
+                rp = rng.sample(range(size), size)
+                cp = rng.sample(range(size), size)
+                assert determinant([[mat[r][c] for c in cp] for r in rp], gf) == det
+            assert determinant([list(col) for col in zip(*mat)], gf) == det
+        # three rows confined to two columns: no empty row or column,
+        # but no perfect matching either
+        mat = _kdm_shaped(rng, size, gf)
+        cols = rng.sample(range(size), 2)
+        for r in rng.sample(range(size), 3):
+            mat[r] = [gf.sample(rng) or 1 if c in cols else 0 for c in range(size)]
+        assert determinant(mat, gf) == 0
 
 
 def test_determinant_inverts_only_pivots_it_eliminates_with():
@@ -201,15 +237,6 @@ def test_series_determinant_matches_cofactor_reference(gf):
                 padded = [[e + [0] * (precision - len(e)) for e in row] for row in mat]
                 expect = _ref_series_det(padded, precision, gf)
                 assert series_determinant(_sparse(mat), precision, gf) == expect
-
-
-def test_series_determinant_precision_one_is_determinant():
-    rng = random.Random(25)
-    for size in range(7):
-        for kind in ("matching", "zero-col", "upper", "lower"):
-            mat = _sieve_shaped(rng, size, GF64, kind)
-            rows = _sparse([[[v] for v in row] for row in mat])
-            assert series_determinant(rows, 1, GF64) == [determinant(mat, GF64)]
 
 
 def test_series_determinant_divides_out_valuation():
