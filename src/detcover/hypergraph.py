@@ -17,8 +17,8 @@ A ProjectedView classifies every edge by how it meets a chosen vertex set
 U: twice (pairs), once (loops), not at all (empties), or three-plus times
 (dropped).  The solver only ever sieves instances whose dropped list is
 empty.  Views are cheap throwaway values: the general sieve projects once
-per U and derives each probe's view with restrict_avoiding, which drops
-the edges meeting the avoided set X by their vertex bitmasks.
+per U, and for each avoided set X its walk yields, restrict_avoiding
+drops the edges meeting X by their vertex bitmasks.
 """
 
 from __future__ import annotations

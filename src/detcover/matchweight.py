@@ -74,27 +74,15 @@ def cover_weight(view: ProjectedView, weights, n: int, k: int, gf: GF2m) -> int:
     (n/k - (|U| + i)/2)-subsets of the empties pool, the product of edge
     weights with pair weights squared.  XORed across every avoided set X
     the non-covering families cancel in pairs and only exact covers of
-    the vertex set survive.  Exact zero short-circuits: an uncoverable U
-    vertex, too few surviving edges, or a U too large for the edge
-    budget.
+    the vertex set survive.  A U too large for the edge budget gives
+    exact zero.
     """
     if view.dropped:
         raise ValueError("view still contains dropped edges")
     need = n // k
     u = view.u_size
-    if len(view.pairs) + len(view.loops) + len(view.empties) < need:
+    if (u + 1) // 2 > need:
         return 0
-    if u:
-        covered = [False] * u
-        for _, i, j in view.pairs:
-            covered[i] = True
-            covered[j] = True
-        for _, i in view.loops:
-            covered[i] = True
-        if not all(covered):
-            return 0
-        if (u + 1) // 2 > need:
-            return 0
     top = 2 * need - u
     m_vals = loop_weights(view, weights, gf, top)
     z_vals = elementary_symmetric([weights[e] for e in view.empties],

@@ -30,15 +30,16 @@ nonzero certificate.
 
 A sweep walks X through the subsets of V - U in reflected Gray-code
 order, decoding only the first code of each chunk; every later X adds
-or removes one vertex.  The bipartite kernel follows the walk with one
-live matrix: a toggled vertex touches only the entries of its own edges,
-each an XOR of one weight into one cell.  A probe whose nonzero pattern
-has no perfect matching (checked by augmenting paths over the n/k rows)
-has determinant zero and is skipped.  The general kernel filters the
-edges afresh per probe.  Threaded runs split the code range into
-contiguous chunks and XOR the partial sums, so results are bit-identical
-for any worker count; the chunks run on a pool of at most os.cpu_count()
-threads.
+or removes one vertex.  One walk, _live_probes, makes the zero test of
+both kernels: a probe is zero when fewer than n/k edges avoid X or some
+U vertex keeps none of them, and a toggled vertex updates only its own
+edges' counts.  The kernels see only the X it yields: the general one
+restricts the view to them, the bipartite one builds its matrix from
+the live edges and skips it when the nonzero pattern has no perfect
+matching (augmenting paths over the n/k rows).  Threaded runs split the
+code range into contiguous chunks and XOR the partial sums, so results
+are bit-identical for any worker count; the chunks run on a pool of at
+most os.cpu_count() threads.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class Decision:
     """Outcome of one solver run."""
 
     answer: str              # "yes" or "no"
-    probes: int              # total X subsets swept
+    probes: int              # nominal X count, 2^|V - U| per attempt, skipped X included
     attempts: int            # U draws consumed
     elapsed: float           # wall seconds
     reason: str | None = None
@@ -123,10 +124,59 @@ def _subsets(rest: int, start: int, stop: int):
         yield x
 
 
+def _live_probes(ends, masks, need, u, rest, start, stop):
+    """The X of _subsets(rest, start, stop), in walk order, at which at
+    least `need` edges are live and each U index 0..u-1 keeps one.  Edge i
+    (vertex bitmask masks[i]; U indices ends[i], two for a pair, one for a
+    loop) is live while it avoids X.  A toggled vertex moves only its own
+    edges' hit counts; an edge turning on or off moves the live count and
+    its ends' live degrees."""
+    touch = {}                  # vertex bit of rest -> (id, ends) of its edges
+    degree = [0] * u            # live edges per U index
+    for i, (e, mk) in enumerate(zip(ends, masks)):
+        for j in e:
+            degree[j] += 1
+        own = mk & rest
+        while own:
+            low = own & -own
+            own ^= low
+            touch.setdefault(low, []).append((i, e))
+    bare = degree.count(0)      # U indices with no live edge
+    live = len(ends)
+    hits = [0] * len(ends)      # vertices of X in each edge
+    x = 0
+    for nxt in _subsets(rest, start, stop):
+        diff, x = x ^ nxt, nxt
+        while diff:
+            low = diff & -diff
+            diff ^= low
+            if x & low:
+                for i, e in touch.get(low, ()):
+                    hits[i] += 1
+                    if hits[i] == 1:
+                        live -= 1
+                        for j in e:
+                            degree[j] -= 1
+                            bare += not degree[j]
+            else:
+                for i, e in touch.get(low, ()):
+                    hits[i] -= 1
+                    if not hits[i]:
+                        live += 1
+                        for j in e:
+                            bare -= not degree[j]
+                            degree[j] += 1
+        if live >= need and not bare:
+            yield x
+
+
 def _sweep_general(view, H, weights, gf, rest, start, stop):
     """XOR of probe values for X codes in [start, stop)."""
+    ends = [()] * len(H.edges)
+    for eid, *at in view.pairs + view.loops:
+        ends[eid] = tuple(at)
     total = 0
-    for xm in _subsets(rest, start, stop):
+    for xm in _live_probes(ends, H.edge_masks, H.n // H.k, view.u_size, rest, start, stop):
         total ^= cover_weight(restrict_avoiding(view, H, xm), weights, H.n, H.k, gf)
     return total
 
@@ -187,64 +237,25 @@ def _augment(rows, root, row_of, col_of) -> bool:
 def _sweep_kdm(entries, b, weights, gf, rest, start, stop):
     """XOR of bipartite determinants for X codes in [start, stop).
 
-    One live matrix follows X along the Gray walk.  An entry (edge) is
-    live while none of its vertices is in X; a toggled vertex moves the
-    hit counts of the entries it touches only, and an entry that turns on
-    or off XORs its weight into its cell.  Live-edge counts per row and
-    column, and a bitmask of the nonzero cells of each row, are updated
-    with it.  A probe with an empty row or column, or whose nonzero
-    pattern has no perfect matching, has determinant zero and is skipped.
+    Row r is U index r and column c is U index b + c, so _live_probes
+    yields only the X that leave every row and column a live entry.  Each
+    such matrix and its nonzero masks are built from the live entries
+    alone, and skipped, as singular, when the nonzero pattern has no
+    perfect matching.
     """
-    mat = [[0] * b for _ in range(b)]
-    row_live = [0] * b
-    col_live = [0] * b
-    touch = {}                  # vertex bit of rest -> (id, row, col, weight) of its entries
-    for i, (mk, eid, r, c) in enumerate(entries):
-        mat[r][c] ^= weights[eid]
-        row_live[r] += 1
-        col_live[c] += 1
-        own = mk & rest
-        while own:
-            low = own & -own
-            own ^= low
-            touch.setdefault(low, []).append((i, r, c, weights[eid]))
-    nonzero = [sum(1 << c for c, v in enumerate(row) if v) for row in mat]  # bit c iff row[c]
-    empty = row_live.count(0) + col_live.count(0)
-    hits = [0] * len(entries)   # vertices of X in each entry's edge
     total = 0
-    x = 0
-    for nxt in _subsets(rest, start, stop):
-        diff, x = x ^ nxt, nxt
-        while diff:
-            low = diff & -diff
-            diff ^= low
-            entering = bool(x & low)
-            for i, r, c, w in touch.get(low, ()):
-                if entering:
-                    hits[i] += 1
-                    if hits[i] != 1:
-                        continue  # already off
-                else:
-                    hits[i] -= 1
-                    if hits[i]:
-                        continue  # still hit by another vertex of X
-                row = mat[r]
-                row[c] ^= w
-                if row[c]:
-                    nonzero[r] |= 1 << c
-                else:
-                    nonzero[r] &= ~(1 << c)
-                if entering:
-                    row_live[r] -= 1
-                    col_live[c] -= 1
-                    empty += (not row_live[r]) + (not col_live[c])
-                else:
-                    empty -= (not row_live[r]) + (not col_live[c])
-                    row_live[r] += 1
-                    col_live[c] += 1
-        if empty or not _perfect_matching(nonzero):
-            continue  # each determinant term is a perfect matching of nonzero entries
-        total ^= determinant(mat, gf)
+    for x in _live_probes([(r, b + c) for _, _, r, c in entries],
+                          [mk for mk, _, _, _ in entries], b, 2 * b, rest, start, stop):
+        live = [(r, c, weights[eid]) for mk, eid, r, c in entries if not mk & x]
+        mat = [[0] * b for _ in range(b)]
+        for r, c, w in live:
+            mat[r][c] ^= w
+        nonzero = [0] * b       # bit c of nonzero[r] iff mat[r][c]
+        for r, c, _ in live:
+            if mat[r][c]:
+                nonzero[r] |= 1 << c
+        if _perfect_matching(nonzero):  # each determinant term is a perfect matching
+            total ^= determinant(mat, gf)
     return total
 
 

@@ -5,8 +5,9 @@ from itertools import combinations, permutations
 
 import pytest
 
-from detcover import (GF8, GF64, Hypergraph, SieveConfig, dlx_count, generate,
-                      project, sieve_decide, solve_kdm, solve_xkc)
+from detcover import (GF8, GF64, Hypergraph, SieveConfig, cover_weight, cover_weight_brute,
+                      dlx_count, generate, project, restrict_avoiding, sieve_decide,
+                      solve_kdm, solve_xkc)
 from detcover import solver as solver_mod
 
 from conftest import covers_weight_sum, filtered_for, rand_instance, ref_det
@@ -68,25 +69,55 @@ def test_sieve_rejects_bad_input():
         sieve_decide(Hypergraph(4, 3, [(0, 1, 2)]), [0], [1], GF64)
 
 
-def test_sieve_probe_count():
-    calls = []
-    original = solver_mod.cover_weight
+def _can_be_nonzero(H, u, x_mask):
+    """The sieve's zero test by brute force: at least n/k edges avoid X
+    and each U vertex lies on one of them."""
+    live = [mk for mk in H.edge_masks if not mk & x_mask]
+    return len(live) >= H.n // H.k and all(any(mk >> v & 1 for mk in live) for v in u)
+
+
+def _all_avoided_sets(n, u):
+    rest = [v for v in range(n) if v not in u]
+    return [sum(1 << v for v in c) for r in range(len(rest) + 1) for c in combinations(rest, r)]
+
+
+def test_sieve_probe_count(monkeypatch):
+    # cover_weight runs exactly once on each X that passes the brute-force
+    # zero test, and the probe of every other X is zero
+    made, probed = [], []
+    inner_restrict, inner_cover = solver_mod.restrict_avoiding, solver_mod.cover_weight
+
+    def restricting(view, H, x_mask):
+        made.append((x_mask, inner_restrict(view, H, x_mask)))
+        return made[-1][1]
 
     def counting(view, weights, n, k, gf):
-        calls.append(1)
-        return original(view, weights, n, k, gf)
+        probed.append(next(x for x, v in made if v is view))
+        return inner_cover(view, weights, n, k, gf)
 
+    monkeypatch.setattr(solver_mod, "restrict_avoiding", restricting)
+    monkeypatch.setattr(solver_mod, "cover_weight", counting)
     rng = random.Random(3)
-    H = generate(rng, 3, 9, 6, plant=True)
-    u = [0, 1, 4]
-    sub = filtered_for(H, u)
-    w = [GF64.sample(rng) for _ in sub.edges]
-    solver_mod.cover_weight = counting
-    try:
+    cases = [(generate(rng, 3, 9, 6, plant=True), [0, 1, 4])]
+    for _ in range(8):
+        n = rng.choice([6, 9])
+        cases.append((rand_instance(rng, 3, n, 9, min_edges=1),
+                      sorted(rng.sample(range(n), rng.choice([0, 2, 3, 4])))))
+    skipped = 0
+    for H, u in cases:
+        sub = filtered_for(H, u)
+        w = [GF64.sample(rng) for _ in sub.edges]
+        made.clear()
+        probed.clear()
         sieve_decide(sub, u, w, GF64)
-    finally:
-        solver_mod.cover_weight = original
-    assert len(calls) == 2 ** 6
+        xs = _all_avoided_sets(sub.n, u)
+        passing = [x for x in xs if _can_be_nonzero(sub, u, x)]
+        assert sorted(probed) == sorted(passing)
+        for x in set(xs) - set(passing):
+            x_vertices = [v for v in range(sub.n) if x >> v & 1]
+            assert cover_weight_brute(sub, u, x_vertices, w, GF64) == 0
+        skipped += len(xs) - len(passing)
+    assert skipped >= 100
 
 
 def test_parallel_sieve_is_bit_identical():
@@ -103,37 +134,88 @@ def test_parallel_sieve_is_bit_identical():
 
 
 def test_sweep_filters_each_avoided_set_once(monkeypatch):
-    # the X masks handed to the filter: every subset of V - U exactly once;
-    # within a chunk consecutive X differ in one vertex, and a single chunk
-    # sweeps them in reflected Gray-code order
-    seen = []
-    inner = solver_mod.restrict_avoiding
+    # the walk visits every subset of V - U exactly once; within a chunk
+    # consecutive X differ in one vertex, and a single chunk walks them in
+    # reflected Gray-code order; only the X passing the zero test reach
+    # the filter, in walk order
+    seen, filtered = [], []
+    inner_subsets, inner_restrict = solver_mod._subsets, solver_mod.restrict_avoiding
+
+    def walking(rest, start, stop):
+        for x in inner_subsets(rest, start, stop):
+            seen.append(x)
+            yield x
 
     def recording(view, H, x_mask):
-        seen.append(x_mask)
-        return inner(view, H, x_mask)
+        filtered.append(x_mask)
+        return inner_restrict(view, H, x_mask)
 
+    monkeypatch.setattr(solver_mod, "_subsets", walking)
     monkeypatch.setattr(solver_mod, "restrict_avoiding", recording)
     rng = random.Random(15)
     u = [1, 4, 5, 7]
     rest = [0, 2, 3, 6, 8]  # V - U has gaps, so codes and masks differ
     H = filtered_for(rand_instance(rng, 3, 9, 9, min_edges=1), u)
     w = [GF64.sample(rng) for _ in H.edges]
-    subsets = sorted(sum(1 << v for v in c) for r in range(len(rest) + 1)
-                     for c in combinations(rest, r))
+    subsets = sorted(_all_avoided_sets(9, u))
     gray = [sum(1 << v for i, v in enumerate(rest) if (c ^ (c >> 1)) >> i & 1)
             for c in range(1 << len(rest))]
     for threads in (3, 1):
         seen.clear()
+        filtered.clear()
         sieve_decide(H, u, w, GF64, threads)
         assert sorted(seen) == subsets
     assert all((a ^ b).bit_count() == 1 for a, b in zip(seen, seen[1:]))
     assert seen == gray
+    assert filtered == [x for x in gray if _can_be_nonzero(H, u, x)]
+    assert 0 < len(filtered) < len(gray)
     # a chunk starting anywhere decodes its first code and walks on from it
     rest_mask = sum(1 << v for v in rest)
     for cut in range(len(gray) + 1):
-        assert (list(solver_mod._subsets(rest_mask, 0, cut))
-                + list(solver_mod._subsets(rest_mask, cut, len(gray)))) == gray
+        assert (list(inner_subsets(rest_mask, 0, cut))
+                + list(inner_subsets(rest_mask, cut, len(gray)))) == gray
+
+
+def test_live_probes_yield_exactly_the_filtered_sets():
+    # against the brute-force zero test at every split of the code range,
+    # on views with pairs, loops, empty and duplicate edges; k = 4 and the
+    # loops put two vertices of an edge in V - U, so hit counts reach 2.
+    # The skipped X add nothing: the yielded probes alone sum to the
+    # cover enumeration
+    rng = random.Random(19)
+    kinds = {"pairs": 0, "loops": 0, "empties": 0, "rejected": 0}
+    for gf in (GF8, GF64):
+        for k, n in ((3, 6), (3, 9), (4, 8)):
+            for _ in range(4):
+                H0 = rand_instance(rng, k, n, n // k + 4, plant_prob=0.7, min_edges=2)
+                edges = H0.edges + rng.sample(H0.edges, 2)
+                u = sorted(rng.sample(range(n), rng.choice([0, 2, 3, 4])))
+                H = filtered_for(Hypergraph(n, k, edges), u)
+                view = project(H, u)
+                ends = [()] * len(H.edges)
+                for eid, i, j in view.pairs:
+                    ends[eid] = (i, j)
+                for eid, i in view.loops:
+                    ends[eid] = (i,)
+                rest = ((1 << n) - 1) ^ view.u_mask
+                codes = 1 << rest.bit_count()
+                walk = list(solver_mod._subsets(rest, 0, codes))
+                expect = [x for x in walk if _can_be_nonzero(H, u, x)]
+                args = (ends, H.edge_masks, n // k, len(u), rest)
+                for cut in range(codes + 1):
+                    head = list(solver_mod._live_probes(*args, 0, cut))
+                    tail = list(solver_mod._live_probes(*args, cut, codes))
+                    assert head == [x for x in walk[:cut] if x in expect], (k, n, u, cut)
+                    assert head + tail == expect
+                w = [gf.sample(rng) for _ in H.edges]
+                total = 0
+                for x in expect:
+                    total ^= cover_weight(restrict_avoiding(view, H, x), w, n, k, gf)
+                assert total == covers_weight_sum(H, u, w, gf)
+                for kind in ("pairs", "loops", "empties"):
+                    kinds[kind] += bool(getattr(view, kind))
+                kinds["rejected"] += len(walk) - len(expect)
+    assert min(kinds.values()) >= 5, kinds
 
 
 def test_worker_count_below_one_is_rejected():
