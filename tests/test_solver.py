@@ -183,7 +183,7 @@ def test_live_probes_yield_exactly_the_filtered_sets():
     # The skipped X add nothing: the yielded probes alone sum to the
     # cover enumeration
     rng = random.Random(19)
-    kinds = {"pairs": 0, "loops": 0, "empties": 0, "rejected": 0}
+    kinds = {"pairs": 0, "loops": 0, "empties": 0, "duplicates": 0, "rejected": 0}
     for gf in (GF8, GF64):
         for k, n in ((3, 6), (3, 9), (4, 8)):
             for _ in range(4):
@@ -214,6 +214,7 @@ def test_live_probes_yield_exactly_the_filtered_sets():
                 assert total == covers_weight_sum(H, u, w, gf)
                 for kind in ("pairs", "loops", "empties"):
                     kinds[kind] += bool(getattr(view, kind))
+                kinds["duplicates"] += len(set(H.edges)) < len(H.edges)
                 kinds["rejected"] += len(walk) - len(expect)
     assert min(kinds.values()) >= 5, kinds
 
