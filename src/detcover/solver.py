@@ -28,18 +28,18 @@ size round(t*n) (t from the exponent optimizer), and the attempt budget
 is ceil(ln(1/eps)/p).  Answers are one sided: yes is always backed by a
 nonzero certificate.
 
-A sweep walks X through the subsets of V - U in reflected Gray-code
-order, decoding only the first code of each chunk; every later X adds
-or removes one vertex.  One walk, _live_probes, makes the zero test of
-both kernels: a probe is zero when fewer than n/k edges avoid X or some
-U vertex keeps none of them, and a toggled vertex updates only its own
-edges' counts.  The kernels see only the X it yields: the general one
-restricts the view to them, the bipartite one builds its matrix from
-the live edges and skips it when the nonzero pattern has no perfect
-matching (augmenting paths over the n/k rows).  Threaded runs split the
-code range into contiguous chunks and XOR the partial sums, so results
-are bit-identical for any worker count; the chunks run on a pool of at
-most os.cpu_count() threads.
+X is named by a code whose bit i puts the i-th lowest vertex of V - U
+in X.  One walk, _live_probes, makes the zero test of both kernels: a
+probe is zero when fewer than n/k edges avoid X or some U vertex keeps
+none of them.  A superset of a failing X fails too, so the walk is a
+depth-first search in code order that adds one vertex a step, updating
+only its edges' counts, and skips the subtree of every X that fails.
+The kernels see only the X it yields: the general one restricts the
+view to them, the bipartite one builds its matrix from the live edges
+and skips it when the nonzero pattern has no perfect matching
+(augmenting paths over the n/k rows).  Threaded runs split the code
+range into contiguous chunks and XOR the partial sums, so results are
+bit-identical for any worker count, on at most os.cpu_count() threads.
 """
 
 from __future__ import annotations
@@ -99,75 +99,74 @@ def u_size(H: Hypergraph, partitioned: bool) -> int:
     return min(H.n, max(2, round(t * H.n)))
 
 
-def _subsets(rest: int, start: int, stop: int):
-    """The subsets X of the vertex mask `rest` with codes in [start, stop),
-    in reflected Gray-code order: X deposits the bits of c ^ (c >> 1) on
-    the vertices of rest, bit i on the i-th lowest.  Only the start code is
-    decoded; each later code c toggles one vertex, the one at the index of
-    the lowest set bit of c, so consecutive X differ in exactly one vertex."""
-    bits = []
+def _live_probes(ends, masks, need, u, rest, start, stop):
+    """The X with codes in [start, stop), in code order, at which at least
+    `need` edges are live and each U index 0..u-1 keeps one.  Code bit i
+    puts the i-th lowest vertex of `rest` in X; edge i (vertex bitmask
+    masks[i]; U indices ends[i]) is live while it avoids X.  A depth-first
+    search: the children of X add a code bit below X's lowest, in
+    increasing order, so the subtree of code c is [c, c + lowest bit of c).
+    Adding a vertex moves only its edges' hit counts, the live count and
+    live degrees, and backtracking undoes it.  The test is monotone in X,
+    so a child that fails it is undone with its subtree, as is a subtree
+    outside [start, stop)."""
+    lows, touch = [], []        # per code bit: its vertex bit, the (id, ends) of its edges
     r = rest
     while r:
         low = r & -r
-        bits.append(low)
         r ^= low
-    x = 0
-    gray = start ^ (start >> 1)
-    for low in bits:
-        if gray & 1:
-            x |= low
-        gray >>= 1
-    if start < stop:
-        yield x
-    for c in range(start + 1, stop):
-        x ^= bits[(c & -c).bit_length() - 1]
-        yield x
-
-
-def _live_probes(ends, masks, need, u, rest, start, stop):
-    """The X of _subsets(rest, start, stop), in walk order, at which at
-    least `need` edges are live and each U index 0..u-1 keeps one.  Edge i
-    (vertex bitmask masks[i]; U indices ends[i], two for a pair, one for a
-    loop) is live while it avoids X.  A toggled vertex moves only its own
-    edges' hit counts; an edge turning on or off moves the live count and
-    its ends' live degrees."""
-    touch = {}                  # vertex bit of rest -> (id, ends) of its edges
+        lows.append(low)
+        touch.append([(i, e) for i, (e, mk) in enumerate(zip(ends, masks)) if mk & low])
     degree = [0] * u            # live edges per U index
-    for i, (e, mk) in enumerate(zip(ends, masks)):
+    for e in ends:
         for j in e:
             degree[j] += 1
-        own = mk & rest
-        while own:
-            low = own & -own
-            own ^= low
-            touch.setdefault(low, []).append((i, e))
     bare = degree.count(0)      # U indices with no live edge
     live = len(ends)
+    if start >= stop or live < need or bare:
+        return
+    if not start:
+        yield 0
     hits = [0] * len(ends)      # vertices of X in each edge
-    x = 0
-    for nxt in _subsets(rest, start, stop):
-        diff, x = x ^ nxt, nxt
-        while diff:
-            low = diff & -diff
-            diff ^= low
-            if x & low:
-                for i, e in touch.get(low, ()):
-                    hits[i] += 1
-                    if hits[i] == 1:
-                        live -= 1
-                        for j in e:
-                            degree[j] -= 1
-                            bare += not degree[j]
-            else:
-                for i, e in touch.get(low, ()):
-                    hits[i] -= 1
-                    if not hits[i]:
-                        live += 1
-                        for j in e:
-                            bare -= not degree[j]
-                            degree[j] += 1
-        if live >= need and not bare:
-            yield x
+    path = []                   # code bits of X, highest first
+    code = x = t = 0            # t: the next code bit to try adding
+    while True:
+        if t < (path[-1] if path else len(lows)):
+            step = 1 << t
+            if code + step >= stop:  # this and every later X lie past the chunk
+                return
+            if code + 2 * step <= start:  # the child's subtree lies before the chunk
+                t += 1
+                continue
+            for i, e in touch[t]:
+                hits[i] += 1
+                if hits[i] == 1:
+                    live -= 1
+                    for j in e:
+                        degree[j] -= 1
+                        bare += not degree[j]
+            path.append(t)
+            code += step
+            x |= lows[t]
+            if live >= need and not bare:
+                if code >= start:
+                    yield x
+                t = 0
+            # else t == path[-1], so the next pass backtracks out of this X
+        elif path:
+            t = path.pop()
+            code -= 1 << t
+            x ^= lows[t]
+            for i, e in touch[t]:
+                hits[i] -= 1
+                if not hits[i]:
+                    live += 1
+                    for j in e:
+                        bare -= not degree[j]
+                        degree[j] += 1
+            t += 1
+        else:
+            return
 
 
 def _sweep_general(view, H, weights, gf, rest, start, stop):

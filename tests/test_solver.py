@@ -133,47 +133,67 @@ def test_parallel_sieve_is_bit_identical():
             assert sieve_decide(H, u, w, GF64, threads) == serial
 
 
-def test_sweep_filters_each_avoided_set_once(monkeypatch):
-    # the walk visits every subset of V - U exactly once; within a chunk
-    # consecutive X differ in one vertex, and a single chunk walks them in
-    # reflected Gray-code order; only the X passing the zero test reach
-    # the filter, in walk order
-    seen, filtered = [], []
-    inner_subsets, inner_restrict = solver_mod._subsets, solver_mod.restrict_avoiding
+def _in_code_order(rest):
+    """Every X within the vertex list `rest`, by code: bit i of the code
+    puts rest[i] in X."""
+    return [sum(1 << v for i, v in enumerate(rest) if c >> i & 1) for c in range(1 << len(rest))]
 
-    def walking(rest, start, stop):
-        for x in inner_subsets(rest, start, stop):
-            seen.append(x)
+
+def _view_ends(H, view):
+    ends = [()] * len(H.edges)
+    for eid, *at in view.pairs + view.loops:
+        ends[eid] = tuple(at)
+    return ends
+
+
+def test_sweep_filters_each_avoided_set_once(monkeypatch):
+    # against brute force over every code: each chunk yields its passing X
+    # once each, in increasing code order, and only those reach the
+    # filter; the chunks of any worker count tile the passing X, and every
+    # X never yielded has probe value zero
+    chunks, filtered = [], []
+    inner_live, inner_restrict = solver_mod._live_probes, solver_mod.restrict_avoiding
+
+    def walking(ends, masks, need, u, rest, start, stop):
+        chunks.append((start, stop, []))
+        for x in inner_live(ends, masks, need, u, rest, start, stop):
+            chunks[-1][2].append(x)
             yield x
 
     def recording(view, H, x_mask):
         filtered.append(x_mask)
         return inner_restrict(view, H, x_mask)
 
-    monkeypatch.setattr(solver_mod, "_subsets", walking)
+    monkeypatch.setattr(solver_mod, "_live_probes", walking)
     monkeypatch.setattr(solver_mod, "restrict_avoiding", recording)
     rng = random.Random(15)
     u = [1, 4, 5, 7]
     rest = [0, 2, 3, 6, 8]  # V - U has gaps, so codes and masks differ
     H = filtered_for(rand_instance(rng, 3, 9, 9, min_edges=1), u)
     w = [GF64.sample(rng) for _ in H.edges]
-    subsets = sorted(_all_avoided_sets(9, u))
-    gray = [sum(1 << v for i, v in enumerate(rest) if (c ^ (c >> 1)) >> i & 1)
-            for c in range(1 << len(rest))]
-    for threads in (3, 1):
-        seen.clear()
+    walk = _in_code_order(rest)
+    code = {x: c for c, x in enumerate(walk)}
+    expect = [x for x in walk if _can_be_nonzero(H, u, x)]
+    assert 0 < len(expect) < len(walk)
+    totals = set()
+    for threads in (1, 3, 64):
+        chunks.clear()
         filtered.clear()
-        sieve_decide(H, u, w, GF64, threads)
-        assert sorted(seen) == subsets
-    assert all((a ^ b).bit_count() == 1 for a, b in zip(seen, seen[1:]))
-    assert seen == gray
-    assert filtered == [x for x in gray if _can_be_nonzero(H, u, x)]
-    assert 0 < len(filtered) < len(gray)
-    # a chunk starting anywhere decodes its first code and walks on from it
-    rest_mask = sum(1 << v for v in rest)
-    for cut in range(len(gray) + 1):
-        assert (list(inner_subsets(rest_mask, 0, cut))
-                + list(inner_subsets(rest_mask, cut, len(gray)))) == gray
+        totals.add(sieve_decide(H, u, w, GF64, threads))
+        assert len(chunks) == min(threads, len(walk))
+        for start, stop, xs in chunks:
+            assert [code[x] for x in xs] == sorted(code[x] for x in xs)
+            assert all(start <= code[x] < stop for x in xs)
+        assert [x for _, _, xs in sorted(chunks) for x in xs] == filtered == expect
+    assert len(totals) == 1
+    for x in set(walk) - set(expect):
+        x_vertices = [v for v in range(9) if x >> v & 1]
+        assert cover_weight_brute(H, u, x_vertices, w, GF64) == 0
+    view = project(H, u)
+    args = (_view_ends(H, view), H.edge_masks, 3, len(u), sum(1 << v for v in rest))
+    for cut in range(len(walk) + 1):
+        head = list(inner_live(*args, 0, cut))
+        assert head + list(inner_live(*args, cut, len(walk))) == expect
 
 
 def test_live_probes_yield_exactly_the_filtered_sets():
@@ -192,16 +212,11 @@ def test_live_probes_yield_exactly_the_filtered_sets():
                 u = sorted(rng.sample(range(n), rng.choice([0, 2, 3, 4])))
                 H = filtered_for(Hypergraph(n, k, edges), u)
                 view = project(H, u)
-                ends = [()] * len(H.edges)
-                for eid, i, j in view.pairs:
-                    ends[eid] = (i, j)
-                for eid, i in view.loops:
-                    ends[eid] = (i,)
                 rest = ((1 << n) - 1) ^ view.u_mask
                 codes = 1 << rest.bit_count()
-                walk = list(solver_mod._subsets(rest, 0, codes))
+                walk = _in_code_order([v for v in range(n) if rest >> v & 1])
                 expect = [x for x in walk if _can_be_nonzero(H, u, x)]
-                args = (ends, H.edge_masks, n // k, len(u), rest)
+                args = (_view_ends(H, view), H.edge_masks, n // k, len(u), rest)
                 for cut in range(codes + 1):
                     head = list(solver_mod._live_probes(*args, 0, cut))
                     tail = list(solver_mod._live_probes(*args, cut, codes))
@@ -217,6 +232,64 @@ def test_live_probes_yield_exactly_the_filtered_sets():
                 kinds["duplicates"] += len(set(H.edges)) < len(H.edges)
                 kinds["rejected"] += len(walk) - len(expect)
     assert min(kinds.values()) >= 5, kinds
+
+
+def test_live_probes_split_many_ways():
+    # 2 to 7 contiguous parts of the code range, cut at random: the parts
+    # yield disjoint X that together are the single chunk's, in order
+    rng = random.Random(20)
+    yielded = 0
+    for _ in range(40):
+        k, n = rng.choice([(3, 9), (3, 12), (4, 12)])
+        u = sorted(rng.sample(range(n), rng.choice([0, 2, 3, 4])))
+        H = filtered_for(rand_instance(rng, k, n, n // k + 6, plant_prob=0.8, min_edges=2), u)
+        view = project(H, u)
+        rest = ((1 << n) - 1) ^ view.u_mask
+        codes = 1 << rest.bit_count()
+        args = (_view_ends(H, view), H.edge_masks, n // k, len(u), rest)
+        whole = list(solver_mod._live_probes(*args, 0, codes))
+        for _ in range(5):
+            cuts = sorted(rng.sample(range(1, codes), rng.randint(1, 6)))
+            bounds = [0, *cuts, codes]
+            parts = [set(solver_mod._live_probes(*args, a, b)) for a, b in zip(bounds, bounds[1:])]
+            assert sum(map(len, parts)) == len(set().union(*parts)) == len(whole)
+            assert set().union(*parts) == set(whole)
+            assert [x for a, b in zip(bounds, bounds[1:])
+                    for x in solver_mod._live_probes(*args, a, b)] == whole
+        yielded += len(whole)
+    assert yielded >= 500
+
+
+def test_walk_is_output_sensitive(monkeypatch):
+    # one perfect matching and no other edge: 2^24 nominal X, but adding
+    # any vertex of V - U kills an edge, so only X = {} is probed
+    calls = {"_perfect_matching": 0, "determinant": 0, "cover_weight": 0}
+    for name in calls:
+        def counting(*args, _name=name, _inner=getattr(solver_mod, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(solver_mod, name, counting)
+    rng = random.Random(21)
+    b = 24
+    blocks = [list(range(i * b, (i + 1) * b)) for i in range(3)]
+    cols, tails = rng.sample(blocks[1], b), rng.sample(blocks[2], b)
+    H = Hypergraph(3 * b, 3, [tuple(e) for e in zip(blocks[0], cols, tails)], blocks)
+    w = [GF64.sample(rng) for _ in H.edges]
+    product = 1
+    for x in w:
+        product = GF64.mul(product, x)
+    assert sieve_decide(H, blocks[0] + blocks[1], w, GF64) == GF64.mul(product, product)
+    assert calls == {"_perfect_matching": 1, "determinant": 1, "cover_weight": 0}
+    # the xkc twin: one exact cover of n = 33 vertices; U takes one vertex
+    # of each edge and a second of two, so |V - U| = 20
+    vertices = rng.sample(range(33), 33)
+    edges = [tuple(sorted(vertices[i:i + 3])) for i in range(0, 33, 3)]
+    u = sorted([e[0] for e in edges] + [e[1] for e in edges[:2]])
+    H = Hypergraph(33, 3, edges)
+    w = [GF64.sample(rng) for _ in edges]
+    value = sieve_decide(H, u, w, GF64)
+    assert value and value == covers_weight_sum(H, u, w, GF64)
+    assert calls["cover_weight"] == 1
 
 
 def test_worker_count_below_one_is_rejected():
