@@ -21,25 +21,28 @@ the bipartite sum is the general sum, so both return the same element.
 Both solvers run one attempt loop: pick U, keep the edges meeting it at
 most twice (no cover edge meets it more often when U is good), draw one
 weight per kept edge and sieve; a nonzero sum ends the run with yes.
-solve_kdm fixes U to the first two partition blocks, which every edge
-meets exactly twice, so a single attempt of 2^(n(k-2)/k) probes decides
-the instance.  solve_xkc knows no partition: each attempt samples U of
-size round(t*n) (t from the exponent optimizer), and the attempt budget
-is ceil(ln(1/eps)/p).  Answers are one sided: yes is always backed by a
-nonzero certificate.
+solve_kdm takes U as two partition blocks, which every edge meets
+exactly twice, so a single attempt of 2^(n(k-2)/k) probes decides the
+instance.  Every pair of blocks gives the same total, so it sieves the
+pair whose walk yields the fewest X (the lowest pair on a tie), moved to
+the front of the partition.  solve_xkc knows no partition: each attempt
+samples U of size round(t*n) (t from the exponent optimizer), and the
+attempt budget is ceil(ln(1/eps)/p).  Answers are one sided: yes is
+always backed by a nonzero certificate.
 
 X is named by a code whose bit i puts the i-th lowest vertex of V - U
-in X.  One walk, _live_probes, makes the zero test of both kernels: a
-probe is zero when fewer than n/k edges avoid X or some U vertex keeps
-none of them.  A superset of a failing X fails too, so the walk is a
-depth-first search in code order that adds one vertex a step, updating
-only its edges' counts, and skips the subtree of every X that fails.
-The kernels see only the X it yields: the general one restricts the
-view to them, the bipartite one builds its matrix from the live edges
-and skips it when the nonzero pattern has no perfect matching
-(augmenting paths over the n/k rows).  Threaded runs split the code
-range into contiguous chunks and XOR the partial sums, so results are
-bit-identical for any worker count, on at most os.cpu_count() threads.
+in X.  Each kernel has its own walk: a depth-first search in code order
+that adds one vertex a step, updating only its edges' state, and skips
+the subtree of every X that fails a zero test; the tests are monotone,
+so a superset of a failing X fails too.  The general walk, _live_probes,
+yields the X that at least n/k edges avoid with every U vertex keeping
+one, and the kernel restricts the view to them.  The bipartite walk,
+_matchable_probes, keeps the matrix of the live edges and one perfect
+matching of their support, repaired by augmenting paths as cells empty,
+and yields the X whose support has one; the kernel takes the
+determinant of each.  Threaded runs split the code range into
+contiguous chunks and XOR the partial sums, so results are bit-identical
+for any worker count, on at most os.cpu_count() threads.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations, islice
 
 from .gf2m import GF2m, field_for
 from .hypergraph import Hypergraph, project, restrict_avoiding, validate
@@ -100,16 +104,16 @@ def u_size(H: Hypergraph, partitioned: bool) -> int:
 
 
 def _live_probes(ends, masks, need, u, rest, start, stop):
-    """The X with codes in [start, stop), in code order, at which at least
-    `need` edges are live and each U index 0..u-1 keeps one.  Code bit i
-    puts the i-th lowest vertex of `rest` in X; edge i (vertex bitmask
-    masks[i]; U indices ends[i]) is live while it avoids X.  A depth-first
-    search: the children of X add a code bit below X's lowest, in
-    increasing order, so the subtree of code c is [c, c + lowest bit of c).
-    Adding a vertex moves only its edges' hit counts, the live count and
-    live degrees, and backtracking undoes it.  The test is monotone in X,
-    so a child that fails it is undone with its subtree, as is a subtree
-    outside [start, stop)."""
+    """The general kernel's walk: the X with codes in [start, stop), in
+    code order, at which at least `need` edges are live and each U index
+    0..u-1 keeps one.  Code bit i puts the i-th lowest vertex of `rest` in
+    X; edge i (vertex bitmask masks[i]; U indices ends[i]) is live while
+    it avoids X.  A depth-first search: the children of X add a code bit
+    below X's lowest, in increasing order, so the subtree of code c is
+    [c, c + lowest bit of c).  Adding a vertex moves only its edges' hit
+    counts, the live count and live degrees, and backtracking undoes it.
+    The test is monotone in X, so a child that fails it is undone with
+    its subtree, as is a subtree outside [start, stop)."""
     lows, touch = [], []        # per code bit: its vertex bit, the (id, ends) of its edges
     r = rest
     while r:
@@ -198,14 +202,17 @@ def _bipartite_entries(H: Hypergraph) -> list[tuple[int, int, int, int]]:
     return entries
 
 
-def _perfect_matching(rows: list[int]) -> bool:
-    """Whether a bipartite graph has a perfect matching; bit c of rows[r]
-    joins row r to column c.  Kuhn's algorithm: one augmenting path per
-    row, found by breadth-first search rather than recursion."""
+def _perfect_matching(rows: list[int]) -> tuple[list[int], list[int]] | None:
+    """A perfect matching of a bipartite graph as (row of each column,
+    column of each row), or None if it has none; bit c of rows[r] joins
+    row r to column c.  Kuhn's algorithm: one augmenting path per row,
+    found by breadth-first search rather than recursion."""
     b = len(rows)
     row_of = [-1] * b   # column -> matched row
     col_of = [-1] * b   # row -> matched column
-    return all(_augment(rows, root, row_of, col_of) for root in range(b))
+    if all(_augment(rows, root, row_of, col_of) for root in range(b)):
+        return row_of, col_of
+    return None
 
 
 def _augment(rows, root, row_of, col_of) -> bool:
@@ -233,28 +240,106 @@ def _augment(rows, root, row_of, col_of) -> bool:
     return False
 
 
+def _matchable_probes(entries, b, weights, rest, start, stop):
+    """The X with codes in [start, stop), in code order, whose live edges
+    (those avoiding X) have a perfect matching on the b x b grid, each with
+    its matrix: entry (r, c) XORs the weights of the live edges joining
+    row r to column c.  The matrix is updated in place, so read it before
+    the next X.  Code bit i puts the i-th lowest vertex of `rest` in X.
+
+    A depth-first search in the order of _live_probes: the children of X
+    add a code bit below X's lowest, in increasing order, and subtrees
+    outside [start, stop) are skipped.  An edge dies when X gains its
+    first vertex (hit counts say how many it has); it leaves its cell's
+    value and live count, and its row's support when the cell empties.
+    The walk keeps one perfect matching of the support.  When a matched
+    cell empties, its row is matched again by an augmenting path; a
+    support that lost its perfect matching never regains it as X grows,
+    so a failed repair restores the matching saved before the step and
+    skips the subtree.  Backtracking revives edges and keeps the
+    matching, which stays perfect on the larger support."""
+    lows, touch = [], []        # per code bit: its vertex bit, (id, row, col, weight) of its edges
+    r = rest
+    while r:
+        low = r & -r
+        r ^= low
+        lows.append(low)
+        touch.append([(i, row, col, weights[eid])
+                      for i, (mk, eid, row, col) in enumerate(entries) if mk & low])
+    mat = [[0] * b for _ in range(b)]
+    count = [[0] * b for _ in range(b)]     # live edges per cell
+    support = [0] * b                       # bit c of support[r] iff count[r][c]
+    for _, eid, r, c in entries:
+        mat[r][c] ^= weights[eid]
+        count[r][c] += 1
+        support[r] |= 1 << c
+    matching = _perfect_matching(support)
+    if start >= stop or matching is None:
+        return
+    row_of, col_of = matching
+    if not start:
+        yield 0, mat
+    hits = [0] * len(entries)   # vertices of X in each edge
+    path = []                   # code bits of X, highest first
+    code = x = t = 0            # t: the next code bit to try adding
+    while True:
+        if t < (path[-1] if path else len(lows)):
+            step = 1 << t
+            if code + step >= stop:  # this and every later X lie past the chunk
+                return
+            if code + 2 * step <= start:  # the child's subtree lies before the chunk
+                t += 1
+                continue
+            broken = []         # rows whose matched cell emptied
+            for i, r, c, w in touch[t]:
+                hits[i] += 1
+                if hits[i] == 1:
+                    mat[r][c] ^= w
+                    count[r][c] -= 1
+                    if not count[r][c]:
+                        support[r] ^= 1 << c
+                        if col_of[r] == c:
+                            broken.append(r)
+            path.append(t)
+            code += step
+            x |= lows[t]
+            if broken:
+                saved = row_of[:], col_of[:]
+                for r in broken:
+                    row_of[col_of[r]] = -1
+                    col_of[r] = -1
+                if not all(_augment(support, r, row_of, col_of) for r in broken):
+                    row_of[:], col_of[:] = saved
+                    continue    # t == path[-1], so the next pass backtracks out of this X
+            if code >= start:
+                yield x, mat
+            t = 0
+        elif path:
+            t = path.pop()
+            code -= 1 << t
+            x ^= lows[t]
+            for i, r, c, w in touch[t]:
+                hits[i] -= 1
+                if not hits[i]:
+                    mat[r][c] ^= w
+                    count[r][c] += 1
+                    support[r] |= 1 << c
+            t += 1
+        else:
+            return
+
+
 def _sweep_kdm(entries, b, weights, gf, rest, start, stop):
     """XOR of bipartite determinants for X codes in [start, stop).
 
-    Row r is U index r and column c is U index b + c, so _live_probes
-    yields only the X that leave every row and column a live entry.  Each
-    such matrix and its nonzero masks are built from the live entries
-    alone, and skipped, as singular, when the nonzero pattern has no
-    perfect matching.
+    Row r is the r-th vertex of partition block 0 and column c the c-th
+    of block 1.  Only the X that _matchable_probes yields can have a
+    nonzero determinant; a cell whose live weights cancel is a zero entry
+    and only makes the determinant zero.
     """
     total = 0
-    for x in _live_probes([(r, b + c) for _, _, r, c in entries],
-                          [mk for mk, _, _, _ in entries], b, 2 * b, rest, start, stop):
-        live = [(r, c, weights[eid]) for mk, eid, r, c in entries if not mk & x]
-        mat = [[0] * b for _ in range(b)]
-        for r, c, w in live:
-            mat[r][c] ^= w
-        nonzero = [0] * b       # bit c of nonzero[r] iff mat[r][c]
-        for r, c, _ in live:
-            if mat[r][c]:
-                nonzero[r] |= 1 << c
-        if _perfect_matching(nonzero):  # each determinant term is a perfect matching
-            total ^= determinant(mat, gf)
+    for _, mat in _matchable_probes(entries, b, weights, rest, start, stop):
+        total ^= determinant(mat, gf)
     return total
 
 
@@ -311,9 +396,30 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     return _run_chunks(kernel, codes, threads)
 
 
+def _cheapest_blocks(H: Hypergraph) -> list:
+    """H's partition reordered so that blocks 0 and 1 are the pair whose
+    sweep yields the fewest X, the lowest such pair on a tie.  Any pair
+    gives the same total, the summed cover weight squared, so the choice
+    saves only determinants.  The walk's yields depend on the support
+    alone, so it counts them at zero weights."""
+    p = H.partition
+    full = (1 << H.n) - 1
+    fewest, blocks = None, p
+    for i, j in combinations(range(len(p)), 2):
+        order = [p[i], p[j], *(q for t, q in enumerate(p) if t not in (i, j))]
+        rest = full ^ sum(1 << v for v in (*p[i], *p[j]))
+        walk = _matchable_probes(_bipartite_entries(Hypergraph(H.n, H.k, H.edges, order)),
+                                 H.n // H.k, [0] * len(H.edges), rest, 0, 1 << rest.bit_count())
+        count = sum(1 for _ in islice(walk, fewest))  # stop once it cannot be fewer
+        if fewest is None or count < fewest:
+            fewest, blocks = count, order
+    return blocks
+
+
 def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decision:
     """The attempt loop of both solvers (see the module docstring):
-    partitioned runs fix U to blocks 0 and 1 and make one attempt."""
+    partitioned runs sieve the cheapest pair of blocks and make one
+    attempt."""
     t0 = time.perf_counter()
     cfg = cfg or SieveConfig()
     violation = validate(H)
@@ -331,15 +437,16 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
     rng = random.Random(cfg.seed)
     tn = u_size(H, partitioned)
     max_attempts = 1 if partitioned else repetitions(n, k, tn / n, cfg.epsilon)
+    partition = _cheapest_blocks(H) if partitioned else H.partition
     answer = "no"
     for attempt in range(1, max_attempts + 1):
         if partitioned:
-            u_vertices = [*H.partition[0], *H.partition[1]]
+            u_vertices = [*partition[0], *partition[1]]
         else:
             u_vertices = sorted(rng.sample(range(n), tn))
         u_mask = sum(1 << v for v in u_vertices)
         keep = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
-        sub = Hypergraph(n, k, [H.edges[eid] for eid in keep], H.partition)
+        sub = Hypergraph(n, k, [H.edges[eid] for eid in keep], partition)
         weights = [gf.sample(rng) for _ in keep]
         if sieve_decide(sub, u_vertices, weights, gf, cfg.threads):
             answer = "yes"

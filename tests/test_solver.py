@@ -262,8 +262,10 @@ def test_live_probes_split_many_ways():
 
 def test_walk_is_output_sensitive(monkeypatch):
     # one perfect matching and no other edge: 2^24 nominal X, but adding
-    # any vertex of V - U kills an edge, so only X = {} is probed
-    calls = {"_perfect_matching": 0, "determinant": 0, "cover_weight": 0}
+    # any vertex of V - U empties a matched cell that no augmenting path
+    # repairs, so only X = {} is probed, after b augmenting paths at the
+    # root and one failed repair per vertex
+    calls = {"_perfect_matching": 0, "_augment": 0, "determinant": 0, "cover_weight": 0}
     for name in calls:
         def counting(*args, _name=name, _inner=getattr(solver_mod, name)):
             calls[_name] += 1
@@ -279,7 +281,8 @@ def test_walk_is_output_sensitive(monkeypatch):
     for x in w:
         product = GF64.mul(product, x)
     assert sieve_decide(H, blocks[0] + blocks[1], w, GF64) == GF64.mul(product, product)
-    assert calls == {"_perfect_matching": 1, "determinant": 1, "cover_weight": 0}
+    assert calls == {"_perfect_matching": 1, "_augment": 2 * b, "determinant": 1,
+                     "cover_weight": 0}
     # the xkc twin: one exact cover of n = 33 vertices; U takes one vertex
     # of each edge and a second of two, so |V - U| = 20
     vertices = rng.sample(range(33), 33)
@@ -397,6 +400,96 @@ def test_solve_kdm_matches_general_sieve():
         assert (fast.answer == "yes") == bool(general)
 
 
+def _first(partition, i, j):
+    """The partition with blocks i and j moved to the front, in that order."""
+    return [partition[i], partition[j], *(q for t, q in enumerate(partition) if t not in (i, j))]
+
+
+def test_every_pair_of_blocks_gives_the_same_total():
+    # the bipartite sweep over any pair of blocks sums the same covers,
+    # each edge meeting U twice, so the squared total does not move
+    rng = random.Random(23)
+    nonzero = 0
+    for rep in range(24):
+        gf = (GF8, GF64)[rep % 2]
+        k = (3, 4)[rep // 2 % 2]
+        n = k * rng.choice([2, 3])
+        H = rand_instance(rng, k, n, n // k + 5, plant_prob=0.7, min_edges=1, kdm=True)
+        w = [gf.sample(rng) for _ in H.edges]
+        totals = set()
+        for i, j in combinations(range(k), 2):
+            blocks = _first(H.partition, i, j)
+            u = [*blocks[0], *blocks[1]]
+            totals.add(sieve_decide(Hypergraph(n, k, H.edges, blocks), u, w, gf))
+            assert covers_weight_sum(H, u, w, gf) in totals
+        assert len(totals) == 1
+        nonzero += bool(totals.pop())
+    assert nonzero >= 8
+
+
+def _pair_cost(H, i, j):
+    """Brute force: the X avoiding blocks i and j whose live support has a
+    perfect matching between them."""
+    entries, b, _, _, xs = _kdm_case(Hypergraph(H.n, H.k, H.edges, _first(H.partition, i, j)))
+    return sum(_matchable(_live_grid(entries, b, [0] * len(H.edges), x)[0]) for x in xs)
+
+
+def test_solve_kdm_sieves_the_cheapest_pair(monkeypatch):
+    # the walk is wrapped to record the V - U of every call; the sweep is
+    # the one call at nonzero weights, and its V - U names the pair sieved
+    rests = []
+    inner = solver_mod._matchable_probes
+
+    def walking(entries, b, weights, rest, start, stop):
+        rests.append((rest, any(weights)))
+        return inner(entries, b, weights, rest, start, stop)
+
+    monkeypatch.setattr(solver_mod, "_matchable_probes", walking)
+
+    def sieved_pair(H, seed):
+        rests.clear()
+        d = solve_kdm(H, SieveConfig(seed=seed))
+        [rest] = [r for r, swept in rests if swept]
+        assert len(rests) == len(list(combinations(range(H.k), 2))) + 1
+        pair = [t for t, block in enumerate(H.partition) if not any(rest >> v & 1 for v in block)]
+        return d, tuple(pair)
+
+    # blocks {0, 1}, {2, 3}, {4, 5}: removing either block-2 vertex leaves
+    # a perfect matching between blocks 0 and 1 (3 matchable X), while
+    # removing any vertex of block 0 or 1 leaves a row without an edge
+    H = Hypergraph(6, 3, [(0, 2, 4), (1, 3, 5), (0, 2, 5), (1, 3, 4)],
+                   [(0, 1), (2, 3), (4, 5)])
+    assert [_pair_cost(H, *p) for p in combinations(range(3), 2)] == [3, 1, 1]
+    d, pair = sieved_pair(H, 3)
+    assert pair == (0, 2) and d.yes and d.probes == 4 and d.attempts == 1
+    rng = random.Random(24)
+    moved = 0
+    for _ in range(30):
+        k = rng.choice([3, 4])
+        n = k * rng.choice([2, 3])
+        H = rand_instance(rng, k, n, n // k + 6, plant_prob=0.8, min_edges=1, kdm=True)
+        costs = {p: _pair_cost(H, *p) for p in combinations(range(k), 2)}
+        d, pair = sieved_pair(H, rng.randrange(100))
+        assert pair == min(costs, key=lambda p: (costs[p], p))
+        assert d.probes == 2 ** (n - 2 * n // k) and d.yes == (dlx_count(H) > 0)
+        moved += pair != (0, 1)
+    assert moved >= 5
+
+
+def test_solve_kdm_agrees_with_the_oracle():
+    rng = random.Random(25)
+    answers = {True: 0, False: 0}
+    for rep in range(60):
+        k = rng.choice([2, 3, 4])
+        n = k * rng.randint(1, 12 // k)
+        H = rand_instance(rng, k, n, n // k + rng.randint(0, 6), plant_prob=0.5, kdm=True)
+        d = solve_kdm(H, SieveConfig(seed=rep))
+        expect = dlx_count(H) > 0
+        assert d.yes == expect, (H, rep)
+        answers[expect] += 1
+    assert min(answers.values()) >= 15, answers
+
+
 def test_bipartite_and_general_probes_agree(monkeypatch):
     # the bipartite kernel squares its XOR, the general one squares pair
     # weights per probe; in characteristic 2 both give the cover sum
@@ -481,6 +574,21 @@ def _matchable(rows):
     return any(all(rows[r] >> perm[r] & 1 for r in range(b)) for perm in permutations(range(b)))
 
 
+def _live_grid(entries, b, weights, x):
+    """Brute-force support masks and value matrix of the edges avoiding X."""
+    support = [0] * b
+    mat = [[0] * b for _ in range(b)]
+    for mk, eid, r, c in entries:
+        if not mk & x:
+            support[r] |= 1 << c
+            mat[r][c] ^= weights[eid]
+    return support, mat
+
+
+def _pattern(mat):
+    return [sum(1 << c for c, v in enumerate(row) if v) for row in mat]
+
+
 def test_perfect_matching_check_against_permutations():
     rng = random.Random(17)
     seen = {True: 0, False: 0}
@@ -491,49 +599,111 @@ def test_perfect_matching_check_against_permutations():
         if b and rng.random() < 0.2:
             rows[rng.randrange(b)] = 0
         expect = _matchable(rows)
-        assert solver_mod._perfect_matching(rows) == expect, rows
+        matching = solver_mod._perfect_matching(rows)
+        assert (matching is not None) == expect, rows
         seen[expect] += 1
-        if not expect:  # any matrix with this nonzero pattern is singular
+        if expect:  # the two arrays name one matching, on edges of the graph
+            row_of, col_of = matching
+            assert sorted(col_of) == list(range(b))
+            assert all(rows[r] >> c & 1 and row_of[c] == r for r, c in enumerate(col_of))
+        else:  # any matrix with this nonzero pattern is singular
             mat = [[GF64.sample(rng) | 1 if rows[r] >> c & 1 else 0 for c in range(b)]
                    for r in range(b)]
             assert ref_det(mat, GF64) == 0
     assert min(seen.values()) >= 100
 
 
+def _kdm_case(H):
+    """(entries, b, rest, codes, the X of every code) of the bipartite sweep."""
+    n, b = H.n, H.n // H.k
+    u_mask = sum(1 << v for v in (*H.partition[0], *H.partition[1]))
+    rest = ((1 << n) - 1) ^ u_mask
+    xs = _in_code_order([v for v in range(n) if rest >> v & 1])
+    return solver_mod._bipartite_entries(H), b, rest, len(xs), xs
+
+
+def test_matchable_probes_yield_exactly_the_matchable_sets():
+    # brute force over every code: the walk yields exactly the X whose
+    # live support has a perfect matching, in code order, each with the
+    # XOR of its live weights per cell, at every split of the code range
+    # and in 2 to 7 contiguous parts; k = 4 puts two vertices of each edge
+    # in V - U, so hit counts reach 2, and twins duplicate or cancel cells
+    rng = random.Random(22)
+    seen = {"yielded": 0, "pruned": 0, "cancelled": 0, "nonzero": 0}
+    for rep in range(8):
+        gf = (GF8, GF64)[rep % 2]
+        for k, n in ((3, 6), (3, 9), (3, 12), (3, 15), (4, 8), (4, 12), (4, 16)):
+            H, w = _kdm_with_cancelling_twins(rng, gf, k, n, rep % 4 >= 2)
+            entries, b, rest, codes, xs = _kdm_case(H)
+            expect = []
+            for x in xs:
+                support, mat = _live_grid(entries, b, w, x)
+                if _matchable(support):
+                    expect.append((x, mat))
+                    seen["cancelled"] += not _matchable(_pattern(mat))
+
+            def walk(start, stop):
+                return [(x, [row[:] for row in mat]) for x, mat in
+                        solver_mod._matchable_probes(entries, b, w, rest, start, stop)]
+
+            assert walk(0, codes) == expect
+            for cut in range(codes + 1):
+                assert walk(0, cut) + walk(cut, codes) == expect, (k, n, cut)
+            for _ in range(3):
+                cuts = sorted(rng.sample(range(1, codes), rng.randint(1, min(6, codes - 1))))
+                bounds = [0, *cuts, codes]
+                assert [p for a, z in zip(bounds, bounds[1:]) for p in walk(a, z)] == expect
+            total = 0
+            for _, mat in expect:
+                total ^= ref_det(mat, gf)
+            u = [*H.partition[0], *H.partition[1]]
+            assert gf.mul(total, total) == covers_weight_sum(H, u, w, gf)
+            seen["yielded"] += len(expect)
+            seen["pruned"] += codes - len(expect)
+            seen["nonzero"] += bool(total)
+    assert min(seen.values()) >= 15, seen
+
+
 def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
-    # the same sweeps twice: with the check, counting determinants, and
-    # without it, keeping every matrix with no empty row or column; the
-    # check must skip exactly those with no perfect matching, all zero
-    probes = []
-    inner = solver_mod.determinant
+    # through sieve_decide: every X the walk skips has a live support with
+    # no perfect matching, so its matrix is singular; the X it yields have
+    # one, and those whose cancelling twins leave a nonzero pattern with
+    # none reach the determinant and give zero
+    walked, dets = [], []
+    inner_walk, inner_det = solver_mod._matchable_probes, solver_mod.determinant
 
-    def recording(mat, gf):
-        probes.append((gf, [row[:] for row in mat]))
-        return inner(mat, gf)
+    def walking(*args):
+        for x, mat in inner_walk(*args):
+            walked.append(x)
+            yield x, mat
 
-    monkeypatch.setattr(solver_mod, "determinant", recording)
+    def computing(mat, gf):
+        dets.append(inner_det(mat, gf))
+        return dets[-1]
+
+    monkeypatch.setattr(solver_mod, "_matchable_probes", walking)
+    monkeypatch.setattr(solver_mod, "determinant", computing)
     rng = random.Random(18)
-    cases = []
+    skipped = cancelled = 0
     for rep in range(30):
         gf = (GF8, GF64)[rep % 2]
         k, n = rng.choice([(3, 12), (3, 15), (4, 12)])
-        cases.append((gf, *_kdm_with_cancelling_twins(rng, gf, k, n, rep % 4 >= 2)))
-
-    def sweep_all():
-        probes.clear()
-        for gf, H, w in cases:
-            sieve_decide(H, [*H.partition[0], *H.partition[1]], w, gf)
-        return len(probes)
-
-    checked = sweep_all()
-    monkeypatch.setattr(solver_mod, "_perfect_matching", lambda rows: True)
-    unchecked = sweep_all()
-    skipped = 0
-    for gf, mat in probes:
-        if not _matchable([sum(1 << c for c, v in enumerate(row) if v) for row in mat]):
-            skipped += 1
-            assert ref_det(mat, gf) == 0
-    assert skipped >= 20 and checked == unchecked - skipped
+        H, w = _kdm_with_cancelling_twins(rng, gf, k, n, rep % 4 >= 2)
+        walked.clear()
+        dets.clear()
+        sieve_decide(H, [*H.partition[0], *H.partition[1]], w, gf)
+        probe = dict(zip(walked, dets, strict=True))
+        entries, b, _, _, xs = _kdm_case(H)
+        for x in xs:
+            support, mat = _live_grid(entries, b, w, x)
+            assert _matchable(support) == (x in probe)
+            if x not in probe:
+                skipped += 1
+                assert ref_det(mat, gf) == 0
+            elif not _matchable(_pattern(mat)):
+                cancelled += 1
+                assert probe[x] == ref_det(mat, gf) == 0
+    assert skipped >= 20 and cancelled >= 5
 
 
 def test_solve_xkc_planted_yes():
