@@ -94,7 +94,7 @@ class Decision:
 
 
 def u_size(H: Hypergraph, partitioned: bool) -> int:
-    """|U| of one sweep: the first two blocks (2n/k vertices) when
+    """|U| of one sweep: two partition blocks (2n/k vertices) when
     partitioned, else round(t*n) clamped to [2, n], with t from the
     exponent optimizer (t = 1 for k = 2)."""
     if partitioned:
