@@ -35,8 +35,10 @@ in X.  Each kernel has its own walk: a depth-first search in code order
 that adds one vertex a step, updating only its edges' state, and skips
 the subtree of every X that fails a zero test; the tests are monotone,
 so a superset of a failing X fails too.  The general walk, _live_probes,
-yields the X that at least n/k edges avoid with every U vertex keeping
-one, and the kernel restricts the view to them.  The bipartite walk,
+keeps one family of the live edges (a perfect matching of U by pairs and
+at most 2n/k - |U| loops, padded to n/k edges by edges that miss U),
+searches for another when it loses an edge, and yields the X that have
+one; the kernel restricts the view to them.  The bipartite walk,
 _matchable_probes, keeps the matrix of the live edges and one perfect
 matching of their support, repaired by augmenting paths as cells empty,
 and yields the X whose support has one; the kernel takes the
@@ -103,31 +105,74 @@ def u_size(H: Hypergraph, partitioned: bool) -> int:
     return min(H.n, max(2, round(t * H.n)))
 
 
+def _family(adj, free, loops, least, u):
+    """Cells (a*u + b, a <= b) of a perfect matching of the U indices in
+    bitmask `free` with at least `least` and at most `loops` loops, or
+    None.  Bit b of adj[a]: a live edge joins indices a and b (a loop if
+    a == b).  Depth first, covering the lowest free index first."""
+    if not free:
+        return [] if least <= 0 else None
+    if free.bit_count() < least:  # each index adds at most one loop
+        return None
+    low = free & -free
+    a = low.bit_length() - 1
+    opts = adj[a] & free if loops else adj[a] & (free ^ low)
+    while opts:
+        bit = opts & -opts
+        opts ^= bit
+        if bit == low:
+            found = _family(adj, free ^ low, loops - 1, least - 1, u)
+        else:
+            found = _family(adj, free ^ low ^ bit, loops, least, u)
+        if found is not None:
+            found.append(a * u + bit.bit_length() - 1)
+            return found
+    return None
+
+
 def _live_probes(ends, masks, need, u, rest, start, stop):
     """The general kernel's walk: the X with codes in [start, stop), in
-    code order, at which at least `need` edges are live and each U index
-    0..u-1 keeps one.  Code bit i puts the i-th lowest vertex of `rest` in
+    code order, whose live edges hold a family, the only X whose probe
+    can be nonzero.  Code bit i puts the i-th lowest vertex of `rest` in
     X; edge i (vertex bitmask masks[i]; U indices ends[i]) is live while
-    it avoids X.  A depth-first search: the children of X add a code bit
-    below X's lowest, in increasing order, so the subtree of code c is
+    it avoids X.  A family is `need` live edges meeting each U index
+    0..u-1 once: a perfect matching of U by pairs and i <= 2*need - u
+    loops, plus need - (u + i)/2 empties (edges that miss U).
+
+    A depth-first search: the children of X add a code bit below X's
+    lowest, in increasing order, so the subtree of code c is
     [c, c + lowest bit of c).  Adding a vertex moves only its edges' hit
-    counts, the live count and live degrees, and backtracking undoes it.
-    The test is monotone in X, so a child that fails it is undone with
-    its subtree, as is a subtree outside [start, stop)."""
-    lows, touch = [], []        # per code bit: its vertex bit, the (id, ends) of its edges
+    counts and their cells' live counts.  The walk keeps one witness
+    family and searches again only when a witness cell empties or too
+    few empties are left.  A family never reappears as X grows, so a
+    failed search keeps the parent's witness and skips the subtree, as
+    is a subtree outside [start, stop); backtracking keeps the witness."""
+    top = 2 * need - u          # the most loops a family can use
+    if start >= stop or top < 0:
+        return
+    full, empty = (1 << u) - 1, u * u
+    cells = [e[0] * u + e[-1] if e else empty for e in ends]  # pair a < b: a*u + b; loop a: a*u + a
+    lows, touch = [], []        # per code bit: its vertex bit, the (id, cell) of its edges
     r = rest
     while r:
         low = r & -r
         r ^= low
         lows.append(low)
-        touch.append([(i, e) for i, (e, mk) in enumerate(zip(ends, masks)) if mk & low])
-    degree = [0] * u            # live edges per U index
-    for e in ends:
-        for j in e:
-            degree[j] += 1
-    bare = degree.count(0)      # U indices with no live edge
-    live = len(ends)
-    if start >= stop or live < need or bare:
+        touch.append([(i, c) for i, (c, mk) in enumerate(zip(cells, masks)) if mk & low])
+    count = [0] * (empty + 1)   # live edges per cell
+    adj = [0] * u               # bit b of adj[a]: cell (a, b) or (b, a) is live
+    for c in cells:
+        count[c] += 1
+        if c < empty:
+            a, b = divmod(c, u)
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+
+    def search():  # a family's cells, which need need - len(cells) empties; a bare U index has none
+        return _family(adj, full, top, 2 * (need - count[empty]) - u, u) if all(adj) else None
+
+    witness = search()
+    if witness is None:
         return
     if not start:
         yield 0
@@ -142,32 +187,39 @@ def _live_probes(ends, masks, need, u, rest, start, stop):
             if code + 2 * step <= start:  # the child's subtree lies before the chunk
                 t += 1
                 continue
-            for i, e in touch[t]:
+            broken = False      # a witness cell emptied
+            for i, c in touch[t]:
                 hits[i] += 1
                 if hits[i] == 1:
-                    live -= 1
-                    for j in e:
-                        degree[j] -= 1
-                        bare += not degree[j]
+                    count[c] -= 1
+                    if not count[c] and c < empty:
+                        a, b = divmod(c, u)
+                        adj[a] &= ~(1 << b)
+                        adj[b] &= ~(1 << a)
+                        broken = broken or c in witness
             path.append(t)
             code += step
             x |= lows[t]
-            if live >= need and not bare:
-                if code >= start:
-                    yield x
-                t = 0
-            # else t == path[-1], so the next pass backtracks out of this X
+            if broken or count[empty] < need - len(witness):
+                found = search()
+                if found is None:
+                    continue    # t == path[-1], so the next pass backtracks out of this X
+                witness = found
+            if code >= start:
+                yield x
+            t = 0
         elif path:
             t = path.pop()
             code -= 1 << t
             x ^= lows[t]
-            for i, e in touch[t]:
+            for i, c in touch[t]:
                 hits[i] -= 1
                 if not hits[i]:
-                    live += 1
-                    for j in e:
-                        bare -= not degree[j]
-                        degree[j] += 1
+                    if not count[c] and c < empty:
+                        a, b = divmod(c, u)
+                        adj[a] |= 1 << b
+                        adj[b] |= 1 << a
+                    count[c] += 1
             t += 1
         else:
             return

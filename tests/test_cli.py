@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -136,6 +138,25 @@ def test_solve_indivisible_is_a_clean_no(tmp_path, capsys):
 def test_solve_missing_file(capsys):
     code, _, err = _run(capsys, "solve", "--input", "/nonexistent/x.json")
     assert code == 2 and "error" in err
+
+
+def _run_module(module, *argv):
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("module", ["detcover", "detcover.cli"])
+def test_module_run_exit_codes(tmp_path, capsys, module):
+    # python -m runs the same entry point as the installed script
+    missing = _run_module(module, "solve", "--input", str(tmp_path / "missing.json"))
+    assert missing.returncode == 2 and "error:" in missing.stderr
+    path = tmp_path / "inst.json"
+    _run(capsys, "gen", "--k", "3", "--n", "9", "--edges", "9", "--plant",
+         "--kdm", "--seed", "5", "--out", str(path))
+    planted = _run_module(module, "solve", "--input", str(path), "--seed", "1")
+    assert planted.returncode == 0 and "answer: yes" in planted.stdout
 
 
 def test_solve_malformed_instance(tmp_path, capsys):

@@ -1,7 +1,9 @@
 """The sieve against explicit enumeration, plus both end-to-end solvers."""
 
 import random
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 
 import pytest
 
@@ -70,10 +72,12 @@ def test_sieve_rejects_bad_input():
 
 
 def _can_be_nonzero(H, u, x_mask):
-    """The sieve's zero test by brute force: at least n/k edges avoid X
-    and each U vertex lies on one of them."""
-    live = [mk for mk in H.edge_masks if not mk & x_mask]
-    return len(live) >= H.n // H.k and all(any(mk >> v & 1 for mk in live) for v in u)
+    """The sieve's zero test by brute force: some n/k edges avoiding X
+    hold a family, meeting each U vertex exactly once (a perfect matching
+    of U by pairs and loops, padded with edges that miss U)."""
+    u_mask = sum(1 << v for v in u)
+    meets = [mk & u_mask for mk in H.edge_masks if not mk & x_mask]
+    return any(sum(c) == u_mask == reduce(or_, c, 0) for c in combinations(meets, H.n // H.k))
 
 
 def _all_avoided_sets(n, u):
@@ -223,9 +227,12 @@ def test_live_probes_yield_exactly_the_filtered_sets():
                     assert head == [x for x in walk[:cut] if x in expect], (k, n, u, cut)
                     assert head + tail == expect
                 w = [gf.sample(rng) for _ in H.edges]
+                values = [cover_weight(restrict_avoiding(view, H, x), w, n, k, gf) for x in expect]
+                if gf is GF64:  # the filter is exact: a family makes the probe nonzero
+                    assert all(values), (k, n, u)
                 total = 0
-                for x in expect:
-                    total ^= cover_weight(restrict_avoiding(view, H, x), w, n, k, gf)
+                for v in values:
+                    total ^= v
                 assert total == covers_weight_sum(H, u, w, gf)
                 for kind in ("pairs", "loops", "empties"):
                     kinds[kind] += bool(getattr(view, kind))
@@ -293,6 +300,33 @@ def test_walk_is_output_sensitive(monkeypatch):
     value = sieve_decide(H, u, w, GF64)
     assert value and value == covers_weight_sum(H, u, w, GF64)
     assert calls["cover_weight"] == 1
+    # n = 9, |U| = 6, so top = 0: U's pairs form two triangles, which have
+    # no perfect matching, and loops may not help.  At four of the eight X
+    # every U vertex keeps a live edge and at least n/k edges stay live,
+    # but no X holds a family, so the walk fails its one search at the root
+    u, rest = list(range(6)), [6, 7, 8]
+    edges = [(0, 1, 6), (1, 2, 7), (0, 2, 8), (3, 4, 6), (4, 5, 7), (3, 5, 8),
+             (6, 7, 8), (0, 6, 7), (3, 7, 8)]
+    H = Hypergraph(9, 3, edges)
+    old_test = [x for x in _in_code_order(rest)
+                if sum(not mk & x for mk in H.edge_masks) >= 3
+                and all(any(mk >> v & 1 and not mk & x for mk in H.edge_masks) for v in u)]
+    assert len(old_test) == 4
+    searches = []
+    inner_family = solver_mod._family
+
+    def searching(adj, free, *args):
+        searches.append(free)
+        return inner_family(adj, free, *args)
+
+    monkeypatch.setattr(solver_mod, "_family", searching)
+    args = (_view_ends(H, project(H, u)), H.edge_masks, 3, 6, sum(1 << v for v in rest), 0, 8)
+    assert list(solver_mod._live_probes(*args)) == []
+    assert searches.count(0b111111) == 1
+    w = [GF64.sample(rng) for _ in edges]
+    calls["cover_weight"] = 0
+    assert sieve_decide(H, u, w, GF64) == 0
+    assert calls["cover_weight"] == 0
 
 
 def test_worker_count_below_one_is_rejected():
