@@ -142,7 +142,8 @@ def test_solve_missing_file(capsys):
 
 def _run_module(module, *argv):
     src = str(Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run([sys.executable, "-m", module, *argv], env=env,
                           capture_output=True, text=True, timeout=60)
 
