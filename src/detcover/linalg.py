@@ -1,14 +1,17 @@
 """Determinants and polynomial interpolation over GF(2^m).
 
-Everything here works on lists of plain ints plus a GF2m instance.  In
+Everything here works on plain ints plus a GF2m instance.  In
 characteristic 2 row and column swaps do not flip the determinant's sign
 and the determinant coincides with the permanent, which is what the
 matching machinery relies on.  There is one Gaussian elimination,
 series_determinant(), over the truncated power-series ring
-GF(2^m)[s]/(s^precision) with sparse rows of ascending coefficient
-lists; determinant() is its precision-1 case on a plain matrix.  The
-solver does not interpolate; interpolate() and evaluate() remain for the
-benchmark's micro-loops and as the reference route in the tests.
+GF(2^m)[s]/(s^precision).  Its sparse rows hold packed series: one int
+whose bits [t*m, (t+1)*m) are the coefficient of s^t, so addition is
+XOR, a precision-1 entry is the field element itself, and only products
+and inverses look at single coefficients.  determinant() is its
+precision-1 case on a plain matrix.  The solver does not interpolate;
+interpolate() and evaluate() remain for the benchmark's micro-loops and
+as the reference route in the tests.
 """
 
 from __future__ import annotations
@@ -27,133 +30,174 @@ def determinant(mat: list[list[int]], gf: GF2m) -> int:
     for row in mat:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    rows = [{c: [v] for c, v in enumerate(row) if v} for row in mat]
-    return series_determinant(rows, 1, gf)[0]
+    return series_determinant([{c: v for c, v in enumerate(row) if v} for row in mat], 1, gf)[0]
 
 
-def series_determinant(rows: list[dict[int, list[int]]], precision: int, gf: GF2m) -> list[int]:
+def series_determinant(rows: list[dict[int, int]], precision: int, gf: GF2m) -> list[int]:
     """The `precision` lowest coefficients of the determinant of a sparse
     n x n matrix of power series in s.
 
-    rows[i] maps a column j to entry (i, j) as a list of ascending
-    coefficients; absent entries are zero, coefficients at or past
-    `precision` are ignored and short lists are zero-padded.  The input
-    is copied, never modified.  The empty matrix has determinant one.
+    rows[i] maps a column j to entry (i, j) as a packed series: bits
+    [t*m, (t+1)*m) of the int hold the coefficient of s^t, m = gf.m.
+    Absent entries are zero and coefficients at or past `precision` are
+    ignored.  The input is never modified.  The empty matrix has
+    determinant one.
 
-    Gaussian elimination with full valuation pivoting.  Each step finds
-    the least s-valuation v among the remaining entries.  If v > 0 every
-    remaining entry is divisible by s^v, so they are all divided by it
-    and v times the number of rows left joins a running valuation; once
-    that reaches the precision, or no nonzero entry is left, the result
-    is zero.  Otherwise the pivot is a unit, chosen to keep fill-in low
-    (least (row entries - 1) x (column entries - 1), Markowitz's rule),
-    inverted with one field inversion of its constant term, and its
-    column is eliminated with products truncated to the precision still
-    needed, skipping zero coefficients.  Sieve matrices are sparse, so a
-    pivot is inverted only when it eliminates something: when its row has
-    another entry and some other remaining row has a nonzero entry in its
-    column, so never for the last pivot.
+    Gaussian elimination with full valuation pivoting.  Each step looks
+    for a unit pivot (nonzero constant term) that keeps fill-in low:
+    least (row entries - 1) x (column entries - 1), Markowitz's rule,
+    the first such entry in row and column order.  The row sets of the
+    columns are kept across steps, and an entry that cancels to zero is
+    dropped, so a row that empties ends the elimination with a zero
+    determinant.  When no entry is a unit, every remaining entry is
+    divisible by s^v, v their least s-valuation, so all are shifted
+    right by v coefficients and v times the number of rows left joins a
+    running valuation; once that reaches the precision the result is
+    zero.  The pivot's column is eliminated with products truncated to
+    the precision still needed, skipping zero coefficients.  Sieve
+    matrices are sparse, so a pivot is inverted, with one field
+    inversion of its constant term, only when it eliminates something:
+    when its row has another entry and some other remaining row has an
+    entry in its column, so never for the last pivot.  The pivots are
+    multiplied once, at the end.
     """
     if precision < 1:
         raise ValueError("precision must be positive")
     n = len(rows)
-    for row in rows:
-        if row and (min(row) < 0 or max(row) >= n):
-            raise ValueError("column index out of range")
-    a = [{c: e[:precision] + [0] * (precision - len(e)) for c, e in row.items()}
-         for row in rows]
-    val = 0           # determinant = s^val * product of pivots * det(rest)
+    m = gf.m
+    mask = (1 << m) - 1
+    mul = gf.mul
+    zero = [0] * precision
     w = precision     # coefficients still needed of every remaining entry
+    keep = (1 << (w * m)) - 1
+    a = []            # a[r]: row r's nonzero entries, packed and truncated to w
+    cols = [set() for _ in range(n)]  # cols[c]: the remaining rows with an entry in column c
+    for r, row in enumerate(rows):
+        kept = {}
+        for c, e in row.items():
+            if not 0 <= c < n:
+                raise ValueError("column index out of range")
+            e &= keep
+            if e:
+                kept[c] = e
+                cols[c].add(r)
+        a.append(kept)
+    if not all(a):
+        return zero
+
+    def times(x, y):  # x * y modulo s^w
+        if x <= mask and y <= mask:
+            return mul(x, y)
+        xs = [(x >> (i * m)) & mask for i in range(w)]
+        ys = [(y >> (j * m)) & mask for j in range(w)]
+        out = 0
+        for i, xi in enumerate(xs):
+            if xi:
+                for j in range(w - i):
+                    if ys[j]:
+                        out ^= mul(xi, ys[j]) << ((i + j) * m)
+        return out
+
+    live = list(range(n))  # the remaining rows, in order
+    val = 0           # determinant = s^val * product of pivots * det(rest)
     pivots = []
-    while a:
-        best = w
-        for row in a:
-            for e in row.values():
-                for v in range(best):
-                    if e[v]:
-                        best = v
-                        break
-                if not best:
-                    break
-            if not best:
-                break
-        if best == w:
-            return [0] * precision
-        if best:
-            val += best * len(a)
-            if val >= precision:
-                return [0] * precision
-            w = precision - val
-            for row in a:
-                for c, e in row.items():
-                    row[c] = e[best:best + w]
-        counts = {}
-        for row in a:
-            for c in row:
-                counts[c] = counts.get(c, 0) + 1
+    while live:
         cost = n * n
-        for r, row in enumerate(a):
+        for r in live:
+            row = a[r]
             rest = len(row) - 1
             for c, e in row.items():
-                if e[0] and rest * (counts[c] - 1) < cost:
-                    cost, pr, pc = rest * (counts[c] - 1), r, c
+                if e & mask:
+                    k = rest * (len(cols[c]) - 1)
+                    if k < cost:
+                        cost, pr, pc = k, r, c
+                        if not k:
+                            break
             if not cost:
                 break
-        prow = a.pop(pr)  # no sign change in char 2
+        if cost == n * n:  # no unit: divide every remaining entry by s^v
+            v = min((e & -e).bit_length() - 1 for r in live for e in a[r].values()) // m
+            val += v * len(live)
+            if val >= precision:
+                return zero
+            w = precision - val
+            keep = (1 << (w * m)) - 1
+            for r in live:
+                row = a[r]
+                for c, e in list(row.items()):
+                    e = (e >> (v * m)) & keep
+                    if e:
+                        row[c] = e
+                    else:
+                        del row[c]
+                        cols[c].discard(r)
+                if not row:
+                    return zero
+            continue
+        live.remove(pr)
+        prow = a[pr]
         piv = prow.pop(pc)
         pivots.append(piv)
-        below = []
-        for row in a:
-            e = row.pop(pc, None)
-            if e is not None and any(e):
-                below.append((row, e))
-        if not (prow and below):
+        for c in prow:
+            cols[c].discard(pr)
+        below = cols[pc]
+        below.discard(pr)
+        if not prow:
+            for r in below:
+                row = a[r]
+                del row[pc]
+                if not row:
+                    return zero
             continue
-        ipiv = _series_inverse(piv, w, gf)
-        for row, e in below:
-            factor = _mul_add([0] * w, e, ipiv, w, gf)
+        if not below:
+            continue
+        ipiv = _series_inverse(piv, w, m, gf)
+        for r in below:
+            row = a[r]
+            factor = times(row.pop(pc), ipiv)
             for c, t in prow.items():
-                if c not in row:
-                    row[c] = [0] * w
-                _mul_add(row[c], factor, t, w, gf)
+                p = times(factor, t)
+                if p:
+                    e = row.get(c)
+                    if e is None:
+                        row[c] = p
+                        cols[c].add(r)
+                    elif e != p:
+                        row[c] = e ^ p
+                    else:
+                        del row[c]
+                        cols[c].discard(r)
+            if not row:
+                return zero
     if not pivots:
-        return [1] + [0] * (precision - 1)
-    det = pivots[0][:w]
+        return [1] + zero[1:]
+    det = pivots[0] & keep
     for piv in pivots[1:]:
-        det = _mul_add([0] * w, det, piv, w, gf)
-    return [0] * val + det
+        det = times(det, piv)
+    return zero[:val] + [(det >> (t * m)) & mask for t in range(w)]
 
 
-def _mul_add(acc: list[int], a: list[int], b: list[int], w: int, gf: GF2m) -> list[int]:
-    """acc += a * b modulo s^w, in place, skipping zero coefficients."""
-    mul = gf.mul
-    for i in range(w):
-        x = a[i]
-        if x:
-            for j in range(w - i):
-                y = b[j]
-                if y:
-                    acc[i + j] ^= mul(x, y)
-    return acc
-
-
-def _series_inverse(a: list[int], w: int, gf: GF2m) -> list[int]:
-    """Inverse of a unit power series modulo s^w.
+def _series_inverse(a: int, w: int, m: int, gf: GF2m) -> int:
+    """Inverse of a packed unit power series modulo s^w.
 
     One field inversion of the constant term b_0 = a_0^-1, then
     a * b = 1 gives b_k = b_0 * sum_(j=1..k) a_j b_(k-j) (no signs in
     characteristic 2).
     """
+    mask = (1 << m) - 1
+    b0 = gf.inv(a & mask)
+    if a <= mask:
+        return b0
     mul = gf.mul
-    b0 = gf.inv(a[0])
+    coeffs = [(a >> (j * m)) & mask for j in range(w)]
     b = [b0]
     for k in range(1, w):
         acc = 0
         for j in range(1, k + 1):
-            if a[j] and b[k - j]:
-                acc ^= mul(a[j], b[k - j])
+            if coeffs[j] and b[k - j]:
+                acc ^= mul(coeffs[j], b[k - j])
         b.append(mul(acc, b0) if acc else 0)
-    return b
+    return sum(c << (t * m) for t, c in enumerate(b))
 
 
 def evaluate(coeffs: list[int], x: int, gf: GF2m) -> int:

@@ -13,7 +13,10 @@ and |U| have the same parity.
 A probe reads M_i only for i <= top = 2n/k - |U|: a matching with more
 loops uses more than n/k edges.  loop_weights() therefore computes
 M_0..M_top as the determinant of T(s) over the truncated power-series
-ring GF(2^m)[s]/(s^(top+1)), one elimination per probe.
+ring GF(2^m)[s]/(s^(top+1)), one elimination per probe.  It builds T(s)
+directly in linalg's packed layout, one int per entry with the
+coefficient of s^t at bits [t*m, (t+1)*m): a pair weight is the int
+itself and a loop weight is shifted left by m.
 
 cover_weight() combines the M_i with elementary symmetric sums Z_j of the
 untouched-edge weights: a cover of all n/k vertex groups decomposes into
@@ -32,22 +35,23 @@ from .linalg import determinant, interpolate  # unused; perfbench/tracing.py pat
 def loop_weights(view: ProjectedView, weights, gf: GF2m, top: int) -> list[int]:
     """Matching sums M_0..M_top graded by loop count.
 
-    Builds T(s) once, pair XORs as constant terms and loop XORs as
-    s-coefficients, and takes its determinant modulo s^(top + 1).
-    Entries past |U| are zero.
+    Builds T(s) once as packed series rows (linalg.series_determinant):
+    pair weights XORed into the constant term, loop weights shifted by m
+    bits into the s-coefficient, and takes its determinant modulo
+    s^(top + 1).  Entries past |U| are zero.
     """
     if view.dropped:
         raise ValueError("view still contains dropped edges")
-    prec = top + 1
     rows = [{} for _ in range(view.u_size)]
     for eid, i, j in view.pairs:
         w = weights[eid]
-        rows[i].setdefault(j, [0] * prec)[0] ^= w
-        rows[j].setdefault(i, [0] * prec)[0] ^= w
+        rows[i][j] = rows[i].get(j, 0) ^ w
+        rows[j][i] = rows[j].get(i, 0) ^ w
     if top:
+        m = gf.m
         for eid, i in view.loops:
-            rows[i].setdefault(i, [0] * prec)[1] ^= weights[eid]
-    return series_determinant(rows, prec, gf)
+            rows[i][i] = rows[i].get(i, 0) ^ (weights[eid] << m)
+    return series_determinant(rows, top + 1, gf)
 
 
 def elementary_symmetric(values, max_degree: int, gf: GF2m) -> list[int]:

@@ -25,10 +25,12 @@ solve_kdm takes U as two partition blocks, which every edge meets
 exactly twice, so a single attempt of 2^(n(k-2)/k) probes decides the
 instance.  Every pair of blocks gives the same total, so it sieves the
 pair whose walk yields the fewest X (the lowest pair on a tie), moved to
-the front of the partition.  solve_xkc knows no partition: each attempt
-samples U of size round(t*n) (t from the exponent optimizer), and the
-attempt budget is ceil(ln(1/eps)/p).  Answers are one sided: yes is
-always backed by a nonzero certificate.
+the front of the partition; the pairs' walks run in lockstep at zero
+weights until the first one ends, so each is counted only as far as the
+winner's.  solve_xkc knows no partition: each attempt samples U of size
+round(t*n) (t from the exponent optimizer), and the attempt budget is
+ceil(ln(1/eps)/p).  Answers are one sided: yes is always backed by a
+nonzero certificate.
 
 X is named by a code whose bit i puts the i-th lowest vertex of V - U
 in X.  Each kernel has its own walk: a depth-first search in code order
@@ -55,7 +57,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations, islice
+from itertools import combinations
 
 from .gf2m import GF2m, field_for
 from .hypergraph import Hypergraph, project, restrict_avoiding, validate
@@ -453,19 +455,23 @@ def _cheapest_blocks(H: Hypergraph) -> list:
     sweep yields the fewest X, the lowest such pair on a tie.  Any pair
     gives the same total, the summed cover weight squared, so the choice
     saves only determinants.  The walk's yields depend on the support
-    alone, so it counts them at zero weights."""
+    alone, so it counts them at zero weights: the pairs' walks advance in
+    lockstep, one yield per walk per round in pair order, and the first
+    walk to end wins, so no walk runs past the winner's count plus one."""
     p = H.partition
     full = (1 << H.n) - 1
-    fewest, blocks = None, p
+    walks = []
     for i, j in combinations(range(len(p)), 2):
         order = [p[i], p[j], *(q for t, q in enumerate(p) if t not in (i, j))]
         rest = full ^ sum(1 << v for v in (*p[i], *p[j]))
-        walk = _matchable_probes(_bipartite_entries(Hypergraph(H.n, H.k, H.edges, order)),
-                                 H.n // H.k, [0] * len(H.edges), rest, 0, 1 << rest.bit_count())
-        count = sum(1 for _ in islice(walk, fewest))  # stop once it cannot be fewer
-        if fewest is None or count < fewest:
-            fewest, blocks = count, order
-    return blocks
+        entries = _bipartite_entries(Hypergraph(H.n, H.k, H.edges, order))
+        walks.append((order, _matchable_probes(entries, H.n // H.k, [0] * len(H.edges),
+                                               rest, 0, 1 << rest.bit_count())))
+    while walks:
+        for order, walk in walks:
+            if next(walk, None) is None:
+                return order
+    return p
 
 
 def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decision:

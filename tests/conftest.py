@@ -65,6 +65,7 @@ class CountingField:
 
     def __init__(self, gf):
         self.gf = gf
+        self.m = gf.m
         self.mul_calls = 0
         self.inv_calls = 0
 
