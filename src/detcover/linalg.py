@@ -30,7 +30,8 @@ def determinant(mat: list[list[int]], gf: GF2m) -> int:
     for row in mat:
         if len(row) != n:
             raise ValueError("matrix must be square")
-    return series_determinant([{c: v for c, v in enumerate(row) if v} for row in mat], 1, gf)[0]
+    rows = [{c: v for c, v in enumerate(row) if v} for row in mat]
+    return series_determinant(rows, 1, gf)[0]
 
 
 def series_determinant(rows: list[dict[int, int]], precision: int, gf: GF2m) -> list[int]:
@@ -142,31 +143,25 @@ def series_determinant(rows: list[dict[int, int]], precision: int, gf: GF2m) -> 
             cols[c].discard(pr)
         below = cols[pc]
         below.discard(pr)
-        if not prow:
-            for r in below:
-                row = a[r]
-                del row[pc]
-                if not row:
-                    return zero
-            continue
-        if not below:
-            continue
-        ipiv = _series_inverse(piv, w, m, gf)
+        if prow and below:
+            ipiv = _series_inverse(piv, w, m, gf)
         for r in below:
             row = a[r]
-            factor = times(row.pop(pc), ipiv)
-            for c, t in prow.items():
-                p = times(factor, t)
-                if p:
-                    e = row.get(c)
-                    if e is None:
-                        row[c] = p
-                        cols[c].add(r)
-                    elif e != p:
-                        row[c] = e ^ p
-                    else:
-                        del row[c]
-                        cols[c].discard(r)
+            e = row.pop(pc)
+            if prow:
+                factor = times(e, ipiv)
+                for c, t in prow.items():
+                    p = times(factor, t)
+                    if p:
+                        old = row.get(c)
+                        if old is None:
+                            row[c] = p
+                            cols[c].add(r)
+                        elif old != p:
+                            row[c] = old ^ p
+                        else:
+                            del row[c]
+                            cols[c].discard(r)
             if not row:
                 return zero
     if not pivots:

@@ -467,11 +467,10 @@ def _cheapest_blocks(H: Hypergraph) -> list:
         entries = _bipartite_entries(Hypergraph(H.n, H.k, H.edges, order))
         walks.append((order, _matchable_probes(entries, H.n // H.k, [0] * len(H.edges),
                                                rest, 0, 1 << rest.bit_count())))
-    while walks:
+    while True:
         for order, walk in walks:
             if next(walk, None) is None:
                 return order
-    return p
 
 
 def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decision:

@@ -257,6 +257,56 @@ def test_series_determinant_divides_out_valuation():
     assert series_determinant([], 3, GF8) == [1, 0, 0]
 
 
+def _times(x, y, precision, gf):
+    """Product of two coefficient lists modulo s^precision."""
+    out = [0] * precision
+    for i, a in enumerate(x[:precision]):
+        for j, b in enumerate(y[:precision - i]):
+            out[i + j] ^= gf.mul(a, b)
+    return out
+
+
+@pytest.mark.parametrize("precision", [1, 2, 3])
+def test_series_determinant_drops_an_entry_that_cancels(precision):
+    # row 1 is lam * row 0 on columns 0 and 1, so eliminating the first
+    # pivot, (0, 0), cancels entry (1, 1); the elimination goes on with
+    # row 1 = {2: c} and gives a * c * d
+    gf = GF8
+    rng = random.Random(f"cancel-{precision}")
+
+    def series(unit):
+        e = [gf.sample(rng) for _ in range(precision)]
+        if unit:
+            e[0] = e[0] or 1
+        return e
+
+    nonzero = 0
+    for _ in range(40):
+        a, b, lam, c, d, e = (series(unit) for unit in (True, True, True, False, False, False))
+        zero = [0] * precision
+        mat = [[a, b, zero],
+               [_times(lam, a, precision, gf), _times(lam, b, precision, gf), c],
+               [zero, d, e]]
+        expect = _ref_series_det(mat, precision, gf)
+        assert series_determinant(_sparse(mat, gf.m), precision, gf) == expect
+        nonzero += any(expect)
+    assert nonzero >= 20
+
+
+@pytest.mark.parametrize("gf", [GF8, GF64])
+def test_singular_matrix_whose_last_row_cancels(gf):
+    # after the free pivot (0, 0), eliminating pivot (1, 1) from row 2 =
+    # lam * row 1 takes one inversion and two products and empties row 2:
+    # the determinant is zero, and the two pivots are never multiplied
+    rng = random.Random(f"last-row-{gf.m}")
+    for _ in range(20):
+        p, a, b, lam = (gf.sample(rng) or 1 for _ in range(4))
+        mat = [[p, 0, 0], [0, a, b], [0, gf.mul(lam, a), gf.mul(lam, b)]]
+        counted = CountingField(gf)
+        assert determinant(mat, counted) == 0 == ref_det(mat, gf)
+        assert (counted.mul_calls, counted.inv_calls) == (2, 1)
+
+
 def test_series_determinant_inverts_only_pivots_it_eliminates_with():
     rng = random.Random(26)
     gf = CountingField(GF64)

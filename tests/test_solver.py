@@ -508,6 +508,48 @@ def test_solve_kdm_sieves_the_cheapest_pair(monkeypatch):
     assert moved >= 5
 
 
+def test_cheapest_blocks_counts_in_lockstep(monkeypatch):
+    # the pair with the fewest matchable X by brute force, the lowest on a
+    # tie; the walks are wrapped to count what each one yields, and none
+    # may run past the winner's full count plus one
+    pulled = []
+    inner = solver_mod._matchable_probes
+
+    def counting(*args):
+        walk = len(pulled)
+        pulled.append(0)
+        for item in inner(*args):
+            pulled[walk] += 1
+            yield item
+
+    monkeypatch.setattr(solver_mod, "_matchable_probes", counting)
+
+    def check(H, i, j, fewest):
+        pulled.clear()
+        assert solver_mod._cheapest_blocks(H) == _first(H.partition, i, j)
+        assert pulled[list(combinations(range(H.k), 2)).index((i, j))] == fewest
+        assert max(pulled) <= fewest + 1
+
+    # the instance of the test above: pairs (0, 2) and (1, 2) tie at one
+    # matchable X below (0, 1) at three; with the blocks reversed the tie
+    # is between (0, 1) and (0, 2), the first pair of the lockstep
+    H = Hypergraph(6, 3, [(0, 2, 4), (1, 3, 5), (0, 2, 5), (1, 3, 4)],
+                   [(0, 1), (2, 3), (4, 5)])
+    check(H, 0, 2, 1)
+    check(Hypergraph(6, 3, H.edges, H.partition[::-1]), 0, 1, 1)
+    rng = random.Random(26)
+    ties = 0
+    for k in (3, 4):
+        for _ in range(20):
+            n = k * rng.choice([2, 3, 4] if k == 3 else [2, 3])
+            H = rand_instance(rng, k, n, n // k + 6, plant_prob=0.8, min_edges=1, kdm=True)
+            costs = {p: _pair_cost(H, *p) for p in combinations(range(k), 2)}
+            best = min(costs, key=lambda p: (costs[p], p))
+            check(H, *best, costs[best])
+            ties += list(costs.values()).count(costs[best]) > 1
+    assert ties >= 5
+
+
 def test_solve_kdm_agrees_with_the_oracle():
     rng = random.Random(25)
     answers = {True: 0, False: 0}
