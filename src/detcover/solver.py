@@ -44,9 +44,18 @@ one; the kernel restricts the view to them.  The bipartite walk,
 _matchable_probes, keeps the matrix of the live edges and one perfect
 matching of their support, repaired by augmenting paths as cells empty,
 and yields the X whose support has one; the kernel takes the
-determinant of each.  Threaded runs split the code range into
-contiguous chunks and XOR the partial sums, so results are bit-identical
-for any worker count, on at most os.cpu_count() threads.
+determinant of each.
+
+Both walks also apply the sieve's own cancellation to whole subtrees.
+If a vertex v that X's subtree can still add lies in no live edge of any
+family (xkc) or of any perfect matching of the support (kdm), adding v
+leaves every probe in the subtree unchanged, so the probes cancel in
+pairs and the walk skips the subtree.  The test is exact, never read
+from the kept witness or matching alone, so the skipped X do not depend
+on where a chunk starts.  Threaded runs split
+the code range into contiguous chunks and XOR the partial sums, so
+results are bit-identical for any worker count, on at most
+os.cpu_count() threads.
 """
 
 from __future__ import annotations
@@ -110,15 +119,16 @@ def u_size(H: Hypergraph, partitioned: bool) -> int:
 def _family(adj, free, loops, least, u):
     """Cells (a*u + b, a <= b) of a perfect matching of the U indices in
     bitmask `free` with at least `least` and at most `loops` loops, or
-    None.  Bit b of adj[a]: a live edge joins indices a and b (a loop if
-    a == b).  Depth first, covering the lowest free index first."""
+    None (always when loops < 0).  Bit b of adj[a]: a live edge joins
+    indices a and b (a loop if a == b).  Depth first, covering the lowest
+    free index first."""
+    if loops < 0 or free.bit_count() < least:  # each index adds at most one loop
+        return None
     if not free:
         return [] if least <= 0 else None
-    if free.bit_count() < least:  # each index adds at most one loop
-        return None
     low = free & -free
     a = low.bit_length() - 1
-    opts = adj[a] & free if loops else adj[a] & (free ^ low)
+    opts = adj[a] & free if loops > 0 else adj[a] & (free ^ low)
     while opts:
         bit = opts & -opts
         opts ^= bit
@@ -135,11 +145,12 @@ def _family(adj, free, loops, least, u):
 def _live_probes(ends, masks, need, u, rest, start, stop):
     """The general kernel's walk: the X with codes in [start, stop), in
     code order, whose live edges hold a family, the only X whose probe
-    can be nonzero.  Code bit i puts the i-th lowest vertex of `rest` in
-    X; edge i (vertex bitmask masks[i]; U indices ends[i]) is live while
-    it avoids X.  A family is `need` live edges meeting each U index
-    0..u-1 once: a perfect matching of U by pairs and i <= 2*need - u
-    loops, plus need - (u + i)/2 empties (edges that miss U).
+    can be nonzero, less the subtrees that cancel (below).  Code bit i
+    puts the i-th lowest vertex of `rest` in X; edge i (vertex bitmask
+    masks[i]; U indices ends[i]) is live while it avoids X.  A family is
+    `need` live edges meeting each U index 0..u-1 once: a perfect
+    matching of U by pairs and i <= 2*need - u loops, plus
+    need - (u + i)/2 empties (edges that miss U).
 
     A depth-first search: the children of X add a code bit below X's
     lowest, in increasing order, so the subtree of code c is
@@ -148,7 +159,16 @@ def _live_probes(ends, masks, need, u, rest, start, stop):
     family and searches again only when a witness cell empties or too
     few empties are left.  A family never reappears as X grows, so a
     failed search keeps the parent's witness and skips the subtree, as
-    is a subtree outside [start, stop); backtracking keeps the witness."""
+    is a subtree outside [start, stop); backtracking keeps the witness.
+
+    The root and every X that has a family also skip their subtree when
+    a vertex v the subtree can still add (a code bit below X's lowest)
+    lies in no live edge of any family: every X' in the subtree that
+    misses v then has the same families as X' + v, so their probes pair
+    off and cancel.  The witness's cells are used, and so is every live
+    empty when the witness holds one; any other cell costs one _family
+    search with the cell forced in, at most once per X.  The test does
+    not depend on the witness, so every chunk split skips the same X."""
     top = 2 * need - u          # the most loops a family can use
     if start >= stop or top < 0:
         return
@@ -173,12 +193,31 @@ def _live_probes(ends, masks, need, u, rest, start, stop):
     def search():  # a family's cells, which need need - len(cells) empties; a bare U index has none
         return _family(adj, full, top, 2 * (need - count[empty]) - u, u) if all(adj) else None
 
+    def cancels(below):  # a vertex of code bits 0..below-1 lies in no live edge of a family
+        least = 2 * (need - count[empty]) - u
+        used = dict.fromkeys(witness, True)
+        if need > len(witness):  # the witness holds an empty, and any live one can take its place
+            used[empty] = True
+
+        def uses(c):
+            if c not in used:   # search for a family with c in it
+                if c == empty:
+                    found = _family(adj, full, top - 2, least, u)
+                else:
+                    a, b = divmod(c, u)
+                    loop = a == b
+                    found = _family(adj, full & ~(1 << a | 1 << b), top - loop, least - loop, u)
+                used[c] = found is not None
+            return used[c]
+
+        return not all(any(not hits[i] and uses(c) for i, c in touch[t]) for t in range(below))
+
     witness = search()
-    if witness is None:
+    hits = [0] * len(ends)      # vertices of X in each edge
+    if witness is None or cancels(len(lows)):
         return
     if not start:
         yield 0
-    hits = [0] * len(ends)      # vertices of X in each edge
     path = []                   # code bits of X, highest first
     code = x = t = 0            # t: the next code bit to try adding
     while True:
@@ -207,6 +246,8 @@ def _live_probes(ends, masks, need, u, rest, start, stop):
                 if found is None:
                     continue    # t == path[-1], so the next pass backtracks out of this X
                 witness = found
+            if t and cancels(t):
+                continue
             if code >= start:
                 yield x
             t = 0
@@ -296,10 +337,11 @@ def _augment(rows, root, row_of, col_of) -> bool:
 
 def _matchable_probes(entries, b, weights, rest, start, stop):
     """The X with codes in [start, stop), in code order, whose live edges
-    (those avoiding X) have a perfect matching on the b x b grid, each with
-    its matrix: entry (r, c) XORs the weights of the live edges joining
-    row r to column c.  The matrix is updated in place, so read it before
-    the next X.  Code bit i puts the i-th lowest vertex of `rest` in X.
+    (those avoiding X) have a perfect matching on the b x b grid, less
+    the subtrees that cancel (below), each with its matrix: entry (r, c)
+    XORs the weights of the live edges joining row r to column c.  The
+    matrix is updated in place, so read it before the next X.  Code bit
+    i puts the i-th lowest vertex of `rest` in X.
 
     A depth-first search in the order of _live_probes: the children of X
     add a code bit below X's lowest, in increasing order, and subtrees
@@ -311,7 +353,17 @@ def _matchable_probes(entries, b, weights, rest, start, stop):
     support that lost its perfect matching never regains it as X grows,
     so a failed repair restores the matching saved before the step and
     skips the subtree.  Backtracking revives edges and keeps the
-    matching, which stays perfect on the larger support."""
+    matching, which stays perfect on the larger support.
+
+    The root and every X that keeps a perfect matching also skip their
+    subtree when a vertex v the subtree can still add (a code bit below
+    X's lowest) lies in no live cell of any perfect matching of the
+    support: v's edges then reach no term of any determinant below X, so
+    the probes of X' and X' + v are equal and cancel.  A matched cell is
+    used; an unmatched (r, c) is used iff it closes an alternating cycle
+    (Dulmage and Mendelsohn), that is iff column c reaches column
+    col_of[r] along support[row_of[.]], a bitmask search made at most
+    once per column and X."""
     lows, touch = [], []        # per code bit: its vertex bit, (id, row, col, weight) of its edges
     r = rest
     while r:
@@ -331,9 +383,32 @@ def _matchable_probes(entries, b, weights, rest, start, stop):
     if start >= stop or matching is None:
         return
     row_of, col_of = matching
+    hits = [0] * len(entries)   # vertices of X in each edge
+
+    def cancels(below):  # a vertex of code bits 0..below-1 lies in no cell of a perfect matching
+        reach = {}              # column c -> the columns that alternating paths from c reach
+
+        def uses(r, c):         # an unmatched live (r, c) lies in a cycle iff c reaches r's column
+            if c not in reach:
+                seen = frontier = 1 << c
+                while frontier:
+                    step = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        frontier ^= low
+                        step |= support[row_of[low.bit_length() - 1]]
+                    frontier = step & ~seen
+                    seen |= frontier
+                reach[c] = seen
+            return reach[c] >> col_of[r] & 1
+
+        return not all(any(not hits[i] and (col_of[r] == c or uses(r, c))
+                           for i, r, c, _ in touch[t]) for t in range(below))
+
+    if cancels(len(lows)):
+        return
     if not start:
         yield 0, mat
-    hits = [0] * len(entries)   # vertices of X in each edge
     path = []                   # code bits of X, highest first
     code = x = t = 0            # t: the next code bit to try adding
     while True:
@@ -365,6 +440,8 @@ def _matchable_probes(entries, b, weights, rest, start, stop):
                 if not all(_augment(support, r, row_of, col_of) for r in broken):
                     row_of[:], col_of[:] = saved
                     continue    # t == path[-1], so the next pass backtracks out of this X
+            if t and cancels(t):
+                continue
             if code >= start:
                 yield x, mat
             t = 0
@@ -454,10 +531,11 @@ def _cheapest_blocks(H: Hypergraph) -> list:
     """H's partition reordered so that blocks 0 and 1 are the pair whose
     sweep yields the fewest X, the lowest such pair on a tie.  Any pair
     gives the same total, the summed cover weight squared, so the choice
-    saves only determinants.  The walk's yields depend on the support
-    alone, so it counts them at zero weights: the pairs' walks advance in
-    lockstep, one yield per walk per round in pair order, and the first
-    walk to end wins, so no walk runs past the winner's count plus one."""
+    saves only determinants.  The walk's yields, after its matching and
+    cancel tests, depend on the support alone, so it counts them at zero
+    weights: the pairs' walks advance in lockstep, one yield per walk per
+    round in pair order, and the first walk to end wins, so no walk runs
+    past the winner's count plus one."""
     p = H.partition
     full = (1 << H.n) - 1
     walks = []

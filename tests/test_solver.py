@@ -2,8 +2,8 @@
 
 import random
 from functools import reduce
-from itertools import combinations, permutations
-from operator import or_
+from itertools import combinations, permutations, product
+from operator import or_, xor
 
 import pytest
 
@@ -80,14 +80,53 @@ def _can_be_nonzero(H, u, x_mask):
     return any(sum(c) == u_mask == reduce(or_, c, 0) for c in combinations(meets, H.n // H.k))
 
 
-def _all_avoided_sets(n, u):
-    rest = [v for v in range(n) if v not in u]
-    return [sum(1 << v for v in c) for r in range(len(rest) + 1) for c in combinations(rest, r)]
+def _families(H, u):
+    """Every family by brute force, as edge-id tuples: n/k edges whose U
+    parts are disjoint and cover U (a perfect matching of U by pairs and
+    loops, padded with edges that miss U)."""
+    u_mask = sum(1 << v for v in u)
+    meets = [mk & u_mask for mk in H.edge_masks]
+    return [f for f in combinations(range(len(H.edges)), H.n // H.k)
+            if sum(meets[e] for e in f) == u_mask == reduce(or_, (meets[e] for e in f), 0)]
+
+
+def _walk_model(rest, masks, families):
+    """The walks' output by brute force: (yielded, pruned) codes, where
+    bit i of a code puts rest[i] in X.  A family of Y is one of
+    `families` (edge-id tuples) with every edge avoiding Y.  A node Y
+    passes when it has a family and every vertex below its lowest code
+    bit (every vertex at the root) lies in an edge of a family of Y.  The
+    walk reaches Y when every proper ancestor of Y in the code tree, root
+    included, passes; a reached Y with a family is yielded if it passes
+    and pruned, with its subtree, if not."""
+    memo = {}
+
+    def check(code):  # (has a family, passes)
+        if code not in memo:
+            y = sum(1 << v for i, v in enumerate(rest) if code >> i & 1)
+            live = [f for f in families if not any(masks[e] & y for e in f)]
+            used = reduce(or_, (masks[e] for f in live for e in f), 0)
+            below = (code & -code).bit_length() - 1 if code else len(rest)
+            memo[code] = bool(live), bool(live) and all(used >> v & 1 for v in rest[:below])
+        return memo[code]
+
+    yielded, pruned = [], []
+    for code in range(1 << len(rest)):
+        ancestors = [0, *(code >> i << i for i in reversed(range(len(rest))) if code >> i & 1)]
+        if all(check(a)[1] for a in ancestors[:-1]) and check(code)[0]:
+            (yielded if check(code)[1] else pruned).append(code)
+    return yielded, pruned
+
+
+def _subtree(code, codes):
+    """The codes of the subtree below `code` in the walks' code tree."""
+    return range(code, code + (code & -code)) if code else range(codes)
 
 
 def test_sieve_probe_count(monkeypatch):
-    # cover_weight runs exactly once on each X that passes the brute-force
-    # zero test, and the probe of every other X is zero
+    # cover_weight runs exactly once on each X that the brute-force walk
+    # model yields; every other X without a family has probe zero, and
+    # the probes of all the other X XOR to zero
     made, probed = [], []
     inner_restrict, inner_cover = solver_mod.restrict_avoiding, solver_mod.cover_weight
 
@@ -114,12 +153,16 @@ def test_sieve_probe_count(monkeypatch):
         made.clear()
         probed.clear()
         sieve_decide(sub, u, w, GF64)
-        xs = _all_avoided_sets(sub.n, u)
-        passing = [x for x in xs if _can_be_nonzero(sub, u, x)]
+        rest = [v for v in range(sub.n) if v not in u]
+        xs = _in_code_order(rest)
+        passing = [xs[c] for c in _walk_model(rest, sub.edge_masks, _families(sub, u))[0]]
         assert sorted(probed) == sorted(passing)
+        left = 0
         for x in set(xs) - set(passing):
-            x_vertices = [v for v in range(sub.n) if x >> v & 1]
-            assert cover_weight_brute(sub, u, x_vertices, w, GF64) == 0
+            value = cover_weight_brute(sub, u, [v for v in rest if x >> v & 1], w, GF64)
+            assert value == 0 or _can_be_nonzero(sub, u, x)
+            left ^= value
+        assert left == 0
         skipped += len(xs) - len(passing)
     assert skipped >= 100
 
@@ -151,10 +194,10 @@ def _view_ends(H, view):
 
 
 def test_sweep_filters_each_avoided_set_once(monkeypatch):
-    # against brute force over every code: each chunk yields its passing X
+    # against the brute-force walk model: each chunk yields its passing X
     # once each, in increasing code order, and only those reach the
-    # filter; the chunks of any worker count tile the passing X, and every
-    # X never yielded has probe value zero
+    # filter; the chunks of any worker count tile the passing X, and the
+    # X never yielded have probe values that XOR to zero
     chunks, filtered = [], []
     inner_live, inner_restrict = solver_mod._live_probes, solver_mod.restrict_avoiding
 
@@ -177,7 +220,7 @@ def test_sweep_filters_each_avoided_set_once(monkeypatch):
     w = [GF64.sample(rng) for _ in H.edges]
     walk = _in_code_order(rest)
     code = {x: c for c, x in enumerate(walk)}
-    expect = [x for x in walk if _can_be_nonzero(H, u, x)]
+    expect = [walk[c] for c in _walk_model(rest, H.edge_masks, _families(H, u))[0]]
     assert 0 < len(expect) < len(walk)
     totals = set()
     for threads in (1, 3, 64):
@@ -190,9 +233,9 @@ def test_sweep_filters_each_avoided_set_once(monkeypatch):
             assert all(start <= code[x] < stop for x in xs)
         assert [x for _, _, xs in sorted(chunks) for x in xs] == filtered == expect
     assert len(totals) == 1
-    for x in set(walk) - set(expect):
-        x_vertices = [v for v in range(9) if x >> v & 1]
-        assert cover_weight_brute(H, u, x_vertices, w, GF64) == 0
+    values = [cover_weight_brute(H, u, [v for v in rest if x >> v & 1], w, GF64)
+              for x in set(walk) - set(expect)]
+    assert reduce(xor, values, 0) == 0
     view = project(H, u)
     args = (_view_ends(H, view), H.edge_masks, 3, len(u), sum(1 << v for v in rest))
     for cut in range(len(walk) + 1):
@@ -200,8 +243,24 @@ def test_sweep_filters_each_avoided_set_once(monkeypatch):
         assert head + list(inner_live(*args, cut, len(walk))) == expect
 
 
+def test_family_loop_budget():
+    # U indices 0 and 1, each with a loop and joined by a pair: a budget of
+    # 0 admits no loop, a negative budget admits no family at all, and
+    # `least` can force loops within the budget
+    both, loops_only = [0b11, 0b11], [0b01, 0b10]
+    assert solver_mod._family(both, 0b11, 0, 0, 2) == [1]
+    assert solver_mod._family(loops_only, 0b11, 0, 0, 2) is None
+    assert solver_mod._family(loops_only, 0b11, 1, 0, 2) is None
+    assert sorted(solver_mod._family(loops_only, 0b11, 2, 0, 2)) == [0, 3]
+    assert sorted(solver_mod._family(both, 0b11, 2, 1, 2)) == [0, 3]
+    for budget in (-1, -2):
+        assert solver_mod._family(both, 0b11, budget, 0, 2) is None
+        assert solver_mod._family(both, 0, budget, 0, 2) is None
+    assert solver_mod._family(both, 0, 0, 0, 2) == []
+
+
 def test_live_probes_yield_exactly_the_filtered_sets():
-    # against the brute-force zero test at every split of the code range,
+    # against the brute-force walk model at every split of the code range,
     # on views with pairs, loops, empty and duplicate edges; k = 4 and the
     # loops put two vertices of an edge in V - U, so hit counts reach 2.
     # The skipped X add nothing: the yielded probes alone sum to the
@@ -218,8 +277,9 @@ def test_live_probes_yield_exactly_the_filtered_sets():
                 view = project(H, u)
                 rest = ((1 << n) - 1) ^ view.u_mask
                 codes = 1 << rest.bit_count()
-                walk = _in_code_order([v for v in range(n) if rest >> v & 1])
-                expect = [x for x in walk if _can_be_nonzero(H, u, x)]
+                order = [v for v in range(n) if rest >> v & 1]
+                walk = _in_code_order(order)
+                expect = [walk[c] for c in _walk_model(order, H.edge_masks, _families(H, u))[0]]
                 args = (_view_ends(H, view), H.edge_masks, n // k, len(u), rest)
                 for cut in range(codes + 1):
                     head = list(solver_mod._live_probes(*args, 0, cut))
@@ -246,7 +306,7 @@ def test_live_probes_split_many_ways():
     # yield disjoint X that together are the single chunk's, in order
     rng = random.Random(20)
     yielded = 0
-    for _ in range(40):
+    for _ in range(90):
         k, n = rng.choice([(3, 9), (3, 12), (4, 12)])
         u = sorted(rng.sample(range(n), rng.choice([0, 2, 3, 4])))
         H = filtered_for(rand_instance(rng, k, n, n // k + 6, plant_prob=0.8, min_edges=2), u)
@@ -265,6 +325,69 @@ def test_live_probes_split_many_ways():
                     for x in solver_mod._live_probes(*args, a, b)] == whole
         yielded += len(whole)
     assert yielded >= 500
+
+
+def test_skipped_subtrees_cancel():
+    # brute force: every subtree that a walk skips on its cancel test (a
+    # vertex below the node's lowest code bit in no edge of any family, or
+    # of any perfect matching) XORs to zero, the yields still sum to the
+    # cover enumeration, and they tile at every split of the code range.
+    # xkc views have pairs, loops, empties and duplicate edges; kdm has
+    # cancelling twins and denser instances with fewer covers, and k = 4
+    # makes hit counts reach 2
+    rng = random.Random(27)
+    seen = {"pairs": 0, "loops": 0, "empties": 0, "duplicates": 0, "xkc pruned": 0,
+            "k = 3 pruned": 0, "k = 4 pruned": 0, "nonzero": 0}
+    for gf in (GF8, GF64):
+        for k, n in ((3, 6), (3, 9), (4, 8)):
+            for _ in range(6):
+                H0 = rand_instance(rng, k, n, n // k + 4, plant_prob=0.7, min_edges=2)
+                u = sorted(rng.sample(range(n), rng.choice([0, 2, 3, 4])))
+                H = filtered_for(Hypergraph(n, k, H0.edges + rng.sample(H0.edges, 2)), u)
+                view = project(H, u)
+                rest = [v for v in range(n) if v not in u]
+                xs = _in_code_order(rest)
+                yielded, pruned = _walk_model(rest, H.edge_masks, _families(H, u))
+                w = [gf.sample(rng) for _ in H.edges]
+                probe = [cover_weight_brute(H, u, [v for v in rest if x >> v & 1], w, gf)
+                         for x in xs]
+                for c in pruned:
+                    assert reduce(xor, (probe[d] for d in _subtree(c, len(xs))), 0) == 0
+                total = reduce(xor, (probe[c] for c in yielded), 0)
+                assert total == covers_weight_sum(H, u, w, gf)
+                args = (_view_ends(H, view), H.edge_masks, n // k, len(u),
+                        sum(1 << v for v in rest))
+                for cut in range(len(xs) + 1):
+                    head = list(solver_mod._live_probes(*args, 0, cut))
+                    tail = list(solver_mod._live_probes(*args, cut, len(xs)))
+                    assert head + tail == [xs[c] for c in yielded], (k, n, u, cut)
+                for kind in ("pairs", "loops", "empties"):
+                    seen[kind] += bool(getattr(view, kind))
+                seen["duplicates"] += len(set(H.edges)) < len(H.edges)
+                seen["xkc pruned"] += len(pruned)
+                seen["nonzero"] += bool(total)
+        for k, n in ((3, 9), (3, 12), (3, 15), (4, 8), (4, 12)):
+            cases = [_kdm_with_cancelling_twins(rng, gf, k, n, swap) for swap in (False, True)]
+            for _ in range(6):
+                H = rand_instance(rng, k, n, n // k + 9, plant_prob=0.3, min_edges=n // k + 4,
+                                  kdm=True)
+                cases.append((H, [gf.sample(rng) for _ in H.edges]))
+            for H, w in cases:
+                entries, b, rest, codes, xs = _kdm_case(H)
+                yielded, pruned = _kdm_model(entries, b, rest)
+                probe = [ref_det(_live_grid(entries, b, w, x)[1], gf) for x in xs]
+                for c in pruned:
+                    assert reduce(xor, (probe[d] for d in _subtree(c, codes)), 0) == 0
+                total = reduce(xor, (probe[c] for c in yielded), 0)
+                u = [*H.partition[0], *H.partition[1]]
+                assert gf.mul(total, total) == covers_weight_sum(H, u, w, gf)
+                for cut in range(codes + 1):
+                    walk = [x for a, z in ((0, cut), (cut, codes))
+                            for x, _ in solver_mod._matchable_probes(entries, b, w, rest, a, z)]
+                    assert walk == [xs[c] for c in yielded], (k, n, cut)
+                seen[f"k = {k} pruned"] += len(pruned)
+                seen["nonzero"] += bool(total)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_walk_is_output_sensitive(monkeypatch):
@@ -327,6 +450,29 @@ def test_walk_is_output_sensitive(monkeypatch):
     calls["cover_weight"] = 0
     assert sieve_decide(H, u, w, GF64) == 0
     assert calls["cover_weight"] == 0
+    # a root prune: n = 12, U = {0, 1, 2, 3}.  Families exist at 16 of the
+    # 256 X, but vertex 11 lies only in the pair (0, 2), and no family uses
+    # it, since no live edge covers 1 and 3 together or as loops; the walk
+    # yields nothing, and no cover_weight runs
+    u, rest = [0, 1, 2, 3], list(range(4, 12))
+    edges = [(0, 1, 4), (2, 3, 5), (6, 7, 8), (4, 9, 10), (5, 9, 10), (0, 2, 11)]
+    H = Hypergraph(12, 3, edges)
+    with_family = [x for x in _in_code_order(rest) if _can_be_nonzero(H, u, x)]
+    assert len(with_family) == 16
+    w = [GF64.sample(rng) for _ in edges]
+    assert sieve_decide(H, u, w, GF64) == 0
+    assert calls["cover_weight"] == 0
+    # the kdm twin of that prune: the hidden perfect matching's b = 24
+    # edges use only 23 third-block vertices, and the last one lies only in
+    # an edge joining row 0 to row 1's column, a cell that no perfect
+    # matching uses; the root makes b augmenting paths and stops
+    calls.update(_perfect_matching=0, _augment=0, determinant=0)
+    cols, tails = rng.sample(blocks[1], b), rng.sample(blocks[2], b)
+    edges = [(row, col, tail) for row, col, tail in zip(blocks[0], cols, tails[:-2] + tails[:1])]
+    H = Hypergraph(3 * b, 3, [*edges, (blocks[0][0], cols[1], tails[-1])], blocks)
+    w = [GF64.sample(rng) for _ in H.edges]
+    assert sieve_decide(H, blocks[0] + blocks[1], w, GF64) == 0
+    assert calls == {"_perfect_matching": 1, "_augment": b, "determinant": 0, "cover_weight": 0}
 
 
 def test_worker_count_below_one_is_rejected():
@@ -460,10 +606,10 @@ def test_every_pair_of_blocks_gives_the_same_total():
 
 
 def _pair_cost(H, i, j):
-    """Brute force: the X avoiding blocks i and j whose live support has a
-    perfect matching between them."""
-    entries, b, _, _, xs = _kdm_case(Hypergraph(H.n, H.k, H.edges, _first(H.partition, i, j)))
-    return sum(_matchable(_live_grid(entries, b, [0] * len(H.edges), x)[0]) for x in xs)
+    """Brute force: how many X avoiding blocks i and j the walk model
+    yields for the bipartite sweep between them."""
+    entries, b, rest, _, _ = _kdm_case(Hypergraph(H.n, H.k, H.edges, _first(H.partition, i, j)))
+    return len(_kdm_model(entries, b, rest)[0])
 
 
 def test_solve_kdm_sieves_the_cheapest_pair(monkeypatch):
@@ -696,12 +842,25 @@ def _kdm_case(H):
     return solver_mod._bipartite_entries(H), b, rest, len(xs), xs
 
 
+def _kdm_model(entries, b, rest):
+    """_walk_model for the bipartite sweep, whose families are the perfect
+    matchings of the grid with one edge (entry index) per matched cell."""
+    cells = {}
+    for i, (_, _, r, c) in enumerate(entries):
+        cells.setdefault((r, c), []).append(i)
+    families = [f for perm in permutations(range(b))
+                for f in product(*(cells.get((r, c), []) for r, c in enumerate(perm)))]
+    order = [v for v in range(rest.bit_length()) if rest >> v & 1]
+    return _walk_model(order, [mk for mk, *_ in entries], families)
+
+
 def test_matchable_probes_yield_exactly_the_matchable_sets():
-    # brute force over every code: the walk yields exactly the X whose
-    # live support has a perfect matching, in code order, each with the
-    # XOR of its live weights per cell, at every split of the code range
-    # and in 2 to 7 contiguous parts; k = 4 puts two vertices of each edge
-    # in V - U, so hit counts reach 2, and twins duplicate or cancel cells
+    # brute force over every code: the walk yields exactly the X of the
+    # walk model (a perfect matching of the live support, and every lower
+    # vertex in a cell that one uses), in code order, each with the XOR of
+    # its live weights per cell, at every split of the code range and in
+    # 2 to 7 contiguous parts; k = 4 puts two vertices of each edge in
+    # V - U, so hit counts reach 2, and twins duplicate or cancel cells
     rng = random.Random(22)
     seen = {"yielded": 0, "pruned": 0, "cancelled": 0, "nonzero": 0}
     for rep in range(8):
@@ -710,11 +869,10 @@ def test_matchable_probes_yield_exactly_the_matchable_sets():
             H, w = _kdm_with_cancelling_twins(rng, gf, k, n, rep % 4 >= 2)
             entries, b, rest, codes, xs = _kdm_case(H)
             expect = []
-            for x in xs:
-                support, mat = _live_grid(entries, b, w, x)
-                if _matchable(support):
-                    expect.append((x, mat))
-                    seen["cancelled"] += not _matchable(_pattern(mat))
+            for c in _kdm_model(entries, b, rest)[0]:
+                mat = _live_grid(entries, b, w, xs[c])[1]
+                expect.append((xs[c], mat))
+                seen["cancelled"] += not _matchable(_pattern(mat))
 
             def walk(start, stop):
                 return [(x, [row[:] for row in mat]) for x, mat in
@@ -739,10 +897,11 @@ def test_matchable_probes_yield_exactly_the_matchable_sets():
 
 
 def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
-    # through sieve_decide: every X the walk skips has a live support with
-    # no perfect matching, so its matrix is singular; the X it yields have
-    # one, and those whose cancelling twins leave a nonzero pattern with
-    # none reach the determinant and give zero
+    # through sieve_decide: the walk yields the X of the walk model; every
+    # skipped X whose live support has no perfect matching has a singular
+    # matrix, and the determinants of all the skipped X XOR to zero; the
+    # yielded X whose cancelling twins leave a nonzero pattern with no
+    # perfect matching reach the determinant and give zero
     walked, dets = [], []
     inner_walk, inner_det = solver_mod._matchable_probes, solver_mod.determinant
 
@@ -767,16 +926,19 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
         dets.clear()
         sieve_decide(H, [*H.partition[0], *H.partition[1]], w, gf)
         probe = dict(zip(walked, dets, strict=True))
-        entries, b, _, _, xs = _kdm_case(H)
+        entries, b, rest, _, xs = _kdm_case(H)
+        assert walked == [xs[c] for c in _kdm_model(entries, b, rest)[0]]
+        left = 0
         for x in xs:
             support, mat = _live_grid(entries, b, w, x)
-            assert _matchable(support) == (x in probe)
             if x not in probe:
                 skipped += 1
-                assert ref_det(mat, gf) == 0
+                left ^= ref_det(mat, gf)
+                assert _matchable(support) or ref_det(mat, gf) == 0
             elif not _matchable(_pattern(mat)):
                 cancelled += 1
                 assert probe[x] == ref_det(mat, gf) == 0
+        assert left == 0
     assert skipped >= 20 and cancelled >= 5
 
 
