@@ -85,12 +85,11 @@ def cover_weight(view: ProjectedView, weights, n: int, k: int, gf: GF2m) -> int:
         raise ValueError("view still contains dropped edges")
     need = n // k
     u = view.u_size
-    if (u + 1) // 2 > need:
+    top = 2 * need - u          # the most loops a cover can use
+    if top < 0:
         return 0
-    top = 2 * need - u
     m_vals = loop_weights(view, weights, gf, top)
-    z_vals = elementary_symmetric([weights[e] for e in view.empties],
-                                  need - (u + 1) // 2, gf)
+    z_vals = elementary_symmetric([weights[e] for e in view.empties], top // 2, gf)
     total = 0
     # only loop counts of |U|'s parity can be nonzero; i = top reads Z_0
     for i in range(u % 2, top + 1, 2):

@@ -33,29 +33,28 @@ ceil(ln(1/eps)/p).  Answers are one sided: yes is always backed by a
 nonzero certificate.
 
 X is named by a code whose bit i puts the i-th lowest vertex of V - U
-in X.  Each kernel has its own walk: a depth-first search in code order
-that adds one vertex a step, updating only its edges' state, and skips
-the subtree of every X that fails a zero test; the tests are monotone,
-so a superset of a failing X fails too.  The general walk, _live_probes,
-keeps one family of the live edges (a perfect matching of U by pairs and
-at most 2n/k - |U| loops, padded to n/k edges by edges that miss U),
-searches for another when it loses an edge, and yields the X that have
-one; the kernel restricts the view to them.  The bipartite walk,
-_matchable_probes, keeps the matrix of the live edges and one perfect
-matching of their support, repaired by augmenting paths as cells empty,
-and yields the X whose support has one; the kernel takes the
-determinant of each.
+in X.  One walk, _walk, serves both kernels: a depth-first search in
+code order that adds one vertex a step, tells the kernel which edges
+died (or revived, on backtrack), and skips the subtree of every X that
+fails the kernel's zero test; the tests are monotone, so a superset of
+a failing X fails too.  It also applies the sieve's own cancellation to
+whole subtrees: if a vertex v that X's subtree can still add lies in no
+live edge the kernel uses, adding v leaves every probe in the subtree
+unchanged, so the probes cancel in pairs and the walk skips the subtree.
 
-Both walks also apply the sieve's own cancellation to whole subtrees.
-If a vertex v that X's subtree can still add lies in no live edge of any
-family (xkc) or of any perfect matching of the support (kdm), adding v
-leaves every probe in the subtree unchanged, so the probes cancel in
-pairs and the walk skips the subtree.  The test is exact, never read
-from the kept witness or matching alone, so the skipped X do not depend
-on where a chunk starts.  Threaded runs split
-the code range into contiguous chunks and XOR the partial sums, so
-results are bit-identical for any worker count, on at most
-os.cpu_count() threads.
+The general kernel, _live_probes, uses an edge when it lies in a family
+of the live edges (a perfect matching of U by pairs and at most
+2n/k - |U| loops, padded to n/k edges by edges that miss U); it keeps
+one family, searches for another when it loses an edge, and restricts
+the view to each X that has one.  The bipartite kernel,
+_matchable_probes, uses an edge when it lies in a perfect matching of
+the live support; it keeps the live matrix and one perfect matching,
+repaired by augmenting paths as cells empty, and takes the determinant
+of each X whose support has one.  Both tests are exact, never read from
+the kept witness or matching alone, so the skipped X do not depend on
+where a chunk starts.  Threaded runs split the code range into
+contiguous chunks and XOR the partial sums, so results are
+bit-identical for any worker count, on at most os.cpu_count() threads.
 """
 
 from __future__ import annotations
@@ -142,79 +141,44 @@ def _family(adj, free, loops, least, u):
     return None
 
 
-def _live_probes(ends, masks, need, u, rest, start, stop):
-    """The general kernel's walk: the X with codes in [start, stop), in
-    code order, whose live edges hold a family, the only X whose probe
-    can be nonzero, less the subtrees that cancel (below).  Code bit i
-    puts the i-th lowest vertex of `rest` in X; edge i (vertex bitmask
-    masks[i]; U indices ends[i]) is live while it avoids X.  A family is
-    `need` live edges meeting each U index 0..u-1 once: a perfect
-    matching of U by pairs and i <= 2*need - u loops, plus
-    need - (u + i)/2 empties (edges that miss U).
+def _walk(rest, masks, kill, revive, user, start, stop):
+    """The X with codes in [start, stop), in code order, that pass a
+    kernel's zero test, less the subtrees that cancel (below); the
+    kernel tests the root before it starts the walk.  Code bit i puts
+    the i-th lowest vertex of `rest` in X; edge i (vertex bitmask
+    masks[i]) is live while it avoids X.
 
     A depth-first search: the children of X add a code bit below X's
     lowest, in increasing order, so the subtree of code c is
-    [c, c + lowest bit of c).  Adding a vertex moves only its edges' hit
-    counts and their cells' live counts.  The walk keeps one witness
-    family and searches again only when a witness cell empties or too
-    few empties are left.  A family never reappears as X grows, so a
-    failed search keeps the parent's witness and skips the subtree, as
-    is a subtree outside [start, stop); backtracking keeps the witness.
+    [c, c + lowest bit of c), and subtrees outside [start, stop) are
+    skipped.  Adding a vertex reads only its own edges and calls
+    kill(ids) with those that just died, the ones that avoided X before
+    the step.  kill returns False when the new X fails the zero test;
+    the test is monotone, so the walk skips the subtree.  Backtracking
+    calls revive(ids) with the same edges, after a failed kill too.
 
-    The root and every X that has a family also skip their subtree when
-    a vertex v the subtree can still add (a code bit below X's lowest)
-    lies in no live edge of any family: every X' in the subtree that
-    misses v then has the same families as X' + v, so their probes pair
-    off and cancel.  The witness's cells are used, and so is every live
-    empty when the witness holds one; any other cell costs one _family
-    search with the cell forced in, at most once per X.  The test does
-    not depend on the witness, so every chunk split skips the same X."""
-    top = 2 * need - u          # the most loops a family can use
-    if start >= stop or top < 0:
+    The root and every X that passes also skip their subtree when a
+    vertex v the subtree can still add (a code bit below X's lowest)
+    lies in no live edge i with uses(i), where uses = user() is built
+    once per X and says whether a live edge lies in some term of the
+    probe (a family or a perfect matching): every X' in the subtree
+    that misses v then has the same probe as X' + v, so the two cancel.
+    The kernels' tests are exact, so every chunk split skips the same X."""
+    if start >= stop:
         return
-    full, empty = (1 << u) - 1, u * u
-    cells = [e[0] * u + e[-1] if e else empty for e in ends]  # pair a < b: a*u + b; loop a: a*u + a
-    lows, touch = [], []        # per code bit: its vertex bit, the (id, cell) of its edges
+    lows, touch = [], []        # per code bit: its vertex bit, the (id, mask) of its edges
     r = rest
     while r:
         low = r & -r
         r ^= low
         lows.append(low)
-        touch.append([(i, c) for i, (c, mk) in enumerate(zip(cells, masks)) if mk & low])
-    count = [0] * (empty + 1)   # live edges per cell
-    adj = [0] * u               # bit b of adj[a]: cell (a, b) or (b, a) is live
-    for c in cells:
-        count[c] += 1
-        if c < empty:
-            a, b = divmod(c, u)
-            adj[a] |= 1 << b
-            adj[b] |= 1 << a
+        touch.append([(i, mk) for i, mk in enumerate(masks) if mk & low])
 
-    def search():  # a family's cells, which need need - len(cells) empties; a bare U index has none
-        return _family(adj, full, top, 2 * (need - count[empty]) - u, u) if all(adj) else None
+    def cancels(below, x):  # a vertex of code bits 0..below-1 lies in no used live edge
+        uses = user()
+        return not all(any(not mk & x and uses(i) for i, mk in touch[t]) for t in range(below))
 
-    def cancels(below):  # a vertex of code bits 0..below-1 lies in no live edge of a family
-        least = 2 * (need - count[empty]) - u
-        used = dict.fromkeys(witness, True)
-        if need > len(witness):  # the witness holds an empty, and any live one can take its place
-            used[empty] = True
-
-        def uses(c):
-            if c not in used:   # search for a family with c in it
-                if c == empty:
-                    found = _family(adj, full, top - 2, least, u)
-                else:
-                    a, b = divmod(c, u)
-                    loop = a == b
-                    found = _family(adj, full & ~(1 << a | 1 << b), top - loop, least - loop, u)
-                used[c] = found is not None
-            return used[c]
-
-        return not all(any(not hits[i] and uses(c) for i, c in touch[t]) for t in range(below))
-
-    witness = search()
-    hits = [0] * len(ends)      # vertices of X in each edge
-    if witness is None or cancels(len(lows)):
+    if cancels(len(lows), 0):
         return
     if not start:
         yield 0
@@ -228,26 +192,12 @@ def _live_probes(ends, masks, need, u, rest, start, stop):
             if code + 2 * step <= start:  # the child's subtree lies before the chunk
                 t += 1
                 continue
-            broken = False      # a witness cell emptied
-            for i, c in touch[t]:
-                hits[i] += 1
-                if hits[i] == 1:
-                    count[c] -= 1
-                    if not count[c] and c < empty:
-                        a, b = divmod(c, u)
-                        adj[a] &= ~(1 << b)
-                        adj[b] &= ~(1 << a)
-                        broken = broken or c in witness
+            dead = [i for i, mk in touch[t] if not mk & x]
             path.append(t)
             code += step
             x |= lows[t]
-            if broken or count[empty] < need - len(witness):
-                found = search()
-                if found is None:
-                    continue    # t == path[-1], so the next pass backtracks out of this X
-                witness = found
-            if t and cancels(t):
-                continue
+            if not kill(dead) or t and cancels(t, x):
+                continue        # t == path[-1], so the next pass backtracks out of this X
             if code >= start:
                 yield x
             t = 0
@@ -255,17 +205,95 @@ def _live_probes(ends, masks, need, u, rest, start, stop):
             t = path.pop()
             code -= 1 << t
             x ^= lows[t]
-            for i, c in touch[t]:
-                hits[i] -= 1
-                if not hits[i]:
-                    if not count[c] and c < empty:
-                        a, b = divmod(c, u)
-                        adj[a] |= 1 << b
-                        adj[b] |= 1 << a
-                    count[c] += 1
+            revive([i for i, mk in touch[t] if not mk & x])
             t += 1
         else:
             return
+
+
+def _live_probes(ends, masks, need, u, rest, start, stop):
+    """The general kernel's X: those of _walk whose live edges hold a
+    family, the only X whose probe can be nonzero.  Edge i (vertex
+    bitmask masks[i]; U indices ends[i]) is live while it avoids X.  A
+    family is `need` live edges meeting each U index 0..u-1 once: a
+    perfect matching of U by pairs and i <= 2*need - u loops, plus
+    need - (u + i)/2 empties (edges that miss U).
+
+    An edge's death moves only its cell's live count.  The kernel keeps
+    one witness family and searches again only when a witness cell
+    empties or too few empties are left.  A family never reappears as X
+    grows, so a failed search keeps the parent's witness and fails the
+    zero test; backtracking keeps the witness.  A live edge is used when
+    it lies in a family: the witness's cells are used, and so is every
+    live empty when the witness holds one; any other cell costs one
+    _family search with the cell forced in, at most once per X."""
+    top = 2 * need - u          # the most loops a family can use
+    if start >= stop or top < 0:
+        return
+    full, empty = (1 << u) - 1, u * u
+    cells = [e[0] * u + e[-1] if e else empty for e in ends]  # pair a < b: a*u + b; loop a: a*u + a
+    count = [0] * (empty + 1)   # live edges per cell
+    adj = [0] * u               # bit b of adj[a]: cell (a, b) or (b, a) is live
+    for c in cells:
+        count[c] += 1
+        if c < empty:
+            a, b = divmod(c, u)
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+
+    def search():  # a family's cells, which need need - len(cells) empties; a bare U index has none
+        return _family(adj, full, top, 2 * (need - count[empty]) - u, u) if all(adj) else None
+
+    def kill(ids):
+        nonlocal witness
+        broken = False          # a witness cell emptied
+        for i in ids:
+            c = cells[i]
+            count[c] -= 1
+            if not count[c] and c < empty:
+                a, b = divmod(c, u)
+                adj[a] &= ~(1 << b)
+                adj[b] &= ~(1 << a)
+                broken = broken or c in witness
+        if broken or count[empty] < need - len(witness):
+            found = search()
+            if found is None:
+                return False
+            witness = found
+        return True
+
+    def revive(ids):
+        for i in ids:
+            c = cells[i]
+            if not count[c] and c < empty:
+                a, b = divmod(c, u)
+                adj[a] |= 1 << b
+                adj[b] |= 1 << a
+            count[c] += 1
+
+    def user():
+        least = 2 * (need - count[empty]) - u
+        used = dict.fromkeys(witness, True)
+        if need > len(witness):  # the witness holds an empty, and any live one can take its place
+            used[empty] = True
+
+        def uses(i):
+            c = cells[i]
+            if c not in used:   # search for a family with c in it
+                if c == empty:
+                    found = _family(adj, full, top - 2, least, u)
+                else:
+                    a, b = divmod(c, u)
+                    loop = a == b
+                    found = _family(adj, full & ~(1 << a | 1 << b), top - loop, least - loop, u)
+                used[c] = found is not None
+            return used[c]
+
+        return uses
+
+    witness = search()
+    if witness is not None:
+        yield from _walk(rest, masks, kill, revive, user, start, stop)
 
 
 def _sweep_general(view, H, weights, gf, rest, start, stop):
@@ -336,59 +364,73 @@ def _augment(rows, root, row_of, col_of) -> bool:
 
 
 def _matchable_probes(entries, b, weights, rest, start, stop):
-    """The X with codes in [start, stop), in code order, whose live edges
-    (those avoiding X) have a perfect matching on the b x b grid, less
-    the subtrees that cancel (below), each with its matrix: entry (r, c)
-    XORs the weights of the live edges joining row r to column c.  The
-    matrix is updated in place, so read it before the next X.  Code bit
-    i puts the i-th lowest vertex of `rest` in X.
+    """The bipartite kernel's X: those of _walk whose live edges (those
+    avoiding X) have a perfect matching on the b x b grid, each with its
+    matrix: entry (r, c) XORs the weights of the live edges joining row
+    r to column c.  The matrix is updated in place, so read it before
+    the next X.
 
-    A depth-first search in the order of _live_probes: the children of X
-    add a code bit below X's lowest, in increasing order, and subtrees
-    outside [start, stop) are skipped.  An edge dies when X gains its
-    first vertex (hit counts say how many it has); it leaves its cell's
-    value and live count, and its row's support when the cell empties.
-    The walk keeps one perfect matching of the support.  When a matched
-    cell empties, its row is matched again by an augmenting path; a
-    support that lost its perfect matching never regains it as X grows,
-    so a failed repair restores the matching saved before the step and
-    skips the subtree.  Backtracking revives edges and keeps the
-    matching, which stays perfect on the larger support.
+    A dead edge leaves its cell's value and live count, and its row's
+    support when the cell empties.  The kernel keeps one perfect
+    matching of the support.  When a matched cell empties, its row is
+    matched again by an augmenting path; a support that lost its perfect
+    matching never regains it as X grows, so a failed repair restores
+    the matching saved before the step and fails the zero test.
+    Revived edges keep the matching, which stays perfect on the larger
+    support.
 
-    The root and every X that keeps a perfect matching also skip their
-    subtree when a vertex v the subtree can still add (a code bit below
-    X's lowest) lies in no live cell of any perfect matching of the
-    support: v's edges then reach no term of any determinant below X, so
-    the probes of X' and X' + v are equal and cancel.  A matched cell is
-    used; an unmatched (r, c) is used iff it closes an alternating cycle
-    (Dulmage and Mendelsohn), that is iff column c reaches column
-    col_of[r] along support[row_of[.]], a bitmask search made at most
-    once per column and X."""
-    lows, touch = [], []        # per code bit: its vertex bit, (id, row, col, weight) of its edges
-    r = rest
-    while r:
-        low = r & -r
-        r ^= low
-        lows.append(low)
-        touch.append([(i, row, col, weights[eid])
-                      for i, (mk, eid, row, col) in enumerate(entries) if mk & low])
+    A live edge is used when its cell lies in a perfect matching of the
+    support: a matched cell is; an unmatched (r, c) is iff it closes an
+    alternating cycle (Dulmage and Mendelsohn), that is iff column c
+    reaches column col_of[r] along support[row_of[.]], a bitmask search
+    made at most once per column and X."""
+    cells = [(r, c, weights[eid]) for _, eid, r, c in entries]
     mat = [[0] * b for _ in range(b)]
     count = [[0] * b for _ in range(b)]     # live edges per cell
     support = [0] * b                       # bit c of support[r] iff count[r][c]
-    for _, eid, r, c in entries:
-        mat[r][c] ^= weights[eid]
+    for r, c, w in cells:
+        mat[r][c] ^= w
         count[r][c] += 1
         support[r] |= 1 << c
     matching = _perfect_matching(support)
     if start >= stop or matching is None:
         return
     row_of, col_of = matching
-    hits = [0] * len(entries)   # vertices of X in each edge
 
-    def cancels(below):  # a vertex of code bits 0..below-1 lies in no cell of a perfect matching
+    def kill(ids):
+        broken = []             # rows whose matched cell emptied
+        for i in ids:
+            r, c, w = cells[i]
+            mat[r][c] ^= w
+            count[r][c] -= 1
+            if not count[r][c]:
+                support[r] ^= 1 << c
+                if col_of[r] == c:
+                    broken.append(r)
+        if broken:
+            saved = row_of[:], col_of[:]
+            for r in broken:
+                row_of[col_of[r]] = -1
+                col_of[r] = -1
+            if not all(_augment(support, r, row_of, col_of) for r in broken):
+                row_of[:], col_of[:] = saved
+                return False
+        return True
+
+    def revive(ids):
+        for i in ids:
+            r, c, w = cells[i]
+            mat[r][c] ^= w
+            count[r][c] += 1
+            support[r] |= 1 << c
+
+    def user():
         reach = {}              # column c -> the columns that alternating paths from c reach
 
-        def uses(r, c):         # an unmatched live (r, c) lies in a cycle iff c reaches r's column
+        def uses(i):            # an unmatched live (r, c) lies in a cycle iff c reaches r's column
+            r, c, _ = cells[i]
+            if col_of[r] == c:
+                return True
             if c not in reach:
                 seen = frontier = 1 << c
                 while frontier:
@@ -402,62 +444,10 @@ def _matchable_probes(entries, b, weights, rest, start, stop):
                 reach[c] = seen
             return reach[c] >> col_of[r] & 1
 
-        return not all(any(not hits[i] and (col_of[r] == c or uses(r, c))
-                           for i, r, c, _ in touch[t]) for t in range(below))
+        return uses
 
-    if cancels(len(lows)):
-        return
-    if not start:
-        yield 0, mat
-    path = []                   # code bits of X, highest first
-    code = x = t = 0            # t: the next code bit to try adding
-    while True:
-        if t < (path[-1] if path else len(lows)):
-            step = 1 << t
-            if code + step >= stop:  # this and every later X lie past the chunk
-                return
-            if code + 2 * step <= start:  # the child's subtree lies before the chunk
-                t += 1
-                continue
-            broken = []         # rows whose matched cell emptied
-            for i, r, c, w in touch[t]:
-                hits[i] += 1
-                if hits[i] == 1:
-                    mat[r][c] ^= w
-                    count[r][c] -= 1
-                    if not count[r][c]:
-                        support[r] ^= 1 << c
-                        if col_of[r] == c:
-                            broken.append(r)
-            path.append(t)
-            code += step
-            x |= lows[t]
-            if broken:
-                saved = row_of[:], col_of[:]
-                for r in broken:
-                    row_of[col_of[r]] = -1
-                    col_of[r] = -1
-                if not all(_augment(support, r, row_of, col_of) for r in broken):
-                    row_of[:], col_of[:] = saved
-                    continue    # t == path[-1], so the next pass backtracks out of this X
-            if t and cancels(t):
-                continue
-            if code >= start:
-                yield x, mat
-            t = 0
-        elif path:
-            t = path.pop()
-            code -= 1 << t
-            x ^= lows[t]
-            for i, r, c, w in touch[t]:
-                hits[i] -= 1
-                if not hits[i]:
-                    mat[r][c] ^= w
-                    count[r][c] += 1
-                    support[r] |= 1 << c
-            t += 1
-        else:
-            return
+    for x in _walk(rest, [mk for mk, *_ in entries], kill, revive, user, start, stop):
+        yield x, mat
 
 
 def _sweep_kdm(entries, b, weights, gf, rest, start, stop):

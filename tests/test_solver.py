@@ -259,6 +259,104 @@ def test_family_loop_budget():
     assert solver_mod._family(both, 0, 0, 0, 2) == []
 
 
+class _StubKernel:
+    """A kernel for _walk that keeps the dead edges it is told of: kill
+    checks that they are exactly the edges meeting X (read off the dead
+    one-vertex edges) and fails at the codes in `fail`; revive must
+    undo the latest unmatched kill; user's uses(i) takes a live edge
+    and is not reject(X, masks[i]).  walk checks that the walk steps only into subtrees that
+    meet its chunk."""
+
+    def __init__(self, order, masks, fail=(), reject=lambda x, mk: False):
+        self.order, self.masks, self.fail, self.reject = order, masks, set(fail), reject
+        self.singles = [i for i, mk in enumerate(masks) if mk.bit_count() == 1]
+        self.dead, self.stack, self.codes = set(), [], []
+
+    def x(self):
+        return reduce(or_, (self.masks[i] for i in self.singles if i in self.dead), 0)
+
+    def kill(self, ids):
+        assert ids and not self.dead & set(ids)
+        self.dead |= set(ids)
+        self.stack.append(ids)
+        x = self.x()
+        assert self.dead == {i for i, mk in enumerate(self.masks) if mk & x}
+        self.codes.append(sum(1 << j for j, v in enumerate(self.order) if x >> v & 1))
+        return self.codes[-1] not in self.fail
+
+    def revive(self, ids):
+        assert self.stack.pop() == ids
+        self.dead -= set(ids)
+
+    def user(self):
+        x = self.x()
+
+        def uses(i):
+            assert i not in self.dead  # the walk asks only about live edges
+            return not self.reject(x, self.masks[i])
+
+        return uses
+
+    def walk(self, start, stop):
+        rest = sum(1 << v for v in self.order)
+        xs = list(solver_mod._walk(rest, self.masks, self.kill, self.revive, self.user,
+                                   start, stop))
+        assert all(start < c + (c & -c) and c < stop for c in self.codes), (start, stop)
+        return xs
+
+
+def _prefixes(code, width):
+    """The nodes on the code tree's path from the root down to `code`."""
+    return [0, *(code >> i << i for i in reversed(range(width)) if code >> i & 1)]
+
+
+def test_walk_with_stub_kernels():
+    # a one-vertex edge per vertex of V - U keeps every vertex in a live
+    # edge, so only the stubs prune; the other edges, some with two
+    # vertices of V - U (alive until X takes the first) and some with
+    # vertices of U, make kill lists longer than one edge
+    rng = random.Random(31)
+    fails = rejects = 0
+    for _ in range(12):
+        n = rng.randint(5, 9)
+        order = sorted(rng.sample(range(n), rng.randint(3, 5)))
+        width, codes = len(order), 1 << len(order)
+        masks = [1 << v for v in order]
+        masks += [sum(1 << v for v in rng.sample(range(n), 3)) for _ in range(rng.randint(2, 6))]
+        rng.shuffle(masks)
+        xs = _in_code_order(order)
+        # every X, in code order, and the chunks tile at every split
+        kernel = _StubKernel(order, masks)
+        assert kernel.walk(0, codes) == xs and not kernel.stack
+        for a in range(codes + 1):
+            for z in range(a, codes + 1):
+                assert _StubKernel(order, masks).walk(a, z) == xs[a:z], (a, z)
+        # a kill that fails at code c skips exactly c's subtree [c, c + (c & -c))
+        fail = rng.sample(range(1, codes), rng.randint(1, 3))
+        expect = [xs[c] for c in range(codes)
+                  if not any(f <= c < f + (f & -f) for f in fail)]
+        kernel = _StubKernel(order, masks, fail)
+        assert kernel.walk(0, codes) == expect and not kernel.stack
+        fails += codes - len(expect)
+        for cut in range(codes + 1):
+            head = _StubKernel(order, masks, fail).walk(0, cut)
+            assert head + _StubKernel(order, masks, fail).walk(cut, codes) == expect
+        # rejecting every edge of one vertex prunes at the root
+        bare = rng.choice(order)
+        kernel = _StubKernel(order, masks, reject=lambda x, mk: mk >> bare & 1)
+        assert kernel.walk(0, codes) == [] and kernel.stack == []
+        # rejecting them only once X holds w prunes each node that holds w
+        # and can still add v, with its subtree
+        v, w = rng.sample(range(width), 2)
+        pruned = {a for a in range(codes) if a >> w & 1 and v < (a & -a).bit_length() - 1}
+        expect = [xs[c] for c in range(codes) if not pruned & set(_prefixes(c, width))]
+        kernel = _StubKernel(order, masks,
+                             reject=lambda x, mk: x >> order[w] & 1 and mk >> order[v] & 1)
+        assert kernel.walk(0, codes) == expect and not kernel.stack
+        rejects += codes - len(expect)
+    assert fails >= 40 and rejects >= 40, (fails, rejects)
+
+
 def test_live_probes_yield_exactly_the_filtered_sets():
     # against the brute-force walk model at every split of the code range,
     # on views with pairs, loops, empty and duplicate edges; k = 4 and the
