@@ -168,6 +168,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.k < 2:
+        raise ValueError(f"k must be at least 2, got {args.k}")
     ns = [int(s) for s in args.n.split(",") if s]
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8", newline="")
     try:

@@ -311,6 +311,18 @@ def test_bench_csv(capsys):
     assert all(r[6] == "yes" for r in rows)
 
 
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_bench_rejects_k_below_two(tmp_path, k):
+    # no CSV header, no traceback: exit 2 with an error line, and an
+    # --out file is not created
+    out = tmp_path / "bench.csv"
+    for argv in ((), ("--out", str(out))):
+        run = _run_module("detcover", "bench", "--k", k, "--n", "6", *argv)
+        assert run.returncode == 2 and run.stdout == "", run.stderr
+        assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
+    assert not out.exists()
+
+
 def test_bench_keeps_the_optimizer_out_of_timed_solves(monkeypatch, capsys):
     # the first xkc row must not pay for the cached exponent grid search
     params_mod.optimize.cache_clear()
