@@ -166,13 +166,14 @@ def _walk(rest, masks, kill, revive, user, start, stop):
     The kernels' tests are exact, so every chunk split skips the same X."""
     if start >= stop:
         return
-    lows, touch = [], []        # per code bit: its vertex bit, the (id, mask) of its edges
+    bits = []                   # per vertex of rest: its bit, the (id, mask) of its edges
     r = rest
     while r:
         low = r & -r
         r ^= low
-        lows.append(low)
-        touch.append([(i, mk) for i, mk in enumerate(masks) if mk & low])
+        bits.append((low, [(i, mk) for i, mk in enumerate(masks) if mk & low]))
+    bits.sort(key=lambda bit: len(bit[1]))  # stable: equal edge counts keep label order
+    lows, touch = [low for low, _ in bits], [ids for _, ids in bits]
 
     def cancels(below, x):  # a vertex of code bits 0..below-1 lies in no used live edge
         uses = user()

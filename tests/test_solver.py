@@ -91,14 +91,15 @@ def _families(H, u):
 
 
 def _walk_model(rest, masks, families):
-    """The walks' output by brute force: (yielded, pruned) codes, where
-    bit i of a code puts rest[i] in X.  A family of Y is one of
+    """The walks' output by brute force: (yielded, pruned) codes, in the
+    code order of _code_order(rest, masks).  A family of Y is one of
     `families` (edge-id tuples) with every edge avoiding Y.  A node Y
     passes when it has a family and every vertex below its lowest code
     bit (every vertex at the root) lies in an edge of a family of Y.  The
     walk reaches Y when every proper ancestor of Y in the code tree, root
     included, passes; a reached Y with a family is yielded if it passes
     and pruned, with its subtree, if not."""
+    rest = _code_order(rest, masks)
     memo = {}
 
     def check(code):  # (has a family, passes)
@@ -154,7 +155,7 @@ def test_sieve_probe_count(monkeypatch):
         probed.clear()
         sieve_decide(sub, u, w, GF64)
         rest = [v for v in range(sub.n) if v not in u]
-        xs = _in_code_order(rest)
+        xs = _in_code_order(rest, sub.edge_masks)
         passing = [xs[c] for c in _walk_model(rest, sub.edge_masks, _families(sub, u))[0]]
         assert sorted(probed) == sorted(passing)
         left = 0
@@ -180,10 +181,17 @@ def test_parallel_sieve_is_bit_identical():
             assert sieve_decide(H, u, w, GF64, threads) == serial
 
 
-def _in_code_order(rest):
-    """Every X within the vertex list `rest`, by code: bit i of the code
-    puts rest[i] in X."""
-    return [sum(1 << v for i, v in enumerate(rest) if c >> i & 1) for c in range(1 << len(rest))]
+def _code_order(rest, masks):
+    """The vertices of `rest` in the walks' code order: bit i of a code
+    puts the i-th in X.  Fewest edges (vertex bitmasks `masks`) first,
+    equal counts by label."""
+    return sorted(rest, key=lambda v: (sum(mk >> v & 1 for mk in masks), v))
+
+
+def _in_code_order(rest, masks):
+    """Every X within the vertex list `rest`, by code (see _code_order)."""
+    order = _code_order(rest, masks)
+    return [sum(1 << v for i, v in enumerate(order) if c >> i & 1) for c in range(1 << len(order))]
 
 
 def _view_ends(H, view):
@@ -218,7 +226,7 @@ def test_sweep_filters_each_avoided_set_once(monkeypatch):
     rest = [0, 2, 3, 6, 8]  # V - U has gaps, so codes and masks differ
     H = filtered_for(rand_instance(rng, 3, 9, 9, min_edges=1), u)
     w = [GF64.sample(rng) for _ in H.edges]
-    walk = _in_code_order(rest)
+    walk = _in_code_order(rest, H.edge_masks)
     code = {x: c for c, x in enumerate(walk)}
     expect = [walk[c] for c in _walk_model(rest, H.edge_masks, _families(H, u))[0]]
     assert 0 < len(expect) < len(walk)
@@ -260,15 +268,17 @@ def test_family_loop_budget():
 
 
 class _StubKernel:
-    """A kernel for _walk that keeps the dead edges it is told of: kill
-    checks that they are exactly the edges meeting X (read off the dead
-    one-vertex edges) and fails at the codes in `fail`; revive must
-    undo the latest unmatched kill; user's uses(i) takes a live edge
-    and is not reject(X, masks[i]).  walk checks that the walk steps only into subtrees that
+    """A kernel for _walk over the vertices `rest`, which keeps the dead
+    edges it is told of: kill checks that they are exactly the edges
+    meeting X (read off the dead one-vertex edges) and fails at the codes
+    (in _code_order) in `fail`; revive must undo the latest unmatched
+    kill; user's uses(i) takes a live edge and is not reject(X,
+    masks[i]).  walk checks that the walk steps only into subtrees that
     meet its chunk."""
 
-    def __init__(self, order, masks, fail=(), reject=lambda x, mk: False):
-        self.order, self.masks, self.fail, self.reject = order, masks, set(fail), reject
+    def __init__(self, rest, masks, fail=(), reject=lambda x, mk: False):
+        self.order, self.masks = _code_order(rest, masks), masks
+        self.fail, self.reject = set(fail), reject
         self.singles = [i for i, mk in enumerate(masks) if mk.bit_count() == 1]
         self.dead, self.stack, self.codes = set(), [], []
 
@@ -314,9 +324,10 @@ def test_walk_with_stub_kernels():
     # a one-vertex edge per vertex of V - U keeps every vertex in a live
     # edge, so only the stubs prune; the other edges, some with two
     # vertices of V - U (alive until X takes the first) and some with
-    # vertices of U, make kill lists longer than one edge
+    # vertices of U, make kill lists longer than one edge and the code
+    # order differ from the label order
     rng = random.Random(31)
-    fails = rejects = 0
+    fails = rejects = shuffled = 0
     for _ in range(12):
         n = rng.randint(5, 9)
         order = sorted(rng.sample(range(n), rng.randint(3, 5)))
@@ -324,7 +335,9 @@ def test_walk_with_stub_kernels():
         masks = [1 << v for v in order]
         masks += [sum(1 << v for v in rng.sample(range(n), 3)) for _ in range(rng.randint(2, 6))]
         rng.shuffle(masks)
-        xs = _in_code_order(order)
+        order = _code_order(order, masks)
+        shuffled += order != sorted(order)
+        xs = _in_code_order(order, masks)
         # every X, in code order, and the chunks tile at every split
         kernel = _StubKernel(order, masks)
         assert kernel.walk(0, codes) == xs and not kernel.stack
@@ -354,7 +367,71 @@ def test_walk_with_stub_kernels():
                              reject=lambda x, mk: x >> order[w] & 1 and mk >> order[v] & 1)
         assert kernel.walk(0, codes) == expect and not kernel.stack
         rejects += codes - len(expect)
-    assert fails >= 40 and rejects >= 40, (fails, rejects)
+    assert fails >= 40 and rejects >= 40 and shuffled >= 4, (fails, rejects, shuffled)
+
+
+def test_walk_code_order_follows_edge_counts():
+    # besides its one-vertex edge, vertex 2 of V - U lies in three edges,
+    # 5 and 7 in two each, 4 in one and 1 in none: code bits 0..4 put 1,
+    # 4, 5, 7, 2 in X, so the vertex in the most edges takes the top bit
+    # and the tie between 5 and 7 keeps label order
+    rest = [1, 2, 4, 5, 7]
+    masks = [sum(1 << v for v in e)
+             for e in [(0, 2, 5), (2, 3, 4), (2, 6, 7), (5, 7, 8), *((v,) for v in rest)]]
+    order = [1, 4, 5, 7, 2]
+    assert _code_order(rest, masks) == order
+    xs = [sum(1 << v for i, v in enumerate(order) if c >> i & 1) for c in range(32)]
+
+    def walk(start, stop):
+        return list(solver_mod._walk(sum(1 << v for v in rest), masks, lambda ids: True,
+                                     lambda ids: None, lambda: lambda i: True, start, stop))
+
+    assert walk(0, 32) == xs
+    assert walk(16, 32) == xs[16:] and all(x >> 2 & 1 for x in xs[16:])
+
+
+def _relabel(H, perm):
+    """H with vertex v renamed perm[v]; edge i stays edge i."""
+    edges = [tuple(sorted(perm[v] for v in e)) for e in H.edges]
+    blocks = H.partition and [tuple(perm[v] for v in block) for block in H.partition]
+    return Hypergraph(H.n, H.k, edges, blocks)
+
+
+def test_relabelling_v_minus_u_keeps_totals_and_answers():
+    # renaming the vertices of V - U can reorder the code bits (ties in
+    # edge count go by label) and so change which subtrees the walks
+    # skip, but not the sieve total, each edge keeping its weight, nor
+    # what either solver answers
+    rng = random.Random(32)
+    seen = {"reordered": 0, "nonzero": 0, "yes": 0, "no": 0}
+    for rep in range(24):
+        gf, kdm = (GF8, GF64)[rep % 2], rep % 4 >= 2
+        k = rng.choice([3, 4])
+        n = k * rng.choice([2, 3])
+        H0 = rand_instance(rng, k, n, n // k + 5, plant_prob=0.6, min_edges=1, kdm=kdm)
+        if kdm:
+            u = [*H0.partition[0], *H0.partition[1]]
+        else:
+            u = sorted(rng.sample(range(n), rng.choice([2, 3, 4])))
+        rest = [v for v in range(n) if v not in u]
+        perm = list(range(n))
+        for v, image in zip(rest, rng.sample(rest, len(rest))):
+            perm[v] = image
+        H, G0 = filtered_for(H0, u), _relabel(H0, perm)
+        G = _relabel(H, perm)
+        moved = [perm[v] for v in _code_order(rest, H.edge_masks)]
+        seen["reordered"] += moved != _code_order(sorted(moved), G.edge_masks)
+        w = [gf.sample(rng) for _ in H.edges]
+        total = sieve_decide(H, u, w, gf)
+        solve = solve_kdm if kdm else solve_xkc
+        for threads in (1, 3):
+            assert sieve_decide(G, u, w, gf, threads) == total, (rep, threads)
+            cfg = SieveConfig(m=gf.m, seed=rep, threads=threads)
+            before, after = solve(H0, cfg), solve(G0, cfg)
+            assert before.answer == after.answer, (rep, threads)
+        seen["nonzero"] += bool(total)
+        seen[before.answer] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_live_probes_yield_exactly_the_filtered_sets():
@@ -376,7 +453,7 @@ def test_live_probes_yield_exactly_the_filtered_sets():
                 rest = ((1 << n) - 1) ^ view.u_mask
                 codes = 1 << rest.bit_count()
                 order = [v for v in range(n) if rest >> v & 1]
-                walk = _in_code_order(order)
+                walk = _in_code_order(order, H.edge_masks)
                 expect = [walk[c] for c in _walk_model(order, H.edge_masks, _families(H, u))[0]]
                 args = (_view_ends(H, view), H.edge_masks, n // k, len(u), rest)
                 for cut in range(codes + 1):
@@ -404,7 +481,7 @@ def test_live_probes_split_many_ways():
     # yield disjoint X that together are the single chunk's, in order
     rng = random.Random(20)
     yielded = 0
-    for _ in range(90):
+    for _ in range(110):
         k, n = rng.choice([(3, 9), (3, 12), (4, 12)])
         u = sorted(rng.sample(range(n), rng.choice([0, 2, 3, 4])))
         H = filtered_for(rand_instance(rng, k, n, n // k + 6, plant_prob=0.8, min_edges=2), u)
@@ -444,7 +521,7 @@ def test_skipped_subtrees_cancel():
                 H = filtered_for(Hypergraph(n, k, H0.edges + rng.sample(H0.edges, 2)), u)
                 view = project(H, u)
                 rest = [v for v in range(n) if v not in u]
-                xs = _in_code_order(rest)
+                xs = _in_code_order(rest, H.edge_masks)
                 yielded, pruned = _walk_model(rest, H.edge_masks, _families(H, u))
                 w = [gf.sample(rng) for _ in H.edges]
                 probe = [cover_weight_brute(H, u, [v for v in rest if x >> v & 1], w, gf)
@@ -529,7 +606,7 @@ def test_walk_is_output_sensitive(monkeypatch):
     edges = [(0, 1, 6), (1, 2, 7), (0, 2, 8), (3, 4, 6), (4, 5, 7), (3, 5, 8),
              (6, 7, 8), (0, 6, 7), (3, 7, 8)]
     H = Hypergraph(9, 3, edges)
-    old_test = [x for x in _in_code_order(rest)
+    old_test = [x for x in _in_code_order(rest, H.edge_masks)
                 if sum(not mk & x for mk in H.edge_masks) >= 3
                 and all(any(mk >> v & 1 and not mk & x for mk in H.edge_masks) for v in u)]
     assert len(old_test) == 4
@@ -555,7 +632,7 @@ def test_walk_is_output_sensitive(monkeypatch):
     u, rest = [0, 1, 2, 3], list(range(4, 12))
     edges = [(0, 1, 4), (2, 3, 5), (6, 7, 8), (4, 9, 10), (5, 9, 10), (0, 2, 11)]
     H = Hypergraph(12, 3, edges)
-    with_family = [x for x in _in_code_order(rest) if _can_be_nonzero(H, u, x)]
+    with_family = [x for x in _in_code_order(rest, H.edge_masks) if _can_be_nonzero(H, u, x)]
     assert len(with_family) == 16
     w = [GF64.sample(rng) for _ in edges]
     assert sieve_decide(H, u, w, GF64) == 0
@@ -940,8 +1017,10 @@ def _kdm_case(H):
     n, b = H.n, H.n // H.k
     u_mask = sum(1 << v for v in (*H.partition[0], *H.partition[1]))
     rest = ((1 << n) - 1) ^ u_mask
-    xs = _in_code_order([v for v in range(n) if rest >> v & 1])
-    return solver_mod._bipartite_entries(H), b, rest, len(xs), xs
+    entries = solver_mod._bipartite_entries(H)
+    masks = [mk for mk, *_ in entries]
+    xs = _in_code_order([v for v in range(n) if rest >> v & 1], masks)
+    return entries, b, rest, len(xs), xs
 
 
 def _kdm_model(entries, b, rest):
