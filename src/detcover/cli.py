@@ -170,26 +170,28 @@ def cmd_params(args) -> int:
 def cmd_bench(args) -> int:
     if args.k < 2:
         raise ValueError(f"k must be at least 2, got {args.k}")
-    ns = [int(s) for s in args.n.split(",") if s]
+    if args.reps < 1:
+        raise ValueError(f"reps must be at least 1, got {args.reps}")
+    runs = []                   # every instance is built, so bad input fails before the header
+    for n in [int(s) for s in args.n.split(",") if s]:
+        edge_count = args.edges if args.edges is not None else 3 * (n // args.k)
+        for rep in range(args.reps):
+            inst_seed = args.seed * 1000003 + n * 101 + rep
+            H = generate(random.Random(inst_seed), args.k, n, edge_count,
+                         plant=args.plant, kdm=(args.mode == "kdm"))
+            runs.append((H, SieveConfig(m=args.m, seed=inst_seed + 1,
+                                        epsilon=_effective_epsilon(args, args.k, n),
+                                        threads=args.threads)))
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8", newline="")
     try:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["n", "k", "mode", "probes", "attempts", "elapsed_ms", "answer"])
         if args.mode == "xkc" and args.k >= 3:
             optimize(args.k)  # keep the cached grid search out of the first timed solve
-        for n in ns:
-            edge_count = args.edges if args.edges is not None else 3 * (n // args.k)
-            for rep in range(args.reps):
-                inst_seed = args.seed * 1000003 + n * 101 + rep
-                H = generate(random.Random(inst_seed), args.k, n, edge_count,
-                             plant=args.plant, kdm=(args.mode == "kdm"))
-                cfg = SieveConfig(m=args.m, seed=inst_seed + 1,
-                                  epsilon=_effective_epsilon(args, args.k, n),
-                                  threads=args.threads)
-                decision = solve_kdm(H, cfg) if args.mode == "kdm" else solve_xkc(H, cfg)
-                writer.writerow([n, args.k, args.mode, decision.probes,
-                                 decision.attempts,
-                                 f"{decision.elapsed * 1000:.3f}", decision.answer])
+        for H, cfg in runs:
+            decision = solve_kdm(H, cfg) if args.mode == "kdm" else solve_xkc(H, cfg)
+            writer.writerow([H.n, args.k, args.mode, decision.probes, decision.attempts,
+                             f"{decision.elapsed * 1000:.3f}", decision.answer])
     finally:
         if out is not sys.stdout:
             out.close()

@@ -323,6 +323,19 @@ def test_bench_rejects_k_below_two(tmp_path, k):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [("--n", "6,-3"), ("--n", "-3"), ("--edges", "-1"),
+                                  ("--reps", "0"), ("--reps", "-1"), ("--threads", "0")])
+def test_bench_rejects_bad_counts_before_the_header(tmp_path, capsys, argv):
+    # each bad value is caught before any row: exit 2, one error line, no
+    # CSV header on stdout, and an --out file is not created
+    out = tmp_path / "bench.csv"
+    for extra in ((), ("--out", str(out))):
+        code, stdout, err = _run(capsys, "bench", "--n", "6", *argv, *extra)
+        assert code == 2 and stdout == "", err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_bench_keeps_the_optimizer_out_of_timed_solves(monkeypatch, capsys):
     # the first xkc row must not pay for the cached exponent grid search
     params_mod.optimize.cache_clear()
