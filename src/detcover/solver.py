@@ -32,15 +32,19 @@ round(t*n) (t from the exponent optimizer), and the attempt budget is
 ceil(ln(1/eps)/p).  Answers are one sided: yes is always backed by a
 nonzero certificate.
 
-X is named by a code whose bit i puts the i-th lowest vertex of V - U
-in X.  One walk, _walk, serves both kernels: a depth-first search in
-code order that adds one vertex a step, tells the kernel which edges
-died (or revived, on backtrack), and skips the subtree of every X that
-fails the kernel's zero test; the tests are monotone, so a superset of
-a failing X fails too.  It also applies the sieve's own cancellation to
+X is named by a code whose bit i puts the i-th vertex of V - U in X,
+counting from the vertex in the fewest edges (equal counts by label).
+One walk, _walk, serves both kernels: a depth-first search in code
+order that adds one vertex a step, tells the kernel which edges died
+(or revived, on backtrack), and skips the subtree of every X that fails
+the kernel's zero test; the tests are monotone, so a superset of a
+failing X fails too.  It also applies the sieve's own cancellation to
 whole subtrees: if a vertex v that X's subtree can still add lies in no
 live edge the kernel uses, adding v leaves every probe in the subtree
 unchanged, so the probes cancel in pairs and the walk skips the subtree.
+The low code bits are the ones a subtree can still add, so the vertices
+in the fewest edges sit there, where they most often lie in no used
+edge and cancel a subtree near the root.
 
 The general kernel, _live_probes, uses an edge when it lies in a family
 of the live edges (a perfect matching of U by pairs and at most
@@ -145,7 +149,8 @@ def _walk(rest, masks, kill, revive, user, start, stop):
     """The X with codes in [start, stop), in code order, that pass a
     kernel's zero test, less the subtrees that cancel (below); the
     kernel tests the root before it starts the walk.  Code bit i puts
-    the i-th lowest vertex of `rest` in X; edge i (vertex bitmask
+    the i-th vertex of `rest` in X, counting from the vertex in the
+    fewest edges, equal counts by label; edge i (vertex bitmask
     masks[i]) is live while it avoids X.
 
     A depth-first search: the children of X add a code bit below X's
