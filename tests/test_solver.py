@@ -1017,10 +1017,8 @@ def _kdm_case(H):
     n, b = H.n, H.n // H.k
     u_mask = sum(1 << v for v in (*H.partition[0], *H.partition[1]))
     rest = ((1 << n) - 1) ^ u_mask
-    entries = solver_mod._bipartite_entries(H)
-    masks = [mk for mk, *_ in entries]
-    xs = _in_code_order([v for v in range(n) if rest >> v & 1], masks)
-    return entries, b, rest, len(xs), xs
+    xs = _in_code_order([v for v in range(n) if rest >> v & 1], H.edge_masks)
+    return solver_mod._bipartite_entries(H), b, rest, len(xs), xs
 
 
 def _kdm_model(entries, b, rest):
