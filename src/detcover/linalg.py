@@ -9,7 +9,8 @@ GF(2^m)[s]/(s^precision).  Its sparse rows hold packed series: one int
 whose bits [t*m, (t+1)*m) are the coefficient of s^t, so addition is
 XOR, a precision-1 entry is the field element itself, and only products
 and inverses look at single coefficients.  determinant() is its
-precision-1 case on a plain matrix.  The solver does not interpolate;
+precision-1 case on a plain matrix, given as dense lists or sparse
+{col: value} rows.  The solver does not interpolate;
 interpolate() and evaluate() remain for the benchmark's micro-loops and
 as the reference route in the tests.
 """
@@ -19,18 +20,19 @@ from __future__ import annotations
 from .gf2m import GF2m
 
 
-def determinant(mat: list[list[int]], gf: GF2m) -> int:
+def determinant(mat: list, gf: GF2m) -> int:
     """Determinant of a square matrix over the field: series_determinant()
     at precision 1 on the matrix's nonzero entries.
 
-    The input is never modified.  The empty 0x0 matrix has determinant
-    one.
+    Each row is either a dense list of n entries or a sparse
+    {col: value} dict, whose absent entries are zero; a column outside
+    0..n-1 is an error.  The input is never modified.  The empty 0x0
+    matrix has determinant one.
     """
     n = len(mat)
-    for row in mat:
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-    rows = [{c: v for c, v in enumerate(row) if v} for row in mat]
+    if any(not isinstance(row, dict) and len(row) != n for row in mat):
+        raise ValueError("matrix must be square")
+    rows = [row if isinstance(row, dict) else {c: v for c, v in enumerate(row) if v} for row in mat]
     return series_determinant(rows, 1, gf)[0]
 
 

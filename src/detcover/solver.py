@@ -24,13 +24,13 @@ weight per kept edge and sieve; a nonzero sum ends the run with yes.
 solve_kdm takes U as two partition blocks, which every edge meets
 exactly twice, so a single attempt of 2^(n(k-2)/k) probes decides the
 instance.  Every pair of blocks gives the same total, so it sieves the
-pair whose walk yields the fewest X (the lowest pair on a tie), moved to
-the front of the partition; the pairs' walks run in lockstep at zero
-weights until the first one ends, so each is counted only as far as the
-winner's.  solve_xkc knows no partition: each attempt samples U of size
-round(t*n) (t from the exponent optimizer), and the attempt budget is
-ceil(ln(1/eps)/p).  Answers are one sided: yes is always backed by a
-nonzero certificate.
+pair whose walk yields the fewest X (the lowest pair on a tie).  The
+pairs' walks read no weight; they run in lockstep until the first one
+ends, each keeping its X, so every pair is walked once and the winner's
+list goes to the determinants.  solve_xkc knows no partition: each
+attempt samples U of size round(t*n) (t from the exponent optimizer),
+and the attempt budget is ceil(ln(1/eps)/p).  Answers are one sided:
+yes is always backed by a nonzero certificate.
 
 X is named by a code whose bit i puts the i-th vertex of V - U in X,
 counting from the vertex in the fewest edges (equal counts by label).
@@ -52,13 +52,14 @@ of the live edges (a perfect matching of U by pairs and at most
 one family, searches for another when it loses an edge, and restricts
 the view to each X that has one.  The bipartite kernel,
 _matchable_probes, uses an edge when it lies in a perfect matching of
-the live support; it keeps the live matrix and one perfect matching,
-repaired by augmenting paths as cells empty, and takes the determinant
-of each X whose support has one.  Both tests are exact, never read from
-the kept witness or matching alone, so the skipped X do not depend on
-where a chunk starts.  Threaded runs split the code range into
-contiguous chunks and XOR the partial sums, so results are
-bit-identical for any worker count, on at most os.cpu_count() threads.
+the live support; it keeps the support and one perfect matching,
+repaired by augmenting paths as cells empty, and yields each X whose
+support has one, which then gets one sparse determinant.  Both tests
+are exact, never read from the kept witness or matching alone, so the
+skipped X do not depend on where a chunk starts.  Threaded runs split
+the code range (bipartite: the walked X list) into contiguous chunks
+and XOR the partial sums, so results are bit-identical for any worker
+count, on at most os.cpu_count() threads.
 """
 
 from __future__ import annotations
@@ -313,10 +314,9 @@ def _sweep_general(view, H, weights, gf, rest, start, stop):
     return total
 
 
-def _bipartite_entries(H: Hypergraph) -> list[tuple[int, int, int, int]]:
+def _bipartite_entries(H: Hypergraph, left, right) -> list[tuple[int, int, int, int]]:
     """(edge mask, edge id, row, col) per edge: row and col are the
-    positions of the edge's vertices in partition blocks 0 and 1."""
-    left, right = H.partition[0], H.partition[1]
+    positions of the edge's vertices in the blocks `left` and `right`."""
     if not len(left) == len(right) == H.n // H.k:
         raise ValueError("partition blocks 0 and 1 must hold n/k vertices each")
     lpos = {v: i for i, v in enumerate(left)}
@@ -369,45 +369,39 @@ def _augment(rows, root, row_of, col_of) -> bool:
     return False
 
 
-def _matchable_probes(entries, b, weights, rest, start, stop):
+def _matchable_probes(entries, b, rest):
     """The bipartite kernel's X: those of _walk whose live edges (those
-    avoiding X) have a perfect matching on the b x b grid, each with its
-    matrix: entry (r, c) XORs the weights of the live edges joining row
-    r to column c.  The matrix is updated in place, so read it before
-    the next X.
+    avoiding X) have a perfect matching on the b x b grid.  The walk
+    reads the support alone, never a weight.
 
-    A dead edge leaves its cell's value and live count, and its row's
-    support when the cell empties.  The kernel keeps one perfect
-    matching of the support.  When a matched cell empties, its row is
-    matched again by an augmenting path; a support that lost its perfect
-    matching never regains it as X grows, so a failed repair restores
-    the matching saved before the step and fails the zero test.
-    Revived edges keep the matching, which stays perfect on the larger
-    support.
+    A dead edge leaves its cell's live count, and its row's support when
+    the cell empties.  The kernel keeps one perfect matching of the
+    support.  When a matched cell empties, its row is matched again by
+    an augmenting path; a support that lost its perfect matching never
+    regains it as X grows, so a failed repair restores the matching
+    saved before the step and fails the zero test.  Revived edges keep
+    the matching, which stays perfect on the larger support.
 
     A live edge is used when its cell lies in a perfect matching of the
     support: a matched cell is; an unmatched (r, c) is iff it closes an
     alternating cycle (Dulmage and Mendelsohn), that is iff column c
     reaches column col_of[r] along support[row_of[.]], a bitmask search
     made at most once per column and X."""
-    cells = [(r, c, weights[eid]) for _, eid, r, c in entries]
-    mat = [[0] * b for _ in range(b)]
+    cells = [(r, c) for _, _, r, c in entries]
     count = [[0] * b for _ in range(b)]     # live edges per cell
     support = [0] * b                       # bit c of support[r] iff count[r][c]
-    for r, c, w in cells:
-        mat[r][c] ^= w
+    for r, c in cells:
         count[r][c] += 1
         support[r] |= 1 << c
     matching = _perfect_matching(support)
-    if start >= stop or matching is None:
+    if matching is None:
         return
     row_of, col_of = matching
 
     def kill(ids):
         broken = []             # rows whose matched cell emptied
         for i in ids:
-            r, c, w = cells[i]
-            mat[r][c] ^= w
+            r, c = cells[i]
             count[r][c] -= 1
             if not count[r][c]:
                 support[r] ^= 1 << c
@@ -425,8 +419,7 @@ def _matchable_probes(entries, b, weights, rest, start, stop):
 
     def revive(ids):
         for i in ids:
-            r, c, w = cells[i]
-            mat[r][c] ^= w
+            r, c = cells[i]
             count[r][c] += 1
             support[r] |= 1 << c
 
@@ -434,7 +427,7 @@ def _matchable_probes(entries, b, weights, rest, start, stop):
         reach = {}              # column c -> the columns that alternating paths from c reach
 
         def uses(i):            # an unmatched live (r, c) lies in a cycle iff c reaches r's column
-            r, c, _ = cells[i]
+            r, c = cells[i]
             if col_of[r] == c:
                 return True
             if c not in reach:
@@ -452,39 +445,52 @@ def _matchable_probes(entries, b, weights, rest, start, stop):
 
         return uses
 
-    for x in _walk(rest, [mk for mk, *_ in entries], kill, revive, user, start, stop):
-        yield x, mat
+    yield from _walk(rest, [mk for mk, *_ in entries], kill, revive, user, 0, 1 << rest.bit_count())
 
 
-def _sweep_kdm(entries, b, weights, gf, rest, start, stop):
-    """XOR of bipartite determinants for X codes in [start, stop).
+def _sweep_kdm(entries, b, weights, gf, xs):
+    """XOR of the bipartite determinants at the X in xs.
 
     Row r is the r-th vertex of partition block 0 and column c the c-th
-    of block 1.  Only the X that _matchable_probes yields can have a
-    nonzero determinant; a cell whose live weights cancel is a zero entry
-    and only makes the determinant zero.
+    of block 1.  The sparse rows at full weight ({col: value}) are built
+    once, and each X's are a copy with the edges meeting X XORed out.
+    Only the X that _matchable_probes yields can have a nonzero
+    determinant; a cell that reads zero is skipped by the determinant.
     """
+    full = [{} for _ in range(b)]
+    for _, eid, r, c in entries:
+        full[r][c] = full[r].get(c, 0) ^ weights[eid]
     total = 0
-    for _, mat in _matchable_probes(entries, b, weights, rest, start, stop):
-        total ^= determinant(mat, gf)
+    for x in xs:
+        rows = [row.copy() for row in full]
+        for mk, eid, r, c in entries:
+            if mk & x:
+                rows[r][c] ^= weights[eid]
+        total ^= determinant(rows, gf)
     return total
 
 
-def _run_chunks(kernel, total_codes: int, threads: int) -> int:
-    """XOR of kernel(start, stop) over min(threads, total_codes) contiguous
-    chunks of the code range, run on at most os.cpu_count() workers."""
+def _kdm_total(entries, b, weights, gf, xs, threads):
+    """Summed cover weight: _sweep_kdm over contiguous slices of xs, XORed and squared."""
+    total = _run_chunks(lambda a, z: _sweep_kdm(entries, b, weights, gf, xs[a:z]), len(xs), threads)
+    return gf.mul(total, total)
+
+
+def _run_chunks(kernel, size: int, threads: int) -> int:
+    """XOR of kernel(start, stop) over min(threads, size) contiguous
+    chunks of range(size), run on at most os.cpu_count() workers."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    if threads == 1 or total_codes <= 1:
-        return kernel(0, total_codes)
-    parts = min(threads, total_codes)
-    step, extra = divmod(total_codes, parts)
+    if threads == 1 or size <= 1:
+        return kernel(0, size)
+    parts = min(threads, size)
+    step, extra = divmod(size, parts)
     ranges = []
     start = 0
     for i in range(parts):
-        size = step + (1 if i < extra else 0)
-        ranges.append((start, start + size))
-        start += size
+        stop = start + step + (1 if i < extra else 0)
+        ranges.append((start, stop))
+        start = stop
     with ThreadPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
         partials = list(pool.map(lambda r: kernel(*r), ranges))
     total = 0
@@ -502,9 +508,9 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     and the result is the square of their XOR.  Otherwise each probe is
     cover_weight on the edges avoiding X.  Both give the same element.
 
-    With threads > 1 the X range is split into that many contiguous
-    chunks combined by XOR, so the value is bit-identical for every
-    worker count.
+    With threads > 1 the code range (bipartite: the walked X list) is
+    split into that many contiguous chunks combined by XOR, so the value
+    is bit-identical for every worker count.
     """
     if len(weights) != len(H.edges):
         raise ValueError(f"{len(weights)} weights for {len(H.edges)} edges")
@@ -514,43 +520,42 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     if view.dropped:
         raise ValueError(f"{len(view.dropped)} edges meet U more than twice")
     rest = ((1 << H.n) - 1) ^ view.u_mask
-    codes = 1 << rest.bit_count()
     if H.partition is not None and set(view.u_order) == set(H.partition[0]) | set(H.partition[1]):
-        kernel = partial(_sweep_kdm, _bipartite_entries(H), H.n // H.k, weights, gf, rest)
-        total = _run_chunks(kernel, codes, threads)
-        return gf.mul(total, total)
+        entries = _bipartite_entries(H, H.partition[0], H.partition[1])
+        xs = list(_matchable_probes(entries, H.n // H.k, rest))
+        return _kdm_total(entries, H.n // H.k, weights, gf, xs, threads)
     kernel = partial(_sweep_general, view, H, weights, gf, rest)
-    return _run_chunks(kernel, codes, threads)
+    return _run_chunks(kernel, 1 << rest.bit_count(), threads)
 
 
-def _cheapest_blocks(H: Hypergraph) -> list:
-    """H's partition reordered so that blocks 0 and 1 are the pair whose
-    sweep yields the fewest X, the lowest such pair on a tie.  Any pair
-    gives the same total, the summed cover weight squared, so the choice
-    saves only determinants.  The walk's yields, after its matching and
-    cancel tests, depend on the support alone, so it counts them at zero
-    weights: the pairs' walks advance in lockstep, one yield per walk per
-    round in pair order, and the first walk to end wins, so no walk runs
-    past the winner's count plus one."""
+def _cheapest_blocks(H: Hypergraph):
+    """(H's partition with the pair moved to the front, its entries, the
+    X its walk yields) of the pair of blocks whose walk yields the
+    fewest X, the lowest such pair on a tie.  Any pair gives the same
+    total, the summed cover weight squared, so the choice saves only
+    determinants.  The pairs' walks advance in lockstep, one yield per
+    walk per round in pair order, and each keeps what it yields; the
+    first walk to end wins with its list complete, so no walk runs past
+    the winner's count plus one."""
     p = H.partition
     full = (1 << H.n) - 1
     walks = []
     for i, j in combinations(range(len(p)), 2):
         order = [p[i], p[j], *(q for t, q in enumerate(p) if t not in (i, j))]
+        entries = _bipartite_entries(H, p[i], p[j])
         rest = full ^ sum(1 << v for v in (*p[i], *p[j]))
-        entries = _bipartite_entries(Hypergraph(H.n, H.k, H.edges, order))
-        walks.append((order, _matchable_probes(entries, H.n // H.k, [0] * len(H.edges),
-                                               rest, 0, 1 << rest.bit_count())))
+        walks.append((order, entries, [], _matchable_probes(entries, H.n // H.k, rest)))
     while True:
-        for order, walk in walks:
-            if next(walk, None) is None:
-                return order
+        for order, entries, xs, walk in walks:
+            if (x := next(walk, None)) is None:
+                return order, entries, xs
+            xs.append(x)
 
 
 def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decision:
     """The attempt loop of both solvers (see the module docstring):
-    partitioned runs sieve the cheapest pair of blocks and make one
-    attempt."""
+    partitioned runs sieve the X that the cheapest pair of blocks' walk
+    kept in the race and make one attempt."""
     t0 = time.perf_counter()
     cfg = cfg or SieveConfig()
     violation = validate(H)
@@ -568,18 +573,21 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
     rng = random.Random(cfg.seed)
     tn = u_size(H, partitioned)
     max_attempts = 1 if partitioned else repetitions(n, k, tn / n, cfg.epsilon)
-    partition = _cheapest_blocks(H) if partitioned else H.partition
+    if partitioned:             # every edge meets the pair twice, so every edge is kept
+        _, entries, xs = _cheapest_blocks(H)
     answer = "no"
     for attempt in range(1, max_attempts + 1):
         if partitioned:
-            u_vertices = [*partition[0], *partition[1]]
+            total = _kdm_total(entries, n // k, [gf.sample(rng) for _ in H.edges], gf, xs,
+                               cfg.threads)
         else:
             u_vertices = sorted(rng.sample(range(n), tn))
-        u_mask = sum(1 << v for v in u_vertices)
-        keep = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
-        sub = Hypergraph(n, k, [H.edges[eid] for eid in keep], partition)
-        weights = [gf.sample(rng) for _ in keep]
-        if sieve_decide(sub, u_vertices, weights, gf, cfg.threads):
+            u_mask = sum(1 << v for v in u_vertices)
+            keep = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
+            sub = Hypergraph(n, k, [H.edges[eid] for eid in keep], H.partition)
+            weights = [gf.sample(rng) for _ in keep]
+            total = sieve_decide(sub, u_vertices, weights, gf, cfg.threads)
+        if total:
             answer = "yes"
             break
     return Decision(answer, attempt << (n - tn), attempt, time.perf_counter() - t0,

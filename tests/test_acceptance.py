@@ -208,22 +208,24 @@ def test_criterion_09_planted_instances_answer_yes():
 
 
 def test_criterion_10_partitioned_probe_counts(monkeypatch):
-    swept = []
-    original = solver_mod._sweep_kdm
+    # every pair's walk, the winner's included, spans the whole code range
+    # of its V - U, so the X the sweep takes come from all 2^(n - 2n/k) codes
+    spans = []
+    original = solver_mod._walk
 
-    def counting(entries, b, weights, gf, rest_bits, start, stop):
-        swept.append(stop - start)
-        return original(entries, b, weights, gf, rest_bits, start, stop)
+    def walking(rest, masks, kill, revive, user, start, stop):
+        spans.append((start, stop))
+        return original(rest, masks, kill, revive, user, start, stop)
 
-    monkeypatch.setattr(solver_mod, "_sweep_kdm", counting)
+    monkeypatch.setattr(solver_mod, "_walk", walking)
     rng = random.Random(10)
     expect = {6: 4, 9: 8, 12: 16, 15: 32}
     for n, probes in expect.items():
         H = generate(rng, 3, n, n, plant=True, kdm=True)
-        swept.clear()
+        spans.clear()
         d = solve_kdm(H, SieveConfig(seed=rng.randrange(2 ** 31)))
         assert d.probes == probes, (n, d.probes)
-        assert sum(swept) == probes, (n, sum(swept))
+        assert spans == [(0, probes)] * 3, (n, spans)
     _ok(10, "probe counts are exactly 4, 8, 16, 32 for n = 6, 9, 12, 15 at k = 3")
 
 

@@ -3,6 +3,8 @@
 A record holds paired parent/change runs of perfbench/run.py: for each
 workload of BENCHMARK.json and each of its end-to-end metrics, the
 [q1, median, q3] of both sides, and how many of the pairs the change won.
+Newer records also carry `ratio_median`, the median over the pairs of
+change / parent; it must lie on the side of 1 that most pairs fell on.
 """
 
 import json
@@ -13,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+BETTER = {m["name"]: m["better"] for m in BENCHMARK["end_to_end"]}
 
 
 def test_a_record_is_committed():
@@ -34,3 +37,13 @@ def test_bench_record_names_the_benchmark(path):
                 q1, median, q3 = stats[side]
                 assert q1 <= median <= q3, (name, metric, side)
             assert 0 <= stats["wins"] <= stats["pairs"], (name, metric)
+            if "ratio_median" in stats and metric in BETTER:
+                # a win is a ratio below 1 (lower is better) or above 1;
+                # a majority of wins or of the rest fixes the median's side
+                ratio, wins, pairs = stats["ratio_median"], stats["wins"], stats["pairs"]
+                assert ratio > 0, (name, metric)
+                below = ratio < 1 if BETTER[metric] == "lower" else ratio > 1
+                if 2 * wins > pairs:
+                    assert below, (name, metric, ratio, wins)
+                elif 2 * wins < pairs:
+                    assert not below, (name, metric, ratio, wins)

@@ -91,6 +91,30 @@ def test_determinant_matches_cofactor_oracle_on_sieve_shapes(gf, kind):
             assert determinant(mat, gf) == ref_det(mat, gf)
 
 
+@pytest.mark.parametrize("gf", [GF8, GF64])
+@pytest.mark.parametrize("kind", ["matching", "zero-col", "upper", "lower"])
+def test_determinant_takes_sparse_rows(gf, kind):
+    # {col: value} rows, as the kdm sweep passes them: their columns in a
+    # shuffled order and an explicit zero in some rows; same value as the
+    # dense call and the cofactor oracle, input untouched
+    rng = random.Random(f"sparse-{gf.m}-{kind}")
+    for size in range(8):
+        for _ in range(25):
+            mat = _sieve_shaped(rng, size, gf, kind)
+            rows = []
+            for row in mat:
+                cells = [(c, v) for c, v in enumerate(row) if v or rng.random() < 0.2]
+                rng.shuffle(cells)
+                rows.append(dict(cells))
+            snapshot = [dict(row) for row in rows]
+            assert determinant(rows, gf) == determinant(mat, gf) == ref_det(mat, gf)
+            assert rows == snapshot
+    with pytest.raises(ValueError, match="column"):
+        determinant([{0: 1, 2: 1}, {1: 1}], gf)
+    with pytest.raises(ValueError, match="column"):
+        determinant([{-1: 1}], gf)
+
+
 def _kdm_shaped(rng, size, gf):
     """A hidden permutation plus two random entries per row, as the kdm
     probes at b = n/k = 14 look."""

@@ -1,6 +1,7 @@
 """The sieve against explicit enumeration, plus both end-to-end solvers."""
 
 import random
+from bisect import bisect_left
 from functools import reduce
 from itertools import combinations, permutations, product
 from operator import or_, xor
@@ -556,10 +557,8 @@ def test_skipped_subtrees_cancel():
                 total = reduce(xor, (probe[c] for c in yielded), 0)
                 u = [*H.partition[0], *H.partition[1]]
                 assert gf.mul(total, total) == covers_weight_sum(H, u, w, gf)
-                for cut in range(codes + 1):
-                    walk = [x for a, z in ((0, cut), (cut, codes))
-                            for x, _ in solver_mod._matchable_probes(entries, b, w, rest, a, z)]
-                    assert walk == [xs[c] for c in yielded], (k, n, cut)
+                walk = list(solver_mod._matchable_probes(entries, b, rest))
+                assert walk == [xs[c] for c in yielded], (k, n)
                 seen[f"k = {k} pruned"] += len(pruned)
                 seen["nonzero"] += bool(total)
     assert min(seen.values()) >= 10, seen
@@ -571,9 +570,11 @@ def test_walk_is_output_sensitive(monkeypatch):
     # repairs, so only X = {} is probed, after b augmenting paths at the
     # root and one failed repair per vertex
     calls = {"_perfect_matching": 0, "_augment": 0, "determinant": 0, "cover_weight": 0}
+    last = {}                   # the arguments of each name's latest call
     for name in calls:
         def counting(*args, _name=name, _inner=getattr(solver_mod, name)):
             calls[_name] += 1
+            last[_name] = args
             return _inner(*args)
         monkeypatch.setattr(solver_mod, name, counting)
     rng = random.Random(21)
@@ -588,6 +589,7 @@ def test_walk_is_output_sensitive(monkeypatch):
     assert sieve_decide(H, blocks[0] + blocks[1], w, GF64) == GF64.mul(product, product)
     assert calls == {"_perfect_matching": 1, "_augment": 2 * b, "determinant": 1,
                      "cover_weight": 0}
+    assert last["determinant"] == ([{c - b: x} for c, x in zip(cols, w)], GF64)
     # the xkc twin: one exact cover of n = 33 vertices; U takes one vertex
     # of each edge and a second of two, so |V - U| = 20
     vertices = rng.sample(range(33), 33)
@@ -645,7 +647,7 @@ def test_walk_is_output_sensitive(monkeypatch):
     edges = [(row, col, tail) for row, col, tail in zip(blocks[0], cols, tails[:-1] + tails[:1])]
     H = Hypergraph(3 * b, 3, [*edges, (blocks[0][0], cols[1], tails[-1])], blocks)
     rows = [0] * b
-    for _, _, r, c in solver_mod._bipartite_entries(H):
+    for _, _, r, c in solver_mod._bipartite_entries(H, blocks[0], blocks[1]):
         rows[r] |= 1 << c
     assert solver_mod._perfect_matching(rows) is not None  # so the matching test passes
     calls.update(_perfect_matching=0, _augment=0, determinant=0)
@@ -696,9 +698,12 @@ def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
     for ranges in chunks:
         assert ranges[0][0] == 0 and ranges[-1][1] == 64
         assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
-    kdm = generate(random.Random(13), 3, 12, 8, plant=True, kdm=True)
+    # kdm splits the X list its walk kept, one X a chunk here
+    kdm = generate(random.Random(24), 3, 12, 8, plant=True, kdm=True)
+    xs = solver_mod._cheapest_blocks(kdm)[2]
     d = solve_kdm(kdm, SieveConfig(seed=1, threads=100_000))
-    assert d.yes and sizes[-1] == 3 and len(chunks[-1]) == d.probes == 16
+    assert d.yes and d.probes == 16 and len(xs) == 3
+    assert sizes[-1] == 3 and chunks[-1] == [(i, i + 1) for i in range(len(xs))]
 
 
 def test_solve_kdm_planted_yes():
@@ -792,24 +797,31 @@ def _pair_cost(H, i, j):
 
 
 def test_solve_kdm_sieves_the_cheapest_pair(monkeypatch):
-    # the walk is wrapped to record the V - U of every call; the sweep is
-    # the one call at nonzero weights, and its V - U names the pair sieved
-    rests = []
-    inner = solver_mod._matchable_probes
+    # _bipartite_entries is wrapped to record the blocks of every entry
+    # list it builds; the one list the determinant pass receives names
+    # the pair sieved
+    built, swept = [], []
+    inner_entries, inner_sweep = solver_mod._bipartite_entries, solver_mod._sweep_kdm
 
-    def walking(entries, b, weights, rest, start, stop):
-        rests.append((rest, any(weights)))
-        return inner(entries, b, weights, rest, start, stop)
+    def building(H, left, right):
+        built.append((inner_entries(H, left, right), left, right))
+        return built[-1][0]
 
-    monkeypatch.setattr(solver_mod, "_matchable_probes", walking)
+    def sweeping(entries, *args):
+        swept.append(entries)
+        return inner_sweep(entries, *args)
+
+    monkeypatch.setattr(solver_mod, "_bipartite_entries", building)
+    monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
 
     def sieved_pair(H, seed):
-        rests.clear()
+        built.clear()
+        swept.clear()
         d = solve_kdm(H, SieveConfig(seed=seed))
-        [rest] = [r for r, swept in rests if swept]
-        assert len(rests) == len(list(combinations(range(H.k), 2))) + 1
-        pair = [t for t, block in enumerate(H.partition) if not any(rest >> v & 1 for v in block)]
-        return d, tuple(pair)
+        assert len(built) == len(list(combinations(range(H.k), 2)))
+        [entries] = swept
+        [(left, right)] = [(a, z) for e, a, z in built if e is entries]
+        return d, (H.partition.index(left), H.partition.index(right))
 
     # blocks {0, 1}, {2, 3}, {4, 5}: removing either block-2 vertex leaves
     # a perfect matching between blocks 0 and 1 (3 matchable X), while
@@ -833,6 +845,92 @@ def test_solve_kdm_sieves_the_cheapest_pair(monkeypatch):
     assert moved >= 5
 
 
+def test_solve_kdm_walks_each_pair_once(monkeypatch):
+    # planted instances, so every pair's root yields X = {} and the race
+    # starts every walk; after it, the determinant pass runs on the
+    # winner's kept list and no walk starts again
+    events = []
+    inner_walk, inner_sweep = solver_mod._walk, solver_mod._sweep_kdm
+
+    def walking(rest, *args):
+        events.append(("walk", rest))
+        return inner_walk(rest, *args)
+
+    def sweeping(entries, b, weights, gf, xs):
+        events.append(("sweep", list(xs)))
+        return inner_sweep(entries, b, weights, gf, xs)
+
+    monkeypatch.setattr(solver_mod, "_walk", walking)
+    monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
+    rng = random.Random(28)
+    for k, n, pairs in ((3, 9, 3), (3, 12, 3), (4, 8, 6), (4, 12, 6)):
+        for _ in range(4):
+            H = generate(rng, k, n, n // k + 5, plant=True, kdm=True)
+            events.clear()
+            d = solve_kdm(H, SieveConfig(seed=rng.randrange(100)))
+            assert d.yes
+            walks, [(_, xs)] = events[:pairs], events[pairs:]
+            assert [kind for kind, _ in walks] == ["walk"] * pairs
+            p = H.partition
+            assert sorted(rest for _, rest in walks) == sorted(
+                ((1 << n) - 1) ^ sum(1 << v for v in (*p[i], *p[j]))
+                for i, j in combinations(range(k), 2))
+            order = solver_mod._cheapest_blocks(H)[0]
+            entries, b, rest, codes, every = _kdm_case(Hypergraph(n, k, H.edges, order))
+            assert xs == [every[c] for c in _kdm_model(entries, b, rest)[0]]
+
+
+def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
+    # solve_kdm's determinant calls, in order, against the brute-force
+    # live grid of each X the winner's walk kept, at the weights the
+    # solver draws (one per edge, in edge order); a row may also hold a
+    # zero for a cell whose edges all died.  The totals agree for 1 to 3
+    # threads
+    calls, totals = [], []
+    seen = {"determinants": 0, "dead cells": 0, "nonzero": 0}
+    inner_det, inner_total = solver_mod.determinant, solver_mod._kdm_total
+
+    def computing(rows, gf):
+        assert all(isinstance(row, dict) for row in rows)
+        seen["dead cells"] += sum(not v for row in rows for v in row.values())
+        calls.append(_nonzero_rows(rows))
+        return inner_det(rows, gf)
+
+    def totalling(*args):
+        totals.append(inner_total(*args))
+        return totals[-1]
+
+    def cells(rows):            # a sort key: workers may call in any order
+        return [sorted(row.items()) for row in rows]
+
+    monkeypatch.setattr(solver_mod, "determinant", computing)
+    monkeypatch.setattr(solver_mod, "_kdm_total", totalling)
+    rng = random.Random(29)
+    for rep in range(12):
+        gf = (GF8, GF64)[rep % 2]
+        k, n = rng.choice([(3, 9), (3, 12), (4, 12)])
+        H = rand_instance(rng, k, n, 3 * n // k, plant_prob=0.7, min_edges=3 * n // k, kdm=True)
+        seed = rng.randrange(10 ** 6)
+        wrng = random.Random(seed)
+        w = [gf.sample(wrng) for _ in H.edges]
+        order, entries, xs = solver_mod._cheapest_blocks(H)
+        expect = [_nonzero_rows(_live_grid(entries, n // k, w, x)[1]) for x in xs]
+        totals.clear()
+        for threads in (1, 2, 3):
+            calls.clear()
+            d = solve_kdm(H, SieveConfig(m=gf.m, seed=seed, threads=threads))
+            assert sorted(calls, key=cells) == sorted(expect, key=cells)
+            if threads == 1:
+                assert calls == expect
+        assert totals[0] == totals[1] == totals[2]
+        assert d.yes == bool(totals[0])
+        u = [*order[0], *order[1]]
+        assert totals[0] == covers_weight_sum(Hypergraph(n, k, H.edges, order), u, w, gf)
+        seen["determinants"] += len(expect)
+        seen["nonzero"] += bool(totals[0])
+    assert min(seen.values()) >= 6, seen
+
+
 def test_cheapest_blocks_counts_in_lockstep(monkeypatch):
     # the pair with the fewest matchable X by brute force, the lowest on a
     # tie; the walks are wrapped to count what each one yields, and none
@@ -851,9 +949,14 @@ def test_cheapest_blocks_counts_in_lockstep(monkeypatch):
 
     def check(H, i, j, fewest):
         pulled.clear()
-        assert solver_mod._cheapest_blocks(H) == _first(H.partition, i, j)
+        order, entries, xs = solver_mod._cheapest_blocks(H)
+        assert order == _first(H.partition, i, j)
+        assert entries == solver_mod._bipartite_entries(H, H.partition[i], H.partition[j])
         assert pulled[list(combinations(range(H.k), 2)).index((i, j))] == fewest
         assert max(pulled) <= fewest + 1
+        # the winner's walk ran to its end, so the race keeps all it yields
+        case = _kdm_case(Hypergraph(H.n, H.k, H.edges, order))
+        assert xs == [case[4][c] for c in _kdm_model(*case[:3])[0]]
 
     # the instance of the test above: pairs (0, 2) and (1, 2) tie at one
     # matchable X below (0, 1) at three; with the blocks reversed the tie
@@ -944,9 +1047,9 @@ def _kdm_with_cancelling_twins(rng, gf, k, n, swap):
 
 
 def test_bipartite_kernel_matches_cover_sum_at_every_split():
-    # the incremental kernel, restarted at every split point of the code
-    # range, against the cover enumeration; k = 4 puts two vertices of
-    # each edge in V - U, so hit counts reach 2
+    # the determinant pass, over the walk's X list split at every point,
+    # against the cover enumeration; k = 4 puts two vertices of each edge
+    # in V - U, so hit counts reach 2
     rng = random.Random(16)
     nonzero = 0
     for gf in (GF8, GF64):
@@ -955,14 +1058,13 @@ def test_bipartite_kernel_matches_cover_sum_at_every_split():
                 for n in (*sizes, *sizes):
                     H, w = _kdm_with_cancelling_twins(rng, gf, k, n, swap)
                     u = [*H.partition[0], *H.partition[1]]
-                    rest = ((1 << n) - 1) ^ sum(1 << v for v in u)
-                    codes = 1 << rest.bit_count()
-                    entries = solver_mod._bipartite_entries(H)
-                    whole = solver_mod._sweep_kdm(entries, n // k, w, gf, rest, 0, codes)
+                    entries, b, rest, _, _ = _kdm_case(H)
+                    xs = list(solver_mod._matchable_probes(entries, b, rest))
+                    whole = solver_mod._sweep_kdm(entries, b, w, gf, xs)
                     assert gf.mul(whole, whole) == covers_weight_sum(H, u, w, gf)
-                    for cut in range(codes + 1):
-                        head = solver_mod._sweep_kdm(entries, n // k, w, gf, rest, 0, cut)
-                        tail = solver_mod._sweep_kdm(entries, n // k, w, gf, rest, cut, codes)
+                    for cut in range(len(xs) + 1):
+                        head = solver_mod._sweep_kdm(entries, b, w, gf, xs[:cut])
+                        tail = solver_mod._sweep_kdm(entries, b, w, gf, xs[cut:])
                         assert head ^ tail == whole, (n, k, cut)
                     nonzero += bool(whole)
     assert nonzero >= 10
@@ -1018,7 +1120,7 @@ def _kdm_case(H):
     u_mask = sum(1 << v for v in (*H.partition[0], *H.partition[1]))
     rest = ((1 << n) - 1) ^ u_mask
     xs = _in_code_order([v for v in range(n) if rest >> v & 1], H.edge_masks)
-    return solver_mod._bipartite_entries(H), b, rest, len(xs), xs
+    return solver_mod._bipartite_entries(H, *H.partition[:2]), b, rest, len(xs), xs
 
 
 def _kdm_model(entries, b, rest):
@@ -1033,13 +1135,28 @@ def _kdm_model(entries, b, rest):
     return _walk_model(order, [mk for mk, *_ in entries], families)
 
 
-def test_matchable_probes_yield_exactly_the_matchable_sets():
+def _nonzero_rows(rows):
+    """Dense or {col: value} rows as the list of their nonzero cells."""
+    return [{c: v for c, v in (row.items() if isinstance(row, dict) else enumerate(row)) if v}
+            for row in rows]
+
+
+def test_matchable_probes_yield_exactly_the_matchable_sets(monkeypatch):
     # brute force over every code: the walk yields exactly the X of the
     # walk model (a perfect matching of the live support, and every lower
-    # vertex in a cell that one uses), in code order, each with the XOR of
-    # its live weights per cell, at every split of the code range and in
-    # 2 to 7 contiguous parts; k = 4 puts two vertices of each edge in
-    # V - U, so hit counts reach 2, and twins duplicate or cancel cells
+    # vertex in a cell that one uses), in code order; the determinant pass,
+    # over the whole list and over 2 to 7 slices cut where a code range
+    # would split, hands each of them the XOR of its live weights per
+    # cell; k = 4 puts two vertices of each edge in V - U, so hit counts
+    # reach 2, and twins duplicate or cancel cells
+    mats = []
+    inner_det = solver_mod.determinant
+
+    def computing(rows, gf):
+        mats.append(_nonzero_rows(rows))
+        return inner_det(rows, gf)
+
+    monkeypatch.setattr(solver_mod, "determinant", computing)
     rng = random.Random(22)
     seen = {"yielded": 0, "pruned": 0, "cancelled": 0, "nonzero": 0}
     for rep in range(8):
@@ -1048,22 +1165,23 @@ def test_matchable_probes_yield_exactly_the_matchable_sets():
             H, w = _kdm_with_cancelling_twins(rng, gf, k, n, rep % 4 >= 2)
             entries, b, rest, codes, xs = _kdm_case(H)
             expect = []
-            for c in _kdm_model(entries, b, rest)[0]:
+            yielded = _kdm_model(entries, b, rest)[0]
+            for c in yielded:
                 mat = _live_grid(entries, b, w, xs[c])[1]
                 expect.append((xs[c], mat))
                 seen["cancelled"] += not _matchable(_pattern(mat))
-
-            def walk(start, stop):
-                return [(x, [row[:] for row in mat]) for x, mat in
-                        solver_mod._matchable_probes(entries, b, w, rest, start, stop)]
-
-            assert walk(0, codes) == expect
-            for cut in range(codes + 1):
-                assert walk(0, cut) + walk(cut, codes) == expect, (k, n, cut)
+            walked = list(solver_mod._matchable_probes(entries, b, rest))
+            assert walked == [x for x, _ in expect]
+            splits = [[]]
             for _ in range(3):
                 cuts = sorted(rng.sample(range(1, codes), rng.randint(1, min(6, codes - 1))))
-                bounds = [0, *cuts, codes]
-                assert [p for a, z in zip(bounds, bounds[1:]) for p in walk(a, z)] == expect
+                splits.append([bisect_left(yielded, cut) for cut in cuts])
+            for cuts in splits:
+                bounds = [0, *cuts, len(walked)]
+                mats.clear()
+                for a, z in zip(bounds, bounds[1:]):
+                    solver_mod._sweep_kdm(entries, b, w, gf, walked[a:z])
+                assert mats == [_nonzero_rows(mat) for _, mat in expect], (k, n, bounds)
             total = 0
             for _, mat in expect:
                 total ^= ref_det(mat, gf)
@@ -1085,12 +1203,12 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
     inner_walk, inner_det = solver_mod._matchable_probes, solver_mod.determinant
 
     def walking(*args):
-        for x, mat in inner_walk(*args):
+        for x in inner_walk(*args):
             walked.append(x)
-            yield x, mat
+            yield x
 
-    def computing(mat, gf):
-        dets.append(inner_det(mat, gf))
+    def computing(rows, gf):
+        dets.append(inner_det(rows, gf))
         return dets[-1]
 
     monkeypatch.setattr(solver_mod, "_matchable_probes", walking)
