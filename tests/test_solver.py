@@ -869,10 +869,10 @@ def test_solve_kdm_walks_each_pair_once(monkeypatch):
             events.clear()
             d = solve_kdm(H, SieveConfig(seed=rng.randrange(100)))
             assert d.yes
-            walks, [(_, xs)] = events[:pairs], events[pairs:]
-            assert [kind for kind, _ in walks] == ["walk"] * pairs
+            assert [kind for kind, _ in events] == ["walk"] * pairs + ["sweep"]
+            xs = events[-1][1]
             p = H.partition
-            assert sorted(rest for _, rest in walks) == sorted(
+            assert sorted(rest for _, rest in events[:-1]) == sorted(
                 ((1 << n) - 1) ^ sum(1 << v for v in (*p[i], *p[j]))
                 for i, j in combinations(range(k), 2))
             order = solver_mod._cheapest_blocks(H)[0]
