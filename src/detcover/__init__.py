@@ -7,8 +7,7 @@ from .hypergraph import (Hypergraph, ParseError, ProjectedView, Violation,
                          serialize, validate)
 from .linalg import determinant, evaluate, interpolate, series_determinant
 from .matchweight import cover_weight, elementary_symmetric, loop_weights
-from .oracle import (cover_weight_brute, dlx_count, dlx_enumerate,
-                     enumerate_matchings, ie_count)
+from .oracle import dlx_count, dlx_enumerate, ie_count
 from .params import (ParamRow, REFERENCE_ROWS, general_bound, kdm_base,
                      optimize, repetitions, runtime_base,
                      success_probability_exact)
@@ -22,8 +21,7 @@ __all__ = [
     "generate", "parse", "project", "restrict_avoiding", "serialize", "validate",
     "determinant", "evaluate", "interpolate", "series_determinant",
     "cover_weight", "elementary_symmetric", "loop_weights",
-    "cover_weight_brute", "dlx_count", "dlx_enumerate", "enumerate_matchings",
-    "ie_count",
+    "dlx_count", "dlx_enumerate", "ie_count",
     "ParamRow", "REFERENCE_ROWS", "general_bound", "kdm_base", "optimize",
     "repetitions", "runtime_base", "success_probability_exact",
     "Decision", "SieveConfig", "sieve_decide", "solve_kdm", "solve_xkc",

@@ -4,19 +4,14 @@ dlx_count / dlx_enumerate run Knuth's dancing-links Algorithm X on the
 vertex/edge incidence matrix, so they count or list exact covers without
 any randomness.  ie_count recounts them by inclusion-exclusion over
 avoided vertex sets, an entirely different route that doubles as a check
-on the sieve's combinatorial identity.  enumerate_matchings and
-cover_weight_brute recompute the determinant-based quantities of
-matchweight by explicit enumeration; both carry hard size guards because
-they are exponential on purpose.
+on the sieve's combinatorial identity.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
-from .gf2m import GF2m
-from .hypergraph import Hypergraph, ProjectedView
+from .hypergraph import Hypergraph
 
 
 class _Column:
@@ -166,94 +161,4 @@ def ie_count(H: Hypergraph) -> int:
             total -= comb[d]
         else:
             total += comb[d]
-    return total
-
-
-def enumerate_matchings(view: ProjectedView, weights, gf: GF2m) -> list[tuple[int, int]]:
-    """Every perfect matching of the view's U-multigraph, explicitly.
-
-    Returns (loop count, weight) per matching, weight being the product
-    of loop weights and squared pair weights.  Covers each vertex with
-    the lowest uncovered one first, so each matching appears exactly
-    once.  Guarded to |U| <= 12.
-    """
-    if view.dropped:
-        raise ValueError("view still contains dropped edges")
-    u = view.u_size
-    if u > 12:
-        raise ValueError(f"|U| = {u} exceeds the enumeration guard of 12")
-    pairs_at: list[list[tuple[int, int]]] = [[] for _ in range(u)]
-    loops_at: list[list[int]] = [[] for _ in range(u)]
-    for eid, i, j in view.pairs:
-        pairs_at[i].append((eid, j))
-        pairs_at[j].append((eid, i))
-    for eid, i in view.loops:
-        loops_at[i].append(eid)
-    full = (1 << u) - 1
-    out: list[tuple[int, int]] = []
-
-    def extend(covered: int, loop_ct: int, edge_ct: int, weight: int) -> None:
-        if covered == full:
-            # every matching with i loops uses (|U| + i) / 2 edges
-            assert 2 * edge_ct == u + loop_ct
-            out.append((loop_ct, weight))
-            return
-        v = ((covered + 1) & ~covered).bit_length() - 1  # lowest uncovered
-        bit = 1 << v
-        for eid in loops_at[v]:
-            extend(covered | bit, loop_ct + 1, edge_ct + 1, gf.mul(weight, weights[eid]))
-        for eid, w in pairs_at[v]:
-            if covered & (1 << w):
-                continue
-            sq = gf.mul(weights[eid], weights[eid])
-            extend(covered | bit | (1 << w), loop_ct, edge_ct + 1, gf.mul(weight, sq))
-
-    extend(0, 0, 0, 1)
-    return out
-
-
-def cover_weight_brute(H: Hypergraph, u_vertices, x_vertices, weights, gf: GF2m) -> int:
-    """Probe value by direct enumeration of n/k-edge families.
-
-    A family contributes iff it avoids X, covers U, and is disjoint on U;
-    its weight doubles the exponent of edges meeting U twice.  Guarded to
-    |E| <= 24.
-    """
-    if len(H.edges) > 24:
-        raise ValueError(f"|E| = {len(H.edges)} exceeds the enumeration guard of 24")
-    if H.n % H.k != 0:
-        raise ValueError(f"n={H.n} is not a multiple of k={H.k}")
-    need = H.n // H.k
-    u_set = set(u_vertices)
-    x_mask = 0
-    for v in x_vertices:
-        x_mask |= 1 << v
-    if u_set & set(x_vertices):
-        raise ValueError("X overlaps U")
-    masks = H.edge_masks
-    surviving = [eid for eid in range(len(H.edges)) if not masks[eid] & x_mask]
-    u_mask_full = 0
-    for v in u_set:
-        u_mask_full |= 1 << v
-    u_masks = [masks[eid] & u_mask_full for eid in range(len(H.edges))]
-
-    total = 0
-    for family in itertools.combinations(surviving, need):
-        seen = 0
-        ok = True
-        for eid in family:
-            um = u_masks[eid]
-            if um & seen:  # meets U where a prior family edge already did
-                ok = False
-                break
-            seen |= um
-        if not ok or seen != u_mask_full:
-            continue
-        weight = 1
-        for eid in family:
-            w = weights[eid]
-            if u_masks[eid].bit_count() == 2:
-                w = gf.mul(w, w)
-            weight = gf.mul(weight, w)
-        total ^= weight
     return total

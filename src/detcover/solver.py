@@ -54,12 +54,11 @@ the view to each X that has one.  The bipartite kernel,
 _matchable_probes, uses an edge when it lies in a perfect matching of
 the live support; it keeps the support and one perfect matching,
 repaired by augmenting paths as cells empty, and yields each X whose
-support has one, which then gets one sparse determinant.  Both tests
-are exact, never read from the kept witness or matching alone, so the
-skipped X do not depend on where a chunk starts.  Threaded runs split
-the code range (bipartite: the walked X list) into contiguous chunks
-and XOR the partial sums, so results are bit-identical for any worker
-count, on at most os.cpu_count() threads.
+support has one, which then gets one sparse determinant.  Each X is
+walked once.  One thread probes the X as the walk yields them; threaded
+runs split the walked X list into contiguous slices and XOR the partial
+sums, so results are bit-identical for any worker count, on at most
+os.cpu_count() threads.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ class SieveConfig:
     m: int = 64              # field degree, 8 or 64
     seed: int = 0            # master seed for U sampling and edge weights
     epsilon: float = 2.0 ** -20  # false-no budget of solve_xkc
-    threads: int = 1         # X chunks; run on at most os.cpu_count() workers
+    threads: int = 1         # X list slices; run on at most os.cpu_count() workers
 
     def __post_init__(self):
         if self.threads < 1:
@@ -146,32 +145,28 @@ def _family(adj, free, loops, least, u):
     return None
 
 
-def _walk(rest, masks, kill, revive, user, start, stop):
-    """The X with codes in [start, stop), in code order, that pass a
-    kernel's zero test, less the subtrees that cancel (below); the
-    kernel tests the root before it starts the walk.  Code bit i puts
-    the i-th vertex of `rest` in X, counting from the vertex in the
-    fewest edges, equal counts by label; edge i (vertex bitmask
-    masks[i]) is live while it avoids X.
+def _walk(rest, masks, kill, revive, user):
+    """The X, in code order, that pass a kernel's zero test, less the
+    subtrees that cancel (below); the kernel tests the root before it
+    starts the walk.  Code bit i puts the i-th vertex of `rest` in X,
+    counting from the vertex in the fewest edges, equal counts by label;
+    edge i (vertex bitmask masks[i]) is live while it avoids X.
 
     A depth-first search: the children of X add a code bit below X's
     lowest, in increasing order, so the subtree of code c is
-    [c, c + lowest bit of c), and subtrees outside [start, stop) are
-    skipped.  Adding a vertex reads only its own edges and calls
-    kill(ids) with those that just died, the ones that avoided X before
-    the step.  kill returns False when the new X fails the zero test;
-    the test is monotone, so the walk skips the subtree.  Backtracking
-    calls revive(ids) with the same edges, after a failed kill too.
+    [c, c + lowest bit of c).  Adding a vertex reads only its own edges
+    and calls kill(ids) with those that just died, the ones that avoided
+    X before the step.  kill returns False when the new X fails the zero
+    test; the test is monotone, so the walk skips the subtree.
+    Backtracking calls revive(ids) with the same edges, after a failed
+    kill too.
 
     The root and every X that passes also skip their subtree when a
     vertex v the subtree can still add (a code bit below X's lowest)
     lies in no live edge i with uses(i), where uses = user() is built
     once per X and says whether a live edge lies in some term of the
     probe (a family or a perfect matching): every X' in the subtree
-    that misses v then has the same probe as X' + v, so the two cancel.
-    The kernels' tests are exact, so every chunk split skips the same X."""
-    if start >= stop:
-        return
+    that misses v then has the same probe as X' + v, so the two cancel."""
     bits = []                   # per vertex of rest: its bit, the (id, mask) of its edges
     r = rest
     while r:
@@ -187,30 +182,20 @@ def _walk(rest, masks, kill, revive, user, start, stop):
 
     if cancels(len(lows), 0):
         return
-    if not start:
-        yield 0
+    yield 0
     path = []                   # code bits of X, highest first
-    code = x = t = 0            # t: the next code bit to try adding
+    x = t = 0                   # t: the next code bit to try adding
     while True:
         if t < (path[-1] if path else len(lows)):
-            step = 1 << t
-            if code + step >= stop:  # this and every later X lie past the chunk
-                return
-            if code + 2 * step <= start:  # the child's subtree lies before the chunk
-                t += 1
-                continue
             dead = [i for i, mk in touch[t] if not mk & x]
             path.append(t)
-            code += step
             x |= lows[t]
             if not kill(dead) or t and cancels(t, x):
                 continue        # t == path[-1], so the next pass backtracks out of this X
-            if code >= start:
-                yield x
+            yield x
             t = 0
         elif path:
             t = path.pop()
-            code -= 1 << t
             x ^= lows[t]
             revive([i for i, mk in touch[t] if not mk & x])
             t += 1
@@ -218,13 +203,13 @@ def _walk(rest, masks, kill, revive, user, start, stop):
             return
 
 
-def _live_probes(ends, masks, need, u, rest, start, stop):
-    """The general kernel's X: those of _walk whose live edges hold a
-    family, the only X whose probe can be nonzero.  Edge i (vertex
-    bitmask masks[i]; U indices ends[i]) is live while it avoids X.  A
-    family is `need` live edges meeting each U index 0..u-1 once: a
-    perfect matching of U by pairs and i <= 2*need - u loops, plus
-    need - (u + i)/2 empties (edges that miss U).
+def _live_probes(ends, masks, need, u, rest):
+    """The general kernel's X, yielded as _walk reaches them: those whose
+    live edges hold a family, the only X whose probe can be nonzero.
+    Edge i (vertex bitmask masks[i]; U indices ends[i]) is live while it
+    avoids X.  A family is `need` live edges meeting each U index
+    0..u-1 once: a perfect matching of U by pairs and i <= 2*need - u
+    loops, plus need - (u + i)/2 empties (edges that miss U).
 
     An edge's death moves only its cell's live count.  The kernel keeps
     one witness family and searches again only when a witness cell
@@ -235,7 +220,7 @@ def _live_probes(ends, masks, need, u, rest, start, stop):
     live empty when the witness holds one; any other cell costs one
     _family search with the cell forced in, at most once per X."""
     top = 2 * need - u          # the most loops a family can use
-    if start >= stop or top < 0:
+    if top < 0:
         return
     full, empty = (1 << u) - 1, u * u
     cells = [e[0] * u + e[-1] if e else empty for e in ends]  # pair a < b: a*u + b; loop a: a*u + a
@@ -300,16 +285,14 @@ def _live_probes(ends, masks, need, u, rest, start, stop):
 
     witness = search()
     if witness is not None:
-        yield from _walk(rest, masks, kill, revive, user, start, stop)
+        yield from _walk(rest, masks, kill, revive, user)
 
 
-def _sweep_general(view, H, weights, gf, rest, start, stop):
-    """XOR of probe values for X codes in [start, stop)."""
-    ends = [()] * len(H.edges)
-    for eid, *at in view.pairs + view.loops:
-        ends[eid] = tuple(at)
+def _sweep_general(view, H, weights, gf, xs):
+    """XOR of the probe values at the X in xs: cover_weight of the view
+    restricted to the edges avoiding X."""
     total = 0
-    for xm in _live_probes(ends, H.edge_masks, H.n // H.k, view.u_size, rest, start, stop):
+    for xm in xs:
         total ^= cover_weight(restrict_avoiding(view, H, xm), weights, H.n, H.k, gf)
     return total
 
@@ -445,7 +428,7 @@ def _matchable_probes(entries, b, rest):
 
         return uses
 
-    yield from _walk(rest, [mk for mk, *_ in entries], kill, revive, user, 0, 1 << rest.bit_count())
+    yield from _walk(rest, [mk for mk, *_ in entries], kill, revive, user)
 
 
 def _sweep_kdm(entries, b, weights, gf, xs):
@@ -471,28 +454,27 @@ def _sweep_kdm(entries, b, weights, gf, xs):
 
 
 def _kdm_total(entries, b, weights, gf, xs, threads):
-    """Summed cover weight: _sweep_kdm over contiguous slices of xs, XORed and squared."""
-    total = _run_chunks(lambda a, z: _sweep_kdm(entries, b, weights, gf, xs[a:z]), len(xs), threads)
+    """Summed cover weight: _sweep_kdm over the X in xs, split by _run_chunks, squared."""
+    total = _run_chunks(partial(_sweep_kdm, entries, b, weights, gf), xs, threads)
     return gf.mul(total, total)
 
 
-def _run_chunks(kernel, size: int, threads: int) -> int:
-    """XOR of kernel(start, stop) over min(threads, size) contiguous
-    chunks of range(size), run on at most os.cpu_count() workers."""
+def _run_chunks(sweep, xs, threads: int) -> int:
+    """XOR of sweep over contiguous slices of the X in xs.  One thread
+    sweeps xs as it comes, without listing it; more list xs and sweep
+    min(threads, len(xs)) slices on at most os.cpu_count() workers."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    if threads == 1 or size <= 1:
-        return kernel(0, size)
-    parts = min(threads, size)
-    step, extra = divmod(size, parts)
-    ranges = []
-    start = 0
-    for i in range(parts):
-        stop = start + step + (1 if i < extra else 0)
-        ranges.append((start, stop))
-        start = stop
+    if threads == 1:
+        return sweep(xs)
+    xs = list(xs)
+    if len(xs) <= 1:
+        return sweep(xs)
+    parts = min(threads, len(xs))
+    step, extra = divmod(len(xs), parts)
+    cuts = [i * step + min(i, extra) for i in range(parts + 1)]
     with ThreadPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
-        partials = list(pool.map(lambda r: kernel(*r), ranges))
+        partials = list(pool.map(lambda a, z: sweep(xs[a:z]), cuts, cuts[1:]))
     total = 0
     for p in partials:
         total ^= p
@@ -508,9 +490,10 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     and the result is the square of their XOR.  Otherwise each probe is
     cover_weight on the edges avoiding X.  Both give the same element.
 
-    With threads > 1 the code range (bipartite: the walked X list) is
-    split into that many contiguous chunks combined by XOR, so the value
-    is bit-identical for every worker count.
+    The X are walked once.  One thread probes each X as the walk yields
+    it; with threads > 1 the walked X list is split into at most that
+    many contiguous slices combined by XOR, so the value is
+    bit-identical for every worker count.
     """
     if len(weights) != len(H.edges):
         raise ValueError(f"{len(weights)} weights for {len(H.edges)} edges")
@@ -522,10 +505,13 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     rest = ((1 << H.n) - 1) ^ view.u_mask
     if H.partition is not None and set(view.u_order) == set(H.partition[0]) | set(H.partition[1]):
         entries = _bipartite_entries(H, H.partition[0], H.partition[1])
-        xs = list(_matchable_probes(entries, H.n // H.k, rest))
+        xs = _matchable_probes(entries, H.n // H.k, rest)
         return _kdm_total(entries, H.n // H.k, weights, gf, xs, threads)
-    kernel = partial(_sweep_general, view, H, weights, gf, rest)
-    return _run_chunks(kernel, 1 << rest.bit_count(), threads)
+    ends = [()] * len(H.edges)
+    for eid, *at in view.pairs + view.loops:
+        ends[eid] = tuple(at)
+    xs = _live_probes(ends, H.edge_masks, H.n // H.k, view.u_size, rest)
+    return _run_chunks(partial(_sweep_general, view, H, weights, gf), xs, threads)
 
 
 def _cheapest_blocks(H: Hypergraph):

@@ -5,9 +5,10 @@ explicit enumeration instead of determinants)."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from detcover import Hypergraph, ProjectedView, dlx_enumerate, generate
+from detcover import GF2m, Hypergraph, ProjectedView, dlx_enumerate, generate
 
 
 def rand_instance(rng: random.Random, k: int, n: int, max_edges: int,
@@ -99,6 +100,96 @@ def build_tutte(view: ProjectedView, weights, s: int, gf) -> list[list[int]]:
     for i, w in enumerate(loop_sums):
         mat[i][i] = gf.mul(s, w)
     return mat
+
+
+def enumerate_matchings(view: ProjectedView, weights, gf: GF2m) -> list[tuple[int, int]]:
+    """Every perfect matching of the view's U-multigraph, explicitly.
+
+    Returns (loop count, weight) per matching, weight being the product
+    of loop weights and squared pair weights.  Covers each vertex with
+    the lowest uncovered one first, so each matching appears exactly
+    once.  Guarded to |U| <= 12.
+    """
+    if view.dropped:
+        raise ValueError("view still contains dropped edges")
+    u = view.u_size
+    if u > 12:
+        raise ValueError(f"|U| = {u} exceeds the enumeration guard of 12")
+    pairs_at: list[list[tuple[int, int]]] = [[] for _ in range(u)]
+    loops_at: list[list[int]] = [[] for _ in range(u)]
+    for eid, i, j in view.pairs:
+        pairs_at[i].append((eid, j))
+        pairs_at[j].append((eid, i))
+    for eid, i in view.loops:
+        loops_at[i].append(eid)
+    full = (1 << u) - 1
+    out: list[tuple[int, int]] = []
+
+    def extend(covered: int, loop_ct: int, edge_ct: int, weight: int) -> None:
+        if covered == full:
+            # every matching with i loops uses (|U| + i) / 2 edges
+            assert 2 * edge_ct == u + loop_ct
+            out.append((loop_ct, weight))
+            return
+        v = ((covered + 1) & ~covered).bit_length() - 1  # lowest uncovered
+        bit = 1 << v
+        for eid in loops_at[v]:
+            extend(covered | bit, loop_ct + 1, edge_ct + 1, gf.mul(weight, weights[eid]))
+        for eid, w in pairs_at[v]:
+            if covered & (1 << w):
+                continue
+            sq = gf.mul(weights[eid], weights[eid])
+            extend(covered | bit | (1 << w), loop_ct, edge_ct + 1, gf.mul(weight, sq))
+
+    extend(0, 0, 0, 1)
+    return out
+
+
+def cover_weight_brute(H: Hypergraph, u_vertices, x_vertices, weights, gf: GF2m) -> int:
+    """Probe value by direct enumeration of n/k-edge families.
+
+    A family contributes iff it avoids X, covers U, and is disjoint on U;
+    its weight doubles the exponent of edges meeting U twice.  Guarded to
+    |E| <= 24.
+    """
+    if len(H.edges) > 24:
+        raise ValueError(f"|E| = {len(H.edges)} exceeds the enumeration guard of 24")
+    if H.n % H.k != 0:
+        raise ValueError(f"n={H.n} is not a multiple of k={H.k}")
+    need = H.n // H.k
+    u_set = set(u_vertices)
+    x_mask = 0
+    for v in x_vertices:
+        x_mask |= 1 << v
+    if u_set & set(x_vertices):
+        raise ValueError("X overlaps U")
+    masks = H.edge_masks
+    surviving = [eid for eid in range(len(H.edges)) if not masks[eid] & x_mask]
+    u_mask_full = 0
+    for v in u_set:
+        u_mask_full |= 1 << v
+    u_masks = [masks[eid] & u_mask_full for eid in range(len(H.edges))]
+
+    total = 0
+    for family in itertools.combinations(surviving, need):
+        seen = 0
+        ok = True
+        for eid in family:
+            um = u_masks[eid]
+            if um & seen:  # meets U where a prior family edge already did
+                ok = False
+                break
+            seen |= um
+        if not ok or seen != u_mask_full:
+            continue
+        weight = 1
+        for eid in family:
+            w = weights[eid]
+            if u_masks[eid].bit_count() == 2:
+                w = gf.mul(w, w)
+            weight = gf.mul(weight, w)
+        total ^= weight
+    return total
 
 
 def rand_matrix(rng: random.Random, size: int, gf) -> list[list[int]]:

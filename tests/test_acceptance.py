@@ -9,15 +9,15 @@ import random
 import time
 
 from detcover import (GF8, GF64, Hypergraph, ProjectedView, REFERENCE_ROWS,
-                      SieveConfig, cover_weight,
-                      cover_weight_brute, determinant, dlx_count, general_bound,
-                      generate, enumerate_matchings, ie_count, kdm_base,
-                      optimize, project, restrict_avoiding, runtime_base,
-                      sieve_decide, solve_kdm, solve_xkc)
+                      SieveConfig, cover_weight, determinant, dlx_count,
+                      general_bound, generate, ie_count, kdm_base, optimize,
+                      project, restrict_avoiding, runtime_base, sieve_decide,
+                      solve_kdm, solve_xkc)
 from detcover import params as params_mod
 from detcover import solver as solver_mod
 
-from conftest import build_tutte, filtered_for, rand_instance, ref_mul
+from conftest import (build_tutte, cover_weight_brute, enumerate_matchings, filtered_for,
+                      rand_instance, ref_mul)
 
 
 def _ok(num, msg):
@@ -208,24 +208,24 @@ def test_criterion_09_planted_instances_answer_yes():
 
 
 def test_criterion_10_partitioned_probe_counts(monkeypatch):
-    # every pair's walk, the winner's included, spans the whole code range
+    # each pair's walk, the winner's included, runs once over the whole
     # of its V - U, so the X the sweep takes come from all 2^(n - 2n/k) codes
-    spans = []
+    walks = []
     original = solver_mod._walk
 
-    def walking(rest, masks, kill, revive, user, start, stop):
-        spans.append((start, stop))
-        return original(rest, masks, kill, revive, user, start, stop)
+    def walking(rest, *args):
+        walks.append(rest)
+        return original(rest, *args)
 
     monkeypatch.setattr(solver_mod, "_walk", walking)
     rng = random.Random(10)
     expect = {6: 4, 9: 8, 12: 16, 15: 32}
     for n, probes in expect.items():
         H = generate(rng, 3, n, n, plant=True, kdm=True)
-        spans.clear()
+        walks.clear()
         d = solve_kdm(H, SieveConfig(seed=rng.randrange(2 ** 31)))
         assert d.probes == probes, (n, d.probes)
-        assert spans == [(0, probes)] * 3, (n, spans)
+        assert [1 << rest.bit_count() for rest in walks] == [probes] * 3, (n, walks)
     _ok(10, "probe counts are exactly 4, 8, 16, 32 for n = 6, 9, 12, 15 at k = 3")
 
 

@@ -5,15 +5,15 @@ import random
 import pytest
 
 from detcover import (GF8, GF64, Hypergraph, ProjectedView,
-                      cover_weight, cover_weight_brute, determinant,
-                      elementary_symmetric, enumerate_matchings, generate,
+                      cover_weight, determinant, elementary_symmetric, generate,
                       interpolate, loop_weights, project, restrict_avoiding,
                       sieve_decide)
 
 from detcover import linalg as linalg_mod
 from detcover import matchweight as matchweight_mod
 
-from conftest import CountingField, build_tutte, filtered_for
+from conftest import (CountingField, build_tutte, cover_weight_brute, enumerate_matchings,
+                      filtered_for)
 
 
 def _bipartite_probe(n, edges, weights, partition, gf=GF8):

@@ -4,11 +4,9 @@ import random
 
 import pytest
 
-from detcover import (GF64, Hypergraph, cover_weight_brute, dlx_count,
-                      dlx_enumerate, enumerate_matchings, generate, ie_count,
-                      project)
+from detcover import GF64, Hypergraph, dlx_count, dlx_enumerate, generate, ie_count, project
 
-from conftest import family_weight, rand_instance
+from conftest import cover_weight_brute, enumerate_matchings, family_weight, rand_instance
 
 
 def test_dlx_single_edge():

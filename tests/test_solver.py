@@ -8,12 +8,11 @@ from operator import or_, xor
 
 import pytest
 
-from detcover import (GF8, GF64, Hypergraph, SieveConfig, cover_weight, cover_weight_brute,
-                      dlx_count, generate, project, restrict_avoiding, sieve_decide,
-                      solve_kdm, solve_xkc)
+from detcover import (GF8, GF64, Hypergraph, SieveConfig, cover_weight, dlx_count, generate,
+                      project, restrict_avoiding, sieve_decide, solve_kdm, solve_xkc)
 from detcover import solver as solver_mod
 
-from conftest import covers_weight_sum, filtered_for, rand_instance, ref_det
+from conftest import cover_weight_brute, covers_weight_sum, filtered_for, rand_instance, ref_det
 
 
 def test_sieve_single_probe_when_u_is_everything():
@@ -203,53 +202,62 @@ def _view_ends(H, view):
 
 
 def test_sweep_filters_each_avoided_set_once(monkeypatch):
-    # against the brute-force walk model: each chunk yields its passing X
-    # once each, in increasing code order, and only those reach the
-    # filter; the chunks of any worker count tile the passing X, and the
-    # X never yielded have probe values that XOR to zero
-    chunks, filtered = [], []
-    inner_live, inner_restrict = solver_mod._live_probes, solver_mod.restrict_avoiding
+    # against the brute-force walk model: each sieve walks once, yields
+    # its passing X once each, in increasing code order, and only those
+    # reach the filter; one thread sweeps the walk as it yields, more
+    # sweep min(threads, len) slices that concatenate to the same list,
+    # and the X never yielded have probe values that XOR to zero
+    walks, slices, filtered = [], [], []
+    inner_walk, inner_sweep = solver_mod._walk, solver_mod._sweep_general
+    inner_restrict = solver_mod.restrict_avoiding
 
-    def walking(ends, masks, need, u, rest, start, stop):
-        chunks.append((start, stop, []))
-        for x in inner_live(ends, masks, need, u, rest, start, stop):
-            chunks[-1][2].append(x)
-            yield x
+    def walking(*args):
+        walks.append(args)
+        return inner_walk(*args)
+
+    def sweeping(*args):
+        xs = args[-1]
+        slices.append((isinstance(xs, list), list(xs)))
+        return inner_sweep(*args[:-1], slices[-1][1])
 
     def recording(view, H, x_mask):
         filtered.append(x_mask)
         return inner_restrict(view, H, x_mask)
 
-    monkeypatch.setattr(solver_mod, "_live_probes", walking)
+    monkeypatch.setattr(solver_mod, "_walk", walking)
+    monkeypatch.setattr(solver_mod, "_sweep_general", sweeping)
     monkeypatch.setattr(solver_mod, "restrict_avoiding", recording)
     rng = random.Random(15)
     u = [1, 4, 5, 7]
     rest = [0, 2, 3, 6, 8]  # V - U has gaps, so codes and masks differ
-    H = filtered_for(rand_instance(rng, 3, 9, 9, min_edges=1), u)
-    w = [GF64.sample(rng) for _ in H.edges]
-    walk = _in_code_order(rest, H.edge_masks)
-    code = {x: c for c, x in enumerate(walk)}
-    expect = [walk[c] for c in _walk_model(rest, H.edge_masks, _families(H, u))[0]]
-    assert 0 < len(expect) < len(walk)
-    totals = set()
-    for threads in (1, 3, 64):
-        chunks.clear()
-        filtered.clear()
-        totals.add(sieve_decide(H, u, w, GF64, threads))
-        assert len(chunks) == min(threads, len(walk))
-        for start, stop, xs in chunks:
-            assert [code[x] for x in xs] == sorted(code[x] for x in xs)
-            assert all(start <= code[x] < stop for x in xs)
-        assert [x for _, _, xs in sorted(chunks) for x in xs] == filtered == expect
-    assert len(totals) == 1
-    values = [cover_weight_brute(H, u, [v for v in rest if x >> v & 1], w, GF64)
-              for x in set(walk) - set(expect)]
-    assert reduce(xor, values, 0) == 0
-    view = project(H, u)
-    args = (_view_ends(H, view), H.edge_masks, 3, len(u), sum(1 << v for v in rest))
-    for cut in range(len(walk) + 1):
-        head = list(inner_live(*args, 0, cut))
-        assert head + list(inner_live(*args, cut, len(walk))) == expect
+    split = 0
+    for _ in range(7):
+        H = filtered_for(rand_instance(rng, 3, 9, 9, min_edges=1), u)
+        w = [GF64.sample(rng) for _ in H.edges]
+        walk = _in_code_order(rest, H.edge_masks)
+        code = {x: c for c, x in enumerate(walk)}
+        expect = [walk[c] for c in _walk_model(rest, H.edge_masks, _families(H, u))[0]]
+        assert len(expect) < len(walk)
+        totals = set()
+        for threads in (1, 3, 64):
+            walks.clear()
+            slices.clear()
+            filtered.clear()
+            totals.add(sieve_decide(H, u, w, GF64, threads))
+            assert len(walks) == 1 or not expect and not walks  # no walk: the root has no family
+            assert len(slices) == max(1, min(threads, len(expect)))
+            assert all(listed == (threads > 1) for listed, _ in slices)  # one thread: the walk itself
+            ordered = sorted((xs for _, xs in slices), key=lambda xs: [code[x] for x in xs])
+            assert [x for xs in ordered for x in xs] == filtered == expect
+        assert len(totals) == 1
+        values = [cover_weight_brute(H, u, [v for v in rest if x >> v & 1], w, GF64)
+                  for x in set(walk) - set(expect)]
+        assert reduce(xor, values, 0) == 0
+        view = project(H, u)
+        args = (_view_ends(H, view), H.edge_masks, 3, len(u), sum(1 << v for v in rest))
+        assert list(solver_mod._live_probes(*args)) == expect
+        split += len(expect) > 3
+    assert split >= 2
 
 
 def test_family_loop_budget():
@@ -274,8 +282,7 @@ class _StubKernel:
     meeting X (read off the dead one-vertex edges) and fails at the codes
     (in _code_order) in `fail`; revive must undo the latest unmatched
     kill; user's uses(i) takes a live edge and is not reject(X,
-    masks[i]).  walk checks that the walk steps only into subtrees that
-    meet its chunk."""
+    masks[i])."""
 
     def __init__(self, rest, masks, fail=(), reject=lambda x, mk: False):
         self.order, self.masks = _code_order(rest, masks), masks
@@ -308,12 +315,9 @@ class _StubKernel:
 
         return uses
 
-    def walk(self, start, stop):
+    def walk(self):
         rest = sum(1 << v for v in self.order)
-        xs = list(solver_mod._walk(rest, self.masks, self.kill, self.revive, self.user,
-                                   start, stop))
-        assert all(start < c + (c & -c) and c < stop for c in self.codes), (start, stop)
-        return xs
+        return list(solver_mod._walk(rest, self.masks, self.kill, self.revive, self.user))
 
 
 def _prefixes(code, width):
@@ -339,26 +343,20 @@ def test_walk_with_stub_kernels():
         order = _code_order(order, masks)
         shuffled += order != sorted(order)
         xs = _in_code_order(order, masks)
-        # every X, in code order, and the chunks tile at every split
+        # every X, in code order
         kernel = _StubKernel(order, masks)
-        assert kernel.walk(0, codes) == xs and not kernel.stack
-        for a in range(codes + 1):
-            for z in range(a, codes + 1):
-                assert _StubKernel(order, masks).walk(a, z) == xs[a:z], (a, z)
+        assert kernel.walk() == xs and not kernel.stack
         # a kill that fails at code c skips exactly c's subtree [c, c + (c & -c))
         fail = rng.sample(range(1, codes), rng.randint(1, 3))
         expect = [xs[c] for c in range(codes)
                   if not any(f <= c < f + (f & -f) for f in fail)]
         kernel = _StubKernel(order, masks, fail)
-        assert kernel.walk(0, codes) == expect and not kernel.stack
+        assert kernel.walk() == expect and not kernel.stack
         fails += codes - len(expect)
-        for cut in range(codes + 1):
-            head = _StubKernel(order, masks, fail).walk(0, cut)
-            assert head + _StubKernel(order, masks, fail).walk(cut, codes) == expect
         # rejecting every edge of one vertex prunes at the root
         bare = rng.choice(order)
         kernel = _StubKernel(order, masks, reject=lambda x, mk: mk >> bare & 1)
-        assert kernel.walk(0, codes) == [] and kernel.stack == []
+        assert kernel.walk() == [] and kernel.stack == []
         # rejecting them only once X holds w prunes each node that holds w
         # and can still add v, with its subtree
         v, w = rng.sample(range(width), 2)
@@ -366,7 +364,7 @@ def test_walk_with_stub_kernels():
         expect = [xs[c] for c in range(codes) if not pruned & set(_prefixes(c, width))]
         kernel = _StubKernel(order, masks,
                              reject=lambda x, mk: x >> order[w] & 1 and mk >> order[v] & 1)
-        assert kernel.walk(0, codes) == expect and not kernel.stack
+        assert kernel.walk() == expect and not kernel.stack
         rejects += codes - len(expect)
     assert fails >= 40 and rejects >= 40 and shuffled >= 4, (fails, rejects, shuffled)
 
@@ -382,13 +380,10 @@ def test_walk_code_order_follows_edge_counts():
     order = [1, 4, 5, 7, 2]
     assert _code_order(rest, masks) == order
     xs = [sum(1 << v for i, v in enumerate(order) if c >> i & 1) for c in range(32)]
-
-    def walk(start, stop):
-        return list(solver_mod._walk(sum(1 << v for v in rest), masks, lambda ids: True,
-                                     lambda ids: None, lambda: lambda i: True, start, stop))
-
-    assert walk(0, 32) == xs
-    assert walk(16, 32) == xs[16:] and all(x >> 2 & 1 for x in xs[16:])
+    walk = list(solver_mod._walk(sum(1 << v for v in rest), masks, lambda ids: True,
+                                 lambda ids: None, lambda: lambda i: True))
+    assert walk == xs
+    assert all(x >> 2 & 1 for x in walk[16:]) and not any(x >> 2 & 1 for x in walk[:16])
 
 
 def _relabel(H, perm):
@@ -436,9 +431,9 @@ def test_relabelling_v_minus_u_keeps_totals_and_answers():
 
 
 def test_live_probes_yield_exactly_the_filtered_sets():
-    # against the brute-force walk model at every split of the code range,
-    # on views with pairs, loops, empty and duplicate edges; k = 4 and the
-    # loops put two vertices of an edge in V - U, so hit counts reach 2.
+    # against the brute-force walk model, on views with pairs, loops,
+    # empty and duplicate edges; k = 4 and the loops put two vertices of
+    # an edge in V - U, so hit counts reach 2.
     # The skipped X add nothing: the yielded probes alone sum to the
     # cover enumeration
     rng = random.Random(19)
@@ -452,16 +447,11 @@ def test_live_probes_yield_exactly_the_filtered_sets():
                 H = filtered_for(Hypergraph(n, k, edges), u)
                 view = project(H, u)
                 rest = ((1 << n) - 1) ^ view.u_mask
-                codes = 1 << rest.bit_count()
                 order = [v for v in range(n) if rest >> v & 1]
                 walk = _in_code_order(order, H.edge_masks)
                 expect = [walk[c] for c in _walk_model(order, H.edge_masks, _families(H, u))[0]]
                 args = (_view_ends(H, view), H.edge_masks, n // k, len(u), rest)
-                for cut in range(codes + 1):
-                    head = list(solver_mod._live_probes(*args, 0, cut))
-                    tail = list(solver_mod._live_probes(*args, cut, codes))
-                    assert head == [x for x in walk[:cut] if x in expect], (k, n, u, cut)
-                    assert head + tail == expect
+                assert list(solver_mod._live_probes(*args)) == expect, (k, n, u)
                 w = [gf.sample(rng) for _ in H.edges]
                 values = [cover_weight(restrict_avoiding(view, H, x), w, n, k, gf) for x in expect]
                 if gf is GF64:  # the filter is exact: a family makes the probe nonzero
@@ -477,37 +467,11 @@ def test_live_probes_yield_exactly_the_filtered_sets():
     assert min(kinds.values()) >= 5, kinds
 
 
-def test_live_probes_split_many_ways():
-    # 2 to 7 contiguous parts of the code range, cut at random: the parts
-    # yield disjoint X that together are the single chunk's, in order
-    rng = random.Random(20)
-    yielded = 0
-    for _ in range(110):
-        k, n = rng.choice([(3, 9), (3, 12), (4, 12)])
-        u = sorted(rng.sample(range(n), rng.choice([0, 2, 3, 4])))
-        H = filtered_for(rand_instance(rng, k, n, n // k + 6, plant_prob=0.8, min_edges=2), u)
-        view = project(H, u)
-        rest = ((1 << n) - 1) ^ view.u_mask
-        codes = 1 << rest.bit_count()
-        args = (_view_ends(H, view), H.edge_masks, n // k, len(u), rest)
-        whole = list(solver_mod._live_probes(*args, 0, codes))
-        for _ in range(5):
-            cuts = sorted(rng.sample(range(1, codes), rng.randint(1, 6)))
-            bounds = [0, *cuts, codes]
-            parts = [set(solver_mod._live_probes(*args, a, b)) for a, b in zip(bounds, bounds[1:])]
-            assert sum(map(len, parts)) == len(set().union(*parts)) == len(whole)
-            assert set().union(*parts) == set(whole)
-            assert [x for a, b in zip(bounds, bounds[1:])
-                    for x in solver_mod._live_probes(*args, a, b)] == whole
-        yielded += len(whole)
-    assert yielded >= 500
-
-
 def test_skipped_subtrees_cancel():
     # brute force: every subtree that a walk skips on its cancel test (a
     # vertex below the node's lowest code bit in no edge of any family, or
     # of any perfect matching) XORs to zero, the yields still sum to the
-    # cover enumeration, and they tile at every split of the code range.
+    # cover enumeration, and the walk yields exactly them.
     # xkc views have pairs, loops, empties and duplicate edges; kdm has
     # cancelling twins and denser instances with fewer covers, and k = 4
     # makes hit counts reach 2
@@ -533,10 +497,7 @@ def test_skipped_subtrees_cancel():
                 assert total == covers_weight_sum(H, u, w, gf)
                 args = (_view_ends(H, view), H.edge_masks, n // k, len(u),
                         sum(1 << v for v in rest))
-                for cut in range(len(xs) + 1):
-                    head = list(solver_mod._live_probes(*args, 0, cut))
-                    tail = list(solver_mod._live_probes(*args, cut, len(xs)))
-                    assert head + tail == [xs[c] for c in yielded], (k, n, u, cut)
+                assert list(solver_mod._live_probes(*args)) == [xs[c] for c in yielded], (k, n, u)
                 for kind in ("pairs", "loops", "empties"):
                     seen[kind] += bool(getattr(view, kind))
                 seen["duplicates"] += len(set(H.edges)) < len(H.edges)
@@ -620,7 +581,7 @@ def test_walk_is_output_sensitive(monkeypatch):
         return inner_family(adj, free, *args)
 
     monkeypatch.setattr(solver_mod, "_family", searching)
-    args = (_view_ends(H, project(H, u)), H.edge_masks, 3, 6, sum(1 << v for v in rest), 0, 8)
+    args = (_view_ends(H, project(H, u)), H.edge_masks, 3, 6, sum(1 << v for v in rest))
     assert list(solver_mod._live_probes(*args)) == []
     assert searches.count(0b111111) == 1
     w = [GF64.sample(rng) for _ in edges]
@@ -667,8 +628,10 @@ def test_worker_count_below_one_is_rejected():
 
 def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
     # the stand-in executor records its size and runs the chunks inline,
-    # so huge worker counts are checked without starting a thread
-    sizes, chunks = [], []
+    # so huge worker counts are checked without starting a thread; every
+    # count walks once, and xkc splits the walked X list like kdm
+    sizes, chunks, walks, slices = [], [], [], []
+    inner_walk, inner_sweep = solver_mod._walk, solver_mod._sweep_general
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -680,24 +643,37 @@ def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, ranges):
-            chunks.append(list(ranges))
-            return [fn(r) for r in chunks[-1]]
+        def map(self, fn, *iterables):
+            chunks.append(list(zip(*iterables)))
+            return [fn(*args) for args in chunks[-1]]
+
+    def walking(*args):
+        walks.append(args)
+        return inner_walk(*args)
+
+    def sweeping(*args):
+        slices.append(list(args[-1]))
+        return inner_sweep(*args[:-1], slices[-1])
 
     monkeypatch.setattr(solver_mod, "ThreadPoolExecutor", InlinePool)
     monkeypatch.setattr(solver_mod.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(solver_mod, "_walk", walking)
+    monkeypatch.setattr(solver_mod, "_sweep_general", sweeping)
     rng = random.Random(12)
     u = [0, 1, 4]
     H = filtered_for(generate(rng, 3, 9, 6, plant=True), u)
     w = [GF64.sample(rng) for _ in H.edges]
     serial = sieve_decide(H, u, w, GF64)
+    [whole] = slices
+    assert len(whole) == 4 and len(walks) == 1
     for threads in (2, 4, 64, 100_000):
+        walks.clear()
+        slices.clear()
         assert sieve_decide(H, u, w, GF64, threads) == serial
+        assert len(walks) == 1 and len(slices) == min(threads, len(whole))
+        assert [x for xs in slices for x in xs] == whole
     assert sizes == [2, 3, 3, 3]
-    assert [len(c) for c in chunks] == [2, 4, 64, 64]
-    for ranges in chunks:
-        assert ranges[0][0] == 0 and ranges[-1][1] == 64
-        assert all(a[1] == b[0] for a, b in zip(ranges, ranges[1:]))
+    assert [len(c) for c in chunks] == [2, 4, 4, 4]
     # kdm splits the X list its walk kept, one X a chunk here
     kdm = generate(random.Random(24), 3, 12, 8, plant=True, kdm=True)
     xs = solver_mod._cheapest_blocks(kdm)[2]
