@@ -131,10 +131,8 @@ def kdm_base(k: int) -> float:
 def _success_probability_cached(n: int, k: int, tn: int) -> Fraction:
     blocks = n // k
     hits = 0
-    for t2 in range(0, min(blocks, tn // 2) + 1):
+    for t2 in range(max(0, tn - blocks), tn // 2 + 1):  # t1 + t2 <= blocks, t1 >= 0
         t1 = tn - 2 * t2
-        if t1 < 0 or t1 + t2 > blocks:
-            continue
         hits += (math.comb(blocks, t1) * math.comb(blocks - t1, t2)
                  * math.comb(k, 2) ** t2 * k ** t1)
     return Fraction(hits, math.comb(n, tn))

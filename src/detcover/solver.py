@@ -11,26 +11,28 @@ the random point, probability about n / (k * 2^m).
 sieve_decide picks the probe from its input.  The general probe is
 matchweight.cover_weight on the view restricted to the edges avoiding
 X.  When the instance carries a partition and U is the union of its
-first two blocks, every edge projects to a pair joining them, and the
-probe is the b x b bipartite determinant (b = n/k) whose (row, col)
-entry XORs the weights of the edges joining left vertex `row` to right
-vertex `col`.  The general probe squares pair weights, the bipartite one
-does not; since squaring is additive in characteristic 2, the square of
-the bipartite sum is the general sum, so both return the same element.
+first two blocks, every edge meets every block once, and the probe is
+the b x b bipartite determinant (b = n/k) of a pair of blocks, whose
+(row, col) entry XORs the weights of the edges joining left vertex
+`row` to right vertex `col`.  The general probe squares pair weights,
+the bipartite one does not; since squaring is additive in
+characteristic 2, the square of the bipartite sum is the general sum,
+so both return the same element.  Every pair of blocks gives that same
+total, so the bipartite probe sieves the pair whose walk yields the
+fewest X (the lowest pair on a tie).  The pairs' walks read no weight;
+they run in lockstep until the first one ends, each keeping its X, so
+every pair is walked once and the winner's list goes to the
+determinants.
 
-Both solvers run one attempt loop: pick U, keep the edges meeting it at
+Both solvers run one attempt body: pick U, keep the edges meeting it at
 most twice (no cover edge meets it more often when U is good), draw one
-weight per kept edge and sieve; a nonzero sum ends the run with yes.
-solve_kdm takes U as two partition blocks, which every edge meets
-exactly twice, so a single attempt of 2^(n(k-2)/k) probes decides the
-instance.  Every pair of blocks gives the same total, so it sieves the
-pair whose walk yields the fewest X (the lowest pair on a tie).  The
-pairs' walks read no weight; they run in lockstep until the first one
-ends, each keeping its X, so every pair is walked once and the winner's
-list goes to the determinants.  solve_xkc knows no partition: each
-attempt samples U of size round(t*n) (t from the exponent optimizer),
-and the attempt budget is ceil(ln(1/eps)/p).  Answers are one sided:
-yes is always backed by a nonzero certificate.
+weight per kept edge and call sieve_decide; a nonzero sum ends the run
+with yes.  solve_kdm takes U as partition blocks 0 and 1, which every
+edge meets exactly twice, so a single attempt of 2^(n(k-2)/k) probes
+decides the instance.  solve_xkc knows no partition: each attempt
+samples U of size round(t*n) (t from the exponent optimizer), and the
+attempt budget is ceil(ln(1/eps)/p).  Answers are one sided: yes is
+always backed by a nonzero certificate.
 
 X is named by a code whose bit i puts the i-th vertex of V - U in X,
 counting from the vertex in the fewest edges (equal counts by label).
@@ -301,7 +303,7 @@ def _bipartite_entries(H: Hypergraph, left, right) -> list[tuple[int, int, int, 
     """(edge mask, edge id, row, col) per edge: row and col are the
     positions of the edge's vertices in the blocks `left` and `right`."""
     if not len(left) == len(right) == H.n // H.k:
-        raise ValueError("partition blocks 0 and 1 must hold n/k vertices each")
+        raise ValueError("paired partition blocks must hold n/k vertices each")
     lpos = {v: i for i, v in enumerate(left)}
     rpos = {v: i for i, v in enumerate(right)}
     entries = []
@@ -309,7 +311,7 @@ def _bipartite_entries(H: Hypergraph, left, right) -> list[tuple[int, int, int, 
         rows = [lpos[v] for v in e if v in lpos]
         cols = [rpos[v] for v in e if v in rpos]
         if len(rows) != 1 or len(cols) != 1:
-            raise ValueError(f"edge {eid} does not join partition blocks 0 and 1")
+            raise ValueError(f"edge {eid} does not join the paired partition blocks")
         entries.append((mk, eid, rows[0], cols[0]))
     return entries
 
@@ -434,11 +436,12 @@ def _matchable_probes(entries, b, rest):
 def _sweep_kdm(entries, b, weights, gf, xs):
     """XOR of the bipartite determinants at the X in xs.
 
-    Row r is the r-th vertex of partition block 0 and column c the c-th
-    of block 1.  The sparse rows at full weight ({col: value}) are built
-    once, and each X's are a copy with the edges meeting X XORed out.
-    Only the X that _matchable_probes yields can have a nonzero
-    determinant; a cell that reads zero is skipped by the determinant.
+    Row r is the r-th vertex of the left block of the entries' pair and
+    column c the c-th of its right block.  The sparse rows at full
+    weight ({col: value}) are built once, and each X's are a copy with
+    the edges meeting X XORed out.  Only the X that _matchable_probes
+    yields can have a nonzero determinant; a cell that reads zero is
+    skipped by the determinant.
     """
     full = [{} for _ in range(b)]
     for _, eid, r, c in entries:
@@ -451,12 +454,6 @@ def _sweep_kdm(entries, b, weights, gf, xs):
                 rows[r][c] ^= weights[eid]
         total ^= determinant(rows, gf)
     return total
-
-
-def _kdm_total(entries, b, weights, gf, xs, threads):
-    """Summed cover weight: _sweep_kdm over the X in xs, split by _run_chunks, squared."""
-    total = _run_chunks(partial(_sweep_kdm, entries, b, weights, gf), xs, threads)
-    return gf.mul(total, total)
 
 
 def _run_chunks(sweep, xs, threads: int) -> int:
@@ -486,9 +483,10 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     cover exists.  Requires every edge to meet U at most twice.
 
     When H carries a partition and U is exactly its blocks 0 and 1, every
-    edge must join those blocks; the probes are bipartite determinants
-    and the result is the square of their XOR.  Otherwise each probe is
-    cover_weight on the edges avoiding X.  Both give the same element.
+    edge must meet every block once; the probes are the bipartite
+    determinants of the pair of blocks that _cheapest_blocks picks, and
+    the result is the square of their XOR.  Otherwise each probe is
+    cover_weight on the edges avoiding X.  All give the same element.
 
     The X are walked once.  One thread probes each X as the walk yields
     it; with threads > 1 the walked X list is split into at most that
@@ -502,14 +500,14 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     view = project(H, u_vertices)
     if view.dropped:
         raise ValueError(f"{len(view.dropped)} edges meet U more than twice")
-    rest = ((1 << H.n) - 1) ^ view.u_mask
     if H.partition is not None and set(view.u_order) == set(H.partition[0]) | set(H.partition[1]):
-        entries = _bipartite_entries(H, H.partition[0], H.partition[1])
-        xs = _matchable_probes(entries, H.n // H.k, rest)
-        return _kdm_total(entries, H.n // H.k, weights, gf, xs, threads)
+        _, entries, xs = _cheapest_blocks(H)
+        total = _run_chunks(partial(_sweep_kdm, entries, H.n // H.k, weights, gf), xs, threads)
+        return gf.mul(total, total)
     ends = [()] * len(H.edges)
     for eid, *at in view.pairs + view.loops:
         ends[eid] = tuple(at)
+    rest = ((1 << H.n) - 1) ^ view.u_mask
     xs = _live_probes(ends, H.edge_masks, H.n // H.k, view.u_size, rest)
     return _run_chunks(partial(_sweep_general, view, H, weights, gf), xs, threads)
 
@@ -539,9 +537,7 @@ def _cheapest_blocks(H: Hypergraph):
 
 
 def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decision:
-    """The attempt loop of both solvers (see the module docstring):
-    partitioned runs sieve the X that the cheapest pair of blocks' walk
-    kept in the race and make one attempt."""
+    """The attempt loop of both solvers (see the module docstring)."""
     t0 = time.perf_counter()
     cfg = cfg or SieveConfig()
     violation = validate(H)
@@ -559,21 +555,15 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
     rng = random.Random(cfg.seed)
     tn = u_size(H, partitioned)
     max_attempts = 1 if partitioned else repetitions(n, k, tn / n, cfg.epsilon)
-    if partitioned:             # every edge meets the pair twice, so every edge is kept
-        _, entries, xs = _cheapest_blocks(H)
+    blocks = [*H.partition[0], *H.partition[1]] if partitioned else None  # kdm's U, no draw
     answer = "no"
     for attempt in range(1, max_attempts + 1):
-        if partitioned:
-            total = _kdm_total(entries, n // k, [gf.sample(rng) for _ in H.edges], gf, xs,
-                               cfg.threads)
-        else:
-            u_vertices = sorted(rng.sample(range(n), tn))
-            u_mask = sum(1 << v for v in u_vertices)
-            keep = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
-            sub = Hypergraph(n, k, [H.edges[eid] for eid in keep], H.partition)
-            weights = [gf.sample(rng) for _ in keep]
-            total = sieve_decide(sub, u_vertices, weights, gf, cfg.threads)
-        if total:
+        u_vertices = blocks or sorted(rng.sample(range(n), tn))
+        u_mask = sum(1 << v for v in u_vertices)
+        keep = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
+        sub = Hypergraph(n, k, [H.edges[eid] for eid in keep], H.partition)
+        weights = [gf.sample(rng) for _ in keep]
+        if sieve_decide(sub, u_vertices, weights, gf, cfg.threads):
             answer = "yes"
             break
     return Decision(answer, attempt << (n - tn), attempt, time.perf_counter() - t0,

@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detcover import Hypergraph, ParseError, cli, optimize, parse, validate
@@ -158,6 +158,16 @@ def test_module_run_exit_codes(tmp_path, capsys, module):
          "--kdm", "--seed", "5", "--out", str(path))
     planted = _run_module(module, "solve", "--input", str(path), "--seed", "1")
     assert planted.returncode == 0 and "answer: yes" in planted.stdout
+
+
+def test_solve_huge_empty_instance_fails_cleanly(tmp_path):
+    # k = 2 and n = 2^64 with no edges: the success probability of U = V
+    # has one term to sum, so the run fails fast at the sweep set-up
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"k": 2, "n": 2 ** 64, "edges": []}))
+    run = _run_module("detcover", "solve", "--input", str(path), "--seed", "1")
+    assert run.returncode == 2 and run.stdout == ""
+    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:")
 
 
 def test_solve_malformed_instance(tmp_path, capsys):
@@ -401,6 +411,7 @@ def _near_valid(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(doc=_JSON | _near_valid())
+@example(doc={"k": 2, "n": 2 ** 64, "edges": []})  # once looped for hours in params
 def test_fuzzed_documents_parse_or_fail_cleanly(doc):
     text = json.dumps(doc)
     try:

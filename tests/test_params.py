@@ -3,8 +3,10 @@
 import math
 import random
 import sys
+from collections import Counter
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -80,6 +82,20 @@ def test_success_probability_known_values():
         success_probability_exact(10, 3, 0.5)
     with pytest.raises(ValueError):
         success_probability_exact(0, 3, 0.5)
+
+
+def test_success_probability_matches_exhaustive_count():
+    # every tn-subset of n vertices in n/k blocks of consecutive labels;
+    # the good ones meet each block at most twice
+    for k in (2, 3, 4):
+        for n in range(k, 13, k):
+            for tn in range(n + 1):
+                good = total = 0
+                for s in combinations(range(n), tn):
+                    total += 1
+                    good += all(c <= 2 for c in Counter(v // k for v in s).values())
+                assert success_probability_exact(n, k, tn / n) == Fraction(good, total), \
+                    (n, k, tn)
 
 
 def test_success_probability_matches_sampling():

@@ -528,8 +528,9 @@ def test_skipped_subtrees_cancel():
 def test_walk_is_output_sensitive(monkeypatch):
     # one perfect matching and no other edge: 2^24 nominal X, but adding
     # any vertex of V - U empties a matched cell that no augmenting path
-    # repairs, so only X = {} is probed, after b augmenting paths at the
-    # root and one failed repair per vertex
+    # repairs, so only X = {} is probed.  The block race opens all three
+    # pairs' walks, b augmenting paths at each root, and pair (0, 1) ends
+    # first, after one failed repair per vertex of block 2
     calls = {"_perfect_matching": 0, "_augment": 0, "determinant": 0, "cover_weight": 0}
     last = {}                   # the arguments of each name's latest call
     for name in calls:
@@ -548,7 +549,7 @@ def test_walk_is_output_sensitive(monkeypatch):
     for x in w:
         product = GF64.mul(product, x)
     assert sieve_decide(H, blocks[0] + blocks[1], w, GF64) == GF64.mul(product, product)
-    assert calls == {"_perfect_matching": 1, "_augment": 2 * b, "determinant": 1,
+    assert calls == {"_perfect_matching": 3, "_augment": 4 * b, "determinant": 1,
                      "cover_weight": 0}
     assert last["determinant"] == ([{c - b: x} for c, x in zip(cols, w)], GF64)
     # the xkc twin: one exact cover of n = 33 vertices; U takes one vertex
@@ -603,7 +604,8 @@ def test_walk_is_output_sensitive(monkeypatch):
     # the kdm twin of that prune: the hidden perfect matching's b = 24
     # edges use only 23 third-block vertices, and the last one lies only in
     # an edge joining row 0 to row 1's column, a cell that no perfect
-    # matching uses; the root makes b augmenting paths and stops
+    # matching uses; the root of the race's first walk makes b augmenting
+    # paths and cancels, so no other walk starts
     cols, tails = rng.sample(blocks[1], b), rng.sample(blocks[2], b)
     edges = [(row, col, tail) for row, col, tail in zip(blocks[0], cols, tails[:-1] + tails[:1])]
     H = Hypergraph(3 * b, 3, [*edges, (blocks[0][0], cols[1], tails[-1])], blocks)
@@ -864,7 +866,7 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
     # threads
     calls, totals = [], []
     seen = {"determinants": 0, "dead cells": 0, "nonzero": 0}
-    inner_det, inner_total = solver_mod.determinant, solver_mod._kdm_total
+    inner_det, inner_total = solver_mod.determinant, solver_mod.sieve_decide
 
     def computing(rows, gf):
         assert all(isinstance(row, dict) for row in rows)
@@ -880,7 +882,7 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
         return [sorted(row.items()) for row in rows]
 
     monkeypatch.setattr(solver_mod, "determinant", computing)
-    monkeypatch.setattr(solver_mod, "_kdm_total", totalling)
+    monkeypatch.setattr(solver_mod, "sieve_decide", totalling)
     rng = random.Random(29)
     for rep in range(12):
         gf = (GF8, GF64)[rep % 2]
@@ -999,6 +1001,46 @@ def test_bipartite_and_general_probes_agree(monkeypatch):
             assert set(kernels) == {"_sweep_general"}
         nonzero += bool(expect)
     assert nonzero >= 10
+
+
+def test_general_and_bipartite_kernels_walk_the_same_x(monkeypatch):
+    # with U = blocks i and j every edge is a pair of U and there are no
+    # loops or empties, so a family is a perfect matching of the live
+    # support and an edge lies in one iff its cell does: on every pair,
+    # the general walk on the unpartitioned copy yields the X of the
+    # bipartite walk, in the same order.  They stay two kernels because
+    # the general one walks several times slower
+    walked = []
+    inner = solver_mod._live_probes
+
+    def walking(*args):
+        walked.append(mine := [])
+        for x in inner(*args):
+            mine.append(x)
+            yield x
+
+    monkeypatch.setattr(solver_mod, "_live_probes", walking)
+    rng = random.Random(31)
+    seen = {"yielded": 0, "pruned": 0, "empty walks": 0, "nonzero": 0}
+    for rep in range(16):
+        gf = (GF8, GF64)[rep % 2]
+        k, n = rng.choice([(3, 6), (3, 9), (3, 12), (3, 15), (4, 8), (4, 12)])
+        H = rand_instance(rng, k, n, 3 * n // k, plant_prob=0.6, min_edges=n // k, kdm=True)
+        p, b = H.partition, n // k
+        w = [gf.sample(rng) for _ in H.edges]
+        for i, j in combinations(range(k), 2):
+            u = [*p[i], *p[j]]
+            rest = ((1 << n) - 1) ^ sum(1 << v for v in u)
+            walked.clear()
+            total = sieve_decide(Hypergraph(n, k, H.edges), u, w, gf)
+            entries = solver_mod._bipartite_entries(H, p[i], p[j])
+            expect = list(solver_mod._matchable_probes(entries, b, rest))
+            assert walked == [expect], (k, n, i, j)
+            seen["yielded"] += len(expect)
+            seen["pruned"] += (1 << rest.bit_count()) - len(expect)
+            seen["empty walks"] += not expect
+            seen["nonzero"] += bool(total)
+    assert min(seen.values()) >= 10, seen
 
 
 def _kdm_with_cancelling_twins(rng, gf, k, n, swap):
@@ -1178,9 +1220,10 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
     walked, dets = [], []
     inner_walk, inner_det = solver_mod._matchable_probes, solver_mod.determinant
 
-    def walking(*args):
+    def walking(*args):         # one list per pair's walk in the block race
+        walked.append(mine := [])
         for x in inner_walk(*args):
-            walked.append(x)
+            mine.append(x)
             yield x
 
     def computing(rows, gf):
@@ -1195,12 +1238,15 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
         gf = (GF8, GF64)[rep % 2]
         k, n = rng.choice([(3, 12), (3, 15), (4, 12)])
         H, w = _kdm_with_cancelling_twins(rng, gf, k, n, rep % 4 >= 2)
+        order = solver_mod._cheapest_blocks(H)[0]
+        pair = (H.partition.index(order[0]), H.partition.index(order[1]))
         walked.clear()
         dets.clear()
         sieve_decide(H, [*H.partition[0], *H.partition[1]], w, gf)
-        probe = dict(zip(walked, dets, strict=True))
-        entries, b, rest, _, xs = _kdm_case(H)
-        assert walked == [xs[c] for c in _kdm_model(entries, b, rest)[0]]
+        winner = walked[list(combinations(range(k), 2)).index(pair)]
+        entries, b, rest, _, xs = _kdm_case(Hypergraph(H.n, H.k, H.edges, order))
+        assert winner == [xs[c] for c in _kdm_model(entries, b, rest)[0]]
+        probe = dict(zip(winner, dets, strict=True))
         left = 0
         for x in xs:
             support, mat = _live_grid(entries, b, w, x)
