@@ -162,7 +162,8 @@ def test_module_run_exit_codes(tmp_path, capsys, module):
 
 def test_solve_huge_empty_instance_fails_cleanly(tmp_path):
     # k = 2 and n = 2^64 with no edges: the success probability of U = V
-    # has one term to sum, so the run fails fast at the sweep set-up
+    # has one term to sum, so the run ends at once with an error instead
+    # of looping over t2
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"k": 2, "n": 2 ** 64, "edges": []}))
     run = _run_module("detcover", "solve", "--input", str(path), "--seed", "1")
@@ -411,7 +412,7 @@ def _near_valid(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(doc=_JSON | _near_valid())
-@example(doc={"k": 2, "n": 2 ** 64, "edges": []})  # once looped for hours in params
+@example(doc={"k": 2, "n": 2 ** 64, "edges": []})  # params' t2 loop once never ended on it
 def test_fuzzed_documents_parse_or_fail_cleanly(doc):
     text = json.dumps(doc)
     try:
