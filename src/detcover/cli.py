@@ -1,4 +1,4 @@
-"""Command line front end: solve, count, gen, params, bench.
+"""Command line front end: solve, count, gen, params.
 
 Exit status of solve is 0 for yes, 1 for no, 2 for any error; the other
 subcommands use 0/2 (params --check uses 1 for a reference mismatch).
@@ -11,7 +11,6 @@ be replayed byte for byte (timings aside).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import random
 import sys
@@ -167,37 +166,6 @@ def cmd_params(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    if args.k < 2:
-        raise ValueError(f"k must be at least 2, got {args.k}")
-    if args.reps < 1:
-        raise ValueError(f"reps must be at least 1, got {args.reps}")
-    runs = []                   # every instance is built, so bad input fails before the header
-    for n in [int(s) for s in args.n.split(",") if s]:
-        edge_count = args.edges if args.edges is not None else 3 * (n // args.k)
-        for rep in range(args.reps):
-            inst_seed = args.seed * 1000003 + n * 101 + rep
-            H = generate(random.Random(inst_seed), args.k, n, edge_count,
-                         plant=args.plant, kdm=(args.mode == "kdm"))
-            runs.append((H, SieveConfig(m=args.m, seed=inst_seed + 1,
-                                        epsilon=_effective_epsilon(args, args.k, n),
-                                        threads=args.threads)))
-    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "k", "mode", "probes", "attempts", "elapsed_ms", "answer"])
-        if args.mode == "xkc" and args.k >= 3:
-            optimize(args.k)  # keep the cached grid search out of the first timed solve
-        for H, cfg in runs:
-            decision = solve_kdm(H, cfg) if args.mode == "kdm" else solve_xkc(H, cfg)
-            writer.writerow([H.n, args.k, args.mode, decision.probes, decision.attempts,
-                             f"{decision.elapsed * 1000:.3f}", decision.answer])
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detcover",
@@ -243,21 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_params)
 
-    p = sub.add_parser("bench", help="time solver runs over generated instances")
-    p.add_argument("--mode", choices=["kdm", "xkc"], default="kdm")
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--n", default="6,9,12", help="comma-separated vertex counts")
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--edges", type=int, default=None,
-                   help="edges per instance (default 3 per cover slot)")
-    p.add_argument("--plant", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=2.0 ** -20)
-    p.add_argument("--epsilon-schedule", action="store_true")
-    p.add_argument("--m", type=int, choices=[8, 64], default=64)
-    p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -154,12 +154,17 @@ def success_probability_exact(n: int, k: int, t: float) -> Fraction:
     return _success_probability_cached(n, k, tn)
 
 
-def repetitions(n: int, k: int, t: float, epsilon: float) -> int:
-    """Attempts needed to push the miss probability below epsilon:
-    ceil(ln(1/epsilon) / p) with p the exact single-attempt probability.
-    Subnormal epsilon is rejected, since 1/epsilon can overflow."""
+def check_epsilon(epsilon: float) -> None:
+    """Refuse an epsilon outside [smallest normal float, 1): 1/subnormal can overflow."""
     if not sys.float_info.min <= epsilon < 1:
         raise ValueError(f"epsilon must be in [{sys.float_info.min}, 1), got {epsilon}")
+
+
+def repetitions(n: int, k: int, t: float, epsilon: float) -> int:
+    """Attempts needed to push the miss probability below epsilon:
+    ceil(ln(1/epsilon) / p) with p the exact single-attempt probability
+    (epsilon as check_epsilon accepts it)."""
+    check_epsilon(epsilon)
     p = success_probability_exact(n, k, t)
     if p == 0:
         raise ValueError("single attempt can never succeed")

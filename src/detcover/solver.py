@@ -32,7 +32,8 @@ edge meets exactly twice, so a single attempt of 2^(n(k-2)/k) probes
 decides the instance.  solve_xkc knows no partition: each attempt
 samples U of size round(t*n) (t from the exponent optimizer), and the
 attempt budget is ceil(ln(1/eps)/p).  Answers are one sided: yes is
-always backed by a nonzero certificate.
+always backed by a nonzero certificate.  An instance with a vertex in
+no edge has no cover, so both answer it no before any attempt.
 
 X is named by a code whose bit i puts the i-th vertex of V - U in X,
 counting from the vertex in the fewest edges (equal counts by label).
@@ -70,14 +71,15 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
+from operator import or_
 
 from .gf2m import GF2m, field_for
 from .hypergraph import Hypergraph, project, restrict_avoiding, validate
 from .linalg import determinant
 from .matchweight import cover_weight
-from .params import optimize, repetitions
+from .params import check_epsilon, optimize, repetitions
 
 
 @dataclass
@@ -92,6 +94,7 @@ class SieveConfig:
     def __post_init__(self):
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
+        check_epsilon(self.epsilon)
 
 
 @dataclass
@@ -552,6 +555,10 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
         return Decision("no", 0, 0, time.perf_counter() - t0,
                         reason=f"cardinality: n={n} is not a multiple of k={k}")
     gf = field_for(cfg.m)
+    uncovered = n - reduce(or_, H.edge_masks, 0).bit_count()
+    if uncovered:
+        return Decision("no", 0, 0, time.perf_counter() - t0,
+                        reason=f"uncovered: {uncovered} of {n} vertices lie in no edge")
     rng = random.Random(cfg.seed)
     tn = u_size(H, partitioned)
     max_attempts = 1 if partitioned else repetitions(n, k, tn / n, cfg.epsilon)

@@ -78,8 +78,6 @@ def test_cli_calls_the_solvers_through_module_globals(monkeypatch, tmp_path, cap
                                 "partition": [[0, 1], [2, 3], [4, 5]]}))
     assert cli.main(["solve", "--input", str(path), "--mode", mode, "--seed", "1"]) == 0
     assert calls == [6]
-    assert cli.main(["bench", "--mode", mode, "--n", "9", "--reps", "2"]) == 0
-    assert calls == [6, 9, 9]
     capsys.readouterr()
 
 

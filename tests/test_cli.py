@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -14,7 +16,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detcover import Hypergraph, ParseError, cli, optimize, parse, validate
-from detcover import params as params_mod
 from detcover import solver as solver_mod
 from detcover.cli import main
 
@@ -158,17 +159,22 @@ def test_module_run_exit_codes(tmp_path, capsys, module):
          "--kdm", "--seed", "5", "--out", str(path))
     planted = _run_module(module, "solve", "--input", str(path), "--seed", "1")
     assert planted.returncode == 0 and "answer: yes" in planted.stdout
+    retired = _run_module(module, "bench", "--n", "6")  # perfbench/run.py is the one timing path
+    assert retired.returncode == 2 and retired.stdout == ""
+    assert "invalid choice" in retired.stderr and "Traceback" not in retired.stderr
 
 
 def test_solve_huge_empty_instance_fails_cleanly(tmp_path):
-    # k = 2 and n = 2^64 with no edges: the success probability of U = V
-    # has one term to sum, so the run ends at once with an error instead
-    # of looping over t2
+    # no edges, so every vertex lies in none and the answer is no before
+    # any U is drawn or any attempt budget summed; n = 2^64 once looped
+    # over params' t2, and n = 2^40 once ran out of memory sampling U
     path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"k": 2, "n": 2 ** 64, "edges": []}))
-    run = _run_module("detcover", "solve", "--input", str(path), "--seed", "1")
-    assert run.returncode == 2 and run.stdout == ""
-    assert len(run.stderr.splitlines()) == 1 and run.stderr.startswith("error:")
+    for k, n in ((2, 2 ** 64), (2, 2 ** 40), (3, 3 * 2 ** 40)):
+        path.write_text(json.dumps({"k": k, "n": n, "edges": []}))
+        run = _run_module("detcover", "solve", "--input", str(path), "--seed", "1", "--force")
+        assert run.returncode == 1 and run.stderr == "", (n, run.stderr)
+        assert "answer: no" in run.stdout
+        assert f"reason: uncovered: {n} of {n} vertices lie in no edge" in run.stdout
 
 
 def test_solve_malformed_instance(tmp_path, capsys):
@@ -309,72 +315,28 @@ def test_params_k_too_large_for_a_float_is_an_error(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-def test_bench_csv(capsys):
-    code, out, _ = _run(capsys, "bench", "--mode", "kdm", "--k", "3",
-                        "--n", "6,9,12,15", "--reps", "2", "--seed", "4")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == "n,k,mode,probes,attempts,elapsed_ms,answer"
-    rows = [l.split(",") for l in lines[1:]]
-    assert len(rows) == 8
-    probes = {int(r[0]): int(r[3]) for r in rows}
-    assert probes == {6: 4, 9: 8, 12: 16, 15: 32}
-    assert all(r[6] == "yes" for r in rows)
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-@pytest.mark.parametrize("k", ["0", "1"])
-def test_bench_rejects_k_below_two(tmp_path, k):
-    # no CSV header, no traceback: exit 2 with an error line, and an
-    # --out file is not created
-    out = tmp_path / "bench.csv"
-    for argv in ((), ("--out", str(out))):
-        run = _run_module("detcover", "bench", "--k", k, "--n", "6", *argv)
-        assert run.returncode == 2 and run.stdout == "", run.stderr
-        assert run.stderr.startswith("error:") and "Traceback" not in run.stderr
-    assert not out.exists()
+def _shown(line):
+    return re.sub(r'("?elapsed_ms"?: )[0-9.]+', r"\1-", line)  # timings vary run to run
 
 
-@pytest.mark.parametrize("argv", [("--n", "6,-3"), ("--n", "-3"), ("--edges", "-1"),
-                                  ("--reps", "0"), ("--reps", "-1"), ("--threads", "0")])
-def test_bench_rejects_bad_counts_before_the_header(tmp_path, capsys, argv):
-    # each bad value is caught before any row: exit 2, one error line, no
-    # CSV header on stdout, and an --out file is not created
-    out = tmp_path / "bench.csv"
-    for extra in ((), ("--out", str(out))):
-        code, stdout, err = _run(capsys, "bench", "--n", "6", *argv, *extra)
-        assert code == 2 and stdout == "", err
-        assert err.startswith("error:") and err.count("\n") == 1, err
-    assert not out.exists()
-
-
-def test_bench_keeps_the_optimizer_out_of_timed_solves(monkeypatch, capsys):
-    # the first xkc row must not pay for the cached exponent grid search
-    params_mod.optimize.cache_clear()
-    misses = []
-    inner = cli.solve_xkc
-
-    def timed(H, cfg):
-        before = params_mod.optimize.cache_info().misses
-        try:
-            return inner(H, cfg)
-        finally:
-            misses.append(params_mod.optimize.cache_info().misses - before)
-
-    monkeypatch.setattr(cli, "solve_xkc", timed)
-    code, _, _ = _run(capsys, "bench", "--mode", "xkc", "--n", "6,9", "--reps", "1",
-                      "--seed", "2")
-    assert code == 0 and misses == [0, 0]
-
-
-def test_bench_deterministic_modulo_timing(capsys):
-    outs = []
-    for _ in range(2):
-        code, out, _ = _run(capsys, "bench", "--mode", "xkc", "--n", "6,9",
-                            "--reps", "2", "--seed", "9")
-        assert code == 0
-        rows = [l.split(",") for l in out.strip().splitlines()[1:]]
-        outs.append([r[:5] + r[6:] for r in rows])
-    assert outs[0] == outs[1]
+def test_readme_command_line_examples_reproduce(tmp_path, monkeypatch, capsys):
+    # every `$ detcover ...` line of the README's "Command line" section,
+    # run in order in one directory, prints the lines shown under it
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    examples = []
+    for block in section.split("\n## ", 1)[0].split("```")[1::2]:
+        lines = block.strip("\n").splitlines()
+        if lines and lines[0].startswith("$ detcover "):
+            examples.append((shlex.split(lines[0])[2:], lines[1:]))
+    assert examples
+    monkeypatch.chdir(tmp_path)
+    for argv, shown in examples:
+        code, out, err = _run(capsys, *argv)
+        assert code == 0 and err == "", (argv, err)
+        assert [_shown(l) for l in out.splitlines()] == [_shown(l) for l in shown], argv
 
 
 # Fuzzing the input path: arbitrary JSON documents, and valid instances

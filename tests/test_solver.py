@@ -695,8 +695,9 @@ def test_solve_kdm_planted_yes():
 
 
 def test_solve_kdm_unsolvable_no():
-    # every edge uses block-0 vertex 0, so vertex 1 is never covered
-    H = Hypergraph(9, 3, [(0, 3, 6), (0, 4, 7), (0, 5, 8)],
+    # block-0 vertices 1 and 2 lie only in edges through vertex 3, so no
+    # two of their edges are disjoint; every vertex lies in an edge
+    H = Hypergraph(9, 3, [(0, 3, 6), (0, 4, 7), (0, 5, 8), (1, 3, 6), (2, 3, 7)],
                    [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
     n, k = 9, 3
     for seed in range(10):
@@ -774,6 +775,15 @@ def _pair_cost(H, i, j):
     return len(_kdm_model(entries, b, rest)[0])
 
 
+def _covering(rng, *args, **kwargs):
+    """rand_instance, drawn again until every vertex lies in an edge, so
+    a solve reaches its sweep instead of the uncovered-vertex rule."""
+    while True:
+        H = rand_instance(rng, *args, **kwargs)
+        if reduce(or_, H.edge_masks, 0).bit_count() == H.n:
+            return H
+
+
 def test_solve_kdm_sieves_the_cheapest_pair(monkeypatch):
     # _bipartite_entries is wrapped to record the blocks of every entry
     # list it builds; the one list the determinant pass receives names
@@ -814,7 +824,7 @@ def test_solve_kdm_sieves_the_cheapest_pair(monkeypatch):
     for _ in range(30):
         k = rng.choice([3, 4])
         n = k * rng.choice([2, 3])
-        H = rand_instance(rng, k, n, n // k + 6, plant_prob=0.8, min_edges=1, kdm=True)
+        H = _covering(rng, k, n, n // k + 6, plant_prob=0.8, min_edges=1, kdm=True)
         costs = {p: _pair_cost(H, *p) for p in combinations(range(k), 2)}
         d, pair = sieved_pair(H, rng.randrange(100))
         assert pair == min(costs, key=lambda p: (costs[p], p))
@@ -887,7 +897,7 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
     for rep in range(12):
         gf = (GF8, GF64)[rep % 2]
         k, n = rng.choice([(3, 9), (3, 12), (4, 12)])
-        H = rand_instance(rng, k, n, 3 * n // k, plant_prob=0.7, min_edges=3 * n // k, kdm=True)
+        H = _covering(rng, k, n, 3 * n // k, plant_prob=0.7, min_edges=3 * n // k, kdm=True)
         seed = rng.randrange(10 ** 6)
         wrng = random.Random(seed)
         w = [gf.sample(wrng) for _ in H.edges]
@@ -1273,7 +1283,9 @@ def test_solve_xkc_planted_yes():
 
 
 def test_solve_xkc_unsolvable_no():
-    H = Hypergraph(9, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    # vertices 0..3 lie only in the edges among them, and no 3-sets
+    # cover 4 vertices exactly; every vertex lies in an edge
+    H = Hypergraph(9, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (4, 5, 6), (6, 7, 8)])
     for seed in range(20):
         d = solve_xkc(H, SieveConfig(seed=seed))
         assert d.answer == "no"
@@ -1295,7 +1307,7 @@ def test_solve_xkc_k2_uses_whole_vertex_set():
 
 
 def test_solve_xkc_attempt_budget_grows_with_epsilon():
-    H = Hypergraph(9, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+    H = Hypergraph(9, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (4, 5, 6), (6, 7, 8)])
     loose = solve_xkc(H, SieveConfig(seed=1, epsilon=0.25))
     tight = solve_xkc(H, SieveConfig(seed=1, epsilon=2.0 ** -20))
     assert loose.max_attempts < tight.max_attempts
