@@ -51,8 +51,6 @@ GENERAL_BOUND_CONSTANT = 8.415
 def _xlnx(x: float) -> float:
     """x * ln(x) extended continuously by 0 at x = 0."""
     if x < 0:
-        if x > -1e-12:  # tolerate grid round-off
-            return 0.0
         raise ValueError(f"negative argument {x}")
     if x == 0.0:
         return 0.0
@@ -115,9 +113,9 @@ def general_bound(k: int) -> float:
     constant close to 8.415."""
     if k < 3:
         raise ValueError(f"bound applies to k >= 3, got {k}")
-    inner = (GENERAL_BOUND_CONSTANT * k ** (0.9 - k) * (k - 1.0) ** 0.6
-             * (k - 1.5) ** (k - 1.5))
-    return 2.0 * inner ** (-1.0 / k)
+    ln_inner = (math.log(GENERAL_BOUND_CONSTANT) + (0.9 - k) * math.log(k)
+                + 0.6 * math.log(k - 1.0) + (k - 1.5) * math.log(k - 1.5))
+    return 2.0 * math.exp(-ln_inner / k)  # in logs: (k - 1.5)^(k - 1.5) overflows from k = 145
 
 
 def kdm_base(k: int) -> float:

@@ -38,13 +38,15 @@ no edge has no cover, so both answer it no before any attempt.
 X is named by a code whose bit i puts the i-th vertex of V - U in X,
 counting from the vertex in the fewest edges (equal counts by label).
 One walk, _walk, serves both kernels: a depth-first search in code
-order that adds one vertex a step, tells the kernel which edges died
-(or revived, on backtrack), and skips the subtree of every X that fails
-the kernel's zero test; the tests are monotone, so a superset of a
-failing X fails too.  It also applies the sieve's own cancellation to
-whole subtrees: if a vertex v that X's subtree can still add lies in no
-live edge the kernel uses, adding v leaves every probe in the subtree
-unchanged, so the probes cancel in pairs and the walk skips the subtree.
+order, one recursive visit per X's subtree, that adds one vertex a
+step, tells the kernel which edges died (or revived, on the way back),
+and skips the subtree of every X that fails the kernel's zero test; the
+tests are monotone, so a superset of a failing X fails too, and the
+visits nest no deeper than log2 of the number of X visited.  It also
+applies the sieve's own cancellation to whole subtrees: if a vertex v
+that X's subtree can still add lies in no live edge the kernel uses,
+adding v leaves every probe in the subtree unchanged, so the probes
+cancel in pairs and the walk skips the subtree.
 The low code bits are the ones a subtree can still add, so the vertices
 in the fewest edges sit there, where they most often lie in no used
 edge and cancel a subtree near the root.
@@ -157,21 +159,29 @@ def _walk(rest, masks, kill, revive, user):
     counting from the vertex in the fewest edges, equal counts by label;
     edge i (vertex bitmask masks[i]) is live while it avoids X.
 
-    A depth-first search: the children of X add a code bit below X's
-    lowest, in increasing order, so the subtree of code c is
-    [c, c + lowest bit of c).  Adding a vertex reads only its own edges
-    and calls kill(ids) with those that just died, the ones that avoided
-    X before the step.  kill returns False when the new X fails the zero
-    test; the test is monotone, so the walk skips the subtree.
-    Backtracking calls revive(ids) with the same edges, after a failed
-    kill too.
+    One recursive visit per X: it yields X, then tries its children,
+    which add a code bit below X's lowest, in increasing order.  Adding
+    a vertex reads only its own edges and calls kill(ids) with those
+    that just died, the ones that avoided X before the step.  kill
+    returns False when the child fails the zero test; the test is
+    monotone, so the walk skips the child's subtree.  Otherwise the
+    child's subtree is one nested visit.  Leaving the child calls
+    revive(ids) with the same edges, after a failed kill too.
 
     The root and every X that passes also skip their subtree when a
     vertex v the subtree can still add (a code bit below X's lowest)
     lies in no live edge i with uses(i), where uses = user() is built
     once per X and says whether a live edge lies in some term of the
     probe (a family or a perfect matching): every X' in the subtree
-    that misses v then has the same probe as X' + v, so the two cancel."""
+    that misses v then has the same probe as X' + v, so the two cancel.
+
+    Visits nest |X| deep.  Each subset Y of a visited X has the lowest
+    bit of a visited ancestor of X (X's bits from Y's lowest up), keeps
+    at least that ancestor's used live edges, so it does not cancel, and
+    passes the monotone zero test: every subset of a visited X is
+    visited, so the depth is at most log2 of the number of X visited,
+    far below Python's recursion limit for any |V - U| a sweep can
+    finish."""
     bits = []                   # per vertex of rest: its bit, the (id, mask) of its edges
     r = rest
     while r:
@@ -185,27 +195,17 @@ def _walk(rest, masks, kill, revive, user):
         uses = user()
         return not all(any(not mk & x and uses(i) for i, mk in touch[t]) for t in range(below))
 
-    if cancels(len(lows), 0):
-        return
-    yield 0
-    path = []                   # code bits of X, highest first
-    x = t = 0                   # t: the next code bit to try adding
-    while True:
-        if t < (path[-1] if path else len(lows)):
-            dead = [i for i, mk in touch[t] if not mk & x]
-            path.append(t)
-            x |= lows[t]
-            if not kill(dead) or t and cancels(t, x):
-                continue        # t == path[-1], so the next pass backtracks out of this X
-            yield x
-            t = 0
-        elif path:
-            t = path.pop()
-            x ^= lows[t]
-            revive([i for i, mk in touch[t] if not mk & x])
-            t += 1
-        else:
+    def visit(x, top):  # X = x and its subtree, whose children add a code bit below top
+        if top and cancels(top, x):
             return
+        yield x
+        for t in range(top):
+            dead = [i for i, mk in touch[t] if not mk & x]
+            if kill(dead):
+                yield from visit(x | lows[t], t)
+            revive(dead)
+
+    yield from visit(0, len(lows))
 
 
 def _live_probes(ends, masks, need, u, rest):
@@ -500,13 +500,14 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
         raise ValueError(f"{len(weights)} weights for {len(H.edges)} edges")
     if H.n == 0 or H.n % H.k != 0:
         raise ValueError("vertex count must be a positive multiple of k")
-    view = project(H, u_vertices)
-    if view.dropped:
-        raise ValueError(f"{len(view.dropped)} edges meet U more than twice")
-    if H.partition is not None and set(view.u_order) == set(H.partition[0]) | set(H.partition[1]):
+    u_vertices = set(u_vertices)
+    if H.partition is not None and u_vertices == set(H.partition[0]) | set(H.partition[1]):
         _, entries, xs = _cheapest_blocks(H)
         total = _run_chunks(partial(_sweep_kdm, entries, H.n // H.k, weights, gf), xs, threads)
         return gf.mul(total, total)
+    view = project(H, u_vertices)
+    if view.dropped:
+        raise ValueError(f"{len(view.dropped)} edges meet U more than twice")
     ends = [()] * len(H.edges)
     for eid, *at in view.pairs + view.loops:
         ends[eid] = tuple(at)

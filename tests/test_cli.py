@@ -290,6 +290,9 @@ def test_params_table_and_check(capsys):
     row = json.loads(out)[0]
     assert abs(row["base"] - 1.4953) < 1e-3
     assert abs(row["bound"] - 1.508) < 1e-3
+    code, out, _ = _run(capsys, "params", "--k", "145", "--format", "json")
+    assert code == 0  # the bound's (k - 1.5)^(k - 1.5) overflows a float from k = 145
+    assert 1.99 < json.loads(out)[0]["bound"] < 2.0
 
 
 def test_params_json_check_prints_one_document(capsys, monkeypatch):

@@ -24,6 +24,21 @@ def test_sieve_single_probe_when_u_is_everything():
     assert value == covers_weight_sum(H, range(6), w, GF64)
 
 
+def test_sieve_u_beyond_the_edge_budget_probes_nothing(monkeypatch):
+    # |U| = 5 > 2n/k = 4: n/k = 2 edges meeting U at most twice each
+    # cannot cover U, so the general kernel yields no X at all
+    rng = random.Random(3)
+    H = Hypergraph(6, 3, [(0, 1, 5), (2, 3, 5), (1, 4, 5), (0, 4, 5)])
+    u = [0, 1, 2, 3, 4]
+    w = [GF64.sample(rng) for _ in H.edges]
+
+    def probe(*args):
+        raise AssertionError("cover_weight called with |U| > 2n/k")
+
+    monkeypatch.setattr(solver_mod, "cover_weight", probe)
+    assert sieve_decide(H, u, w, GF64) == covers_weight_sum(H, u, w, GF64) == 0
+
+
 def test_sieve_matches_cover_enumeration():
     rng = random.Random(2)
     checked_nonzero = 0
