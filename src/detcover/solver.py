@@ -59,11 +59,14 @@ the view to each X that has one.  The bipartite kernel,
 _matchable_probes, uses an edge when it lies in a perfect matching of
 the live support; it keeps the support and one perfect matching,
 repaired by augmenting paths as cells empty, and yields each X whose
-support has one, which then gets one sparse determinant.  Each X is
-walked once.  One thread probes the X as the walk yields them; threaded
-runs split the walked X list into contiguous slices and XOR the partial
-sums, so results are bit-identical for any worker count, on at most
-os.cpu_count() threads.
+support has one.  Each X's determinant is then the product of its
+determinants on the Dulmage-Mendelsohn blocks of the root support
+(X = {}), found once per sweep: the blocks that no X of the sweep
+touches give one factor, and the others are memoized by the X vertices
+they meet.  Each X is walked once.  One thread probes the X as the
+walk yields them; threaded runs split the walked X list into
+contiguous slices and XOR the partial sums, so results are
+bit-identical for any worker count, on at most os.cpu_count() threads.
 """
 
 from __future__ import annotations
@@ -357,6 +360,22 @@ def _augment(rows, root, row_of, col_of) -> bool:
     return False
 
 
+def _reach(support, row_of, c) -> int:
+    """Bitmask of the columns that alternating paths from column c reach,
+    c included: a reached column d leads, through its matched row
+    row_of[d], to every column of support[row_of[d]]."""
+    seen = frontier = 1 << c
+    while frontier:
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            step |= support[row_of[low.bit_length() - 1]]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
+
+
 def _matchable_probes(entries, b, rest):
     """The bipartite kernel's X: those of _walk whose live edges (those
     avoiding X) have a perfect matching on the b x b grid.  The walk
@@ -419,16 +438,7 @@ def _matchable_probes(entries, b, rest):
             if col_of[r] == c:
                 return True
             if c not in reach:
-                seen = frontier = 1 << c
-                while frontier:
-                    step = 0
-                    while frontier:
-                        low = frontier & -frontier
-                        frontier ^= low
-                        step |= support[row_of[low.bit_length() - 1]]
-                    frontier = step & ~seen
-                    seen |= frontier
-                reach[c] = seen
+                reach[c] = _reach(support, row_of, c)
             return reach[c] >> col_of[r] & 1
 
         return uses
@@ -437,26 +447,66 @@ def _matchable_probes(entries, b, rest):
 
 
 def _sweep_kdm(entries, b, weights, gf, xs):
-    """XOR of the bipartite determinants at the X in xs.
+    """XOR of the bipartite determinants at the X in the list xs.
 
     Row r is the r-th vertex of the left block of the entries' pair and
-    column c the c-th of its right block.  The sparse rows at full
-    weight ({col: value}) are built once, and each X's are a copy with
-    the edges meeting X XORed out.  Only the X that _matchable_probes
-    yields can have a nonzero determinant; a cell that reads zero is
-    skipped by the determinant.
+    column c the c-th of its right block.  One perfect matching of the
+    root support (X = {}) splits it into Dulmage-Mendelsohn blocks:
+    columns c and d share one iff alternating paths lead from each to
+    the other.  Paths between blocks run one way only, so in that order
+    the root support, and every X's live support inside it, is block
+    triangular, and X's determinant is the product of its diagonal
+    blocks' determinants.  A cell between two blocks lies in no perfect
+    matching of any X's support and is dropped.  A block's determinant
+    depends only on the X vertices that its cells' edges meet: the
+    blocks that no X in xs touches multiply into one factor, computed
+    once, and the others are memoized by x & (their edges' vertices).
+    A 1x1 block's determinant is its cell, and a zero block ends its X's
+    product.
     """
-    full = [{} for _ in range(b)]
-    for _, eid, r, c in entries:
-        full[r][c] = full[r].get(c, 0) ^ weights[eid]
+    support = [0] * b
+    for _, _, r, c in entries:
+        support[r] |= 1 << c
+    matching = _perfect_matching(support) if xs else None
+    if matching is None:        # no X, or every X's support lacks a perfect matching
+        return 0
+    row_of, col_of = matching
+    reach = [_reach(support, row_of, c) for c in range(b)]
+    block = [sum(1 << d for d in range(b) if reach[c] >> d & reach[d] >> c & 1) for c in range(b)]
+    pos = [(block[c] & ((1 << c) - 1)).bit_count() for c in range(b)]  # c's place in its block
+    cells = {}                  # block -> its (edge mask, weight, row, col), row and col block-local
+    for mk, eid, r, c in entries:
+        if block[c] == block[col_of[r]]:
+            cells.setdefault(block[c], []).append((mk, weights[eid], pos[col_of[r]], pos[c]))
+
+    def det(part, size, x):     # the block's determinant at X
+        rows = [{} for _ in range(size)]
+        for mk, w, r, c in part:
+            if not mk & x:
+                rows[r][c] = rows[r].get(c, 0) ^ w
+        return rows[0].get(0, 0) if size == 1 else determinant(rows, gf)
+
+    mul = gf.mul
+    hit = reduce(or_, xs)
+    factor, touched = 1, []
+    for cols, part in cells.items():
+        seen, size = reduce(or_, (mk for mk, *_ in part)), cols.bit_count()
+        if seen & hit:
+            touched.append((seen, part, size, {}))
+        else:
+            factor = mul(factor, det(part, size, 0))
     total = 0
     for x in xs:
-        rows = [row.copy() for row in full]
-        for mk, eid, r, c in entries:
-            if mk & x:
-                rows[r][c] ^= weights[eid]
-        total ^= determinant(rows, gf)
-    return total
+        value = 1
+        for seen, part, size, memo in touched:
+            key = x & seen
+            if key not in memo:
+                memo[key] = det(part, size, key)
+            value = memo[key] if value == 1 else mul(value, memo[key])  # 1 * d = d, no field call
+            if not value:
+                break
+        total ^= value
+    return mul(total, factor)
 
 
 def _run_chunks(sweep, xs, threads: int) -> int:

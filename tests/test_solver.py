@@ -2,6 +2,7 @@
 
 import random
 from bisect import bisect_left
+from collections import Counter
 from functools import reduce
 from itertools import combinations, permutations, product
 from operator import or_, xor
@@ -545,7 +546,9 @@ def test_walk_is_output_sensitive(monkeypatch):
     # any vertex of V - U empties a matched cell that no augmenting path
     # repairs, so only X = {} is probed.  The block race opens all three
     # pairs' walks, b augmenting paths at each root, and pair (0, 1) ends
-    # first, after one failed repair per vertex of block 2
+    # first, after one failed repair per vertex of block 2.  The sweep
+    # matches the root support once more, b augmenting paths, and splits
+    # it into b blocks of 1x1, which need no determinant
     calls = {"_perfect_matching": 0, "_augment": 0, "determinant": 0, "cover_weight": 0}
     last = {}                   # the arguments of each name's latest call
     for name in calls:
@@ -564,9 +567,9 @@ def test_walk_is_output_sensitive(monkeypatch):
     for x in w:
         product = GF64.mul(product, x)
     assert sieve_decide(H, blocks[0] + blocks[1], w, GF64) == GF64.mul(product, product)
-    assert calls == {"_perfect_matching": 3, "_augment": 4 * b, "determinant": 1,
+    assert calls == {"_perfect_matching": 4, "_augment": 5 * b, "determinant": 0,
                      "cover_weight": 0}
-    assert last["determinant"] == ([{c - b: x} for c, x in zip(cols, w)], GF64)
+    assert last["_perfect_matching"] == ([1 << (c - b) for c in cols],)
     # the xkc twin: one exact cover of n = 33 vertices; U takes one vertex
     # of each edge and a second of two, so |V - U| = 20
     vertices = rng.sample(range(33), 33)
@@ -884,27 +887,26 @@ def test_solve_kdm_walks_each_pair_once(monkeypatch):
 
 
 def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
-    # solve_kdm's determinant calls, in order, against the brute-force
-    # live grid of each X the winner's walk kept, at the weights the
-    # solver draws (one per edge, in edge order); a row may also hold a
-    # zero for a cell whose edges all died.  The totals agree for 1 to 3
+    # solve_kdm's determinant calls against the brute-force live grid of
+    # each X the winner's walk kept, at the weights the solver draws (one
+    # per edge, in edge order): each call gets {col: value} rows, the
+    # live grid of one root block wider than 1x1 at one kept X (rows in
+    # any order), and one thread computes each (block, key) at most
+    # once.  Each kept X's product of block determinants is the
+    # determinant of its live grid, and the totals agree for 1 to 3
     # threads
     calls, totals = [], []
-    seen = {"determinants": 0, "dead cells": 0, "nonzero": 0}
+    seen = {"determinants": 0, "nonzero": 0}
     inner_det, inner_total = solver_mod.determinant, solver_mod.sieve_decide
 
     def computing(rows, gf):
         assert all(isinstance(row, dict) for row in rows)
-        seen["dead cells"] += sum(not v for row in rows for v in row.values())
-        calls.append(_nonzero_rows(rows))
+        calls.append(_canon(rows))
         return inner_det(rows, gf)
 
     def totalling(*args):
         totals.append(inner_total(*args))
         return totals[-1]
-
-    def cells(rows):            # a sort key: workers may call in any order
-        return [sorted(row.items()) for row in rows]
 
     monkeypatch.setattr(solver_mod, "determinant", computing)
     monkeypatch.setattr(solver_mod, "sieve_decide", totalling)
@@ -917,19 +919,22 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
         wrng = random.Random(seed)
         w = [gf.sample(wrng) for _ in H.edges]
         order, entries, xs = solver_mod._cheapest_blocks(H)
-        expect = [_nonzero_rows(_live_grid(entries, n // k, w, x)[1]) for x in xs]
+        for x in xs:
+            mat = _live_grid(entries, n // k, w, x)[1]
+            assert solver_mod._sweep_kdm(entries, n // k, w, gf, [x]) == ref_det(mat, gf)
+        inputs = _block_inputs(entries, n // k, w, xs)[0]
         totals.clear()
         for threads in (1, 2, 3):
             calls.clear()
             d = solve_kdm(H, SieveConfig(m=gf.m, seed=seed, threads=threads))
-            assert sorted(calls, key=cells) == sorted(expect, key=cells)
+            assert set(calls) <= set(inputs)
             if threads == 1:
-                assert calls == expect
+                assert not Counter(calls) - inputs
+                seen["determinants"] += len(calls)
         assert totals[0] == totals[1] == totals[2]
         assert d.yes == bool(totals[0])
         u = [*order[0], *order[1]]
         assert totals[0] == covers_weight_sum(Hypergraph(n, k, H.edges, order), u, w, gf)
-        seen["determinants"] += len(expect)
         seen["nonzero"] += bool(totals[0])
     assert min(seen.values()) >= 6, seen
 
@@ -1129,6 +1134,55 @@ def _live_grid(entries, b, weights, x):
     return support, mat
 
 
+def _dm_blocks(entries, b):
+    """(rows, cols) of each Dulmage-Mendelsohn block of the root support,
+    by brute force: the connected components of the cells that lie in
+    some perfect matching.  None when the support has no perfect
+    matching."""
+    support = [0] * b
+    for _, _, r, c in entries:
+        support[r] |= 1 << c
+    part = list(range(2 * b))   # union-find over rows 0..b-1 and columns b..2b-1
+
+    def find(v):
+        while part[v] != v:
+            v = part[v]
+        return v
+
+    perms = [p for p in permutations(range(b)) if all(support[r] >> c & 1 for r, c in enumerate(p))]
+    for perm in perms:
+        for r, c in enumerate(perm):
+            part[find(r)] = find(b + c)
+    groups = {}
+    for v in range(2 * b):
+        groups.setdefault(find(v), []).append(v)
+    return [([v for v in g if v < b], [v - b for v in g if v >= b])
+            for g in groups.values()] if perms else None
+
+
+def _block_mat(mat, rows, cols):
+    return [[mat[r][c] for c in cols] for r in rows]
+
+
+def _canon(rows):
+    """A block's dense or {col: value} rows, zeros dropped, in row order."""
+    return tuple(sorted(tuple(sorted(row.items())) for row in _nonzero_rows(rows)))
+
+
+def _block_inputs(entries, b, w, xs):
+    """(Counter of the canonical live grids, one per distinct (block, key)
+    of a root block wider than 1x1 with key = x & the vertices of its
+    edges, x in xs; the number of (wide block, X) pairs)."""
+    inputs, pairs = Counter(), 0
+    for rows, cols in _dm_blocks(entries, b) or []:
+        if len(cols) > 1:
+            seen = reduce(or_, (mk for mk, _, r, c in entries if r in rows and c in cols))
+            pairs += len(xs)
+            for key in {x & seen for x in xs}:
+                inputs[_canon(_block_mat(_live_grid(entries, b, w, key)[1], rows, cols))] += 1
+    return inputs, pairs
+
+
 def _pattern(mat):
     return [sum(1 << c for c, v in enumerate(row) if v) for row in mat]
 
@@ -1189,14 +1243,15 @@ def test_matchable_probes_yield_exactly_the_matchable_sets(monkeypatch):
     # walk model (a perfect matching of the live support, and every lower
     # vertex in a cell that one uses), in code order; the determinant pass,
     # over the whole list and over 2 to 7 slices cut where a code range
-    # would split, hands each of them the XOR of its live weights per
-    # cell; k = 4 puts two vertices of each edge in V - U, so hit counts
-    # reach 2, and twins duplicate or cancel cells
+    # would split, hands each slice's determinant the live grid of a root
+    # block at one of its X, at most once per (block, key), and the
+    # slices XOR to the whole total; k = 4 puts two vertices of each edge
+    # in V - U, so hit counts reach 2, and twins duplicate or cancel cells
     mats = []
     inner_det = solver_mod.determinant
 
     def computing(rows, gf):
-        mats.append(_nonzero_rows(rows))
+        mats.append(_canon(rows))
         return inner_det(rows, gf)
 
     monkeypatch.setattr(solver_mod, "determinant", computing)
@@ -1215,19 +1270,22 @@ def test_matchable_probes_yield_exactly_the_matchable_sets(monkeypatch):
                 seen["cancelled"] += not _matchable(_pattern(mat))
             walked = list(solver_mod._matchable_probes(entries, b, rest))
             assert walked == [x for x, _ in expect]
+            total = 0
+            for _, mat in expect:
+                total ^= ref_det(mat, gf)
             splits = [[]]
             for _ in range(3):
                 cuts = sorted(rng.sample(range(1, codes), rng.randint(1, min(6, codes - 1))))
                 splits.append([bisect_left(yielded, cut) for cut in cuts])
             for cuts in splits:
                 bounds = [0, *cuts, len(walked)]
-                mats.clear()
+                swept = 0
                 for a, z in zip(bounds, bounds[1:]):
-                    solver_mod._sweep_kdm(entries, b, w, gf, walked[a:z])
-                assert mats == [_nonzero_rows(mat) for _, mat in expect], (k, n, bounds)
-            total = 0
-            for _, mat in expect:
-                total ^= ref_det(mat, gf)
+                    mats.clear()
+                    swept ^= solver_mod._sweep_kdm(entries, b, w, gf, walked[a:z])
+                    inputs = _block_inputs(entries, b, w, walked[a:z])[0]
+                    assert not Counter(mats) - inputs, (k, n, bounds)
+                assert swept == total, (k, n, bounds)
             u = [*H.partition[0], *H.partition[1]]
             assert gf.mul(total, total) == covers_weight_sum(H, u, w, gf)
             seen["yielded"] += len(expect)
@@ -1240,10 +1298,10 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
     # through sieve_decide: the walk yields the X of the walk model; every
     # skipped X whose live support has no perfect matching has a singular
     # matrix, and the determinants of all the skipped X XOR to zero; the
-    # yielded X whose cancelling twins leave a nonzero pattern with no
-    # perfect matching reach the determinant and give zero
-    walked, dets = [], []
-    inner_walk, inner_det = solver_mod._matchable_probes, solver_mod.determinant
+    # sweep gets exactly the yielded X, and those whose cancelling twins
+    # leave a nonzero pattern with no perfect matching give zero
+    walked, swept = [], []
+    inner_walk, inner_sweep = solver_mod._matchable_probes, solver_mod._sweep_kdm
 
     def walking(*args):         # one list per pair's walk in the block race
         walked.append(mine := [])
@@ -1251,12 +1309,12 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
             mine.append(x)
             yield x
 
-    def computing(rows, gf):
-        dets.append(inner_det(rows, gf))
-        return dets[-1]
+    def sweeping(*args):
+        swept.extend(args[-1])
+        return inner_sweep(*args)
 
     monkeypatch.setattr(solver_mod, "_matchable_probes", walking)
-    monkeypatch.setattr(solver_mod, "determinant", computing)
+    monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
     rng = random.Random(18)
     skipped = cancelled = 0
     for rep in range(30):
@@ -1266,12 +1324,12 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
         order = solver_mod._cheapest_blocks(H)[0]
         pair = (H.partition.index(order[0]), H.partition.index(order[1]))
         walked.clear()
-        dets.clear()
+        swept.clear()
         sieve_decide(H, [*H.partition[0], *H.partition[1]], w, gf)
         winner = walked[list(combinations(range(k), 2)).index(pair)]
         entries, b, rest, _, xs = _kdm_case(Hypergraph(H.n, H.k, H.edges, order))
-        assert winner == [xs[c] for c in _kdm_model(entries, b, rest)[0]]
-        probe = dict(zip(winner, dets, strict=True))
+        assert winner == [xs[c] for c in _kdm_model(entries, b, rest)[0]] == swept
+        probe = {x: inner_sweep(entries, b, w, gf, [x]) for x in winner}
         left = 0
         for x in xs:
             support, mat = _live_grid(entries, b, w, x)
@@ -1285,6 +1343,73 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
                 assert probe[x] == ref_det(mat, gf) == 0
         assert left == 0
     assert skipped >= 20 and cancelled >= 5
+
+
+def test_sweep_factors_over_the_root_blocks(monkeypatch):
+    # the root support's Dulmage-Mendelsohn blocks, by brute force: at
+    # every code, the one-X sweep and the product of the blocks' live
+    # determinants both equal the live grid's determinant.  Over the
+    # walked list and over lists that spare one wide block's vertices,
+    # every determinant input is a wide block's live grid at one listed
+    # X, once per (block, key) at most, and a block that no listed X
+    # touches is computed once; the list swept twice sums to zero with
+    # no further call, its repeated keys hitting the memo.  1 to 3
+    # threads give one sieve value, the cover sum
+    calls = []
+    inner_det = solver_mod.determinant
+
+    def computing(rows, gf):
+        calls.append(_canon(rows))
+        return inner_det(rows, gf)
+
+    monkeypatch.setattr(solver_mod, "determinant", computing)
+    rng = random.Random(31)
+    seen = {"wide blocks": 0, "untouched": 0, "memo hits": 0, "nonzero": 0, "no matching": 0}
+    for rep in range(8):
+        gf = (GF8, GF64)[rep % 2]
+        for k, n in ((3, 9), (3, 12), (4, 12), (4, 16)):
+            H = rand_instance(rng, k, n, 3 * n // k, plant_prob=0.5, min_edges=2 * n // k, kdm=True)
+            for H, w in (_kdm_with_cancelling_twins(rng, gf, k, n, rep % 4 >= 2),
+                         (H, [gf.sample(rng) for _ in H.edges])):
+                entries, b, rest, _, xs = _kdm_case(H)
+                blocks = _dm_blocks(entries, b)
+                for x in xs:
+                    mat = _live_grid(entries, b, w, x)[1]
+                    det = ref_det(mat, gf)
+                    parts = [ref_det(_block_mat(mat, *blk), gf) for blk in blocks or []]
+                    assert (reduce(gf.mul, parts, 1) if blocks else 0) == det
+                    calls.clear()
+                    assert solver_mod._sweep_kdm(entries, b, w, gf, [x]) == det
+                    assert not Counter(calls) - _block_inputs(entries, b, w, [x])[0]
+                wide = [(rows, cols, reduce(or_, (mk for mk, _, r, c in entries
+                                                  if r in rows and c in cols)))
+                        for rows, cols in blocks or [] if len(cols) > 1]
+                lists = [list(solver_mod._matchable_probes(entries, b, rest))]
+                lists += [[x for x in xs if not x & vertices] for _, _, vertices in wide]
+                for xl in lists:
+                    calls.clear()
+                    total = solver_mod._sweep_kdm(entries, b, w, gf, xl)
+                    assert total == reduce(xor, (ref_det(_live_grid(entries, b, w, x)[1], gf)
+                                                 for x in xl), 0)
+                    inputs, pairs = _block_inputs(entries, b, w, xl)
+                    made = Counter(calls)
+                    assert not made - inputs
+                    for rows, cols, vertices in wide:
+                        if not vertices & reduce(or_, xl, 0):
+                            full = _live_grid(entries, b, w, 0)[1]
+                            assert made[_canon(_block_mat(full, rows, cols))] >= 1
+                            seen["untouched"] += 1
+                    calls.clear()
+                    assert solver_mod._sweep_kdm(entries, b, w, gf, xl + xl) == 0
+                    assert Counter(calls) == made
+                    seen["memo hits"] += pairs > sum(inputs.values())
+                u = [*H.partition[0], *H.partition[1]]
+                values = {sieve_decide(H, u, w, gf, threads) for threads in (1, 2, 3)}
+                assert values == {covers_weight_sum(H, u, w, gf)}
+                seen["wide blocks"] += len(wide)
+                seen["nonzero"] += values != {0}
+                seen["no matching"] += blocks is None
+    assert min(seen.values()) >= 5, seen
 
 
 def test_solve_xkc_planted_yes():
