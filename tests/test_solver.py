@@ -1165,7 +1165,8 @@ def _block_mat(mat, rows, cols):
 
 
 def _canon(rows):
-    """A block's dense or {col: value} rows, zeros dropped, in row order."""
+    """A matrix's dense or {col: value} rows, zeros dropped, as a sorted
+    tuple, so the order of the rows does not count."""
     return tuple(sorted(tuple(sorted(row.items())) for row in _nonzero_rows(rows)))
 
 
@@ -1368,9 +1369,10 @@ def test_sweep_factors_over_the_root_blocks(monkeypatch):
     for rep in range(8):
         gf = (GF8, GF64)[rep % 2]
         for k, n in ((3, 9), (3, 12), (4, 12), (4, 16)):
-            H = rand_instance(rng, k, n, 3 * n // k, plant_prob=0.5, min_edges=2 * n // k, kdm=True)
+            dense = rand_instance(rng, k, n, 3 * n // k, plant_prob=0.5, min_edges=2 * n // k,
+                                  kdm=True)
             for H, w in (_kdm_with_cancelling_twins(rng, gf, k, n, rep % 4 >= 2),
-                         (H, [gf.sample(rng) for _ in H.edges])):
+                         (dense, [gf.sample(rng) for _ in dense.edges])):
                 entries, b, rest, _, xs = _kdm_case(H)
                 blocks = _dm_blocks(entries, b)
                 for x in xs:
