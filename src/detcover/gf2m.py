@@ -16,10 +16,12 @@ large enough that random-evaluation identity tests have error probability
 around n / 2^64.  Both moduli share the low part x^4 + x^3 + x + 1, so
 reduction folds the overflow through shifts by 0, 1, 3, 4.
 
-Irreducibility of small moduli (m <= 16) is verified by trial division at
-construction time; the degree-64 modulus is a standard table entry and is
-checked once by the test suite via x^(2^64) == x (mod f) together with
-gcd(x^(2^32) - x, f) = 1.
+The constructor takes any m <= 64 (the span of mul's written-out 4-bit
+window) with a trinomial or pentanomial modulus, whose low part folds
+in four shifts.  Irreducibility of small moduli (m <= 16) is verified by
+trial division at construction time; the degree-64 modulus is a standard
+table entry and is checked once by the test suite via x^(2^64) == x
+(mod f) together with gcd(x^(2^32) - x, f) = 1.
 """
 
 from __future__ import annotations
@@ -64,15 +66,21 @@ class GF2m:
     def __init__(self, m: int, reduction: int):
         if reduction.bit_length() != m + 1:
             raise ValueError(f"reduction polynomial must have degree {m}")
+        if m > 64:
+            raise ValueError(f"degree {m} exceeds the 64 bits that mul's window covers")
+        if reduction.bit_count() not in (3, 5):
+            raise ValueError(f"reduction polynomial {reduction:#x} is not a trinomial or pentanomial")
         if m <= 16 and not is_irreducible(reduction):
             raise ValueError(f"reduction polynomial {reduction:#x} is reducible")
         self.m = m
         self.reduction = reduction
         self.order = 1 << m
         self._mask = self.order - 1
-        # low-degree part of the modulus: x^m == low (mod reduction)
+        # x^m == x^s0 + x^s1 + x^s2 + x^s3 (mod reduction); a trinomial
+        # repeats shift 0, and the two copies cancel
         low = reduction ^ (1 << m)
-        self._fold_shifts = tuple(i for i in range(m) if (low >> i) & 1)
+        shifts = [i for i in range(m) if (low >> i) & 1]
+        self._fold = tuple(shifts + [0, 0] if len(shifts) == 2 else shifts)
 
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, reduction={self.reduction:#x})"
@@ -80,8 +88,10 @@ class GF2m:
     def mul(self, a: int, b: int) -> int:
         """Product modulo the reduction polynomial.
 
-        Carry-less multiply with a 4-bit window of precomputed multiples
-        of b, then fold the overflow back through the sparse modulus.
+        Carry-less multiply, written out over the sixteen 4-bit windows
+        of a (m <= 64), from a table of the sixteen multiples of b.  The
+        overflow above x^m then folds back through x^m = x^s0 + ... +
+        x^s3 until none is left, which for 0x1B takes two folds.
         """
         t2 = b << 1
         t4 = b << 2
@@ -91,25 +101,19 @@ class GF2m:
         t6 = t4 ^ t2
         t7 = t6 ^ b
         t12 = t8 ^ t4
-        table = (0, b, t2, t3, t4, t5, t6, t7,
-                 t8, t8 ^ b, t8 ^ t2, t8 ^ t3, t12, t12 ^ b, t12 ^ t2, t12 ^ t3)
-        p = 0
-        shift = 0
-        while a:
-            p ^= table[a & 15] << shift
-            a >>= 4
-            shift += 4
-        return self._reduce(p)
-
-    def _reduce(self, p: int) -> int:
+        t = (0, b, t2, t3, t4, t5, t6, t7,
+             t8, t8 ^ b, t8 ^ t2, t8 ^ t3, t12, t12 ^ b, t12 ^ t2, t12 ^ t3)
+        p = (t[a & 15] ^ t[a >> 4 & 15] << 4 ^ t[a >> 8 & 15] << 8 ^ t[a >> 12 & 15] << 12
+             ^ t[a >> 16 & 15] << 16 ^ t[a >> 20 & 15] << 20 ^ t[a >> 24 & 15] << 24
+             ^ t[a >> 28 & 15] << 28 ^ t[a >> 32 & 15] << 32 ^ t[a >> 36 & 15] << 36
+             ^ t[a >> 40 & 15] << 40 ^ t[a >> 44 & 15] << 44 ^ t[a >> 48 & 15] << 48
+             ^ t[a >> 52 & 15] << 52 ^ t[a >> 56 & 15] << 56 ^ t[a >> 60] << 60)
         m = self.m
         mask = self._mask
-        shifts = self._fold_shifts
+        s0, s1, s2, s3 = self._fold
         hi = p >> m
         while hi:
-            p &= mask
-            for s in shifts:
-                p ^= hi << s
+            p = p & mask ^ hi << s0 ^ hi << s1 ^ hi << s2 ^ hi << s3
             hi = p >> m
         return p
 
@@ -126,7 +130,12 @@ class GF2m:
         return acc
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via binary polynomial extended Euclid."""
+        """Multiplicative inverse via binary polynomial extended Euclid.
+
+        Each step keeps deg s0 + deg r1 <= m and deg s1 + deg r0 <= m,
+        and r0 still has degree >= 1 when r1 reaches 1, so s1 already
+        lies below x^m and needs no fold.
+        """
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
         if a == 1:
@@ -141,7 +150,7 @@ class GF2m:
                 d = -d
             r0 ^= r1 << d
             s0 ^= s1 << d
-        return self._reduce(s1)
+        return s1
 
     def sample(self, rng: random.Random) -> int:
         """Uniformly random element (zero included)."""

@@ -102,13 +102,16 @@ def validate(H: Hypergraph) -> Violation | None:
             seen.update(block)
         if seen != set(range(H.n)):
             return Violation("partition-cover", "blocks do not partition the vertex set")
+        home = [0] * H.n        # home[v]: the block holding v
+        for b, block in enumerate(H.partition):
+            for v in block:
+                home[v] = b
         for eid, e in enumerate(H.edges):
-            for b, block in enumerate(H.partition):
-                c = len(set(e) & set(block))
-                if c != 1:
-                    return Violation(
-                        "partition-meet",
-                        f"edge {eid} meets block {b} {c} times, expected once")
+            met = [home[v] for v in e]
+            if len(set(met)) < H.k:  # k vertices in fewer than k blocks
+                b = next(b for b in range(H.k) if met.count(b) != 1)
+                return Violation("partition-meet",
+                                 f"edge {eid} meets block {b} {met.count(b)} times, expected once")
     return None
 
 

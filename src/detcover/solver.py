@@ -61,7 +61,8 @@ the live support; it keeps the support and one perfect matching,
 repaired by augmenting paths as cells empty, and yields each X whose
 support has one.  Each X's determinant is then the product of its
 determinants on the Dulmage-Mendelsohn blocks of the root support
-(X = {}), found once per sweep: the blocks that no X of the sweep
+(X = {}), found once per sweep from the perfect matching that the
+winning walk holds when it ends: the blocks that no X of the sweep
 touches give one factor, and the others are memoized by the X vertices
 they meet.  Each X is walked once.  One thread probes the X as the
 walk yields them; threaded runs split the walked X list into
@@ -393,7 +394,11 @@ def _matchable_probes(entries, b, rest):
     support: a matched cell is; an unmatched (r, c) is iff it closes an
     alternating cycle (Dulmage and Mendelsohn), that is iff column c
     reaches column col_of[r] along support[row_of[.]], a bitmask search
-    made at most once per column and X."""
+    made at most once per column and X.
+
+    The generator returns that matching when the walk ends: every kill
+    is revived by then, so it is a perfect matching of the root support
+    (X = {}).  It returns None when the root support has none."""
     cells = [(r, c) for _, _, r, c in entries]
     count = [[0] * b for _ in range(b)]     # live edges per cell
     support = [0] * b                       # bit c of support[r] iff count[r][c]
@@ -444,14 +449,17 @@ def _matchable_probes(entries, b, rest):
         return uses
 
     yield from _walk(rest, [mk for mk, *_ in entries], kill, revive, user)
+    return row_of, col_of
 
 
-def _sweep_kdm(entries, b, weights, gf, xs):
+def _sweep_kdm(entries, matching, weights, gf, xs):
     """XOR of the bipartite determinants at the X in the list xs.
 
     Row r is the r-th vertex of the left block of the entries' pair and
-    column c the c-th of its right block.  One perfect matching of the
-    root support (X = {}) splits it into Dulmage-Mendelsohn blocks:
+    column c the c-th of its right block.  `matching` is a perfect
+    matching (row of each column, column of each row) of the root
+    support (X = {}), or None when it has none and so no X has one.
+    The matching splits the root support into Dulmage-Mendelsohn blocks:
     columns c and d share one iff alternating paths lead from each to
     the other.  Paths between blocks run one way only, so in that order
     the root support, and every X's live support inside it, is block
@@ -462,15 +470,16 @@ def _sweep_kdm(entries, b, weights, gf, xs):
     blocks that no X in xs touches multiply into one factor, computed
     once, and the others are memoized by x & (their edges' vertices).
     A 1x1 block's determinant is its cell, and a zero block ends its X's
-    product.
+    product.  The blocks do not depend on which perfect matching splits
+    them, and in characteristic 2 neither does any block's determinant.
     """
+    if matching is None or not xs:
+        return 0
+    row_of, col_of = matching
+    b = len(col_of)
     support = [0] * b
     for _, _, r, c in entries:
         support[r] |= 1 << c
-    matching = _perfect_matching(support) if xs else None
-    if matching is None:        # no X, or every X's support lacks a perfect matching
-        return 0
-    row_of, col_of = matching
     reach = [_reach(support, row_of, c) for c in range(b)]
     block = [sum(1 << d for d in range(b) if reach[c] >> d & reach[d] >> c & 1) for c in range(b)]
     pos = [(block[c] & ((1 << c) - 1)).bit_count() for c in range(b)]  # c's place in its block
@@ -552,8 +561,8 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
         raise ValueError("vertex count must be a positive multiple of k")
     u_vertices = set(u_vertices)
     if H.partition is not None and u_vertices == set(H.partition[0]) | set(H.partition[1]):
-        _, entries, xs = _cheapest_blocks(H)
-        total = _run_chunks(partial(_sweep_kdm, entries, H.n // H.k, weights, gf), xs, threads)
+        _, entries, matching, xs = _cheapest_blocks(H)
+        total = _run_chunks(partial(_sweep_kdm, entries, matching, weights, gf), xs, threads)
         return gf.mul(total, total)
     view = project(H, u_vertices)
     if view.dropped:
@@ -568,8 +577,9 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
 
 def _cheapest_blocks(H: Hypergraph):
     """(H's partition with the pair moved to the front, its entries, the
-    X its walk yields) of the pair of blocks whose walk yields the
-    fewest X, the lowest such pair on a tie.  Any pair gives the same
+    perfect matching of its root support that its walk returns, the X
+    its walk yields) of the pair of blocks whose walk yields the fewest
+    X, the lowest such pair on a tie.  Any pair gives the same
     total, the summed cover weight squared, so the choice saves only
     determinants.  The pairs' walks advance in lockstep, one yield per
     walk per round in pair order, and each keeps what it yields; the
@@ -585,9 +595,10 @@ def _cheapest_blocks(H: Hypergraph):
         walks.append((order, entries, [], _matchable_probes(entries, H.n // H.k, rest)))
     while True:
         for order, entries, xs, walk in walks:
-            if (x := next(walk, None)) is None:
-                return order, entries, xs
-            xs.append(x)
+            try:
+                xs.append(next(walk))
+            except StopIteration as end:
+                return order, entries, end.value, xs
 
 
 def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decision:

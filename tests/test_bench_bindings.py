@@ -110,7 +110,7 @@ def test_committed_sieve_totals(monkeypatch):
     inner = solver._sweep_kdm
 
     def recording(*args):
-        kernels.append(args[1])
+        kernels.append(len(args[1][1]))  # b, the size of the root matching
         return inner(*args)
 
     monkeypatch.setattr(solver, "_sweep_kdm", recording)

@@ -31,6 +31,20 @@ def test_mul_matches_shift_reduce_sampled_64():
         assert GF64.mul(a, b) == ref_mul(a, b, 64, GF64.reduction)
 
 
+@pytest.mark.parametrize("m, reduction", [(4, 0b10011), (5, 0b100101)])
+def test_small_fields_exhaustive(m, reduction):
+    # x^4 + x + 1 and x^5 + x^2 + 1: trinomials, whose low parts fold
+    # unlike GF8's and GF64's 0x1B; every product against the
+    # shift-and-reduce reference, every inverse round trip
+    gf = GF2m(m, reduction)
+    for a in range(gf.order):
+        for b in range(gf.order):
+            assert gf.mul(a, b) == ref_mul(a, b, m, reduction)
+        if a:
+            inv = gf.inv(a)
+            assert inv < gf.order and gf.mul(a, inv) == gf.mul(inv, a) == 1
+
+
 def test_inverse_roundtrip_exhaustive_8():
     for a in range(1, 256):
         assert GF8.mul(a, GF8.inv(a)) == 1
@@ -117,6 +131,12 @@ def test_constructor_rejects_bad_modulus():
         GF2m(8, 0x1B)  # degree mismatch
     small = GF2m(4, 0b10011)
     assert small.mul(small.inv(7), 7) == 1
+    # mul's written-out window covers 64 bits, and its fold four shifts
+    with pytest.raises(ValueError, match="64 bits"):
+        GF2m(65, (1 << 65) | 0b100111)
+    with pytest.raises(ValueError, match="trinomial or pentanomial"):
+        GF2m(7, 0b10111111)  # irreducible, with seven terms
+    GF2m(64, (1 << 64) | 0b100111)  # degree 64 is still in range
 
 
 def test_is_irreducible_small_cases():

@@ -50,6 +50,17 @@ def test_validate_flags_partition_problems():
     assert v is not None and v.kind == "partition-shape"
 
 
+def test_validate_reports_the_first_edge_that_breaks_the_partition():
+    # edge 1 meets block 1 twice and block 2 never; the later edge 2
+    # misses the earlier block 0.  Edges come first, then blocks in order
+    blocks = [(0, 1), (2, 3), (4, 5)]
+    v = validate(_h(6, 3, [(0, 2, 4), (0, 2, 3), (2, 4, 5)], blocks))
+    assert v is not None and v.kind == "partition-meet"
+    assert v.message == "edge 1 meets block 1 2 times, expected once"
+    v = validate(_h(6, 3, [(0, 2, 4), (2, 4, 5), (0, 2, 3)], blocks))
+    assert v.message == "edge 1 meets block 0 0 times, expected once"
+
+
 def test_validate_flags_bad_shape():
     v = validate(_h(3, 1, []))
     assert v is not None and v.kind == "shape"

@@ -164,7 +164,7 @@ def test_determinant_inverts_only_pivots_it_eliminates_with():
     gf = CountingField(GF64)
     mat = rand_matrix(rng, 6, GF64)
     assert determinant(mat, gf) == ref_det(mat, GF64)
-    assert gf.inv_calls <= 5  # the last pivot is never inverted
+    assert gf.inv_calls <= 1  # fraction-free: one inversion, at the end
 
 
 def test_determinant_leaves_input_alone():
@@ -320,15 +320,40 @@ def test_series_determinant_drops_an_entry_that_cancels(precision):
 @pytest.mark.parametrize("gf", [GF8, GF64])
 def test_singular_matrix_whose_last_row_cancels(gf):
     # after the free pivot (0, 0), eliminating pivot (1, 1) from row 2 =
-    # lam * row 1 takes one inversion and two products and empties row 2:
-    # the determinant is zero, and the two pivots are never multiplied
+    # lam * row 1 fraction-free takes two products, a * (lam b) and
+    # (lam a) * b, and no inversion, and empties row 2: the determinant
+    # is zero, and the two pivots are never multiplied
     rng = random.Random(f"last-row-{gf.m}")
     for _ in range(20):
         p, a, b, lam = (gf.sample(rng) or 1 for _ in range(4))
         mat = [[p, 0, 0], [0, a, b], [0, gf.mul(lam, a), gf.mul(lam, b)]]
         counted = CountingField(gf)
         assert determinant(mat, counted) == 0 == ref_det(mat, gf)
-        assert (counted.mul_calls, counted.inv_calls) == (2, 1)
+        assert (counted.mul_calls, counted.inv_calls) == (2, 0)
+
+
+@pytest.mark.parametrize("gf", [GF8, GF64])
+def test_determinant_makes_at_most_one_inversion(gf):
+    # fraction-free at precision 1: kdm-shaped sparse matrices, dense
+    # ones, and rank-deficient ones with a row lam * another row, each
+    # equal to the cofactor oracle after at most one field inversion.
+    # Dense steps scale several rows, so most dense matrices invert once;
+    # a rank-deficient one empties a row first and never inverts
+    rng = random.Random(f"one-inversion-{gf.m}")
+    inverted = 0
+    for kind, sizes in (("kdm", range(2, 15)), ("dense", range(2, 8)), ("deficient", range(2, 8))):
+        for size in sizes:
+            mat = _kdm_shaped(rng, size, gf) if kind == "kdm" else rand_matrix(rng, size, gf)
+            if kind == "deficient":
+                r, t = rng.sample(range(size), 2)
+                lam = gf.sample(rng) or 1
+                mat[r] = [gf.mul(lam, v) for v in mat[t]]
+            counted = CountingField(gf)
+            det = determinant(mat, counted)
+            assert det == ref_det(mat, gf), (size, kind)
+            assert counted.inv_calls <= (kind != "deficient"), (size, kind)
+            inverted += counted.inv_calls
+    assert inverted >= 5
 
 
 def test_series_determinant_inverts_only_pivots_it_eliminates_with():

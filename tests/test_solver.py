@@ -547,8 +547,9 @@ def test_walk_is_output_sensitive(monkeypatch):
     # repairs, so only X = {} is probed.  The block race opens all three
     # pairs' walks, b augmenting paths at each root, and pair (0, 1) ends
     # first, after one failed repair per vertex of block 2.  The sweep
-    # matches the root support once more, b augmenting paths, and splits
-    # it into b blocks of 1x1, which need no determinant
+    # takes the matching that walk returns, with no search of its own,
+    # and splits the root support into b blocks of 1x1, which need no
+    # determinant
     calls = {"_perfect_matching": 0, "_augment": 0, "determinant": 0, "cover_weight": 0}
     last = {}                   # the arguments of each name's latest call
     for name in calls:
@@ -557,6 +558,14 @@ def test_walk_is_output_sensitive(monkeypatch):
             last[_name] = args
             return _inner(*args)
         monkeypatch.setattr(solver_mod, name, counting)
+    handed = []                 # the matching each sweep gets
+    inner_sweep = solver_mod._sweep_kdm
+
+    def sweeping(entries, matching, *args):
+        handed.append(matching)
+        return inner_sweep(entries, matching, *args)
+
+    monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
     rng = random.Random(21)
     b = 24
     blocks = [list(range(i * b, (i + 1) * b)) for i in range(3)]
@@ -567,9 +576,13 @@ def test_walk_is_output_sensitive(monkeypatch):
     for x in w:
         product = GF64.mul(product, x)
     assert sieve_decide(H, blocks[0] + blocks[1], w, GF64) == GF64.mul(product, product)
-    assert calls == {"_perfect_matching": 4, "_augment": 5 * b, "determinant": 0,
+    assert calls == {"_perfect_matching": 3, "_augment": 4 * b, "determinant": 0,
                      "cover_weight": 0}
-    assert last["_perfect_matching"] == ([1 << (c - b) for c in cols],)
+    # the last search was pair (1, 2)'s root; pair (0, 1)'s matching is
+    # the hidden one, row i to column cols[i]
+    assert last["_perfect_matching"] == ([1 << (t - 2 * b) for _, t in sorted(zip(cols, tails))],)
+    col_of = [c - b for c in cols]
+    assert handed == [(sorted(range(b), key=col_of.__getitem__), col_of)]
     # the xkc twin: one exact cover of n = 33 vertices; U takes one vertex
     # of each edge and a second of two, so |V - U| = 20
     vertices = rng.sample(range(33), 33)
@@ -696,7 +709,7 @@ def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
     assert [len(c) for c in chunks] == [2, 4, 4, 4]
     # kdm splits the X list its walk kept, one X a chunk here
     kdm = generate(random.Random(24), 3, 12, 8, plant=True, kdm=True)
-    xs = solver_mod._cheapest_blocks(kdm)[2]
+    xs = solver_mod._cheapest_blocks(kdm)[3]
     d = solve_kdm(kdm, SieveConfig(seed=1, threads=100_000))
     assert d.yes and d.probes == 16 and len(xs) == 3
     assert sizes[-1] == 3 and chunks[-1] == [(i, i + 1) for i in range(len(xs))]
@@ -862,9 +875,9 @@ def test_solve_kdm_walks_each_pair_once(monkeypatch):
         events.append(("walk", rest))
         return inner_walk(rest, *args)
 
-    def sweeping(entries, b, weights, gf, xs):
+    def sweeping(entries, matching, weights, gf, xs):
         events.append(("sweep", list(xs)))
-        return inner_sweep(entries, b, weights, gf, xs)
+        return inner_sweep(entries, matching, weights, gf, xs)
 
     monkeypatch.setattr(solver_mod, "_walk", walking)
     monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
@@ -918,10 +931,10 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
         seed = rng.randrange(10 ** 6)
         wrng = random.Random(seed)
         w = [gf.sample(wrng) for _ in H.edges]
-        order, entries, xs = solver_mod._cheapest_blocks(H)
+        order, entries, matching, xs = solver_mod._cheapest_blocks(H)
         for x in xs:
             mat = _live_grid(entries, n // k, w, x)[1]
-            assert solver_mod._sweep_kdm(entries, n // k, w, gf, [x]) == ref_det(mat, gf)
+            assert solver_mod._sweep_kdm(entries, matching, w, gf, [x]) == ref_det(mat, gf)
         inputs = _block_inputs(entries, n // k, w, xs)[0]
         totals.clear()
         for threads in (1, 2, 3):
@@ -949,16 +962,26 @@ def test_cheapest_blocks_counts_in_lockstep(monkeypatch):
     def counting(*args):
         walk = len(pulled)
         pulled.append(0)
-        for item in inner(*args):
+
+        def pull(_):
             pulled[walk] += 1
-            yield item
+
+        return (yield from _tapped(inner(*args), pull))
 
     monkeypatch.setattr(solver_mod, "_matchable_probes", counting)
 
     def check(H, i, j, fewest):
         pulled.clear()
-        order, entries, xs = solver_mod._cheapest_blocks(H)
+        order, entries, matching, xs = solver_mod._cheapest_blocks(H)
         assert order == _first(H.partition, i, j)
+        # the winner's matching is perfect on its root support; with none
+        # its walk yields nothing
+        if matching is None:
+            assert xs == []
+        else:
+            row_of, col_of = matching
+            assert all(row_of[c] == r for r, c in enumerate(col_of))
+            assert {(r, c) for r, c in enumerate(col_of)} <= {(r, c) for *_, r, c in entries}
         assert entries == solver_mod._bipartite_entries(H, H.partition[i], H.partition[j])
         assert pulled[list(combinations(range(H.k), 2)).index((i, j))] == fewest
         assert max(pulled) <= fewest + 1
@@ -1099,6 +1122,7 @@ def test_bipartite_kernel_matches_cover_sum_at_every_split():
     # against the cover enumeration; k = 4 puts two vertices of each edge
     # in V - U, so hit counts reach 2
     rng = random.Random(16)
+    pick = random.Random(16)    # root matchings, off the instance stream
     nonzero = 0
     for gf in (GF8, GF64):
         for k, sizes in ((3, (6, 9, 12, 15)), (4, (8, 12))):
@@ -1108,11 +1132,14 @@ def test_bipartite_kernel_matches_cover_sum_at_every_split():
                     u = [*H.partition[0], *H.partition[1]]
                     entries, b, rest, _, _ = _kdm_case(H)
                     xs = list(solver_mod._matchable_probes(entries, b, rest))
-                    whole = solver_mod._sweep_kdm(entries, b, w, gf, xs)
+                    whole = solver_mod._sweep_kdm(entries, _root_matching(entries, b, pick), w,
+                                                  gf, xs)
                     assert gf.mul(whole, whole) == covers_weight_sum(H, u, w, gf)
                     for cut in range(len(xs) + 1):
-                        head = solver_mod._sweep_kdm(entries, b, w, gf, xs[:cut])
-                        tail = solver_mod._sweep_kdm(entries, b, w, gf, xs[cut:])
+                        head = solver_mod._sweep_kdm(entries, _root_matching(entries, b, pick), w,
+                                                     gf, xs[:cut])
+                        tail = solver_mod._sweep_kdm(entries, _root_matching(entries, b, pick), w,
+                                                     gf, xs[cut:])
                         assert head ^ tail == whole, (n, k, cut)
                     nonzero += bool(whole)
     assert nonzero >= 10
@@ -1212,6 +1239,33 @@ def test_perfect_matching_check_against_permutations():
     assert min(seen.values()) >= 100
 
 
+def _tapped(walk, see):
+    """A generator's items, each passed to see as it passes, and its
+    return value (a bipartite walk's matching)."""
+    while True:
+        try:
+            item = next(walk)
+        except StopIteration as end:
+            return end.value
+        see(item)
+        yield item
+
+
+def _root_matching(entries, b, pick):
+    """A perfect matching of the root support (X = {}) as _sweep_kdm takes
+    it, (row of each column, column of each row), drawn by `pick` from
+    all of them by brute force; None when it has none.  No sweep may
+    depend on which one it gets."""
+    support = [0] * b
+    for _, _, r, c in entries:
+        support[r] |= 1 << c
+    perms = [p for p in permutations(range(b)) if all(support[r] >> c & 1 for r, c in enumerate(p))]
+    if not perms:
+        return None
+    col_of = list(pick.choice(perms))
+    return sorted(range(b), key=col_of.__getitem__), col_of
+
+
 def _kdm_case(H):
     """(entries, b, rest, codes, the X of every code) of the bipartite sweep."""
     n, b = H.n, H.n // H.k
@@ -1257,6 +1311,7 @@ def test_matchable_probes_yield_exactly_the_matchable_sets(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "determinant", computing)
     rng = random.Random(22)
+    pick = random.Random(22)    # root matchings, off the instance stream
     seen = {"yielded": 0, "pruned": 0, "cancelled": 0, "nonzero": 0}
     for rep in range(8):
         gf = (GF8, GF64)[rep % 2]
@@ -1283,7 +1338,8 @@ def test_matchable_probes_yield_exactly_the_matchable_sets(monkeypatch):
                 swept = 0
                 for a, z in zip(bounds, bounds[1:]):
                     mats.clear()
-                    swept ^= solver_mod._sweep_kdm(entries, b, w, gf, walked[a:z])
+                    matching = _root_matching(entries, b, pick)
+                    swept ^= solver_mod._sweep_kdm(entries, matching, w, gf, walked[a:z])
                     inputs = _block_inputs(entries, b, w, walked[a:z])[0]
                     assert not Counter(mats) - inputs, (k, n, bounds)
                 assert swept == total, (k, n, bounds)
@@ -1306,9 +1362,7 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
 
     def walking(*args):         # one list per pair's walk in the block race
         walked.append(mine := [])
-        for x in inner_walk(*args):
-            mine.append(x)
-            yield x
+        return (yield from _tapped(inner_walk(*args), mine.append))
 
     def sweeping(*args):
         swept.extend(args[-1])
@@ -1317,6 +1371,7 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
     monkeypatch.setattr(solver_mod, "_matchable_probes", walking)
     monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
     rng = random.Random(18)
+    pick = random.Random(18)    # root matchings, off the instance stream
     skipped = cancelled = 0
     for rep in range(30):
         gf = (GF8, GF64)[rep % 2]
@@ -1330,7 +1385,8 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
         winner = walked[list(combinations(range(k), 2)).index(pair)]
         entries, b, rest, _, xs = _kdm_case(Hypergraph(H.n, H.k, H.edges, order))
         assert winner == [xs[c] for c in _kdm_model(entries, b, rest)[0]] == swept
-        probe = {x: inner_sweep(entries, b, w, gf, [x]) for x in winner}
+        matching = _root_matching(entries, b, pick)
+        probe = {x: inner_sweep(entries, matching, w, gf, [x]) for x in winner}
         left = 0
         for x in xs:
             support, mat = _live_grid(entries, b, w, x)
@@ -1365,6 +1421,7 @@ def test_sweep_factors_over_the_root_blocks(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "determinant", computing)
     rng = random.Random(31)
+    pick = random.Random(31)    # root matchings, off the instance stream
     seen = {"wide blocks": 0, "untouched": 0, "memo hits": 0, "nonzero": 0, "no matching": 0}
     for rep in range(8):
         gf = (GF8, GF64)[rep % 2]
@@ -1375,22 +1432,30 @@ def test_sweep_factors_over_the_root_blocks(monkeypatch):
                          (dense, [gf.sample(rng) for _ in dense.edges])):
                 entries, b, rest, _, xs = _kdm_case(H)
                 blocks = _dm_blocks(entries, b)
+                matching = _root_matching(entries, b, pick)
                 for x in xs:
                     mat = _live_grid(entries, b, w, x)[1]
                     det = ref_det(mat, gf)
                     parts = [ref_det(_block_mat(mat, *blk), gf) for blk in blocks or []]
                     assert (reduce(gf.mul, parts, 1) if blocks else 0) == det
                     calls.clear()
-                    assert solver_mod._sweep_kdm(entries, b, w, gf, [x]) == det
+                    assert solver_mod._sweep_kdm(entries, matching, w, gf, [x]) == det
                     assert not Counter(calls) - _block_inputs(entries, b, w, [x])[0]
                 wide = [(rows, cols, reduce(or_, (mk for mk, _, r, c in entries
                                                   if r in rows and c in cols)))
                         for rows, cols in blocks or [] if len(cols) > 1]
-                lists = [list(solver_mod._matchable_probes(entries, b, rest))]
-                lists += [[x for x in xs if not x & vertices] for _, _, vertices in wide]
-                for xl in lists:
+                walk, walked = solver_mod._matchable_probes(entries, b, rest), []
+                while True:     # the walk's list, then the matching it returns
+                    try:
+                        walked.append(next(walk))
+                    except StopIteration as end:
+                        lists = [(walked, end.value)]
+                        break
+                assert (lists[0][1] is None) == (blocks is None)
+                lists += [([x for x in xs if not x & vertices], matching) for _, _, vertices in wide]
+                for xl, root in lists:
                     calls.clear()
-                    total = solver_mod._sweep_kdm(entries, b, w, gf, xl)
+                    total = solver_mod._sweep_kdm(entries, root, w, gf, xl)
                     assert total == reduce(xor, (ref_det(_live_grid(entries, b, w, x)[1], gf)
                                                  for x in xl), 0)
                     inputs, pairs = _block_inputs(entries, b, w, xl)
@@ -1402,7 +1467,7 @@ def test_sweep_factors_over_the_root_blocks(monkeypatch):
                             assert made[_canon(_block_mat(full, rows, cols))] >= 1
                             seen["untouched"] += 1
                     calls.clear()
-                    assert solver_mod._sweep_kdm(entries, b, w, gf, xl + xl) == 0
+                    assert solver_mod._sweep_kdm(entries, matching, w, gf, xl + xl) == 0
                     assert Counter(calls) == made
                     seen["memo hits"] += pairs > sum(inputs.values())
                 u = [*H.partition[0], *H.partition[1]]
