@@ -8,11 +8,11 @@ series_determinant(), over the truncated power-series ring
 GF(2^m)[s]/(s^precision).  Its sparse rows hold packed series: one int
 whose bits [t*m, (t+1)*m) are the coefficient of s^t, so addition is
 XOR, a precision-1 entry is the field element itself, and only products
-and inverses look at single coefficients.  At precision 1 the entries
-are field elements and the elimination is fraction-free (Bareiss's
-field case), with at most one field inversion per determinant.
-determinant() is that case on a plain matrix, given as dense lists or
-sparse {col: value} rows.  The solver does not interpolate;
+and inverses look at single coefficients.  The elimination is
+fraction-free (after Bareiss, 1968), so a determinant makes at most one
+field inversion.  determinant() is its precision-1 case on a plain
+matrix, given as dense lists or sparse {col: value} rows.  The solver
+does not interpolate;
 interpolate() and evaluate() remain for the benchmark's micro-loops and
 as the reference route in the tests.
 """
@@ -58,25 +58,21 @@ def series_determinant(rows: list[dict[int, int]], precision: int, gf: GF2m) -> 
     divisible by s^v, v their least s-valuation, so all are shifted
     right by v coefficients and v times the number of rows left joins a
     running valuation; once that reaches the precision the result is
-    zero.  A pivot eliminates something when its row has another entry
-    and some other remaining row has an entry in its column, so never
-    the last pivot; otherwise its column's other entries just drop.
+    zero.
 
-    At precision > 1 the pivot's column is eliminated with products
-    truncated to the precision still needed, skipping zero
-    coefficients.  An eliminating pivot is inverted as a series, with
-    one field inversion of its constant term, and the pivots are
-    multiplied once, at the end.
-
-    At precision 1 the entries are field elements, multiplied by gf.mul
-    directly, and the elimination is fraction-free: each row below the
-    pivot becomes piv * row + e * (pivot row), e its entry in the
-    pivot's column.  That scales the determinant by piv once per such
-    row, and the pivot's own factor cancels one of those; the pivots of
-    the steps that eliminate nothing multiply into the numerator, the
-    surplus scales into a denominator.  So a determinant makes at most
-    one field inversion, at the end, and none when no step scales more
-    than one row.
+    The elimination is fraction-free.  A pivot eliminates something when
+    its row has another entry and some other remaining row has an entry
+    in its column; then each such row becomes piv * row + e * (pivot
+    row), e its entry in the pivot's column, with products truncated to
+    the precision still needed.  That scales the determinant by the
+    unit piv once per row, and the pivot's own factor cancels one of
+    those.  So the pivots that eliminate nothing, the last pivot always
+    among them, multiply into a numerator, and the surplus scales into a
+    denominator, both kept as they come.  The denominator is inverted
+    once, at the end, as a series with one field inversion of its
+    constant term, and not at all when no step scales more than one
+    row.  At precision 1 the entries are field elements, and products
+    go straight to gf.mul.
     """
     if precision < 1:
         raise ValueError("precision must be positive")
@@ -102,7 +98,7 @@ def series_determinant(rows: list[dict[int, int]], precision: int, gf: GF2m) -> 
     if not all(a):
         return zero
 
-    if precision == 1:  # plain field elements, and fraction-free elimination
+    if precision == 1:  # plain field elements
         times = mul
     else:
         def times(x, y):  # x * y modulo s^w
@@ -119,9 +115,8 @@ def series_determinant(rows: list[dict[int, int]], precision: int, gf: GF2m) -> 
             return out
 
     live = list(range(n))  # the remaining rows, in order
-    val = 0           # determinant = s^val * product of pivots * det(rest) / den
-    pivots = []       # precision > 1: the pivots, multiplied at the end
-    det = den = 1     # precision 1: the pivots and the scales, multiplied as they come
+    val = 0           # determinant = s^val * det * det(rest) / den
+    det = den = 1
     while live:
         cost = n * n
         for r in live:
@@ -162,27 +157,19 @@ def series_determinant(rows: list[dict[int, int]], precision: int, gf: GF2m) -> 
             cols[c].discard(pr)
         below = cols[pc]
         below.discard(pr)
-        if precision > 1:
-            pivots.append(piv)
-            if prow and below:
-                ipiv = _series_inverse(piv, w, m, gf)
-        elif not (prow and below):
-            det = piv if det == 1 else mul(det, piv)
-        else:  # each row below is scaled by piv, one of which the pivot's own factor cancels
+        if not (prow and below):
+            det = piv if det == 1 else times(det, piv)
+        else:  # piv scales each row below, and the pivot's factor cancels one
             for _ in range(len(below) - 1):
-                den = piv if den == 1 else mul(den, piv)
+                den = piv if den == 1 else times(den, piv)
         for r in below:
             row = a[r]
             e = row.pop(pc)
             if prow:
-                if precision > 1:
-                    factor = times(e, ipiv)
-                else:  # row = piv * row + e * prow
-                    factor = e
-                    for c, t in row.items():
-                        row[c] = mul(piv, t)
+                for c, t in row.items():
+                    row[c] = times(piv, t)
                 for c, t in prow.items():
-                    p = times(factor, t)
+                    p = times(e, t)
                     if p:
                         old = row.get(c)
                         if old is None:
@@ -195,13 +182,9 @@ def series_determinant(rows: list[dict[int, int]], precision: int, gf: GF2m) -> 
                             cols[c].discard(r)
             if not row:
                 return zero
-    if precision == 1:
-        return [det if den == 1 else mul(det, gf.inv(den))]
-    if not pivots:
-        return [1] + zero[1:]
-    det = pivots[0] & keep
-    for piv in pivots[1:]:
-        det = times(det, piv)
+    det &= keep
+    if den != 1:
+        det = times(det, _series_inverse(den & keep, w, m, gf))
     return zero[:val] + [(det >> (t * m)) & mask for t in range(w)]
 
 
