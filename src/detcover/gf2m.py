@@ -134,7 +134,9 @@ class GF2m:
 
         Each step keeps deg s0 + deg r1 <= m and deg s1 + deg r0 <= m,
         and r0 still has degree >= 1 when r1 reaches 1, so s1 already
-        lies below x^m and needs no fold.
+        lies below x^m and needs no fold.  A remainder reaches 0 instead
+        when a shares a factor with a reducible modulus, which has no
+        inverse then either.
         """
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")
@@ -146,6 +148,8 @@ class GF2m:
         while r1 != 1:
             d = r0.bit_length() - r1.bit_length()
             if d < 0:
+                if not r0:      # r1 is gcd(a, reduction), of degree >= 1
+                    raise ZeroDivisionError(f"{a:#x} shares a factor with the modulus")
                 r0, r1, s0, s1 = r1, r0, s1, s0
                 d = -d
             r0 ^= r1 << d

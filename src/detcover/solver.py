@@ -64,10 +64,11 @@ determinants on the Dulmage-Mendelsohn blocks of the root support
 (X = {}), found once per sweep from the perfect matching that the
 winning walk holds when it ends: the blocks that no X of the sweep
 touches give one factor, and the others are memoized by the X vertices
-they meet.  Each X is walked once.  One thread probes the X as the
-walk yields them; threaded runs split the walked X list into
-contiguous slices and XOR the partial sums, so results are
-bit-identical for any worker count, on at most os.cpu_count() threads.
+they meet.  Each X is walked once, and each sweep is set up once.  One
+thread probes the X as the walk yields them; threaded runs deal the
+walked X round robin to at most os.cpu_count() workers, which share the
+sweep's set-up, so they compute what one thread does, and XOR their
+shares, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -77,9 +78,9 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from itertools import combinations
-from operator import or_
+from operator import or_, xor
 
 from .gf2m import GF2m, field_for
 from .hypergraph import Hypergraph, project, restrict_avoiding, validate
@@ -95,7 +96,7 @@ class SieveConfig:
     m: int = 64              # field degree, 8 or 64
     seed: int = 0            # master seed for U sampling and edge weights
     epsilon: float = 2.0 ** -20  # false-no budget of solve_xkc
-    threads: int = 1         # X list slices; run on at most os.cpu_count() workers
+    threads: int = 1         # workers dealt the X of a sweep, at most os.cpu_count()
 
     def __post_init__(self):
         if self.threads < 1:
@@ -228,9 +229,7 @@ def _live_probes(ends, masks, need, u, rest):
     it lies in a family: the witness's cells are used, and so is every
     live empty when the witness holds one; any other cell costs one
     _family search with the cell forced in, at most once per X."""
-    top = 2 * need - u          # the most loops a family can use
-    if top < 0:
-        return
+    top = 2 * need - u          # the most loops a family can use; below 0, no family
     full, empty = (1 << u) - 1, u * u
     cells = [e[0] * u + e[-1] if e else empty for e in ends]  # pair a < b: a*u + b; loop a: a*u + a
     count = [0] * (empty + 1)   # live edges per cell
@@ -295,15 +294,6 @@ def _live_probes(ends, masks, need, u, rest):
     witness = search()
     if witness is not None:
         yield from _walk(rest, masks, kill, revive, user)
-
-
-def _sweep_general(view, H, weights, gf, xs):
-    """XOR of the probe values at the X in xs: cover_weight of the view
-    restricted to the edges avoiding X."""
-    total = 0
-    for xm in xs:
-        total ^= cover_weight(restrict_avoiding(view, H, xm), weights, H.n, H.k, gf)
-    return total
 
 
 def _bipartite_entries(H: Hypergraph, left, right) -> list[tuple[int, int, int, int]]:
@@ -452,7 +442,7 @@ def _matchable_probes(entries, b, rest):
     return row_of, col_of
 
 
-def _sweep_kdm(entries, matching, weights, gf, xs):
+def _sweep_kdm(entries, matching, weights, gf, xs, threads=1):
     """XOR of the bipartite determinants at the X in the list xs.
 
     Row r is the r-th vertex of the left block of the entries' pair and
@@ -469,9 +459,10 @@ def _sweep_kdm(entries, matching, weights, gf, xs):
     depends only on the X vertices that its cells' edges meet: the
     blocks that no X in xs touches multiply into one factor, computed
     once, and the others are memoized by x & (their edges' vertices).
-    A 1x1 block's determinant is its cell, and a zero block ends its X's
-    product.  The blocks do not depend on which perfect matching splits
-    them, and in characteristic 2 neither does any block's determinant.
+    A 1x1 block's determinant is its cell.  The blocks do not depend on
+    which perfect matching splits them, and in characteristic 2 neither
+    does any block's determinant.  The set-up is made once; only the
+    per-X products are dealt to `threads` workers (see _xor_probes).
     """
     if matching is None or not xs:
         return 0
@@ -504,40 +495,31 @@ def _sweep_kdm(entries, matching, weights, gf, xs):
             touched.append((seen, part, size, {}))
         else:
             factor = mul(factor, det(part, size, 0))
-    total = 0
-    for x in xs:
+
+    def probe(x):               # the product of X's touched blocks
         value = 1
         for seen, part, size, memo in touched:
             key = x & seen
-            if key not in memo:
+            if key not in memo:  # racing workers at worst store one value twice
                 memo[key] = det(part, size, key)
             value = memo[key] if value == 1 else mul(value, memo[key])  # 1 * d = d, no field call
-            if not value:
-                break
-        total ^= value
-    return mul(total, factor)
+        return value
+
+    return mul(_xor_probes(probe, xs, threads), factor)
 
 
-def _run_chunks(sweep, xs, threads: int) -> int:
-    """XOR of sweep over contiguous slices of the X in xs.  One thread
-    sweeps xs as it comes, without listing it; more list xs and sweep
-    min(threads, len(xs)) slices on at most os.cpu_count() workers."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    if threads == 1:
-        return sweep(xs)
-    xs = list(xs)
-    if len(xs) <= 1:
-        return sweep(xs)
-    parts = min(threads, len(xs))
-    step, extra = divmod(len(xs), parts)
-    cuts = [i * step + min(i, extra) for i in range(parts + 1)]
-    with ThreadPoolExecutor(max_workers=min(parts, os.cpu_count() or 1)) as pool:
-        partials = list(pool.map(lambda a, z: sweep(xs[a:z]), cuts, cuts[1:]))
-    total = 0
-    for p in partials:
-        total ^= p
-    return total
+def _xor_probes(probe, xs, threads: int) -> int:
+    """XOR of probe(x) over the X in xs.  One thread probes xs as it
+    comes, without listing it; more list xs and deal it round robin to
+    min(threads, len(xs), os.cpu_count()) workers."""
+    if threads > 1:
+        xs = list(xs)
+        parts = min(threads, len(xs), os.cpu_count() or 1)
+        if parts > 1:
+            with ThreadPoolExecutor(max_workers=parts) as pool:
+                shares = pool.map(lambda i: _xor_probes(probe, xs[i::parts], 1), range(parts))
+                return reduce(xor, shares)
+    return reduce(xor, map(probe, xs), 0)
 
 
 def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1) -> int:
@@ -551,10 +533,12 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     cover_weight on the edges avoiding X.  All give the same element.
 
     The X are walked once.  One thread probes each X as the walk yields
-    it; with threads > 1 the walked X list is split into at most that
-    many contiguous slices combined by XOR, so the value is
+    it; with threads > 1 the walked X are dealt round robin to at most
+    that many workers, whose shares combine by XOR, so the value is
     bit-identical for every worker count.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if len(weights) != len(H.edges):
         raise ValueError(f"{len(weights)} weights for {len(H.edges)} edges")
     if H.n == 0 or H.n % H.k != 0:
@@ -562,7 +546,7 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     u_vertices = set(u_vertices)
     if H.partition is not None and u_vertices == set(H.partition[0]) | set(H.partition[1]):
         _, entries, matching, xs = _cheapest_blocks(H)
-        total = _run_chunks(partial(_sweep_kdm, entries, matching, weights, gf), xs, threads)
+        total = _sweep_kdm(entries, matching, weights, gf, xs, threads)
         return gf.mul(total, total)
     view = project(H, u_vertices)
     if view.dropped:
@@ -572,7 +556,8 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
         ends[eid] = tuple(at)
     rest = ((1 << H.n) - 1) ^ view.u_mask
     xs = _live_probes(ends, H.edge_masks, H.n // H.k, view.u_size, rest)
-    return _run_chunks(partial(_sweep_general, view, H, weights, gf), xs, threads)
+    return _xor_probes(lambda x: cover_weight(restrict_avoiding(view, H, x), weights, H.n, H.k, gf),
+                       xs, threads)
 
 
 def _cheapest_blocks(H: Hypergraph):

@@ -1,11 +1,16 @@
 """Field arithmetic: known values, axioms, and an independent product."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import detcover
 from detcover import GF8, GF64, GF2m, field_for, is_irreducible
 from detcover.gf2m import _poly_mod
 
@@ -60,6 +65,26 @@ def test_inverse_of_zero_raises():
         GF8.inv(0)
     with pytest.raises(ZeroDivisionError):
         GF64.inv(0)
+
+
+def test_inverse_of_a_zero_divisor_raises():
+    # the constructor tests irreducibility only up to m = 16, so it takes
+    # x^18 + x + 1, which has the factor x^5 + x^2 + 1; that factor has no
+    # inverse, and its Euclid once looped forever on a zero remainder.  The
+    # call runs in a subprocess, so a hang fails the test instead of
+    # stalling the suite
+    code = ("from detcover import GF2m\n"
+            "g = GF2m(18, 0x40003)\n"
+            "assert g.mul(g.inv(0b11), 0b11) == 1\n"
+            "try:\n"
+            "    g.inv(0b100101)\n"
+            "except ZeroDivisionError:\n"
+            "    print('raised')\n")
+    src = str(Path(detcover.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=30)
+    assert run.returncode == 0 and run.stdout == "raised\n", run.stderr
 
 
 def test_inverse_agrees_with_fermat():

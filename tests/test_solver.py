@@ -1,6 +1,7 @@
 """The sieve against explicit enumeration, plus both end-to-end solvers."""
 
 import random
+import sys
 from bisect import bisect_left
 from collections import Counter
 from functools import reduce
@@ -27,7 +28,9 @@ def test_sieve_single_probe_when_u_is_everything():
 
 def test_sieve_u_beyond_the_edge_budget_probes_nothing(monkeypatch):
     # |U| = 5 > 2n/k = 4: n/k = 2 edges meeting U at most twice each
-    # cannot cover U, so the general kernel yields no X at all
+    # cannot cover U.  The loop budget 2n/k - |U| is negative, so the
+    # general kernel's witness search at the root finds no family, and
+    # the walk never starts
     rng = random.Random(3)
     H = Hypergraph(6, 3, [(0, 1, 5), (2, 3, 5), (1, 4, 5), (0, 4, 5)])
     u = [0, 1, 2, 3, 4]
@@ -220,28 +223,21 @@ def _view_ends(H, view):
 def test_sweep_filters_each_avoided_set_once(monkeypatch):
     # against the brute-force walk model: each sieve walks once, yields
     # its passing X once each, in increasing code order, and only those
-    # reach the filter; one thread sweeps the walk as it yields, more
-    # sweep min(threads, len) slices that concatenate to the same list,
-    # and the X never yielded have probe values that XOR to zero
-    walks, slices, filtered = [], [], []
-    inner_walk, inner_sweep = solver_mod._walk, solver_mod._sweep_general
-    inner_restrict = solver_mod.restrict_avoiding
+    # reach the filter, once each; one thread filters each X as the walk
+    # yields it, more are dealt the walked X, and every count gives one
+    # total; the X never yielded have probe values that XOR to zero
+    walks, events = [], []
+    inner_walk, inner_restrict = solver_mod._walk, solver_mod.restrict_avoiding
 
     def walking(*args):
         walks.append(args)
-        return inner_walk(*args)
-
-    def sweeping(*args):
-        xs = args[-1]
-        slices.append((isinstance(xs, list), list(xs)))
-        return inner_sweep(*args[:-1], slices[-1][1])
+        return _tapped(inner_walk(*args), lambda x: events.append(("yield", x)))
 
     def recording(view, H, x_mask):
-        filtered.append(x_mask)
+        events.append(("filter", x_mask))
         return inner_restrict(view, H, x_mask)
 
     monkeypatch.setattr(solver_mod, "_walk", walking)
-    monkeypatch.setattr(solver_mod, "_sweep_general", sweeping)
     monkeypatch.setattr(solver_mod, "restrict_avoiding", recording)
     rng = random.Random(15)
     u = [1, 4, 5, 7]
@@ -251,20 +247,18 @@ def test_sweep_filters_each_avoided_set_once(monkeypatch):
         H = filtered_for(rand_instance(rng, 3, 9, 9, min_edges=1), u)
         w = [GF64.sample(rng) for _ in H.edges]
         walk = _in_code_order(rest, H.edge_masks)
-        code = {x: c for c, x in enumerate(walk)}
         expect = [walk[c] for c in _walk_model(rest, H.edge_masks, _families(H, u))[0]]
         assert len(expect) < len(walk)
         totals = set()
         for threads in (1, 3, 64):
             walks.clear()
-            slices.clear()
-            filtered.clear()
+            events.clear()
             totals.add(sieve_decide(H, u, w, GF64, threads))
             assert len(walks) == 1 or not expect and not walks  # no walk: the root has no family
-            assert len(slices) == max(1, min(threads, len(expect)))
-            assert all(listed == (threads > 1) for listed, _ in slices)  # one thread: the walk itself
-            ordered = sorted((xs for _, xs in slices), key=lambda xs: [code[x] for x in xs])
-            assert [x for xs in ordered for x in xs] == filtered == expect
+            assert [x for kind, x in events if kind == "yield"] == expect
+            assert sorted(x for kind, x in events if kind == "filter") == sorted(expect)
+            if threads == 1:    # the walk itself, never listed
+                assert events == [(kind, x) for x in expect for kind in ("yield", "filter")]
         assert len(totals) == 1
         values = [cover_weight_brute(H, u, [v for v in rest if x >> v & 1], w, GF64)
                   for x in set(walk) - set(expect)]
@@ -657,18 +651,25 @@ def test_worker_count_below_one_is_rejected():
     H = Hypergraph(6, 3, [(0, 1, 2), (3, 4, 5)])
     with pytest.raises(ValueError, match="threads"):
         sieve_decide(H, [0, 3], [1, 2], GF64, 0)
+    # sieves that end at 0 before any probe check it too: a root support
+    # with no perfect matching, and U too large for any family
+    kdm = Hypergraph(6, 3, [(0, 2, 4)], [(0, 1), (2, 3), (4, 5)])
+    assert sieve_decide(kdm, [0, 1, 2, 3], [1], GF64) == 0
+    with pytest.raises(ValueError, match="threads"):
+        sieve_decide(kdm, [0, 1, 2, 3], [1], GF64, 0)
+    wide = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4)])
+    assert sieve_decide(wide, [0, 1, 3, 4, 5], [1, 2], GF64) == 0
+    with pytest.raises(ValueError, match="threads"):
+        sieve_decide(wide, [0, 1, 3, 4, 5], [1, 2], GF64, 0)
 
 
-def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
-    # the stand-in executor records its size and runs the chunks inline,
-    # so huge worker counts are checked without starting a thread; every
-    # count walks once, and xkc splits the walked X list like kdm
-    sizes, chunks, walks, slices = [], [], [], []
-    inner_walk, inner_sweep = solver_mod._walk, solver_mod._sweep_general
-
+def _inline_pool(log):
+    """A stand-in for ThreadPoolExecutor that runs each mapped call
+    inline, so any worker count is checked without starting a thread;
+    each map appends (max_workers, its argument tuples) to log."""
     class InlinePool:
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            self.size = max_workers
 
         def __enter__(self):
             return self
@@ -677,42 +678,126 @@ def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            chunks.append(list(zip(*iterables)))
-            return [fn(*args) for args in chunks[-1]]
+            log.append((self.size, list(zip(*iterables))))
+            return [fn(*args) for args in log[-1][1]]
+
+    return InlinePool
+
+
+def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
+    # every count walks once and deals the walked X round robin to
+    # min(threads, len, cpu_count) workers, one map call each; the
+    # stand-in pool runs worker i's share whole before worker i + 1's
+    log, walks, filtered = [], [], []
+    inner_walk, inner_restrict = solver_mod._walk, solver_mod.restrict_avoiding
 
     def walking(*args):
         walks.append(args)
         return inner_walk(*args)
 
-    def sweeping(*args):
-        slices.append(list(args[-1]))
-        return inner_sweep(*args[:-1], slices[-1])
+    def recording(view, H, x_mask):
+        filtered.append(x_mask)
+        return inner_restrict(view, H, x_mask)
 
-    monkeypatch.setattr(solver_mod, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(solver_mod, "ThreadPoolExecutor", _inline_pool(log))
     monkeypatch.setattr(solver_mod.os, "cpu_count", lambda: 3)
     monkeypatch.setattr(solver_mod, "_walk", walking)
-    monkeypatch.setattr(solver_mod, "_sweep_general", sweeping)
+    monkeypatch.setattr(solver_mod, "restrict_avoiding", recording)
     rng = random.Random(12)
     u = [0, 1, 4]
     H = filtered_for(generate(rng, 3, 9, 6, plant=True), u)
     w = [GF64.sample(rng) for _ in H.edges]
     serial = sieve_decide(H, u, w, GF64)
-    [whole] = slices
-    assert len(whole) == 4 and len(walks) == 1
+    whole = list(filtered)
+    assert len(whole) == 4 and len(walks) == 1 and not log
     for threads in (2, 4, 64, 100_000):
         walks.clear()
-        slices.clear()
+        filtered.clear()
         assert sieve_decide(H, u, w, GF64, threads) == serial
-        assert len(walks) == 1 and len(slices) == min(threads, len(whole))
-        assert [x for xs in slices for x in xs] == whole
-    assert sizes == [2, 3, 3, 3]
-    assert [len(c) for c in chunks] == [2, 4, 4, 4]
-    # kdm splits the X list its walk kept, one X a chunk here
+        parts = min(threads, 3)
+        assert len(walks) == 1 and log[-1] == (parts, [(i,) for i in range(parts)])
+        assert filtered == [x for i in range(parts) for x in whole[i::parts]]
+    assert len(log) == 4
+    # kdm deals the X list its walk kept, one X a worker here
     kdm = generate(random.Random(24), 3, 12, 8, plant=True, kdm=True)
     xs = solver_mod._cheapest_blocks(kdm)[3]
     d = solve_kdm(kdm, SieveConfig(seed=1, threads=100_000))
     assert d.yes and d.probes == 16 and len(xs) == 3
-    assert sizes[-1] == 3 and chunks[-1] == [(i, i + 1) for i in range(len(xs))]
+    assert log[-1] == (3, [(0,), (1,), (2,)])
+
+
+def test_threads_share_one_kdm_set_up(monkeypatch):
+    # the kdm sweep splits its blocks, multiplies the untouched ones and
+    # keeps its memo once per sieve, and deals only the per-X products to
+    # the workers: at every thread count each (block, key) is computed at
+    # most once, on the inputs of one thread.  The stand-in pool runs the
+    # workers one after another, so no race stores a key twice
+    log, calls = [], []
+    inner_det = solver_mod.determinant
+
+    def computing(rows, gf):
+        calls.append(_canon(rows))
+        return inner_det(rows, gf)
+
+    monkeypatch.setattr(solver_mod, "determinant", computing)
+    monkeypatch.setattr(solver_mod, "ThreadPoolExecutor", _inline_pool(log))
+    monkeypatch.setattr(solver_mod.os, "cpu_count", lambda: 4)
+    rng = random.Random(33)
+    seen = {"dealt": 0, "determinants": 0}
+    for rep in range(12):
+        gf = (GF8, GF64)[rep % 2]
+        k, n = rng.choice([(3, 21), (4, 16), (4, 20)])
+        H = generate(rng, k, n, n, plant=True, kdm=True)  # n edges: long X lists, wide blocks
+        w = [gf.sample(rng) for _ in H.edges]
+        u = [*H.partition[0], *H.partition[1]]
+        _, entries, _, xs = solver_mod._cheapest_blocks(H)
+        calls.clear()
+        total = sieve_decide(H, u, w, gf)
+        one = Counter(calls)
+        assert not one - _block_inputs(entries, n // k, w, xs)[0]
+        for threads in (2, 3, 100_000):
+            calls.clear()
+            log.clear()
+            assert sieve_decide(H, u, w, gf, threads) == total
+            assert Counter(calls) == one, (rep, threads)
+            parts = min(threads, len(xs), 4)
+            assert log == ([(parts, [(i,) for i in range(parts)])] if parts > 1 else [])
+            seen["dealt"] += parts > 1
+        seen["determinants"] += sum(one.values())
+    assert seen["dealt"] >= 24 and seen["determinants"] >= 60, seen
+
+
+def test_racing_workers_share_the_kdm_memo(monkeypatch):
+    # real threads, more than the cores, switching every microsecond: the
+    # workers share the sweep's memo, so a race may compute a (block,
+    # key) twice but never another one, and the total holds
+    calls = []
+    inner_det = solver_mod.determinant
+
+    def computing(rows, gf):
+        calls.append(_canon(rows))
+        return inner_det(rows, gf)
+
+    monkeypatch.setattr(solver_mod, "determinant", computing)
+    monkeypatch.setattr(solver_mod.os, "cpu_count", lambda: 8)
+    rng = random.Random(34)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rep in range(6):
+            gf = (GF8, GF64)[rep % 2]
+            H = generate(rng, 4, 20, 20, plant=True, kdm=True)
+            w = [gf.sample(rng) for _ in H.edges]
+            u = [*H.partition[0], *H.partition[1]]
+            calls.clear()
+            total = sieve_decide(H, u, w, gf)
+            one = set(calls)
+            for _ in range(3):
+                calls.clear()
+                assert sieve_decide(H, u, w, gf, 8) == total, rep
+                assert set(calls) == one, rep
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_solve_kdm_planted_yes():
@@ -875,9 +960,9 @@ def test_solve_kdm_walks_each_pair_once(monkeypatch):
         events.append(("walk", rest))
         return inner_walk(rest, *args)
 
-    def sweeping(entries, matching, weights, gf, xs):
+    def sweeping(entries, matching, weights, gf, xs, threads):
         events.append(("sweep", list(xs)))
-        return inner_sweep(entries, matching, weights, gf, xs)
+        return inner_sweep(entries, matching, weights, gf, xs, threads)
 
     monkeypatch.setattr(solver_mod, "_walk", walking)
     monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
@@ -1027,7 +1112,7 @@ def test_bipartite_and_general_probes_agree(monkeypatch):
     # the bipartite kernel squares its XOR, the general one squares pair
     # weights per probe; in characteristic 2 both give the cover sum
     kernels = []
-    for name in ("_sweep_kdm", "_sweep_general"):
+    for name in ("_sweep_kdm", "_live_probes"):
         def recording(*args, _name=name, _inner=getattr(solver_mod, name)):
             kernels.append(_name)
             return _inner(*args)
@@ -1051,7 +1136,7 @@ def test_bipartite_and_general_probes_agree(monkeypatch):
             assert set(kernels) == {"_sweep_kdm"}
             kernels.clear()
             assert sieve_decide(Hypergraph(H.n, H.k, H.edges), u, w, gf, threads) == expect
-            assert set(kernels) == {"_sweep_general"}
+            assert set(kernels) == {"_live_probes"}
         nonzero += bool(expect)
     assert nonzero >= 10
 
@@ -1364,9 +1449,9 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
         walked.append(mine := [])
         return (yield from _tapped(inner_walk(*args), mine.append))
 
-    def sweeping(*args):
-        swept.extend(args[-1])
-        return inner_sweep(*args)
+    def sweeping(entries, matching, weights, gf, xs, threads):
+        swept.extend(xs)
+        return inner_sweep(entries, matching, weights, gf, xs, threads)
 
     monkeypatch.setattr(solver_mod, "_matchable_probes", walking)
     monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
@@ -1408,8 +1493,8 @@ def test_sweep_factors_over_the_root_blocks(monkeypatch):
     # determinants both equal the live grid's determinant.  Over the
     # walked list and over lists that spare one wide block's vertices,
     # every determinant input is a wide block's live grid at one listed
-    # X, once per (block, key) at most, and a block that no listed X
-    # touches is computed once; the list swept twice sums to zero with
+    # X, once per (block, key) at most, and a block that no X of a
+    # nonempty list touches is computed once; the list swept twice sums to zero with
     # no further call, its repeated keys hitting the memo.  1 to 3
     # threads give one sieve value, the cover sum
     calls = []
@@ -1461,8 +1546,8 @@ def test_sweep_factors_over_the_root_blocks(monkeypatch):
                     inputs, pairs = _block_inputs(entries, b, w, xl)
                     made = Counter(calls)
                     assert not made - inputs
-                    for rows, cols, vertices in wide:
-                        if not vertices & reduce(or_, xl, 0):
+                    for rows, cols, vertices in wide:  # an empty list computes nothing
+                        if xl and not vertices & reduce(or_, xl, 0):
                             full = _live_grid(entries, b, w, 0)[1]
                             assert made[_canon(_block_mat(full, rows, cols))] >= 1
                             seen["untouched"] += 1
