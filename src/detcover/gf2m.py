@@ -134,9 +134,9 @@ class GF2m:
 
         Each step keeps deg s0 + deg r1 <= m and deg s1 + deg r0 <= m,
         and r0 still has degree >= 1 when r1 reaches 1, so s1 already
-        lies below x^m and needs no fold.  A remainder reaches 0 instead
-        when a shares a factor with a reducible modulus, which has no
-        inverse then either.
+        lies below x^m and needs no fold.  When a shares a factor with a
+        reducible modulus, a remainder reaches 0 instead, and a has no
+        inverse.
         """
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative inverse")

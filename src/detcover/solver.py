@@ -66,9 +66,9 @@ winning walk holds when it ends: the blocks that no X of the sweep
 touches give one factor, and the others are memoized by the X vertices
 they meet.  Each X is walked once, and each sweep is set up once.  One
 thread probes the X as the walk yields them; threaded runs deal the
-walked X round robin to at most os.cpu_count() workers, which share the
-sweep's set-up, so they compute what one thread does, and XOR their
-shares, so results are bit-identical for any worker count.
+walked X round robin to at most os.cpu_count() workers.  The workers
+share the sweep's set-up, so they compute what one thread computes, and
+the XOR of their shares is bit-identical for any worker count.
 """
 
 from __future__ import annotations
