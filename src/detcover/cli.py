@@ -39,19 +39,6 @@ def _load(path: str) -> Hypergraph:
         return parse(fh.read())
 
 
-def _effective_epsilon(args, k: int, n: int) -> float:
-    """--epsilon, or the shrinking schedule base^(-n) when requested.
-
-    The schedule ties the failure budget to the optimized run-time base,
-    so the budget falls as fast as the sweep grows at only a linear
-    factor more attempts.  k = 2 keeps the flat value (one attempt sees
-    every cover there, so the budget only models smaller k >= 3 misses).
-    """
-    if args.epsilon_schedule and k >= 3 and n > 0:
-        return optimize(k).base ** -n
-    return args.epsilon
-
-
 def cmd_solve(args) -> int:
     H = _load(args.input)
     mode = args.mode
@@ -67,8 +54,7 @@ def cmd_solve(args) -> int:
               f"to accept the wait", file=sys.stderr)
         return 2
     seed = args.seed if args.seed is not None else random.SystemRandom().randrange(2 ** 32)
-    epsilon = _effective_epsilon(args, H.k, H.n)
-    cfg = SieveConfig(m=args.m, seed=seed, epsilon=epsilon, threads=args.threads)
+    cfg = SieveConfig(m=args.m, seed=seed, epsilon=args.epsilon, threads=args.threads)
     decision = solve_kdm(H, cfg) if mode == "kdm" else solve_xkc(H, cfg)
     report = {
         "mode": mode,
@@ -81,7 +67,7 @@ def cmd_solve(args) -> int:
         "m": args.m,
     }
     if mode == "xkc":
-        report["epsilon"] = epsilon  # kdm sweeps once; no attempt budget to set
+        report["epsilon"] = args.epsilon  # kdm sweeps once; no attempt budget to set
     report["elapsed_ms"] = round(decision.elapsed * 1000, 3)
     if decision.reason is not None:
         report["reason"] = decision.reason
@@ -178,8 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["auto", "kdm", "xkc"], default="auto")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=2.0 ** -20)
-    p.add_argument("--epsilon-schedule", action="store_true",
-                   help="shrink epsilon to base^(-n) instead of the flat value")
     p.add_argument("--m", type=int, choices=[8, 64], default=64)
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--format", choices=["text", "json"], default="text")

@@ -14,11 +14,12 @@ with "partition" optional.  serialize() emits exactly this key order with
 compact separators, so equal instances produce byte-identical documents.
 
 A ProjectedView classifies every edge by how it meets a chosen vertex set
-U: twice (pairs), once (loops), not at all (empties), or three-plus times
-(dropped).  The solver only ever sieves instances whose dropped list is
-empty.  Views are cheap throwaway values: the general sieve projects once
-per U, and for each avoided set X its walk yields, restrict_avoiding
-drops the edges meeting X by their vertex bitmasks.
+U: twice (pairs), once (loops) or not at all (empties).  project refuses
+an edge that meets U three or more times: such an edge lies in no cover
+the sieve counts, and the solver leaves it out before it projects.
+Views are cheap throwaway values: the general sieve projects once per U,
+and for each avoided set X its walk yields, restrict_avoiding drops the
+edges meeting X by their vertex bitmasks.
 """
 
 from __future__ import annotations
@@ -121,14 +122,13 @@ class ProjectedView:
 
     Dense indices 0..|U|-1 refer to positions in u_order (ascending).
     pairs holds (edge id, i, j) with i < j, loops holds (edge id, i),
-    empties and dropped hold bare edge ids.
+    empties holds bare edge ids.  No edge meets U more than twice.
     """
 
     u_order: tuple[int, ...]
     pairs: list[tuple[int, int, int]] = field(default_factory=list)
     loops: list[tuple[int, int]] = field(default_factory=list)
     empties: list[int] = field(default_factory=list)
-    dropped: list[int] = field(default_factory=list)
 
     @property
     def u_size(self) -> int:
@@ -140,7 +140,8 @@ class ProjectedView:
 
 
 def project(H: Hypergraph, u_vertices) -> ProjectedView:
-    """Classify every edge of H against the vertex set U."""
+    """Classify every edge of H against the vertex set U; ValueError if
+    an edge meets U more than twice."""
     u_order = tuple(sorted(set(u_vertices)))
     if u_order and (u_order[0] < 0 or u_order[-1] >= H.n):
         raise ValueError("U is not a subset of the vertex set")
@@ -155,7 +156,7 @@ def project(H: Hypergraph, u_vertices) -> ProjectedView:
         elif len(hits) == 2:
             view.pairs.append((eid, hits[0], hits[1]))
         else:
-            view.dropped.append(eid)
+            raise ValueError(f"edge {eid} meets U more than twice")
     return view
 
 
@@ -176,7 +177,6 @@ def restrict_avoiding(view: ProjectedView, H: Hypergraph, x_mask: int) -> Projec
         [p for p in view.pairs if not masks[p[0]] & x_mask],
         [l for l in view.loops if not masks[l[0]] & x_mask],
         [e for e in view.empties if not masks[e] & x_mask],
-        [e for e in view.dropped if not masks[e] & x_mask],
     )
 
 

@@ -53,7 +53,7 @@ def series_determinant(rows: list[dict[int, int]], precision: int, gf: GF2m) -> 
     least (row entries - 1) x (column entries - 1), Markowitz's rule,
     the first such entry in row and column order.  The row sets of the
     columns are kept across steps, and an entry that cancels to zero is
-    dropped, so a row that empties ends the elimination with a zero
+    removed, so a row that empties ends the elimination with a zero
     determinant.  When no entry is a unit, every remaining entry is
     divisible by s^v, v their least s-valuation, so all are shifted
     right by v coefficients and v times the number of rows left joins a

@@ -40,8 +40,6 @@ def loop_weights(view: ProjectedView, weights, gf: GF2m, top: int) -> list[int]:
     bits into the s-coefficient, and takes its determinant modulo
     s^(top + 1).  Entries past |U| are zero.
     """
-    if view.dropped:
-        raise ValueError("view still contains dropped edges")
     rows = [{} for _ in range(view.u_size)]
     for eid, i, j in view.pairs:
         w = weights[eid]
@@ -81,8 +79,6 @@ def cover_weight(view: ProjectedView, weights, n: int, k: int, gf: GF2m) -> int:
     the vertex set survive.  A U too large for the edge budget gives
     exact zero.
     """
-    if view.dropped:
-        raise ValueError("view still contains dropped edges")
     need = n // k
     u = view.u_size
     top = 2 * need - u          # the most loops a cover can use

@@ -102,6 +102,7 @@ class SieveConfig:
         if self.threads < 1:
             raise ValueError(f"threads must be at least 1, got {self.threads}")
         check_epsilon(self.epsilon)
+        field_for(self.m)
 
 
 @dataclass
@@ -213,13 +214,14 @@ def _walk(rest, masks, kill, revive, user):
     yield from visit(0, len(lows))
 
 
-def _live_probes(ends, masks, need, u, rest):
+def _live_probes(view, masks, need, rest):
     """The general kernel's X, yielded as _walk reaches them: those whose
     live edges hold a family, the only X whose probe can be nonzero.
-    Edge i (vertex bitmask masks[i]; U indices ends[i]) is live while it
-    avoids X.  A family is `need` live edges meeting each U index
-    0..u-1 once: a perfect matching of U by pairs and i <= 2*need - u
-    loops, plus need - (u + i)/2 empties (edges that miss U).
+    Edge i (vertex bitmask masks[i]; a pair, loop or empty of the view)
+    is live while it avoids X.  A family is `need` live edges meeting
+    each U index 0..u-1 once: a perfect matching of U by pairs and
+    i <= 2*need - u loops, plus need - (u + i)/2 empties (edges that
+    miss U).
 
     An edge's death moves only its cell's live count.  The kernel keeps
     one witness family and searches again only when a witness cell
@@ -229,9 +231,14 @@ def _live_probes(ends, masks, need, u, rest):
     it lies in a family: the witness's cells are used, and so is every
     live empty when the witness holds one; any other cell costs one
     _family search with the cell forced in, at most once per X."""
+    u = view.u_size
     top = 2 * need - u          # the most loops a family can use; below 0, no family
     full, empty = (1 << u) - 1, u * u
-    cells = [e[0] * u + e[-1] if e else empty for e in ends]  # pair a < b: a*u + b; loop a: a*u + a
+    cells = [empty] * len(masks)  # pair a < b: a*u + b; loop a: a*u + a; an empty: u*u
+    for i, a, b in view.pairs:
+        cells[i] = a * u + b
+    for i, a in view.loops:
+        cells[i] = a * u + a
     count = [0] * (empty + 1)   # live edges per cell
     adj = [0] * u               # bit b of adj[a]: cell (a, b) or (b, a) is live
     for c in cells:
@@ -455,7 +462,7 @@ def _sweep_kdm(entries, matching, weights, gf, xs, threads=1):
     the root support, and every X's live support inside it, is block
     triangular, and X's determinant is the product of its diagonal
     blocks' determinants.  A cell between two blocks lies in no perfect
-    matching of any X's support and is dropped.  A block's determinant
+    matching of any X's support and is left out.  A block's determinant
     depends only on the X vertices that its cells' edges meet: the
     blocks that no X in xs touches multiply into one factor, computed
     once, and the others are memoized by x & (their edges' vertices).
@@ -549,13 +556,8 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
         total = _sweep_kdm(entries, matching, weights, gf, xs, threads)
         return gf.mul(total, total)
     view = project(H, u_vertices)
-    if view.dropped:
-        raise ValueError(f"{len(view.dropped)} edges meet U more than twice")
-    ends = [()] * len(H.edges)
-    for eid, *at in view.pairs + view.loops:
-        ends[eid] = tuple(at)
     rest = ((1 << H.n) - 1) ^ view.u_mask
-    xs = _live_probes(ends, H.edge_masks, H.n // H.k, view.u_size, rest)
+    xs = _live_probes(view, H.edge_masks, H.n // H.k, rest)
     return _xor_probes(lambda x: cover_weight(restrict_avoiding(view, H, x), weights, H.n, H.k, gf),
                        xs, threads)
 

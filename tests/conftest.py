@@ -86,8 +86,6 @@ def build_tutte(view: ProjectedView, weights, s: int, gf) -> list[list[int]]:
     positions i and j; diagonal entry i is s times the XOR of the loop
     weights at i.  Its determinant is sum_i M_i s^i, evaluated at one s.
     """
-    if view.dropped:
-        raise ValueError("view still contains dropped edges")
     u = view.u_size
     mat = [[0] * u for _ in range(u)]
     for eid, i, j in view.pairs:
@@ -110,8 +108,6 @@ def enumerate_matchings(view: ProjectedView, weights, gf: GF2m) -> list[tuple[in
     the lowest uncovered one first, so each matching appears exactly
     once.  Guarded to |U| <= 12.
     """
-    if view.dropped:
-        raise ValueError("view still contains dropped edges")
     u = view.u_size
     if u > 12:
         raise ValueError(f"|U| = {u} exceeds the enumeration guard of 12")

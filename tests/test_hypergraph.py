@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from detcover import (Hypergraph, ParseError, dlx_count, generate, parse,
                       project, restrict_avoiding, serialize, validate)
 
+from conftest import filtered_for
+
 
 def _h(n, k, edges, partition=None):
     return Hypergraph(n, k, [tuple(e) for e in edges],
@@ -75,11 +77,10 @@ def test_project_classifies():
     assert view.pairs == [(0, 0, 1), (3, 0, 1)]
     assert view.loops == [(1, 0)]
     assert view.empties == [2]
-    assert view.dropped == []
     everything = project(H, [])
     assert everything.empties == [0, 1, 2, 3]
-    dropped = project(H, [0, 1, 2])
-    assert dropped.dropped == [0]
+    with pytest.raises(ValueError, match="edge 0 meets U more than twice"):
+        project(H, [0, 1, 2])
 
 
 def test_project_rejects_foreign_vertices():
@@ -94,7 +95,7 @@ def test_project_partitioned_instance_is_all_pairs():
         H = generate(rng, 3, 9, rng.randint(1, 10), kdm=True)
         view = project(H, list(H.partition[0]) + list(H.partition[1]))
         assert len(view.pairs) == len(H.edges)
-        assert not view.loops and not view.empties and not view.dropped
+        assert not view.loops and not view.empties
 
 
 @settings(max_examples=60)
@@ -104,17 +105,18 @@ def test_project_partitions_edges(data):
     n = data.draw(st.sampled_from([6, 9, 12]))
     H = generate(rng, 3, n, rng.randint(0, 12))
     u = data.draw(st.sets(st.integers(0, n - 1), max_size=n))
+    if any(len(set(e) & u) >= 3 for e in H.edges):
+        with pytest.raises(ValueError, match="more than twice"):
+            project(H, u)
+        return
     view = project(H, u)
-    assert (len(view.pairs) + len(view.loops) + len(view.empties)
-            + len(view.dropped)) == len(H.edges)
+    assert len(view.pairs) + len(view.loops) + len(view.empties) == len(H.edges)
     for eid, i, j in view.pairs:
         assert len(set(H.edges[eid]) & set(u)) == 2 and i < j
     for eid, _ in view.loops:
         assert len(set(H.edges[eid]) & set(u)) == 1
     for eid in view.empties:
         assert not set(H.edges[eid]) & set(u)
-    for eid in view.dropped:
-        assert len(set(H.edges[eid]) & set(u)) >= 3
 
 
 def test_restrict_avoiding():
@@ -146,10 +148,10 @@ def test_restrict_avoiding_matches_set_arithmetic():
         u = set(rng.sample(range(n), rng.randint(0, 4)))
         pool = sorted(set(range(n)) - u)
         x = set(rng.sample(pool, rng.randint(0, min(3, len(pool)))))
+        H = filtered_for(H, u)
         got = restrict_avoiding(project(H, u), H, sum(1 << v for v in x))
         survivors = [e for e in range(len(H.edges)) if not set(H.edges[e]) & x]
-        kept = sorted([p[0] for p in got.pairs] + [l[0] for l in got.loops]
-                      + got.empties + got.dropped)
+        kept = sorted([p[0] for p in got.pairs] + [l[0] for l in got.loops] + got.empties)
         assert kept == survivors
 
 

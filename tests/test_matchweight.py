@@ -67,18 +67,6 @@ def test_tutte_symmetric():
             assert mat[i][j] == mat[j][i]
 
 
-def test_tutte_rejects_dropped():
-    view = ProjectedView((0, 1), dropped=[0])
-    with pytest.raises(ValueError):
-        build_tutte(view, [1], 1, GF8)
-
-
-def test_loop_weights_rejects_dropped():
-    view = ProjectedView((0, 1), dropped=[0])
-    with pytest.raises(ValueError):
-        loop_weights(view, [1], GF8, 1)
-
-
 def test_loop_weights_no_edges():
     view = ProjectedView((0, 1))
     assert loop_weights(view, [], GF64, 2) == [0, 0, 0]
@@ -256,12 +244,6 @@ def test_cover_weight_empty_u_is_symmetric_sum():
 def test_cover_weight_no_edges_is_zero():
     view = ProjectedView((0, 1))
     assert cover_weight(view, [], 6, 3, GF64) == 0
-
-
-def test_cover_weight_rejects_dropped():
-    view = ProjectedView((0, 1), dropped=[0])
-    with pytest.raises(ValueError):
-        cover_weight(view, [1], 6, 3, GF8)
 
 
 def test_cover_weight_matches_brute_force():

@@ -82,8 +82,8 @@ def test_sieve_zero_when_unsolvable():
 
 def test_sieve_rejects_bad_input():
     H = Hypergraph(6, 3, [(0, 1, 2)])
-    with pytest.raises(ValueError):
-        sieve_decide(H, [0, 1, 2], [1], GF64)  # an edge meets U thrice
+    with pytest.raises(ValueError, match="edge 0 meets U more than twice"):
+        sieve_decide(H, [0, 1, 2], [1], GF64)
     with pytest.raises(ValueError):
         sieve_decide(H, [0], [1, 2], GF64)  # weight count mismatch
     with pytest.raises(ValueError):
@@ -213,13 +213,6 @@ def _in_code_order(rest, masks):
     return [sum(1 << v for i, v in enumerate(order) if c >> i & 1) for c in range(1 << len(order))]
 
 
-def _view_ends(H, view):
-    ends = [()] * len(H.edges)
-    for eid, *at in view.pairs + view.loops:
-        ends[eid] = tuple(at)
-    return ends
-
-
 def test_sweep_filters_each_avoided_set_once(monkeypatch):
     # against the brute-force walk model: each sieve walks once, yields
     # its passing X once each, in increasing code order, and only those
@@ -263,8 +256,7 @@ def test_sweep_filters_each_avoided_set_once(monkeypatch):
         values = [cover_weight_brute(H, u, [v for v in rest if x >> v & 1], w, GF64)
                   for x in set(walk) - set(expect)]
         assert reduce(xor, values, 0) == 0
-        view = project(H, u)
-        args = (_view_ends(H, view), H.edge_masks, 3, len(u), sum(1 << v for v in rest))
+        args = (project(H, u), H.edge_masks, 3, sum(1 << v for v in rest))
         assert list(solver_mod._live_probes(*args)) == expect
         split += len(expect) > 3
     assert split >= 2
@@ -460,7 +452,7 @@ def test_live_probes_yield_exactly_the_filtered_sets():
                 order = [v for v in range(n) if rest >> v & 1]
                 walk = _in_code_order(order, H.edge_masks)
                 expect = [walk[c] for c in _walk_model(order, H.edge_masks, _families(H, u))[0]]
-                args = (_view_ends(H, view), H.edge_masks, n // k, len(u), rest)
+                args = (view, H.edge_masks, n // k, rest)
                 assert list(solver_mod._live_probes(*args)) == expect, (k, n, u)
                 w = [gf.sample(rng) for _ in H.edges]
                 values = [cover_weight(restrict_avoiding(view, H, x), w, n, k, gf) for x in expect]
@@ -505,8 +497,7 @@ def test_skipped_subtrees_cancel():
                     assert reduce(xor, (probe[d] for d in _subtree(c, len(xs))), 0) == 0
                 total = reduce(xor, (probe[c] for c in yielded), 0)
                 assert total == covers_weight_sum(H, u, w, gf)
-                args = (_view_ends(H, view), H.edge_masks, n // k, len(u),
-                        sum(1 << v for v in rest))
+                args = (view, H.edge_masks, n // k, sum(1 << v for v in rest))
                 assert list(solver_mod._live_probes(*args)) == [xs[c] for c in yielded], (k, n, u)
                 for kind in ("pairs", "loops", "empties"):
                     seen[kind] += bool(getattr(view, kind))
@@ -607,7 +598,7 @@ def test_walk_is_output_sensitive(monkeypatch):
         return inner_family(adj, free, *args)
 
     monkeypatch.setattr(solver_mod, "_family", searching)
-    args = (_view_ends(H, project(H, u)), H.edge_masks, 3, 6, sum(1 << v for v in rest))
+    args = (project(H, u), H.edge_masks, 3, sum(1 << v for v in rest))
     assert list(solver_mod._live_probes(*args)) == []
     assert searches.count(0b111111) == 1
     w = [GF64.sample(rng) for _ in edges]
@@ -1277,7 +1268,7 @@ def _block_mat(mat, rows, cols):
 
 
 def _canon(rows):
-    """A matrix's dense or {col: value} rows, zeros dropped, as a sorted
+    """A matrix's dense or {col: value} rows, zeros left out, as a sorted
     tuple, so the order of the rows does not count."""
     return tuple(sorted(tuple(sorted(row.items())) for row in _nonzero_rows(rows)))
 
@@ -1621,6 +1612,8 @@ def test_solve_rejects_invalid_instances():
         solve_xkc(bad)
     with pytest.raises(ValueError):
         solve_xkc(Hypergraph(6, 3, [(0, 1, 2)]), SieveConfig(m=16))
+    with pytest.raises(ValueError, match="unsupported field degree 7"):
+        SieveConfig(m=7)
 
 
 def test_solver_soundness_small_mix():
