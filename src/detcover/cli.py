@@ -22,6 +22,7 @@ from .params import REFERENCE_ROWS, general_bound, kdm_base, optimize
 from .solver import SieveConfig, solve_kdm, solve_xkc, u_size
 
 PROBE_EXPONENT_LIMIT = 30  # refuse 2^q sweeps beyond this without --force
+K_RANGE_LIMIT = 1000       # most rows one params call computes
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -105,14 +106,11 @@ def cmd_gen(args) -> int:
 
 
 def _k_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        ks = list(range(int(lo), int(hi) + 1))
-    else:
-        ks = [int(text)]
-    if not ks or min(ks) < 2:
-        raise ValueError(f"bad k range {text!r}")
-    return ks
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    lo, hi = int(lo), int(hi)
+    if lo < 2 or hi < lo or hi - lo >= K_RANGE_LIMIT:  # checked before any list is built
+        raise ValueError(f"bad k range {text!r}: need 2 <= lo <= hi, at most {K_RANGE_LIMIT} values")
+    return list(range(lo, hi + 1))
 
 
 def cmd_params(args) -> int:

@@ -35,6 +35,17 @@ attempt budget is ceil(ln(1/eps)/p).  Answers are one sided: yes is
 always backed by a nonzero certificate.  An instance with a vertex in
 no edge has no cover, so both answer it no before any attempt.
 
+Every exact cover projects to a perfect matching of every pair of
+blocks, so solve_kdm first drops each edge whose cell lies in no
+perfect matching of some pair's support: such an edge is in no cover
+and adds nothing to the total.  _matching_filter applies the bipartite
+kernel's Dulmage-Mendelsohn test (below) to each pair in turn and
+repeats over all pairs until a round drops nothing (Regin's AllDifferent
+filtering).  The attempt still draws one weight per edge, in edge order,
+and hands sieve_decide the kept edges with their own weights, so the
+total is bit-identical.  A pair left with no perfect matching answers
+no, with its blocks as the reason, before any sweep.
+
 X is named by a code whose bit i puts the i-th vertex of V - U in X,
 counting from the vertex in the fewest edges (equal counts by label).
 One walk, _walk, serves both kernels: a depth-first search in code
@@ -588,6 +599,36 @@ def _cheapest_blocks(H: Hypergraph):
                 return order, entries, end.value, xs
 
 
+def _matching_filter(H: Hypergraph):
+    """(the ids of the edges that stay, in edge order, None), or (None,
+    (i, j)) when those edges hold no perfect matching of blocks i and j
+    (see the module docstring).  For each pair of blocks in turn,
+    an edge stays iff its cell lies in a perfect matching of the pair's
+    support, that is iff its column reaches the column matched to its row
+    (_reach; a matched cell reaches itself).  Rounds over every pair
+    repeat until one removes nothing: Regin's AllDifferent filtering
+    (AAAI 1994), run to its fixpoint."""
+    b = H.n // H.k
+    place = {v: (t, pos) for t, block in enumerate(H.partition) for pos, v in enumerate(block)}
+    # at[e][t]: the position in block t of edge e's vertex there (an edge meets each block once)
+    at = [[pos for _, pos in sorted(map(place.get, edge))] for edge in H.edges]
+    keep = list(range(len(H.edges)))
+    while True:
+        before = len(keep)
+        for i, j in combinations(range(H.k), 2):
+            support = [0] * b
+            for e in keep:
+                support[at[e][i]] |= 1 << at[e][j]
+            matching = _perfect_matching(support)
+            if matching is None:
+                return None, (i, j)
+            row_of, col_of = matching
+            reach = [_reach(support, row_of, c) for c in range(b)]
+            keep = [e for e in keep if reach[at[e][j]] >> col_of[at[e][i]] & 1]
+        if len(keep) == before:
+            return keep, None
+
+
 def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decision:
     """The attempt loop of both solvers (see the module docstring)."""
     t0 = time.perf_counter()
@@ -611,14 +652,24 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
     rng = random.Random(cfg.seed)
     tn = u_size(H, partitioned)
     max_attempts = 1 if partitioned else repetitions(n, k, tn / n, cfg.epsilon)
+    kept = None                 # kdm: the edges that _matching_filter keeps
+    if partitioned:
+        kept, bare = _matching_filter(H)
+        if bare is not None:
+            return Decision("no", 1 << (n - tn), 1, time.perf_counter() - t0,
+                            reason=f"matching: no perfect matching of blocks {bare[0]} and "
+                                   f"{bare[1]} survives the matching filter",
+                            u_fraction=tn / n, max_attempts=1)
     blocks = [*H.partition[0], *H.partition[1]] if partitioned else None  # kdm's U, no draw
     answer = "no"
     for attempt in range(1, max_attempts + 1):
         u_vertices = blocks or sorted(rng.sample(range(n), tn))
         u_mask = sum(1 << v for v in u_vertices)
         keep = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
-        sub = Hypergraph(n, k, [H.edges[eid] for eid in keep], H.partition)
         weights = [gf.sample(rng) for _ in keep]
+        if kept is not None:    # kdm keeps every edge above, so an edge id indexes its weight
+            keep, weights = kept, [weights[eid] for eid in kept]
+        sub = Hypergraph(n, k, [H.edges[eid] for eid in keep], H.partition)
         if sieve_decide(sub, u_vertices, weights, gf, cfg.threads):
             answer = "yes"
             break

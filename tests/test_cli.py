@@ -295,6 +295,29 @@ def test_params_k_too_large_for_a_float_is_an_error(capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+@pytest.mark.parametrize("ks", ["3..1000000000000", "3..1003", "1" + "0" * 400 + "..1" + "0" * 401,
+                                "5..4", "1..3"])
+def test_params_bad_k_range_is_refused_before_any_row(capsys, ks):
+    # 3..10^12 once built the whole list and ended in a MemoryError;
+    # a range is checked before any list is built (1000 values at most)
+    code, out, err = _run(capsys, "params", "--k", ks)
+    assert code == 2 and out == "" and err.startswith(f"error: bad k range {ks!r}")
+
+
+def test_solve_names_the_blocks_the_matching_filter_empties(tmp_path, capsys):
+    # every pair of blocks has a perfect matching, but the edges that lie
+    # in one for blocks 0 and 2 leave block 1's vertex 3 in no edge
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "k": 3, "n": 9, "partition": [[0, 1, 2], [3, 4, 5], [6, 7, 8]],
+        "edges": [[0, 4, 7], [1, 3, 7], [1, 5, 6], [2, 3, 6], [2, 3, 7], [2, 5, 8]]}))
+    code, out, err = _run(capsys, "solve", "--input", str(path), "--seed", "1")
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert {"answer: no", "probes: 8", "attempts: 1"} <= set(lines)
+    assert "reason: matching: no perfect matching of blocks 1 and 2 survives the matching filter" in lines
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

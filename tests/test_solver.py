@@ -10,8 +10,8 @@ from operator import or_, xor
 
 import pytest
 
-from detcover import (GF8, GF64, Hypergraph, SieveConfig, cover_weight, dlx_count, generate,
-                      project, restrict_avoiding, sieve_decide, solve_kdm, solve_xkc)
+from detcover import (GF8, GF64, Hypergraph, SieveConfig, cover_weight, dlx_count, dlx_enumerate,
+                      generate, project, restrict_avoiding, sieve_decide, solve_kdm, solve_xkc)
 from detcover import solver as solver_mod
 
 from conftest import cover_weight_brute, covers_weight_sum, filtered_for, rand_instance, ref_det
@@ -803,16 +803,24 @@ def test_solve_kdm_planted_yes():
 
 def test_solve_kdm_unsolvable_no():
     # block-0 vertices 1 and 2 lie only in edges through vertex 3, so no
-    # two of their edges are disjoint; every vertex lies in an edge
+    # two of their edges are disjoint; every vertex lies in an edge.
+    # Blocks 0 and 1 have no perfect matching, so the matching filter
+    # answers and names them.  The second instance passes the filter
+    # (each pair of blocks is a 2x2 grid, full) and has no cover, so the
+    # sieve answers with no reason
     H = Hypergraph(9, 3, [(0, 3, 6), (0, 4, 7), (0, 5, 8), (1, 3, 6), (2, 3, 7)],
                    [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
-    n, k = 9, 3
-    for seed in range(10):
-        d = solve_kdm(H, SieveConfig(seed=seed))
-        assert d.answer == "no" and d.reason is None
-        assert d.attempts == d.max_attempts == 1
-        assert d.probes == 2 ** (n - 2 * n // k)
-        assert d.u_fraction == 2 / k
+    full = Hypergraph(6, 3, [(0, 2, 5), (0, 3, 4), (1, 2, 4), (1, 3, 5)], [(0, 1), (2, 3), (4, 5)])
+    assert solver_mod._matching_filter(full) == ([0, 1, 2, 3], None) and not dlx_count(full)
+    bare = "matching: no perfect matching of blocks 0 and 1 survives the matching filter"
+    for H, reason in ((H, bare), (full, None)):
+        n, k = H.n, H.k
+        for seed in range(10):
+            d = solve_kdm(H, SieveConfig(seed=seed))
+            assert d.answer == "no" and d.reason == reason
+            assert d.attempts == d.max_attempts == 1
+            assert d.probes == 2 ** (n - 2 * n // k)
+            assert d.u_fraction == 2 / k
 
 
 def test_solve_kdm_trivial_sizes():
@@ -882,13 +890,24 @@ def _pair_cost(H, i, j):
     return len(_kdm_model(entries, b, rest)[0])
 
 
-def _covering(rng, *args, **kwargs):
-    """rand_instance, drawn again until every vertex lies in an edge, so
-    a solve reaches its sweep instead of the uncovered-vertex rule."""
-    while True:
-        H = rand_instance(rng, *args, **kwargs)
-        if reduce(or_, H.edge_masks, 0).bit_count() == H.n:
-            return H
+def _planted_matchings(rng, k, n, count, extra=0):
+    """A partitioned instance on shuffled blocks whose edges are `count`
+    random perfect matchings of the blocks, each an exact cover, and
+    `extra` random edges, duplicates dropped.  The matching filter keeps
+    every edge of the matchings, so the support it leaves has pairs of
+    blocks with more than one perfect matching."""
+    b = n // k
+    perm = rng.sample(range(n), n)
+    blocks = [perm[t * b:(t + 1) * b] for t in range(k)]
+    edges = {tuple(vs) for _ in range(count) for vs in zip(*(rng.sample(q, b) for q in blocks))}
+    edges |= {tuple(rng.choice(q) for q in blocks) for _ in range(extra)}
+    return Hypergraph(n, k, sorted(edges), blocks)
+
+
+def _filtered(H):
+    """H less the edges that solve_kdm's matching filter drops."""
+    kept, _ = solver_mod._matching_filter(H)
+    return Hypergraph(H.n, H.k, [H.edges[e] for e in kept], H.partition)
 
 
 def test_solve_kdm_sieves_the_cheapest_pair(monkeypatch):
@@ -923,16 +942,20 @@ def test_solve_kdm_sieves_the_cheapest_pair(monkeypatch):
     # removing any vertex of block 0 or 1 leaves a row without an edge
     H = Hypergraph(6, 3, [(0, 2, 4), (1, 3, 5), (0, 2, 5), (1, 3, 4)],
                    [(0, 1), (2, 3), (4, 5)])
+    assert _filtered(H).edges == H.edges  # every cell of every pair lies in a perfect matching
     assert [_pair_cost(H, *p) for p in combinations(range(3), 2)] == [3, 1, 1]
     d, pair = sieved_pair(H, 3)
     assert pair == (0, 2) and d.yes and d.probes == 4 and d.attempts == 1
+    # the race runs on what the matching filter keeps, where a random
+    # instance often has one perfect matching per pair and every pair
+    # ties; planted matchings keep pairs that differ
     rng = random.Random(24)
     moved = 0
     for _ in range(30):
         k = rng.choice([3, 4])
         n = k * rng.choice([2, 3])
-        H = _covering(rng, k, n, n // k + 6, plant_prob=0.8, min_edges=1, kdm=True)
-        costs = {p: _pair_cost(H, *p) for p in combinations(range(k), 2)}
+        H = _planted_matchings(rng, k, n, rng.choice([1, 2]), rng.randint(0, 4))
+        costs = {p: _pair_cost(_filtered(H), *p) for p in combinations(range(k), 2)}
         d, pair = sieved_pair(H, rng.randrange(100))
         assert pair == min(costs, key=lambda p: (costs[p], p))
         assert d.probes == 2 ** (n - 2 * n // k) and d.yes == (dlx_count(H) > 0)
@@ -970,8 +993,9 @@ def test_solve_kdm_walks_each_pair_once(monkeypatch):
             assert sorted(rest for _, rest in events[:-1]) == sorted(
                 ((1 << n) - 1) ^ sum(1 << v for v in (*p[i], *p[j]))
                 for i, j in combinations(range(k), 2))
-            order = solver_mod._cheapest_blocks(H)[0]
-            entries, b, rest, codes, every = _kdm_case(Hypergraph(n, k, H.edges, order))
+            F = _filtered(H)    # what the race runs on
+            order = solver_mod._cheapest_blocks(F)[0]
+            entries, b, rest, codes, every = _kdm_case(Hypergraph(n, k, F.edges, order))
             assert xs == [every[c] for c in _kdm_model(entries, b, rest)[0]]
 
 
@@ -999,19 +1023,24 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "determinant", computing)
     monkeypatch.setattr(solver_mod, "sieve_decide", totalling)
+    # the sweep runs on what the matching filter keeps, at the weights
+    # drawn for the kept edges; planted matchings keep root blocks wider
+    # than 1x1 there, where most random instances keep one cover's edges
     rng = random.Random(29)
     for rep in range(12):
         gf = (GF8, GF64)[rep % 2]
         k, n = rng.choice([(3, 9), (3, 12), (4, 12)])
-        H = _covering(rng, k, n, 3 * n // k, plant_prob=0.7, min_edges=3 * n // k, kdm=True)
+        H = _planted_matchings(rng, k, n, 3, rng.randint(0, n // k))
         seed = rng.randrange(10 ** 6)
         wrng = random.Random(seed)
         w = [gf.sample(wrng) for _ in H.edges]
-        order, entries, matching, xs = solver_mod._cheapest_blocks(H)
+        kept, _ = solver_mod._matching_filter(H)
+        F, wf = Hypergraph(n, k, [H.edges[e] for e in kept], H.partition), [w[e] for e in kept]
+        order, entries, matching, xs = solver_mod._cheapest_blocks(F)
         for x in xs:
-            mat = _live_grid(entries, n // k, w, x)[1]
-            assert solver_mod._sweep_kdm(entries, matching, w, gf, [x]) == ref_det(mat, gf)
-        inputs = _block_inputs(entries, n // k, w, xs)[0]
+            mat = _live_grid(entries, n // k, wf, x)[1]
+            assert solver_mod._sweep_kdm(entries, matching, wf, gf, [x]) == ref_det(mat, gf)
+        inputs = _block_inputs(entries, n // k, wf, xs)[0]
         totals.clear()
         for threads in (1, 2, 3):
             calls.clear()
@@ -1097,6 +1126,82 @@ def test_solve_kdm_agrees_with_the_oracle():
         assert d.yes == expect, (H, rep)
         answers[expect] += 1
     assert min(answers.values()) >= 15, answers
+
+
+def test_matching_filter_runs_to_its_fixpoint():
+    # blocks {0, 1, 2}, {3, 4, 5}, {6, 7, 8}.  Between blocks 0 and 2,
+    # vertex 7 lies only in edges through vertex 2, so edge 6 = (2, 3, 6)
+    # goes.  Then vertex 3 lies only in edges through vertex 1 (edges 2
+    # and 3), so between blocks 0 and 1 vertex 1's edges 4 and 5 go too.
+    # Pair (0, 1) comes first and keeps them in the first round, so only
+    # a second round drops them; the third removes nothing.  What is
+    # left is the edges of the two covers
+    H = Hypergraph(9, 3, [(0, 4, 6), (0, 5, 8), (1, 3, 6), (1, 3, 8), (1, 4, 8), (1, 5, 8),
+                          (2, 3, 6), (2, 4, 7), (2, 5, 7)],
+                   [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+    support = [0] * 3           # pair (0, 1) of H: row a, column b - 3
+    for a, b, _ in H.edges:
+        support[a] |= 1 << b - 3
+    in_matching = {(r, perm[r]) for perm in permutations(range(3))
+                   if all(support[r] >> perm[r] & 1 for r in range(3)) for r in range(3)}
+    assert {(1, 1), (1, 2)} <= in_matching  # edges 4 and 5 pass pair (0, 1) of H
+    kept, bare = solver_mod._matching_filter(H)
+    assert bare is None and kept == [0, 1, 2, 3, 7, 8]
+    assert sorted(e for cover in dlx_enumerate(H) for e in cover) == kept
+
+
+def test_solve_kdm_answers_no_when_the_filter_empties_a_pair():
+    # every pair of blocks has a perfect matching at first.  Between
+    # blocks 0 and 2, vertex 0 and vertex 2 both need vertex 7 or 8 and
+    # vertex 0 has only 7, so vertex 1 takes 6 and vertex 2 takes 8:
+    # edges 1, 3 and 4 go, and block 1's vertex 3 is left in no edge
+    # between blocks 1 and 2.  No sweep runs
+    H = Hypergraph(9, 3, [(0, 4, 7), (1, 3, 7), (1, 5, 6), (2, 3, 6), (2, 3, 7), (2, 5, 8)],
+                   [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+    for i, j in combinations(range(3), 2):
+        rows = [0] * 3
+        for e in H.edges:
+            rows[e[i] - 3 * i] |= 1 << e[j] - 3 * j
+        assert _matchable(rows), (i, j)
+    assert solver_mod._matching_filter(H) == (None, (1, 2)) and not dlx_count(H)
+    n, k = 9, 3
+    for seed in range(4):
+        d = solve_kdm(H, SieveConfig(seed=seed))
+        assert d.answer == "no"
+        assert d.reason == "matching: no perfect matching of blocks 1 and 2 survives the matching filter"
+        assert d.attempts == d.max_attempts == 1 and d.probes == 2 ** (n - 2 * n // k)
+
+
+def test_matching_filter_keeps_every_cover_and_the_sieve_total():
+    # random partitioned instances, planted or not: every edge of every
+    # exact cover survives the filter, and the sieve total on what
+    # survives, at the weights of the surviving edges, is the total on
+    # the whole instance and the summed cover weight
+    rng = random.Random(43)
+    seen = {"dropped": 0, "bare": 0, "nonzero": 0}
+    for rep in range(90):
+        gf = (GF8, GF64)[rep % 2]
+        k = (2, 3, 4)[rep % 3]
+        n = k * rng.randint(1, 12 // k)
+        if rep % 5 == 4:
+            H = _planted_matchings(rng, k, n, rng.randint(1, 3), rng.randint(0, 6))
+        else:
+            H = rand_instance(rng, k, n, n // k + rng.randint(0, 6), plant_prob=0.5, kdm=True)
+        w = [gf.sample(rng) for _ in H.edges]
+        u = [*H.partition[0], *H.partition[1]]
+        whole = sieve_decide(H, u, w, gf)
+        assert whole == covers_weight_sum(H, u, w, gf), rep
+        kept, bare = solver_mod._matching_filter(H)
+        if bare is not None:
+            assert not whole and not dlx_count(H), rep
+            seen["bare"] += 1
+            continue
+        assert {e for cover in dlx_enumerate(H) for e in cover} <= set(kept), rep
+        F = Hypergraph(n, k, [H.edges[e] for e in kept], H.partition)
+        assert sieve_decide(F, u, [w[e] for e in kept], gf) == whole, rep
+        seen["dropped"] += len(H.edges) > len(kept)
+        seen["nonzero"] += bool(whole)
+    assert min(seen.values()) >= 15, seen
 
 
 def test_bipartite_and_general_probes_agree(monkeypatch):
