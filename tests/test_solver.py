@@ -1152,10 +1152,10 @@ def test_matching_filter_runs_to_its_fixpoint():
 
 def test_solve_kdm_answers_no_when_the_filter_empties_a_pair():
     # every pair of blocks has a perfect matching at first.  Between
-    # blocks 0 and 2, vertex 0 and vertex 2 both need vertex 7 or 8 and
-    # vertex 0 has only 7, so vertex 1 takes 6 and vertex 2 takes 8:
-    # edges 1, 3 and 4 go, and block 1's vertex 3 is left in no edge
-    # between blocks 1 and 2.  No sweep runs
+    # blocks 0 and 2, vertex 0 lies only in an edge through 7 and vertex 8
+    # only in edges through 2, so vertex 1 must take 6: edges 1, 3 and 4
+    # go, and block 1's vertex 3 is left in no edge between blocks 1 and
+    # 2.  No sweep runs
     H = Hypergraph(9, 3, [(0, 4, 7), (1, 3, 7), (1, 5, 6), (2, 3, 6), (2, 3, 7), (2, 5, 8)],
                    [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
     for i, j in combinations(range(3), 2):
