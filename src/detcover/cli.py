@@ -23,6 +23,7 @@ from .solver import SieveConfig, solve_kdm, solve_xkc, u_size
 
 PROBE_EXPONENT_LIMIT = 30  # refuse 2^q sweeps beyond this without --force
 K_RANGE_LIMIT = 1000       # most rows one params call computes
+GEN_SLOT_LIMIT = 10 ** 6   # most vertex slots (n + edges * k) one gen call draws
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -94,6 +95,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    slots = args.n + args.edges * args.k
+    if slots > GEN_SLOT_LIMIT:  # checked before generate allocates anything
+        raise ValueError(f"instance would hold {slots} vertex slots (n + edges * k), "
+                         f"at most {GEN_SLOT_LIMIT}")
     rng = random.Random(args.seed)
     H = generate(rng, args.k, args.n, args.edges, plant=args.plant, kdm=args.kdm)
     text = serialize(H) + "\n"

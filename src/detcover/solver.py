@@ -10,19 +10,14 @@ the random point, probability about n / (k * 2^m).
 
 sieve_decide picks the probe from its input.  The general probe is
 matchweight.cover_weight on the view restricted to the edges avoiding
-X.  When the instance carries a partition and U is the union of its
-first two blocks, every edge meets every block once, and the probe is
-the b x b bipartite determinant (b = n/k) of a pair of blocks, whose
-(row, col) entry XORs the weights of the edges joining left vertex
-`row` to right vertex `col`.  The general probe squares pair weights,
-the bipartite one does not; since squaring is additive in
-characteristic 2, the square of the bipartite sum is the general sum,
-so both return the same element.  Every pair of blocks gives that same
-total, so the bipartite probe sieves the pair whose walk yields the
-fewest X (the lowest pair on a tie).  The pairs' walks read no weight;
-they run in lockstep until the first one ends, each keeping its X, so
-every pair is walked once and the winner's list goes to the
-determinants.
+X.  When the instance carries a partition and U is its blocks 0 and 1,
+the probe is the b x b bipartite determinant (b = n/k) between those
+blocks, whose (row, col) entry XORs the weights of the edges joining
+left vertex `row` to right vertex `col`.  A term of it is b edges that
+cover U once; the sieve keeps it iff they also cover V - U once, so any
+pair of blocks would give the same total.  The general probe squares
+pair weights, the bipartite one does not; since squaring is additive in
+characteristic 2, the square of the bipartite sum is the general sum.
 
 Both solvers run one attempt body: pick U, keep the edges meeting it at
 most twice (no cover edge meets it more often when U is good), draw one
@@ -69,17 +64,16 @@ one family, searches for another when it loses an edge, and restricts
 the view to each X that has one.  The bipartite kernel,
 _matchable_probes, uses an edge when it lies in a perfect matching of
 the live support; it keeps the support and one perfect matching,
-repaired by augmenting paths as cells empty, and yields each X whose
+repaired by augmenting paths as cells empty, and lists each X whose
 support has one.  Each X's determinant is then the product of its
 determinants on the Dulmage-Mendelsohn blocks of the root support
-(X = {}), found once per sweep from the perfect matching that the
-winning walk holds when it ends: the blocks that no X of the sweep
-touches give one factor, and the others are memoized by the X vertices
-they meet.  Each X is walked once, and each sweep is set up once.  One
-thread probes the X as the walk yields them; threaded runs deal the
-walked X round robin to at most os.cpu_count() workers.  The workers
-share the sweep's set-up, so they compute what one thread computes, and
-the XOR of their shares is bit-identical for any worker count.
+(X = {}), found once per sweep from the perfect matching that the walk
+holds when it ends: the blocks that no X of the sweep touches give one
+factor, and the others are memoized by the X vertices they meet.  Each
+X is walked once and each sweep set up once.  Threaded runs deal the
+walked X round robin to at most os.cpu_count() workers, which share the
+set-up, so they compute what one thread does, and the XOR of their
+shares is bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -386,9 +380,10 @@ def _reach(support, row_of, c) -> int:
 
 
 def _matchable_probes(entries, b, rest):
-    """The bipartite kernel's X: those of _walk whose live edges (those
-    avoiding X) have a perfect matching on the b x b grid.  The walk
-    reads the support alone, never a weight.
+    """(the X of _walk whose live edges, those avoiding X, have a perfect
+    matching on the b x b grid, a perfect matching of the root support);
+    ([], None) when the root support (X = {}) has none.  The walk reads
+    the support alone, never a weight.
 
     A dead edge leaves its cell's live count, and its row's support when
     the cell empties.  The kernel keeps one perfect matching of the
@@ -402,11 +397,9 @@ def _matchable_probes(entries, b, rest):
     support: a matched cell is; an unmatched (r, c) is iff it closes an
     alternating cycle (Dulmage and Mendelsohn), that is iff column c
     reaches column col_of[r] along support[row_of[.]], a bitmask search
-    made at most once per column and X.
-
-    The generator returns that matching when the walk ends: every kill
-    is revived by then, so it is a perfect matching of the root support
-    (X = {}).  It returns None when the root support has none."""
+    made at most once per column and X.  Every kill is revived when the
+    walk ends, so the matching it holds then is perfect on the root
+    support."""
     cells = [(r, c) for _, _, r, c in entries]
     count = [[0] * b for _ in range(b)]     # live edges per cell
     support = [0] * b                       # bit c of support[r] iff count[r][c]
@@ -415,7 +408,7 @@ def _matchable_probes(entries, b, rest):
         support[r] |= 1 << c
     matching = _perfect_matching(support)
     if matching is None:
-        return
+        return [], None
     row_of, col_of = matching
 
     def kill(ids):
@@ -456,8 +449,7 @@ def _matchable_probes(entries, b, rest):
 
         return uses
 
-    yield from _walk(rest, [mk for mk, *_ in entries], kill, revive, user)
-    return row_of, col_of
+    return list(_walk(rest, [mk for mk, *_ in entries], kill, revive, user)), matching
 
 
 def _sweep_kdm(entries, matching, weights, gf, xs, threads=1):
@@ -466,7 +458,7 @@ def _sweep_kdm(entries, matching, weights, gf, xs, threads=1):
     Row r is the r-th vertex of the left block of the entries' pair and
     column c the c-th of its right block.  `matching` is a perfect
     matching (row of each column, column of each row) of the root
-    support (X = {}), or None when it has none and so no X has one.
+    support (X = {}), which every nonempty xs has.
     The matching splits the root support into Dulmage-Mendelsohn blocks:
     columns c and d share one iff alternating paths lead from each to
     the other.  Paths between blocks run one way only, so in that order
@@ -482,7 +474,7 @@ def _sweep_kdm(entries, matching, weights, gf, xs, threads=1):
     does any block's determinant.  The set-up is made once; only the
     per-X products are dealt to `threads` workers (see _xor_probes).
     """
-    if matching is None or not xs:
+    if not xs:
         return 0
     row_of, col_of = matching
     b = len(col_of)
@@ -545,15 +537,16 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     cover exists.  Requires every edge to meet U at most twice.
 
     When H carries a partition and U is exactly its blocks 0 and 1, every
-    edge must meet every block once; the probes are the bipartite
-    determinants of the pair of blocks that _cheapest_blocks picks, and
+    edge must meet each of those two blocks once (the other blocks may
+    hold anything: the square counts exact covers all the same); the
+    probes are the bipartite determinants between blocks 0 and 1, and
     the result is the square of their XOR.  Otherwise each probe is
     cover_weight on the edges avoiding X.  All give the same element.
 
-    The X are walked once.  One thread probes each X as the walk yields
-    it; with threads > 1 the walked X are dealt round robin to at most
-    that many workers, whose shares combine by XOR, so the value is
-    bit-identical for every worker count.
+    The X are walked once.  One thread probes the X as they come; with
+    threads > 1 the walked X are dealt round robin to at most that many
+    workers, whose shares combine by XOR, so the value is bit-identical
+    for every worker count.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -562,8 +555,11 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     if H.n == 0 or H.n % H.k != 0:
         raise ValueError("vertex count must be a positive multiple of k")
     u_vertices = set(u_vertices)
-    if H.partition is not None and u_vertices == set(H.partition[0]) | set(H.partition[1]):
-        _, entries, matching, xs = _cheapest_blocks(H)
+    p = H.partition
+    if p is not None and u_vertices == set(p[0]) | set(p[1]):
+        entries = _bipartite_entries(H, p[0], p[1])
+        rest = ((1 << H.n) - 1) ^ sum(1 << v for v in u_vertices)
+        xs, matching = _matchable_probes(entries, H.n // H.k, rest)
         total = _sweep_kdm(entries, matching, weights, gf, xs, threads)
         return gf.mul(total, total)
     view = project(H, u_vertices)
@@ -571,32 +567,6 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     xs = _live_probes(view, H.edge_masks, H.n // H.k, rest)
     return _xor_probes(lambda x: cover_weight(restrict_avoiding(view, H, x), weights, H.n, H.k, gf),
                        xs, threads)
-
-
-def _cheapest_blocks(H: Hypergraph):
-    """(H's partition with the pair moved to the front, its entries, the
-    perfect matching of its root support that its walk returns, the X
-    its walk yields) of the pair of blocks whose walk yields the fewest
-    X, the lowest such pair on a tie.  Any pair gives the same
-    total, the summed cover weight squared, so the choice saves only
-    determinants.  The pairs' walks advance in lockstep, one yield per
-    walk per round in pair order, and each keeps what it yields; the
-    first walk to end wins with its list complete, so no walk runs past
-    the winner's count plus one."""
-    p = H.partition
-    full = (1 << H.n) - 1
-    walks = []
-    for i, j in combinations(range(len(p)), 2):
-        order = [p[i], p[j], *(q for t, q in enumerate(p) if t not in (i, j))]
-        entries = _bipartite_entries(H, p[i], p[j])
-        rest = full ^ sum(1 << v for v in (*p[i], *p[j]))
-        walks.append((order, entries, [], _matchable_probes(entries, H.n // H.k, rest)))
-    while True:
-        for order, entries, xs, walk in walks:
-            try:
-                xs.append(next(walk))
-            except StopIteration as end:
-                return order, entries, end.value, xs
 
 
 def _matching_filter(H: Hypergraph):

@@ -208,8 +208,8 @@ def test_criterion_09_planted_instances_answer_yes():
 
 
 def test_criterion_10_partitioned_probe_counts(monkeypatch):
-    # each pair's walk, the winner's included, runs once over the whole
-    # of its V - U, so the X the sweep takes come from all 2^(n - 2n/k) codes
+    # one walk per solve, over the whole of V - (blocks 0 and 1), so the X
+    # the sweep takes come from all 2^(n - 2n/k) codes
     walks = []
     original = solver_mod._walk
 
@@ -225,7 +225,8 @@ def test_criterion_10_partitioned_probe_counts(monkeypatch):
         walks.clear()
         d = solve_kdm(H, SieveConfig(seed=rng.randrange(2 ** 31)))
         assert d.probes == probes, (n, d.probes)
-        assert [1 << rest.bit_count() for rest in walks] == [probes] * 3, (n, walks)
+        assert [1 << rest.bit_count() for rest in walks] == [probes], (n, walks)
+        assert walks == [((1 << n) - 1) ^ sum(1 << v for v in (*H.partition[0], *H.partition[1]))]
     _ok(10, "probe counts are exactly 4, 8, 16, 32 for n = 6, 9, 12, 15 at k = 3")
 
 

@@ -53,6 +53,33 @@ def test_gen_rejects_infeasible(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [["--n", "3000000000", "--edges", "1000000000", "--plant"],
+                                  ["--n", "30", "--edges", "100000000000"]])
+def test_gen_refuses_huge_instances_before_drawing(monkeypatch, capsys, argv):
+    # the first once ended in a MemoryError traceback (random.sample
+    # allocates n slots), the second ran until killed; n + edges * k is
+    # checked before generate is called
+    def drawing(*args, **kwargs):
+        raise AssertionError("generate called on a refused instance")
+
+    monkeypatch.setattr(cli, "generate", drawing)
+    code, out, err = _run(capsys, "gen", "--k", "3", *argv)
+    assert code == 2 and out == "" and err.startswith("error: instance would hold")
+
+
+def test_gen_slot_limit_is_inclusive(monkeypatch, capsys):
+    drawn = []
+
+    def drawing(rng, k, n, edges, **kwargs):
+        drawn.append((k, n, edges))
+        return Hypergraph(0, k, [])
+
+    monkeypatch.setattr(cli, "generate", drawing)
+    edges = cli.GEN_SLOT_LIMIT // 2
+    code, _, err = _run(capsys, "gen", "--k", "2", "--n", "0", "--edges", str(edges))
+    assert code == 0 and err == "" and drawn == [(2, 0, edges)]
+
+
 def test_solve_auto_picks_kdm_and_answers_yes(tmp_path, capsys):
     path = tmp_path / "inst.json"
     _run(capsys, "gen", "--k", "3", "--n", "9", "--edges", "9", "--plant",

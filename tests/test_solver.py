@@ -224,7 +224,9 @@ def test_sweep_filters_each_avoided_set_once(monkeypatch):
 
     def walking(*args):
         walks.append(args)
-        return _tapped(inner_walk(*args), lambda x: events.append(("yield", x)))
+        for x in inner_walk(*args):
+            events.append(("yield", x))
+            yield x
 
     def recording(view, H, x_mask):
         events.append(("filter", x_mask))
@@ -519,7 +521,7 @@ def test_skipped_subtrees_cancel():
                 total = reduce(xor, (probe[c] for c in yielded), 0)
                 u = [*H.partition[0], *H.partition[1]]
                 assert gf.mul(total, total) == covers_weight_sum(H, u, w, gf)
-                walk = list(solver_mod._matchable_probes(entries, b, rest))
+                walk = solver_mod._matchable_probes(entries, b, rest)[0]
                 assert walk == [xs[c] for c in yielded], (k, n)
                 seen[f"k = {k} pruned"] += len(pruned)
                 seen["nonzero"] += bool(total)
@@ -529,12 +531,11 @@ def test_skipped_subtrees_cancel():
 def test_walk_is_output_sensitive(monkeypatch):
     # one perfect matching and no other edge: 2^24 nominal X, but adding
     # any vertex of V - U empties a matched cell that no augmenting path
-    # repairs, so only X = {} is probed.  The block race opens all three
-    # pairs' walks, b augmenting paths at each root, and pair (0, 1) ends
-    # first, after one failed repair per vertex of block 2.  The sweep
-    # takes the matching that walk returns, with no search of its own,
-    # and splits the root support into b blocks of 1x1, which need no
-    # determinant
+    # repairs, so only X = {} is probed.  The walk over blocks 0 and 1
+    # makes b augmenting paths at its root and one failed repair per
+    # vertex of block 2.  The sweep takes the matching that walk returns,
+    # with no search of its own, and splits the root support into b
+    # blocks of 1x1, which need no determinant
     calls = {"_perfect_matching": 0, "_augment": 0, "determinant": 0, "cover_weight": 0}
     last = {}                   # the arguments of each name's latest call
     for name in calls:
@@ -561,12 +562,12 @@ def test_walk_is_output_sensitive(monkeypatch):
     for x in w:
         product = GF64.mul(product, x)
     assert sieve_decide(H, blocks[0] + blocks[1], w, GF64) == GF64.mul(product, product)
-    assert calls == {"_perfect_matching": 3, "_augment": 4 * b, "determinant": 0,
+    assert calls == {"_perfect_matching": 1, "_augment": 2 * b, "determinant": 0,
                      "cover_weight": 0}
-    # the last search was pair (1, 2)'s root; pair (0, 1)'s matching is
-    # the hidden one, row i to column cols[i]
-    assert last["_perfect_matching"] == ([1 << (t - 2 * b) for _, t in sorted(zip(cols, tails))],)
+    # the one search was the root's, and its matching is the hidden one,
+    # row i to column cols[i]
     col_of = [c - b for c in cols]
+    assert last["_perfect_matching"] == ([1 << c for c in col_of],)
     assert handed == [(sorted(range(b), key=col_of.__getitem__), col_of)]
     # the xkc twin: one exact cover of n = 33 vertices; U takes one vertex
     # of each edge and a second of two, so |V - U| = 20
@@ -620,8 +621,7 @@ def test_walk_is_output_sensitive(monkeypatch):
     # the kdm twin of that prune: the hidden perfect matching's b = 24
     # edges use only 23 third-block vertices, and the last one lies only in
     # an edge joining row 0 to row 1's column, a cell that no perfect
-    # matching uses; the root of the race's first walk makes b augmenting
-    # paths and cancels, so no other walk starts
+    # matching uses; the walk's root makes b augmenting paths and cancels
     cols, tails = rng.sample(blocks[1], b), rng.sample(blocks[2], b)
     edges = [(row, col, tail) for row, col, tail in zip(blocks[0], cols, tails[:-1] + tails[:1])]
     H = Hypergraph(3 * b, 3, [*edges, (blocks[0][0], cols[1], tails[-1])], blocks)
@@ -711,7 +711,8 @@ def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
     assert len(log) == 4
     # kdm deals the X list its walk kept, one X a worker here
     kdm = generate(random.Random(24), 3, 12, 8, plant=True, kdm=True)
-    xs = solver_mod._cheapest_blocks(kdm)[3]
+    entries, b, rest, _, _ = _kdm_case(_filtered(kdm))
+    xs = solver_mod._matchable_probes(entries, b, rest)[0]
     d = solve_kdm(kdm, SieveConfig(seed=1, threads=100_000))
     assert d.yes and d.probes == 16 and len(xs) == 3
     assert log[-1] == (3, [(0,), (1,), (2,)])
@@ -741,7 +742,8 @@ def test_threads_share_one_kdm_set_up(monkeypatch):
         H = generate(rng, k, n, n, plant=True, kdm=True)  # n edges: long X lists, wide blocks
         w = [gf.sample(rng) for _ in H.edges]
         u = [*H.partition[0], *H.partition[1]]
-        _, entries, _, xs = solver_mod._cheapest_blocks(H)
+        entries, b, rest, _, _ = _kdm_case(H)
+        xs = solver_mod._matchable_probes(entries, b, rest)[0]
         calls.clear()
         total = sieve_decide(H, u, w, gf)
         one = Counter(calls)
@@ -883,13 +885,6 @@ def test_every_pair_of_blocks_gives_the_same_total():
     assert nonzero >= 8
 
 
-def _pair_cost(H, i, j):
-    """Brute force: how many X avoiding blocks i and j the walk model
-    yields for the bipartite sweep between them."""
-    entries, b, rest, _, _ = _kdm_case(Hypergraph(H.n, H.k, H.edges, _first(H.partition, i, j)))
-    return len(_kdm_model(entries, b, rest)[0])
-
-
 def _planted_matchings(rng, k, n, count, extra=0):
     """A partitioned instance on shuffled blocks whose edges are `count`
     random perfect matchings of the blocks, each an exact cover, and
@@ -910,63 +905,9 @@ def _filtered(H):
     return Hypergraph(H.n, H.k, [H.edges[e] for e in kept], H.partition)
 
 
-def test_solve_kdm_sieves_the_cheapest_pair(monkeypatch):
-    # _bipartite_entries is wrapped to record the blocks of every entry
-    # list it builds; the one list the determinant pass receives names
-    # the pair sieved
-    built, swept = [], []
-    inner_entries, inner_sweep = solver_mod._bipartite_entries, solver_mod._sweep_kdm
-
-    def building(H, left, right):
-        built.append((inner_entries(H, left, right), left, right))
-        return built[-1][0]
-
-    def sweeping(entries, *args):
-        swept.append(entries)
-        return inner_sweep(entries, *args)
-
-    monkeypatch.setattr(solver_mod, "_bipartite_entries", building)
-    monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
-
-    def sieved_pair(H, seed):
-        built.clear()
-        swept.clear()
-        d = solve_kdm(H, SieveConfig(seed=seed))
-        assert len(built) == len(list(combinations(range(H.k), 2)))
-        [entries] = swept
-        [(left, right)] = [(a, z) for e, a, z in built if e is entries]
-        return d, (H.partition.index(left), H.partition.index(right))
-
-    # blocks {0, 1}, {2, 3}, {4, 5}: removing either block-2 vertex leaves
-    # a perfect matching between blocks 0 and 1 (3 matchable X), while
-    # removing any vertex of block 0 or 1 leaves a row without an edge
-    H = Hypergraph(6, 3, [(0, 2, 4), (1, 3, 5), (0, 2, 5), (1, 3, 4)],
-                   [(0, 1), (2, 3), (4, 5)])
-    assert _filtered(H).edges == H.edges  # every cell of every pair lies in a perfect matching
-    assert [_pair_cost(H, *p) for p in combinations(range(3), 2)] == [3, 1, 1]
-    d, pair = sieved_pair(H, 3)
-    assert pair == (0, 2) and d.yes and d.probes == 4 and d.attempts == 1
-    # the race runs on what the matching filter keeps, where a random
-    # instance often has one perfect matching per pair and every pair
-    # ties; planted matchings keep pairs that differ
-    rng = random.Random(24)
-    moved = 0
-    for _ in range(30):
-        k = rng.choice([3, 4])
-        n = k * rng.choice([2, 3])
-        H = _planted_matchings(rng, k, n, rng.choice([1, 2]), rng.randint(0, 4))
-        costs = {p: _pair_cost(_filtered(H), *p) for p in combinations(range(k), 2)}
-        d, pair = sieved_pair(H, rng.randrange(100))
-        assert pair == min(costs, key=lambda p: (costs[p], p))
-        assert d.probes == 2 ** (n - 2 * n // k) and d.yes == (dlx_count(H) > 0)
-        moved += pair != (0, 1)
-    assert moved >= 5
-
-
-def test_solve_kdm_walks_each_pair_once(monkeypatch):
-    # planted instances, so every pair's root yields X = {} and the race
-    # starts every walk; after it, the determinant pass runs on the
-    # winner's kept list and no walk starts again
+def test_solve_kdm_walks_blocks_0_and_1_once(monkeypatch):
+    # one walk over V - (blocks 0 and 1) on what the matching filter
+    # keeps, then one determinant pass over the X the walk model yields
     events = []
     inner_walk, inner_sweep = solver_mod._walk, solver_mod._sweep_kdm
 
@@ -981,22 +922,15 @@ def test_solve_kdm_walks_each_pair_once(monkeypatch):
     monkeypatch.setattr(solver_mod, "_walk", walking)
     monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
     rng = random.Random(28)
-    for k, n, pairs in ((3, 9, 3), (3, 12, 3), (4, 8, 6), (4, 12, 6)):
+    for k, n in ((3, 9), (3, 12), (4, 8), (4, 12)):
         for _ in range(4):
             H = generate(rng, k, n, n // k + 5, plant=True, kdm=True)
             events.clear()
             d = solve_kdm(H, SieveConfig(seed=rng.randrange(100)))
             assert d.yes
-            assert [kind for kind, _ in events] == ["walk"] * pairs + ["sweep"]
-            xs = events[-1][1]
-            p = H.partition
-            assert sorted(rest for _, rest in events[:-1]) == sorted(
-                ((1 << n) - 1) ^ sum(1 << v for v in (*p[i], *p[j]))
-                for i, j in combinations(range(k), 2))
-            F = _filtered(H)    # what the race runs on
-            order = solver_mod._cheapest_blocks(F)[0]
-            entries, b, rest, codes, every = _kdm_case(Hypergraph(n, k, F.edges, order))
-            assert xs == [every[c] for c in _kdm_model(entries, b, rest)[0]]
+            entries, b, rest, codes, every = _kdm_case(_filtered(H))
+            assert events == [("walk", rest),
+                              ("sweep", [every[c] for c in _kdm_model(entries, b, rest)[0]])]
 
 
 def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
@@ -1036,7 +970,8 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
         w = [gf.sample(wrng) for _ in H.edges]
         kept, _ = solver_mod._matching_filter(H)
         F, wf = Hypergraph(n, k, [H.edges[e] for e in kept], H.partition), [w[e] for e in kept]
-        order, entries, matching, xs = solver_mod._cheapest_blocks(F)
+        entries, b, rest, _, _ = _kdm_case(F)
+        xs, matching = solver_mod._matchable_probes(entries, b, rest)
         for x in xs:
             mat = _live_grid(entries, n // k, wf, x)[1]
             assert solver_mod._sweep_kdm(entries, matching, wf, gf, [x]) == ref_det(mat, gf)
@@ -1051,67 +986,10 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
                 seen["determinants"] += len(calls)
         assert totals[0] == totals[1] == totals[2]
         assert d.yes == bool(totals[0])
-        u = [*order[0], *order[1]]
-        assert totals[0] == covers_weight_sum(Hypergraph(n, k, H.edges, order), u, w, gf)
+        u = [*H.partition[0], *H.partition[1]]
+        assert totals[0] == covers_weight_sum(H, u, w, gf)
         seen["nonzero"] += bool(totals[0])
     assert min(seen.values()) >= 6, seen
-
-
-def test_cheapest_blocks_counts_in_lockstep(monkeypatch):
-    # the pair with the fewest matchable X by brute force, the lowest on a
-    # tie; the walks are wrapped to count what each one yields, and none
-    # may run past the winner's full count plus one
-    pulled = []
-    inner = solver_mod._matchable_probes
-
-    def counting(*args):
-        walk = len(pulled)
-        pulled.append(0)
-
-        def pull(_):
-            pulled[walk] += 1
-
-        return (yield from _tapped(inner(*args), pull))
-
-    monkeypatch.setattr(solver_mod, "_matchable_probes", counting)
-
-    def check(H, i, j, fewest):
-        pulled.clear()
-        order, entries, matching, xs = solver_mod._cheapest_blocks(H)
-        assert order == _first(H.partition, i, j)
-        # the winner's matching is perfect on its root support; with none
-        # its walk yields nothing
-        if matching is None:
-            assert xs == []
-        else:
-            row_of, col_of = matching
-            assert all(row_of[c] == r for r, c in enumerate(col_of))
-            assert {(r, c) for r, c in enumerate(col_of)} <= {(r, c) for *_, r, c in entries}
-        assert entries == solver_mod._bipartite_entries(H, H.partition[i], H.partition[j])
-        assert pulled[list(combinations(range(H.k), 2)).index((i, j))] == fewest
-        assert max(pulled) <= fewest + 1
-        # the winner's walk ran to its end, so the race keeps all it yields
-        case = _kdm_case(Hypergraph(H.n, H.k, H.edges, order))
-        assert xs == [case[4][c] for c in _kdm_model(*case[:3])[0]]
-
-    # the instance of the test above: pairs (0, 2) and (1, 2) tie at one
-    # matchable X below (0, 1) at three; with the blocks reversed the tie
-    # is between (0, 1) and (0, 2), the first pair of the lockstep
-    H = Hypergraph(6, 3, [(0, 2, 4), (1, 3, 5), (0, 2, 5), (1, 3, 4)],
-                   [(0, 1), (2, 3), (4, 5)])
-    check(H, 0, 2, 1)
-    check(Hypergraph(6, 3, H.edges, H.partition[::-1]), 0, 1, 1)
-    rng = random.Random(26)
-    ties = 0
-    for k in (3, 4):
-        for _ in range(20):
-            n = k * rng.choice([2, 3, 4] if k == 3 else [2, 3])
-            H = rand_instance(rng, k, n, n // k + 6, plant_prob=0.8, min_edges=1, kdm=True)
-            costs = {p: _pair_cost(H, *p) for p in combinations(range(k), 2)}
-            best = min(costs, key=lambda p: (costs[p], p))
-            check(H, *best, costs[best])
-            ties += list(costs.values()).count(costs[best]) > 1
-    assert ties >= 5
 
 
 def test_solve_kdm_agrees_with_the_oracle():
@@ -1268,7 +1146,7 @@ def test_general_and_bipartite_kernels_walk_the_same_x(monkeypatch):
             walked.clear()
             total = sieve_decide(Hypergraph(n, k, H.edges), u, w, gf)
             entries = solver_mod._bipartite_entries(H, p[i], p[j])
-            expect = list(solver_mod._matchable_probes(entries, b, rest))
+            expect = solver_mod._matchable_probes(entries, b, rest)[0]
             assert walked == [expect], (k, n, i, j)
             seen["yielded"] += len(expect)
             seen["pruned"] += (1 << rest.bit_count()) - len(expect)
@@ -1312,7 +1190,7 @@ def test_bipartite_kernel_matches_cover_sum_at_every_split():
                     H, w = _kdm_with_cancelling_twins(rng, gf, k, n, swap)
                     u = [*H.partition[0], *H.partition[1]]
                     entries, b, rest, _, _ = _kdm_case(H)
-                    xs = list(solver_mod._matchable_probes(entries, b, rest))
+                    xs = solver_mod._matchable_probes(entries, b, rest)[0]
                     whole = solver_mod._sweep_kdm(entries, _root_matching(entries, b, pick), w,
                                                   gf, xs)
                     assert gf.mul(whole, whole) == covers_weight_sum(H, u, w, gf)
@@ -1420,18 +1298,6 @@ def test_perfect_matching_check_against_permutations():
     assert min(seen.values()) >= 100
 
 
-def _tapped(walk, see):
-    """A generator's items, each passed to see as it passes, and its
-    return value (a bipartite walk's matching)."""
-    while True:
-        try:
-            item = next(walk)
-        except StopIteration as end:
-            return end.value
-        see(item)
-        yield item
-
-
 def _root_matching(entries, b, pick):
     """A perfect matching of the root support (X = {}) as _sweep_kdm takes
     it, (row of each column, column of each row), drawn by `pick` from
@@ -1493,7 +1359,7 @@ def test_matchable_probes_yield_exactly_the_matchable_sets(monkeypatch):
     monkeypatch.setattr(solver_mod, "determinant", computing)
     rng = random.Random(22)
     pick = random.Random(22)    # root matchings, off the instance stream
-    seen = {"yielded": 0, "pruned": 0, "cancelled": 0, "nonzero": 0}
+    seen = {"yielded": 0, "pruned": 0, "cancelled": 0, "nonzero": 0, "root matchings": 0}
     for rep in range(8):
         gf = (GF8, GF64)[rep % 2]
         for k, n in ((3, 6), (3, 9), (3, 12), (3, 15), (4, 8), (4, 12), (4, 16)):
@@ -1505,8 +1371,17 @@ def test_matchable_probes_yield_exactly_the_matchable_sets(monkeypatch):
                 mat = _live_grid(entries, b, w, xs[c])[1]
                 expect.append((xs[c], mat))
                 seen["cancelled"] += not _matchable(_pattern(mat))
-            walked = list(solver_mod._matchable_probes(entries, b, rest))
+            walked, root = solver_mod._matchable_probes(entries, b, rest)
             assert walked == [x for x, _ in expect]
+            # the returned matching is perfect on the root support and
+            # uses only live cells; without one the walk yields nothing
+            if root is None:
+                assert walked == [] and _dm_blocks(entries, b) is None
+            else:
+                row_of, col_of = root
+                assert all(row_of[c] == r for r, c in enumerate(col_of))
+                assert set(enumerate(col_of)) <= {(r, c) for *_, r, c in entries}
+                seen["root matchings"] += 1
             total = 0
             for _, mat in expect:
                 total ^= ref_det(mat, gf)
@@ -1541,9 +1416,9 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
     walked, swept = [], []
     inner_walk, inner_sweep = solver_mod._matchable_probes, solver_mod._sweep_kdm
 
-    def walking(*args):         # one list per pair's walk in the block race
-        walked.append(mine := [])
-        return (yield from _tapped(inner_walk(*args), mine.append))
+    def walking(*args):
+        walked.append(inner_walk(*args))
+        return walked[-1]
 
     def sweeping(entries, matching, weights, gf, xs, threads):
         swept.extend(xs)
@@ -1558,13 +1433,11 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
         gf = (GF8, GF64)[rep % 2]
         k, n = rng.choice([(3, 12), (3, 15), (4, 12)])
         H, w = _kdm_with_cancelling_twins(rng, gf, k, n, rep % 4 >= 2)
-        order = solver_mod._cheapest_blocks(H)[0]
-        pair = (H.partition.index(order[0]), H.partition.index(order[1]))
         walked.clear()
         swept.clear()
         sieve_decide(H, [*H.partition[0], *H.partition[1]], w, gf)
-        winner = walked[list(combinations(range(k), 2)).index(pair)]
-        entries, b, rest, _, xs = _kdm_case(Hypergraph(H.n, H.k, H.edges, order))
+        [(winner, _)] = walked
+        entries, b, rest, _, xs = _kdm_case(H)
         assert winner == [xs[c] for c in _kdm_model(entries, b, rest)[0]] == swept
         matching = _root_matching(entries, b, pick)
         probe = {x: inner_sweep(entries, matching, w, gf, [x]) for x in winner}
@@ -1585,8 +1458,9 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
 
 def test_sweep_factors_over_the_root_blocks(monkeypatch):
     # the root support's Dulmage-Mendelsohn blocks, by brute force: at
-    # every code, the one-X sweep and the product of the blocks' live
-    # determinants both equal the live grid's determinant.  Over the
+    # every code, the product of the blocks' live determinants, and the
+    # one-X sweep when the root support has a perfect matching, equal the
+    # live grid's determinant.  Over the
     # walked list and over lists that spare one wide block's vertices,
     # every determinant input is a wide block's live grid at one listed
     # X, once per (block, key) at most, and a block that no X of a
@@ -1619,19 +1493,15 @@ def test_sweep_factors_over_the_root_blocks(monkeypatch):
                     det = ref_det(mat, gf)
                     parts = [ref_det(_block_mat(mat, *blk), gf) for blk in blocks or []]
                     assert (reduce(gf.mul, parts, 1) if blocks else 0) == det
+                    if matching is None:  # no X has a perfect matching, so none is swept
+                        continue
                     calls.clear()
                     assert solver_mod._sweep_kdm(entries, matching, w, gf, [x]) == det
                     assert not Counter(calls) - _block_inputs(entries, b, w, [x])[0]
                 wide = [(rows, cols, reduce(or_, (mk for mk, _, r, c in entries
                                                   if r in rows and c in cols)))
                         for rows, cols in blocks or [] if len(cols) > 1]
-                walk, walked = solver_mod._matchable_probes(entries, b, rest), []
-                while True:     # the walk's list, then the matching it returns
-                    try:
-                        walked.append(next(walk))
-                    except StopIteration as end:
-                        lists = [(walked, end.value)]
-                        break
+                lists = [solver_mod._matchable_probes(entries, b, rest)]
                 assert (lists[0][1] is None) == (blocks is None)
                 lists += [([x for x in xs if not x & vertices], matching) for _, _, vertices in wide]
                 for xl, root in lists:
