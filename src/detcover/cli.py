@@ -84,7 +84,11 @@ def cmd_count(args) -> int:
               f"--force to accept the wait", file=sys.stderr)
         return 2
     t0 = time.perf_counter()
-    count = dlx_count(H) if args.method == "dlx" else ie_count(H)
+    try:
+        count = dlx_count(H) if args.method == "dlx" else ie_count(H)
+    except RecursionError:  # the search recurses once per cover edge
+        raise ValueError(f"a cover of n={H.n} is too deep for the exact search "
+                         f"({H.n // H.k} nested edge choices)") from None
     report = {
         "count": count,
         "method": args.method,

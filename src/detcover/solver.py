@@ -34,12 +34,13 @@ Every exact cover projects to a perfect matching of every pair of
 blocks, so solve_kdm first drops each edge whose cell lies in no
 perfect matching of some pair's support: such an edge is in no cover
 and adds nothing to the total.  _matching_filter applies the bipartite
-kernel's Dulmage-Mendelsohn test (below) to each pair in turn and
-repeats over all pairs until a round drops nothing (Regin's AllDifferent
-filtering).  The attempt still draws one weight per edge, in edge order,
-and hands sieve_decide the kept edges with their own weights, so the
-total is bit-identical.  A pair left with no perfect matching answers
-no, with its blocks as the reason, before any sweep.
+kernel's Dulmage-Mendelsohn test (below) to each pair in turn, and
+cycles through the pairs until every pair in a row drops nothing
+(Regin's AllDifferent filtering).  The attempt still draws one weight
+per edge, in edge order, and hands sieve_decide the kept edges with
+their own weights, so the total is bit-identical.  A pair left with
+no perfect matching answers no, with its blocks as the reason, before
+any sweep.
 
 X is named by a code whose bit i puts the i-th vertex of V - U in X,
 counting from the vertex in the fewest edges (equal counts by label).
@@ -84,7 +85,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, cycle
 from operator import or_, xor
 
 from .gf2m import GF2m, field_for
@@ -575,27 +576,32 @@ def _matching_filter(H: Hypergraph):
     (see the module docstring).  For each pair of blocks in turn,
     an edge stays iff its cell lies in a perfect matching of the pair's
     support, that is iff its column reaches the column matched to its row
-    (_reach; a matched cell reaches itself).  Rounds over every pair
-    repeat until one removes nothing: Regin's AllDifferent filtering
-    (AAAI 1994), run to its fixpoint."""
+    (_reach; a matched cell reaches itself).  The pairs take turns
+    until every pair in a row removes nothing: Regin's AllDifferent
+    filtering (AAAI 1994), run to its fixpoint.  A pair that removes
+    edges counts as the first quiet pair of the next row, since a second
+    pass would remove nothing: each cell left lies in a perfect matching
+    that the removal kept."""
     b = H.n // H.k
     place = {v: (t, pos) for t, block in enumerate(H.partition) for pos, v in enumerate(block)}
     # at[e][t]: the position in block t of edge e's vertex there (an edge meets each block once)
     at = [[pos for _, pos in sorted(map(place.get, edge))] for edge in H.edges]
     keep = list(range(len(H.edges)))
-    while True:
+    pairs = list(combinations(range(H.k), 2))
+    quiet = 0                   # pairs in a row, ending here, that would remove nothing now
+    for i, j in cycle(pairs):
+        support = [0] * b
+        for e in keep:
+            support[at[e][i]] |= 1 << at[e][j]
+        matching = _perfect_matching(support)
+        if matching is None:
+            return None, (i, j)
+        row_of, col_of = matching
+        reach = [_reach(support, row_of, c) for c in range(b)]
         before = len(keep)
-        for i, j in combinations(range(H.k), 2):
-            support = [0] * b
-            for e in keep:
-                support[at[e][i]] |= 1 << at[e][j]
-            matching = _perfect_matching(support)
-            if matching is None:
-                return None, (i, j)
-            row_of, col_of = matching
-            reach = [_reach(support, row_of, c) for c in range(b)]
-            keep = [e for e in keep if reach[at[e][j]] >> col_of[at[e][i]] & 1]
-        if len(keep) == before:
+        keep = [e for e in keep if reach[at[e][j]] >> col_of[at[e][i]] & 1]
+        quiet = 1 if len(keep) < before else quiet + 1
+        if quiet == len(pairs):
             return keep, None
 
 

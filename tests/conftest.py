@@ -206,7 +206,8 @@ def family_weight(H: Hypergraph, edge_ids, u_mask: int, weights, gf) -> int:
 
 def covers_weight_sum(H: Hypergraph, u_vertices, weights, gf) -> int:
     """XOR of family_weight over every exact cover, covers listed by the
-    dancing-links oracle.  This is the quantity the sieve computes."""
+    Algorithm X oracle (dlx_enumerate).  This is the quantity the sieve
+    computes."""
     u_mask = 0
     for v in u_vertices:
         u_mask |= 1 << v

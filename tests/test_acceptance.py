@@ -146,7 +146,7 @@ def test_criterion_07_exact_counters_agree():
         n = k * rng.randint(1, 12 // k)
         H = rand_instance(rng, k, n, 12)
         assert dlx_count(H) == ie_count(H), (n, k, H.edges)
-    _ok(7, "dancing links and inclusion-exclusion counts agree on 200 instances")
+    _ok(7, "Algorithm X and inclusion-exclusion counts agree on 200 instances")
 
 
 def test_criterion_08_ten_thousand_runs_sound():

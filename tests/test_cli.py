@@ -285,6 +285,17 @@ def test_count_guard(tmp_path, capsys):
     assert code == 0 and json.loads(out)["count"] == 0
 
 
+def test_count_too_deep_exits_2(tmp_path, capsys):
+    # a planted cover of 1100 edges nests deeper than Python's recursion limit
+    path = tmp_path / "deep.json"
+    _run(capsys, "gen", "--k", "3", "--n", "3300", "--edges", "1100", "--plant",
+         "--seed", "1", "--out", str(path))
+    code, out, err = _run(capsys, "count", "--input", str(path), "--force")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "too deep for the exact search" in err
+    assert "Traceback" not in err
+
+
 def test_params_table_and_check(capsys):
     code, out, _ = _run(capsys, "params", "--k", "3..8", "--check")
     assert code == 0

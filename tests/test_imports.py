@@ -1,9 +1,11 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package or a test file imports is used
+in that file."""
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "detcover"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "detcover"
 # kept only so that perfbench/tracing.py can patch them on matchweight
 PATCHED = {"matchweight.py": {"determinant", "interpolate"}}
 
@@ -31,4 +33,11 @@ def test_no_module_imports_a_name_it_never_uses():
     assert len(modules) >= 8
     dead = {p.name: _dead_imports(p.read_text(encoding="utf-8")) - PATCHED.get(p.name, set())
             for p in modules}
+    assert not any(dead.values()), dead
+
+
+def test_no_test_file_imports_a_name_it_never_uses():
+    files = sorted(TESTS.glob("*.py"))
+    assert TESTS / "conftest.py" in files and len(files) >= 10
+    dead = {p.name: _dead_imports(p.read_text(encoding="utf-8")) for p in files}
     assert not any(dead.values()), dead

@@ -1,10 +1,12 @@
 """The exact oracles against each other and against tiny closed forms."""
 
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 
-from detcover import GF64, Hypergraph, dlx_count, dlx_enumerate, generate, ie_count, project
+from detcover import GF64, Hypergraph, dlx_count, dlx_enumerate, ie_count
 
 from conftest import cover_weight_brute, enumerate_matchings, family_weight, rand_instance
 
@@ -39,6 +41,44 @@ def test_dlx_covers_partition_vertices():
         for cover in dlx_enumerate(H):
             seen = sorted(v for eid in cover for v in H.edges[eid])
             assert seen == list(range(9))
+
+
+def test_dlx_lists_every_cover_brute_force_finds():
+    # every n//k-subset of edge ids whose edges meet every vertex (they
+    # hold at most n vertices, so they are disjoint too), with duplicate
+    # edges, k = 2..5 and n a multiple of k or not
+    rng = random.Random(29)
+    seen = {"several covers": 0, "duplicate edges": 0, "n not a multiple of k": 0}
+    for rep in range(300):
+        k = 2 + rep % 4
+        n = rng.randint(0, 12)
+        edges = [tuple(sorted(rng.sample(range(n), k))) for _ in range(rng.randint(0, 9))] if n >= k else []
+        if rep % 2 == 0 and n % k == 0:
+            order = rng.sample(range(n), n)
+            edges += [tuple(sorted(order[i:i + k])) for i in range(0, n, k)]
+        edges += [rng.choice(edges) for _ in range(rng.randint(0, 2))] if edges else []
+        rng.shuffle(edges)
+        H = Hypergraph(n, k, edges)
+        brute = [ids for ids in combinations(range(len(edges)), n // k)
+                 if len({v for e in ids for v in edges[e]}) == n]
+        got = dlx_enumerate(H)
+        assert Counter(map(tuple, got)) == Counter(brute), H
+        assert dlx_count(H) == len(got)
+        seen["several covers"] += len(got) > 1
+        seen["duplicate edges"] += len(set(edges)) < len(edges)
+        seen["n not a multiple of k"] += n % k != 0
+    assert min(seen.values()) >= 30, seen
+
+
+def test_dlx_branches_on_the_vertex_in_the_fewest_live_edges():
+    # the root branches on vertex 1 (two edges, as vertices 2, 3 and 5
+    # have, and 0 and 4 three).  After edge 1 = (1, 2), vertices 0, 3, 4
+    # and 5 each lie in two live edges, so vertex 0 goes next and edge 0
+    # comes before edge 5.  Counting every edge, not the live ones, would
+    # branch on vertex 3 and list [1, 3, 5] first; always branching on the
+    # lowest open vertex would list [2, 3, 4] second
+    H = Hypergraph(6, 2, [(0, 5), (1, 2), (0, 1), (3, 5), (2, 4), (0, 4), (3, 4)])
+    assert dlx_enumerate(H) == [[0, 1, 6], [1, 3, 5], [2, 3, 4]]
 
 
 def test_ie_small_cases():

@@ -1028,6 +1028,26 @@ def test_matching_filter_runs_to_its_fixpoint():
     assert sorted(e for cover in dlx_enumerate(H) for e in cover) == kept
 
 
+def test_matching_filter_stops_once_every_pair_is_quiet(monkeypatch):
+    # the cover (0, 3, 6), (1, 4, 7), (2, 5, 8) plus edge 3 = (0, 4, 8).
+    # Vertex 1 lies only in edge 1, so between blocks 0 and 1 it must
+    # take vertex 4, and pair (0, 1) drops edge 3.  Pairs (0, 2) and
+    # (1, 2) then drop nothing, and (0, 1) would drop nothing again: the
+    # filter stops after three matchings, where a closing round over
+    # every pair would take six
+    H = Hypergraph(9, 3, [(0, 3, 6), (1, 4, 7), (2, 5, 8), (0, 4, 8)],
+                   [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+    supports = []
+
+    def counting(support, _inner=solver_mod._perfect_matching):
+        supports.append(list(support))
+        return _inner(support)
+
+    monkeypatch.setattr(solver_mod, "_perfect_matching", counting)
+    assert solver_mod._matching_filter(H) == ([0, 1, 2], None)
+    assert supports == [[0b011, 0b010, 0b100], [0b001, 0b010, 0b100], [0b001, 0b010, 0b100]]
+
+
 def test_solve_kdm_answers_no_when_the_filter_empties_a_pair():
     # every pair of blocks has a perfect matching at first.  Between
     # blocks 0 and 2, vertex 0 lies only in an edge through 7 and vertex 8
