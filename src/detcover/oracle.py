@@ -21,7 +21,9 @@ def _covers(H: Hypergraph):
     that hold vertex v, clash[e] those that meet edge e, and `live` those
     that avoid every chosen edge.  Each node branches on the open vertex
     in the fewest live edges (lowest id on ties) and tries its live edges
-    in id order, the column and row order of dancing links."""
+    in id order, the column and row order of dancing links.  The search
+    recurses once per chosen edge, so a cover too deep for Python's
+    recursion limit raises ValueError."""
     masks = H.edge_masks
     inc = [0] * H.n
     for e, edge in enumerate(H.edges):
@@ -43,7 +45,11 @@ def _covers(H: Hypergraph):
             yield from search(open_vertices & ~masks[e], live & ~clash[e], chosen)
             chosen.pop()
 
-    return search((1 << H.n) - 1, (1 << len(masks)) - 1, [])
+    try:
+        yield from search((1 << H.n) - 1, (1 << len(masks)) - 1, [])
+    except RecursionError:
+        raise ValueError(f"a cover of n={H.n} is too deep for the exact search "
+                         f"({H.n // H.k} nested edge choices)") from None
 
 
 def dlx_enumerate(H: Hypergraph) -> list[list[int]]:

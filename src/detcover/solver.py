@@ -19,16 +19,16 @@ pair of blocks would give the same total.  The general probe squares
 pair weights, the bipartite one does not; since squaring is additive in
 characteristic 2, the square of the bipartite sum is the general sum.
 
-Both solvers run one attempt body: pick U, keep the edges meeting it at
-most twice (no cover edge meets it more often when U is good), draw one
-weight per kept edge and call sieve_decide; a nonzero sum ends the run
-with yes.  solve_kdm takes U as partition blocks 0 and 1, which every
-edge meets exactly twice, so a single attempt of 2^(n(k-2)/k) probes
-decides the instance.  solve_xkc knows no partition: each attempt
-samples U of size round(t*n) (t from the exponent optimizer), and the
-attempt budget is ceil(ln(1/eps)/p).  Answers are one sided: yes is
-always backed by a nonzero certificate.  An instance with a vertex in
-no edge has no cover, so both answer it no before any attempt.
+solve_xkc knows no partition.  Each attempt samples U of size
+round(t*n) (t from the exponent optimizer), keeps the edges meeting it
+at most twice (no cover edge meets it more often when U is good), draws
+one weight per kept edge and calls sieve_decide; a nonzero sum ends the
+run with yes, and the attempt budget is ceil(ln(1/eps)/p).  solve_kdm
+takes U as partition blocks 0 and 1, which every edge meets exactly
+twice, so one attempt of nominally 2^(n(k-2)/k) probes decides the
+instance.  Answers are one sided: yes is always backed by a nonzero
+certificate, or by a cover in hand.  An instance with a vertex in no
+edge has no cover, so both answer it no before any attempt.
 
 Every exact cover projects to a perfect matching of every pair of
 blocks, so solve_kdm first drops each edge whose cell lies in no
@@ -36,11 +36,23 @@ perfect matching of some pair's support: such an edge is in no cover
 and adds nothing to the total.  _matching_filter applies the bipartite
 kernel's Dulmage-Mendelsohn test (below) to each pair in turn, and
 cycles through the pairs until every pair in a row drops nothing
-(Regin's AllDifferent filtering).  The attempt still draws one weight
-per edge, in edge order, and hands sieve_decide the kept edges with
-their own weights, so the total is bit-identical.  A pair left with
-no perfect matching answers no, with its blocks as the reason, before
-any sweep.
+(Regin's AllDifferent filtering).  A pair left with no perfect matching
+answers no, with its blocks as the reason, before any sweep.
+
+The kept edges then split into connected components, two edges joined
+when they share a vertex.  Every cover is one cover per component, so
+the sieve total is the product of the components' totals, and a
+component of n_i vertices costs 2^((k-2)n_i/k) probes on its own.  Each
+component's blocks are equal in size: a component's cells form whole
+components of every pair's support, and a perfect matching of that
+support matches them among themselves.  A one-edge component is its own
+cover and is not swept (its total would be w^2).  Each larger one is
+relabelled 0.. in vertex order, with its partition blocks, and sieved
+on its blocks 0 and 1 at the weights of its edges: one weight is drawn
+per edge of the instance, in edge order.  The answer is yes iff every
+swept component's total is nonzero; the first zero answers no.  When
+every component is one edge, the kept edges are one exact cover and
+no sweep runs.
 
 X is named by a code whose bit i puts the i-th vertex of V - U in X,
 counting from the vertex in the fewest edges (equal counts by label).
@@ -605,8 +617,60 @@ def _matching_filter(H: Hypergraph):
             return keep, None
 
 
+def _components(masks) -> list[list[int]]:
+    """The connected components of the edges whose vertex bitmasks are
+    `masks`, two edges joined when they share a vertex: each a list of
+    indices into masks, increasing, the lists ordered by their first
+    index.  Each edge in turn merges the components it meets."""
+    parts = []                  # (vertex bitmask, indices) of the components so far
+    for i, mk in enumerate(masks):
+        ids = [i]
+        apart = []
+        for part in parts:
+            if part[0] & mk:
+                mk |= part[0]
+                ids += part[1]
+            else:
+                apart.append(part)
+        apart.append((mk, ids))
+        parts = apart
+    parts.sort(key=lambda part: min(part[1]))
+    return [sorted(ids) for _, ids in parts]
+
+
+def _component(H: Hypergraph, ids) -> Hypergraph:
+    """The instance of H's edges `ids` on the vertices they hold,
+    relabelled 0.. in increasing order, with each partition block cut to
+    those vertices in its own order."""
+    label = {v: i for i, v in enumerate(sorted({v for e in ids for v in H.edges[e]}))}
+    return Hypergraph(len(label), H.k, [tuple(label[v] for v in H.edges[e]) for e in ids],
+                      [tuple(label[v] for v in block if v in label) for block in H.partition])
+
+
+def _sieve_kdm(H: Hypergraph, rng, gf: GF2m, threads: int) -> tuple[str, str | None]:
+    """solve_kdm's (answer, reason): the matching filter, then one sweep
+    per connected component of the edges it keeps (see the module
+    docstring), at one weight per edge of H, drawn in edge order."""
+    kept, bare = _matching_filter(H)
+    if bare is not None:
+        return "no", (f"matching: no perfect matching of blocks {bare[0]} and {bare[1]} "
+                      f"survives the matching filter")
+    swept = [[kept[i] for i in part] for part in _components([H.edge_masks[e] for e in kept])
+             if len(part) > 1]    # a one-edge component is its own cover
+    if not swept:
+        return "yes", "matching: the filtered edges are one exact cover"
+    weights = [gf.sample(rng) for _ in H.edges]
+    for ids in swept:
+        C = _component(H, ids)
+        if not sieve_decide(C, [*C.partition[0], *C.partition[1]], [weights[e] for e in ids],
+                            gf, threads):
+            return "no", None
+    return "yes", None
+
+
 def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decision:
-    """The attempt loop of both solvers (see the module docstring)."""
+    """The checks of both solvers, then kdm's one sweep or xkc's attempt
+    loop (see the module docstring)."""
     t0 = time.perf_counter()
     cfg = cfg or SieveConfig()
     violation = validate(H)
@@ -627,24 +691,17 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
                         reason=f"uncovered: {uncovered} of {n} vertices lie in no edge")
     rng = random.Random(cfg.seed)
     tn = u_size(H, partitioned)
-    max_attempts = 1 if partitioned else repetitions(n, k, tn / n, cfg.epsilon)
-    kept = None                 # kdm: the edges that _matching_filter keeps
     if partitioned:
-        kept, bare = _matching_filter(H)
-        if bare is not None:
-            return Decision("no", 1 << (n - tn), 1, time.perf_counter() - t0,
-                            reason=f"matching: no perfect matching of blocks {bare[0]} and "
-                                   f"{bare[1]} survives the matching filter",
-                            u_fraction=tn / n, max_attempts=1)
-    blocks = [*H.partition[0], *H.partition[1]] if partitioned else None  # kdm's U, no draw
+        answer, reason = _sieve_kdm(H, rng, gf, cfg.threads)
+        return Decision(answer, 1 << (n - tn), 1, time.perf_counter() - t0, reason=reason,
+                        u_fraction=tn / n, max_attempts=1)
+    max_attempts = repetitions(n, k, tn / n, cfg.epsilon)
     answer = "no"
     for attempt in range(1, max_attempts + 1):
-        u_vertices = blocks or sorted(rng.sample(range(n), tn))
+        u_vertices = sorted(rng.sample(range(n), tn))
         u_mask = sum(1 << v for v in u_vertices)
         keep = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
         weights = [gf.sample(rng) for _ in keep]
-        if kept is not None:    # kdm keeps every edge above, so an edge id indexes its weight
-            keep, weights = kept, [weights[eid] for eid in kept]
         sub = Hypergraph(n, k, [H.edges[eid] for eid in keep], H.partition)
         if sieve_decide(sub, u_vertices, weights, gf, cfg.threads):
             answer = "yes"

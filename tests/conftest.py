@@ -224,3 +224,34 @@ def filtered_for(H: Hypergraph, u_vertices) -> Hypergraph:
         u_mask |= 1 << v
     keep = [e for e, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
     return Hypergraph(H.n, H.k, [H.edges[e] for e in keep])
+
+
+def edge_components(H: Hypergraph, ids) -> list[tuple[list[int], Hypergraph]]:
+    """The connected components of H's edges `ids`, two edges joined when
+    they share a vertex, ordered by their lowest edge id: each as (its
+    edge ids, increasing; the instance of those edges on the vertices
+    they hold, relabelled 0.. in increasing order, with every partition
+    block cut to them).  Breadth first over a vertex -> edges table."""
+    holding = {}
+    for e in ids:
+        for v in H.edges[e]:
+            holding.setdefault(v, []).append(e)
+    parts, placed = [], set()
+    for e in ids:
+        if e in placed:
+            continue
+        placed.add(e)
+        queue = [e]
+        for f in queue:  # the queue grows while it is walked
+            for v in H.edges[f]:
+                for g in holding[v]:
+                    if g not in placed:
+                        placed.add(g)
+                        queue.append(g)
+        vertices = sorted({v for f in queue for v in H.edges[f]})
+        label = {v: i for i, v in enumerate(vertices)}
+        blocks = [tuple(label[v] for v in block if v in label) for block in H.partition]
+        C = Hypergraph(len(vertices), H.k, [tuple(label[v] for v in H.edges[f]) for f in sorted(queue)],
+                       blocks)
+        parts.append((sorted(queue), C))
+    return parts

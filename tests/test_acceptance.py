@@ -16,8 +16,8 @@ from detcover import (GF8, GF64, Hypergraph, ProjectedView, REFERENCE_ROWS,
 from detcover import params as params_mod
 from detcover import solver as solver_mod
 
-from conftest import (build_tutte, cover_weight_brute, enumerate_matchings, filtered_for,
-                      rand_instance, ref_mul)
+from conftest import (build_tutte, cover_weight_brute, edge_components, enumerate_matchings,
+                      filtered_for, rand_instance, ref_mul)
 
 
 def _ok(num, msg):
@@ -208,8 +208,10 @@ def test_criterion_09_planted_instances_answer_yes():
 
 
 def test_criterion_10_partitioned_probe_counts(monkeypatch):
-    # one walk per solve, over the whole of V - (blocks 0 and 1), so the X
-    # the sweep takes come from all 2^(n - 2n/k) codes
+    # the nominal count of one sweep, 2^(n - 2n/k), and one walk per
+    # component of more than one edge of what the matching filter keeps,
+    # over the whole of that component's V - (its blocks 0 and 1), so the
+    # X each sweep takes come from all of its codes
     walks = []
     original = solver_mod._walk
 
@@ -220,13 +222,18 @@ def test_criterion_10_partitioned_probe_counts(monkeypatch):
     monkeypatch.setattr(solver_mod, "_walk", walking)
     rng = random.Random(10)
     expect = {6: 4, 9: 8, 12: 16, 15: 32}
+    swept = 0
     for n, probes in expect.items():
         H = generate(rng, 3, n, n, plant=True, kdm=True)
         walks.clear()
         d = solve_kdm(H, SieveConfig(seed=rng.randrange(2 ** 31)))
-        assert d.probes == probes, (n, d.probes)
-        assert [1 << rest.bit_count() for rest in walks] == [probes], (n, walks)
-        assert walks == [((1 << n) - 1) ^ sum(1 << v for v in (*H.partition[0], *H.partition[1]))]
+        assert d.yes and d.probes == probes and d.attempts == 1, (n, d.probes)
+        kept, _ = solver_mod._matching_filter(H)
+        parts = [C for ids, C in edge_components(H, kept) if len(ids) > 1]
+        assert walks == [((1 << C.n) - 1) ^ sum(1 << v for v in (*C.partition[0], *C.partition[1]))
+                         for C in parts], (n, walks)
+        swept += len(parts)
+    assert swept >= 2, swept
     _ok(10, "probe counts are exactly 4, 8, 16, 32 for n = 6, 9, 12, 15 at k = 3")
 
 

@@ -356,6 +356,21 @@ def test_solve_names_the_blocks_the_matching_filter_empties(tmp_path, capsys):
     assert "reason: matching: no perfect matching of blocks 1 and 2 survives the matching filter" in lines
 
 
+
+def test_solve_reports_a_cover_the_filter_leaves(tmp_path, capsys):
+    # the matching filter leaves the edges of one exact cover, so no sweep
+    # runs and the report says why
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "k": 3, "n": 6, "partition": [[0, 1], [2, 3], [4, 5]],
+        "edges": [[0, 2, 4], [1, 3, 5], [0, 3, 5]]}))
+    code, out, err = _run(capsys, "solve", "--input", str(path), "--seed", "1", "--format", "json")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["answer"] == "yes" and report["probes"] == 4 and report["attempts"] == 1
+    assert report["reason"] == "matching: the filtered edges are one exact cover"
+    assert list(report)[-1] == "elapsed_ms"
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import pytest
 
-from detcover import GF64, Hypergraph, dlx_count, dlx_enumerate, ie_count
+from detcover import GF64, Hypergraph, dlx_count, dlx_enumerate, generate, ie_count
 
 from conftest import cover_weight_brute, enumerate_matchings, family_weight, rand_instance
 
@@ -146,3 +146,14 @@ def test_sieving_brute_probe_values_counts_covers():
         for cover in dlx_enumerate(H):
             expect ^= family_weight(H, cover, 0, w, GF64)
         assert total == expect
+
+
+def test_dlx_too_deep_raises_value_error():
+    # the `gen --k 3 --n 3300 --edges 1100 --plant --seed 1` instance: its
+    # cover of 1100 edges nests deeper than Python's recursion limit, and
+    # the library says so instead of raising RecursionError (dlx_enumerate
+    # runs the same search)
+    H = generate(random.Random(1), 3, 3300, 1100, plant=True)
+    with pytest.raises(ValueError, match=r"a cover of n=3300 is too deep for the exact search "
+                                         r"\(1100 nested edge choices\)"):
+        dlx_count(H)

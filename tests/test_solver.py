@@ -14,7 +14,8 @@ from detcover import (GF8, GF64, Hypergraph, SieveConfig, cover_weight, dlx_coun
                       generate, project, restrict_avoiding, sieve_decide, solve_kdm, solve_xkc)
 from detcover import solver as solver_mod
 
-from conftest import cover_weight_brute, covers_weight_sum, filtered_for, rand_instance, ref_det
+from conftest import (cover_weight_brute, covers_weight_sum, edge_components, filtered_for,
+                      rand_instance, ref_det)
 
 
 def test_sieve_single_probe_when_u_is_everything():
@@ -906,8 +907,10 @@ def _filtered(H):
 
 
 def test_solve_kdm_walks_blocks_0_and_1_once(monkeypatch):
-    # one walk over V - (blocks 0 and 1) on what the matching filter
-    # keeps, then one determinant pass over the X the walk model yields
+    # per component of more than one edge of what the matching filter
+    # keeps, in the order of their lowest edge ids: one walk over the
+    # component's V - (its blocks 0 and 1), then one determinant pass
+    # over the X the walk model yields
     events = []
     inner_walk, inner_sweep = solver_mod._walk, solver_mod._sweep_kdm
 
@@ -922,15 +925,22 @@ def test_solve_kdm_walks_blocks_0_and_1_once(monkeypatch):
     monkeypatch.setattr(solver_mod, "_walk", walking)
     monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
     rng = random.Random(28)
+    swept = 0
     for k, n in ((3, 9), (3, 12), (4, 8), (4, 12)):
         for _ in range(4):
             H = generate(rng, k, n, n // k + 5, plant=True, kdm=True)
             events.clear()
             d = solve_kdm(H, SieveConfig(seed=rng.randrange(100)))
             assert d.yes
-            entries, b, rest, codes, every = _kdm_case(_filtered(H))
-            assert events == [("walk", rest),
-                              ("sweep", [every[c] for c in _kdm_model(entries, b, rest)[0]])]
+            expect = []
+            for ids, C in edge_components(H, solver_mod._matching_filter(H)[0]):
+                if len(ids) > 1:
+                    entries, b, rest, codes, every = _kdm_case(C)
+                    expect += [("walk", rest),
+                               ("sweep", [every[c] for c in _kdm_model(entries, b, rest)[0]])]
+            assert events == expect
+            swept += len(expect) // 2
+    assert swept >= 8, swept
 
 
 def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
@@ -940,8 +950,9 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
     # live grid of one root block wider than 1x1 at one kept X (rows in
     # any order), and one thread computes each (block, key) at most
     # once.  Each kept X's product of block determinants is the
-    # determinant of its live grid, and the totals agree for 1 to 3
-    # threads
+    # determinant of its live grid, and each solve's product of its
+    # component totals (one sieve_decide per component of more than one
+    # edge) agrees for 1 to 3 threads
     calls, totals = [], []
     seen = {"determinants": 0, "nonzero": 0}
     inner_det, inner_total = solver_mod.determinant, solver_mod.sieve_decide
@@ -976,20 +987,116 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
             mat = _live_grid(entries, n // k, wf, x)[1]
             assert solver_mod._sweep_kdm(entries, matching, wf, gf, [x]) == ref_det(mat, gf)
         inputs = _block_inputs(entries, n // k, wf, xs)[0]
-        totals.clear()
+        singles = [w[ids[0]] for ids, _ in edge_components(H, kept) if len(ids) == 1]
+        products = []
         for threads in (1, 2, 3):
             calls.clear()
+            totals.clear()
             d = solve_kdm(H, SieveConfig(m=gf.m, seed=seed, threads=threads))
             assert set(calls) <= set(inputs)
             if threads == 1:
                 assert not Counter(calls) - inputs
                 seen["determinants"] += len(calls)
-        assert totals[0] == totals[1] == totals[2]
-        assert d.yes == bool(totals[0])
+            products.append(reduce(gf.mul, totals, 1))
+            assert d.yes == all(totals)
+        assert products[0] == products[1] == products[2]
         u = [*H.partition[0], *H.partition[1]]
-        assert totals[0] == covers_weight_sum(H, u, w, gf)
-        seen["nonzero"] += bool(totals[0])
+        whole = reduce(gf.mul, (gf.mul(x, x) for x in singles), products[0])
+        assert whole == covers_weight_sum(H, u, w, gf)
+        seen["nonzero"] += bool(whole)
     assert min(seen.values()) >= 6, seen
+
+
+def _with_duplicates(rng, H, count):
+    """H with `count` of its edges, drawn at random, listed twice more at
+    the end; a kept edge and its copy form one two-edge component."""
+    extra = [rng.choice(H.edges) for _ in range(count)] if H.edges else []
+    return Hypergraph(H.n, H.k, [*H.edges, *extra], H.partition)
+
+
+def test_component_split_keeps_the_total():
+    # solve_kdm sieves each connected component of the kept edges on its
+    # own: the product of the components' totals, times w^2 for each
+    # one-edge component, is the total on the whole filtered instance,
+    # and every component's blocks are equal in size
+    rng = random.Random(30)
+    seen = {"swept": 0, "singles": 0, "one": 0, "bare": 0}
+    for rep in range(160):
+        gf = (GF8, GF64)[rep % 2]
+        k = (2, 3, 4)[rep % 3]
+        n = k * rng.randint(1, 12 // k)
+        kind = rep % 4
+        if kind == 0:           # planted or not, maybe a duplicate
+            H = rand_instance(rng, k, n, n // k + rng.randint(0, 4), plant_prob=0.5, kdm=True)
+            H = _with_duplicates(rng, H, rng.randint(0, 1))
+        elif kind == 1:         # a cover and a few random edges
+            H = generate(rng, k, n, n // k + rng.randint(0, 3), plant=True, kdm=True)
+        elif kind == 2:         # a cover, some of its edges twice or more
+            H = _with_duplicates(rng, generate(rng, k, n, n // k, plant=True, kdm=True),
+                                 rng.randint(2, 3))
+        else:                   # every pair of blocks with several perfect matchings
+            H = _planted_matchings(rng, k, n, rng.randint(2, 3), rng.randint(0, 4))
+        w = [gf.sample(rng) for _ in H.edges]
+        d = solve_kdm(H, SieveConfig(seed=rep))
+        assert d.yes == (dlx_count(H) > 0), rep
+        kept, bare = solver_mod._matching_filter(H)
+        if bare is not None:
+            seen["bare"] += 1
+            continue
+        parts = edge_components(H, kept)
+        split = solver_mod._components([H.edge_masks[e] for e in kept])
+        assert [[kept[i] for i in part] for part in split] == [ids for ids, _ in parts], rep
+        product = 1
+        for ids, C in parts:
+            assert solver_mod._component(H, ids) == C
+            assert {len(block) for block in C.partition} == {C.n // k} and C.n % k == 0, rep
+            if len(ids) == 1:
+                product = gf.mul(product, gf.mul(w[ids[0]], w[ids[0]]))
+            else:
+                total = sieve_decide(C, [*C.partition[0], *C.partition[1]], [w[e] for e in ids], gf)
+                product = gf.mul(product, total)
+        F = Hypergraph(n, k, [H.edges[e] for e in kept], H.partition)
+        u = [*H.partition[0], *H.partition[1]]
+        assert product == sieve_decide(F, u, [w[e] for e in kept], gf), rep
+        swept = sum(len(ids) > 1 for ids, _ in parts)
+        seen["swept"] += swept > 1
+        seen["singles"] += not swept
+        seen["one"] += len(parts) == 1
+    assert min(seen.values()) >= 15, seen
+
+
+def test_one_edge_components_need_no_sweep(monkeypatch):
+    # kept edges that are one exact cover answer yes with no walk.  A
+    # one-edge component drawn weight 0 used to zero the whole total and
+    # answer a false no; it is a cover of its own vertices whatever its
+    # weight, so the answer is now yes
+    walks = []
+    inner_walk = solver_mod._walk
+
+    def walking(*args):
+        walks.append(args)
+        return inner_walk(*args)
+
+    monkeypatch.setattr(solver_mod, "_walk", walking)
+    blocks = [(0, 1), (2, 3), (4, 5)]
+    cover = Hypergraph(6, 3, [(0, 2, 4), (1, 3, 5)], blocks)
+    rng = random.Random(139)
+    w = [GF8.sample(rng) for _ in cover.edges]
+    assert w == [0, 245] and sieve_decide(cover, [0, 1, 2, 3], w, GF8) == 0
+    walks.clear()
+    d = solve_kdm(cover, SieveConfig(m=8, seed=139))
+    assert d.yes and d.reason == "matching: the filtered edges are one exact cover"
+    assert d.probes == 4 and d.attempts == d.max_attempts == 1 and not walks
+    # a duplicated edge is a two-edge component, swept on its own; the
+    # other edge, weight 0, is not
+    twin = Hypergraph(6, 3, [(0, 2, 4), (0, 2, 4), (1, 3, 5)], blocks)
+    rng = random.Random(309)
+    w = [GF8.sample(rng) for _ in twin.edges]
+    assert w == [16, 76, 0] and sieve_decide(twin, [0, 1, 2, 3], w, GF8) == 0
+    walks.clear()
+    d = solve_kdm(twin, SieveConfig(m=8, seed=309))
+    assert d.yes and d.reason is None and len(walks) == 1
+    assert walks[0][0] == 0b100  # the component's vertices 0, 2, 4 are 0, 1, 2; block 2 is {2}
 
 
 def test_solve_kdm_agrees_with_the_oracle():
