@@ -78,15 +78,11 @@ the view to each X that has one.  The bipartite kernel,
 _matchable_probes, uses an edge when it lies in a perfect matching of
 the live support; it keeps the support and one perfect matching,
 repaired by augmenting paths as cells empty, and lists each X whose
-support has one.  Each X's determinant is then the product of its
-determinants on the Dulmage-Mendelsohn blocks of the root support
-(X = {}), found once per sweep from the perfect matching that the walk
-holds when it ends: the blocks that no X of the sweep touches give one
-factor, and the others are memoized by the X vertices they meet.  Each
-X is walked once and each sweep set up once.  Threaded runs deal the
-walked X round robin to at most os.cpu_count() workers, which share the
-set-up, so they compute what one thread does, and the XOR of their
-shares is bit-identical for any worker count.
+support has one; _sweep_kdm then takes one b x b determinant of each
+listed X's live entries.  Each X is walked once.  Threaded runs deal
+the walked X round robin to at most os.cpu_count() workers, which
+compute what one thread does, and the XOR of their shares is
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -393,10 +389,9 @@ def _reach(support, row_of, c) -> int:
 
 
 def _matchable_probes(entries, b, rest):
-    """(the X of _walk whose live edges, those avoiding X, have a perfect
-    matching on the b x b grid, a perfect matching of the root support);
-    ([], None) when the root support (X = {}) has none.  The walk reads
-    the support alone, never a weight.
+    """The X of _walk whose live edges, those avoiding X, have a perfect
+    matching on the b x b grid, as a list; [] when the root support
+    (X = {}) has none.  The walk reads the support alone, never a weight.
 
     A dead edge leaves its cell's live count, and its row's support when
     the cell empties.  The kernel keeps one perfect matching of the
@@ -410,9 +405,7 @@ def _matchable_probes(entries, b, rest):
     support: a matched cell is; an unmatched (r, c) is iff it closes an
     alternating cycle (Dulmage and Mendelsohn), that is iff column c
     reaches column col_of[r] along support[row_of[.]], a bitmask search
-    made at most once per column and X.  Every kill is revived when the
-    walk ends, so the matching it holds then is perfect on the root
-    support."""
+    made at most once per column and X."""
     cells = [(r, c) for _, _, r, c in entries]
     count = [[0] * b for _ in range(b)]     # live edges per cell
     support = [0] * b                       # bit c of support[r] iff count[r][c]
@@ -421,7 +414,7 @@ def _matchable_probes(entries, b, rest):
         support[r] |= 1 << c
     matching = _perfect_matching(support)
     if matching is None:
-        return [], None
+        return []
     row_of, col_of = matching
 
     def kill(ids):
@@ -462,73 +455,27 @@ def _matchable_probes(entries, b, rest):
 
         return uses
 
-    return list(_walk(rest, [mk for mk, *_ in entries], kill, revive, user)), matching
+    return list(_walk(rest, [mk for mk, *_ in entries], kill, revive, user))
 
 
-def _sweep_kdm(entries, matching, weights, gf, xs, threads=1):
-    """XOR of the bipartite determinants at the X in the list xs.
+def _sweep_kdm(entries, b, weights, gf, xs, threads=1):
+    """XOR of the b x b bipartite determinants at the X in the list xs.
 
     Row r is the r-th vertex of the left block of the entries' pair and
-    column c the c-th of its right block.  `matching` is a perfect
-    matching (row of each column, column of each row) of the root
-    support (X = {}), which every nonempty xs has.
-    The matching splits the root support into Dulmage-Mendelsohn blocks:
-    columns c and d share one iff alternating paths lead from each to
-    the other.  Paths between blocks run one way only, so in that order
-    the root support, and every X's live support inside it, is block
-    triangular, and X's determinant is the product of its diagonal
-    blocks' determinants.  A cell between two blocks lies in no perfect
-    matching of any X's support and is left out.  A block's determinant
-    depends only on the X vertices that its cells' edges meet: the
-    blocks that no X in xs touches multiply into one factor, computed
-    once, and the others are memoized by x & (their edges' vertices).
-    A 1x1 block's determinant is its cell.  The blocks do not depend on
-    which perfect matching splits them, and in characteristic 2 neither
-    does any block's determinant.  The set-up is made once; only the
-    per-X products are dealt to `threads` workers (see _xor_probes).
+    column c the c-th of its right block; X's (r, c) entry XORs the
+    weights of the live edges (those avoiding X) that join them.  Each X
+    costs one determinant of its live {col: value} rows.  The X are dealt
+    to `threads` workers (see _xor_probes), which share nothing they
+    write.
     """
-    if not xs:
-        return 0
-    row_of, col_of = matching
-    b = len(col_of)
-    support = [0] * b
-    for _, _, r, c in entries:
-        support[r] |= 1 << c
-    reach = [_reach(support, row_of, c) for c in range(b)]
-    block = [sum(1 << d for d in range(b) if reach[c] >> d & reach[d] >> c & 1) for c in range(b)]
-    pos = [(block[c] & ((1 << c) - 1)).bit_count() for c in range(b)]  # c's place in its block
-    cells = {}                  # block -> its (edge mask, weight, row, col), row and col block-local
-    for mk, eid, r, c in entries:
-        if block[c] == block[col_of[r]]:
-            cells.setdefault(block[c], []).append((mk, weights[eid], pos[col_of[r]], pos[c]))
-
-    def det(part, size, x):     # the block's determinant at X
-        rows = [{} for _ in range(size)]
-        for mk, w, r, c in part:
+    def probe(x):
+        rows = [{} for _ in range(b)]
+        for mk, eid, r, c in entries:
             if not mk & x:
-                rows[r][c] = rows[r].get(c, 0) ^ w
-        return rows[0].get(0, 0) if size == 1 else determinant(rows, gf)
+                rows[r][c] = rows[r].get(c, 0) ^ weights[eid]
+        return determinant(rows, gf)
 
-    mul = gf.mul
-    hit = reduce(or_, xs)
-    factor, touched = 1, []
-    for cols, part in cells.items():
-        seen, size = reduce(or_, (mk for mk, *_ in part)), cols.bit_count()
-        if seen & hit:
-            touched.append((seen, part, size, {}))
-        else:
-            factor = mul(factor, det(part, size, 0))
-
-    def probe(x):               # the product of X's touched blocks
-        value = 1
-        for seen, part, size, memo in touched:
-            key = x & seen
-            if key not in memo:  # racing workers at worst store one value twice
-                memo[key] = det(part, size, key)
-            value = memo[key] if value == 1 else mul(value, memo[key])  # 1 * d = d, no field call
-        return value
-
-    return mul(_xor_probes(probe, xs, threads), factor)
+    return _xor_probes(probe, xs, threads)
 
 
 def _xor_probes(probe, xs, threads: int) -> int:
@@ -551,9 +498,10 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
 
     When H carries a partition and U is exactly its blocks 0 and 1, every
     edge must meet each of those two blocks once (the other blocks may
-    hold anything: the square counts exact covers all the same); the
-    probes are the bipartite determinants between blocks 0 and 1, and
-    the result is the square of their XOR.  Otherwise each probe is
+    hold anything: the square counts exact covers all the same); each X
+    whose live support has a perfect matching is probed by one
+    bipartite determinant between blocks 0 and 1 (_sweep_kdm), and the
+    result is the square of their XOR.  Otherwise each probe is
     cover_weight on the edges avoiding X.  All give the same element.
 
     The X are walked once.  One thread probes the X as they come; with
@@ -572,8 +520,8 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     if p is not None and u_vertices == set(p[0]) | set(p[1]):
         entries = _bipartite_entries(H, p[0], p[1])
         rest = ((1 << H.n) - 1) ^ sum(1 << v for v in u_vertices)
-        xs, matching = _matchable_probes(entries, H.n // H.k, rest)
-        total = _sweep_kdm(entries, matching, weights, gf, xs, threads)
+        b = H.n // H.k
+        total = _sweep_kdm(entries, b, weights, gf, _matchable_probes(entries, b, rest), threads)
         return gf.mul(total, total)
     view = project(H, u_vertices)
     rest = ((1 << H.n) - 1) ^ view.u_mask

@@ -110,7 +110,7 @@ def test_committed_sieve_totals(monkeypatch):
     inner = solver._sweep_kdm
 
     def recording(*args):
-        kernels.append(len(args[1][1]))  # b, the size of the root matching
+        kernels.append(args[1])  # b, the side of the bipartite grid
         return inner(*args)
 
     monkeypatch.setattr(solver, "_sweep_kdm", recording)

@@ -522,7 +522,7 @@ def test_skipped_subtrees_cancel():
                 total = reduce(xor, (probe[c] for c in yielded), 0)
                 u = [*H.partition[0], *H.partition[1]]
                 assert gf.mul(total, total) == covers_weight_sum(H, u, w, gf)
-                walk = solver_mod._matchable_probes(entries, b, rest)[0]
+                walk = solver_mod._matchable_probes(entries, b, rest)
                 assert walk == [xs[c] for c in yielded], (k, n)
                 seen[f"k = {k} pruned"] += len(pruned)
                 seen["nonzero"] += bool(total)
@@ -534,9 +534,8 @@ def test_walk_is_output_sensitive(monkeypatch):
     # any vertex of V - U empties a matched cell that no augmenting path
     # repairs, so only X = {} is probed.  The walk over blocks 0 and 1
     # makes b augmenting paths at its root and one failed repair per
-    # vertex of block 2.  The sweep takes the matching that walk returns,
-    # with no search of its own, and splits the root support into b
-    # blocks of 1x1, which need no determinant
+    # vertex of block 2.  The sweep gets the one X, and its one
+    # determinant gets the b rows of the hidden permutation, one entry each
     calls = {"_perfect_matching": 0, "_augment": 0, "determinant": 0, "cover_weight": 0}
     last = {}                   # the arguments of each name's latest call
     for name in calls:
@@ -545,12 +544,12 @@ def test_walk_is_output_sensitive(monkeypatch):
             last[_name] = args
             return _inner(*args)
         monkeypatch.setattr(solver_mod, name, counting)
-    handed = []                 # the matching each sweep gets
+    handed = []                 # (b, the X list) of each sweep
     inner_sweep = solver_mod._sweep_kdm
 
-    def sweeping(entries, matching, *args):
-        handed.append(matching)
-        return inner_sweep(entries, matching, *args)
+    def sweeping(entries, b, weights, gf, xs, *args):
+        handed.append((b, list(xs)))
+        return inner_sweep(entries, b, weights, gf, xs, *args)
 
     monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
     rng = random.Random(21)
@@ -563,13 +562,14 @@ def test_walk_is_output_sensitive(monkeypatch):
     for x in w:
         product = GF64.mul(product, x)
     assert sieve_decide(H, blocks[0] + blocks[1], w, GF64) == GF64.mul(product, product)
-    assert calls == {"_perfect_matching": 1, "_augment": 2 * b, "determinant": 0,
+    assert calls == {"_perfect_matching": 1, "_augment": 2 * b, "determinant": 1,
                      "cover_weight": 0}
     # the one search was the root's, and its matching is the hidden one,
-    # row i to column cols[i]
+    # row i to column cols[i]; the one determinant is that permutation's
     col_of = [c - b for c in cols]
     assert last["_perfect_matching"] == ([1 << c for c in col_of],)
-    assert handed == [(sorted(range(b), key=col_of.__getitem__), col_of)]
+    assert handed == [(b, [0])]
+    assert last["determinant"] == ([{c: w[r]} for r, c in enumerate(col_of)], GF64)
     # the xkc twin: one exact cover of n = 33 vertices; U takes one vertex
     # of each edge and a second of two, so |V - U| = 20
     vertices = rng.sample(range(33), 33)
@@ -713,18 +713,16 @@ def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
     # kdm deals the X list its walk kept, one X a worker here
     kdm = generate(random.Random(24), 3, 12, 8, plant=True, kdm=True)
     entries, b, rest, _, _ = _kdm_case(_filtered(kdm))
-    xs = solver_mod._matchable_probes(entries, b, rest)[0]
+    xs = solver_mod._matchable_probes(entries, b, rest)
     d = solve_kdm(kdm, SieveConfig(seed=1, threads=100_000))
     assert d.yes and d.probes == 16 and len(xs) == 3
     assert log[-1] == (3, [(0,), (1,), (2,)])
 
 
 def test_threads_share_one_kdm_set_up(monkeypatch):
-    # the kdm sweep splits its blocks, multiplies the untouched ones and
-    # keeps its memo once per sieve, and deals only the per-X products to
-    # the workers: at every thread count each (block, key) is computed at
-    # most once, on the inputs of one thread.  The stand-in pool runs the
-    # workers one after another, so no race stores a key twice
+    # the kdm sieve walks once and deals only the walked X to the
+    # workers, each X's determinant to one of them: at every thread count
+    # each walked X's live grid is computed exactly once
     log, calls = [], []
     inner_det = solver_mod.determinant
 
@@ -740,31 +738,32 @@ def test_threads_share_one_kdm_set_up(monkeypatch):
     for rep in range(12):
         gf = (GF8, GF64)[rep % 2]
         k, n = rng.choice([(3, 21), (4, 16), (4, 20)])
-        H = generate(rng, k, n, n, plant=True, kdm=True)  # n edges: long X lists, wide blocks
+        H = generate(rng, k, n, n, plant=True, kdm=True)  # n edges: long X lists
         w = [gf.sample(rng) for _ in H.edges]
         u = [*H.partition[0], *H.partition[1]]
         entries, b, rest, _, _ = _kdm_case(H)
-        xs = solver_mod._matchable_probes(entries, b, rest)[0]
+        xs = solver_mod._matchable_probes(entries, b, rest)
+        grids = _grid_inputs(entries, b, w, xs)
         calls.clear()
+        log.clear()
         total = sieve_decide(H, u, w, gf)
-        one = Counter(calls)
-        assert not one - _block_inputs(entries, n // k, w, xs)[0]
+        assert Counter(calls) == grids and not log, rep
         for threads in (2, 3, 100_000):
             calls.clear()
             log.clear()
             assert sieve_decide(H, u, w, gf, threads) == total
-            assert Counter(calls) == one, (rep, threads)
+            assert Counter(calls) == grids, (rep, threads)
             parts = min(threads, len(xs), 4)
             assert log == ([(parts, [(i,) for i in range(parts)])] if parts > 1 else [])
             seen["dealt"] += parts > 1
-        seen["determinants"] += sum(one.values())
+        seen["determinants"] += len(xs)
     assert seen["dealt"] >= 24 and seen["determinants"] >= 60, seen
 
 
-def test_racing_workers_share_the_kdm_memo(monkeypatch):
+def test_racing_workers_compute_each_x_once(monkeypatch):
     # real threads, more than the cores, switching every microsecond: the
-    # workers share the sweep's memo, so a race may compute a (block,
-    # key) twice but never another one, and the total holds
+    # workers share nothing they write, so each walked X's live grid is
+    # computed exactly once, and the total holds
     calls = []
     inner_det = solver_mod.determinant
 
@@ -783,13 +782,17 @@ def test_racing_workers_share_the_kdm_memo(monkeypatch):
             H = generate(rng, 4, 20, 20, plant=True, kdm=True)
             w = [gf.sample(rng) for _ in H.edges]
             u = [*H.partition[0], *H.partition[1]]
+            entries, b, rest, _, _ = _kdm_case(H)
+            xs = solver_mod._matchable_probes(entries, b, rest)
+            assert len(xs) > 1, rep  # so two workers or more race
+            grids = _grid_inputs(entries, b, w, xs)
             calls.clear()
             total = sieve_decide(H, u, w, gf)
-            one = set(calls)
+            assert Counter(calls) == grids, rep
             for _ in range(3):
                 calls.clear()
                 assert sieve_decide(H, u, w, gf, 8) == total, rep
-                assert set(calls) == one, rep
+                assert Counter(calls) == grids, rep
     finally:
         sys.setswitchinterval(interval)
 
@@ -918,9 +921,9 @@ def test_solve_kdm_walks_blocks_0_and_1_once(monkeypatch):
         events.append(("walk", rest))
         return inner_walk(rest, *args)
 
-    def sweeping(entries, matching, weights, gf, xs, threads):
+    def sweeping(entries, b, weights, gf, xs, threads):
         events.append(("sweep", list(xs)))
-        return inner_sweep(entries, matching, weights, gf, xs, threads)
+        return inner_sweep(entries, b, weights, gf, xs, threads)
 
     monkeypatch.setattr(solver_mod, "_walk", walking)
     monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
@@ -944,15 +947,14 @@ def test_solve_kdm_walks_blocks_0_and_1_once(monkeypatch):
 
 
 def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
-    # solve_kdm's determinant calls against the brute-force live grid of
-    # each X the winner's walk kept, at the weights the solver draws (one
-    # per edge, in edge order): each call gets {col: value} rows, the
-    # live grid of one root block wider than 1x1 at one kept X (rows in
-    # any order), and one thread computes each (block, key) at most
-    # once.  Each kept X's product of block determinants is the
-    # determinant of its live grid, and each solve's product of its
-    # component totals (one sieve_decide per component of more than one
-    # edge) agrees for 1 to 3 threads
+    # solve_kdm's determinant calls against the brute-force live grids,
+    # at the weights the solver draws (one per edge, in edge order): each
+    # call gets {col: value} rows, and at 1 to 3 threads the calls are
+    # exactly the live grid of each swept component (one of more than one
+    # edge) at each X its walk kept, once each.  The one-X sweep of the
+    # whole filtered instance is its live grid's determinant, and each
+    # solve's product of its component totals (one sieve_decide per swept
+    # component) agrees for 1 to 3 threads
     calls, totals = [], []
     seen = {"determinants": 0, "nonzero": 0}
     inner_det, inner_total = solver_mod.determinant, solver_mod.sieve_decide
@@ -982,21 +984,23 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
         kept, _ = solver_mod._matching_filter(H)
         F, wf = Hypergraph(n, k, [H.edges[e] for e in kept], H.partition), [w[e] for e in kept]
         entries, b, rest, _, _ = _kdm_case(F)
-        xs, matching = solver_mod._matchable_probes(entries, b, rest)
-        for x in xs:
-            mat = _live_grid(entries, n // k, wf, x)[1]
-            assert solver_mod._sweep_kdm(entries, matching, wf, gf, [x]) == ref_det(mat, gf)
-        inputs = _block_inputs(entries, n // k, wf, xs)[0]
+        for x in solver_mod._matchable_probes(entries, b, rest):
+            mat = _live_grid(entries, b, wf, x)[1]
+            assert solver_mod._sweep_kdm(entries, b, wf, gf, [x]) == ref_det(mat, gf)
+        inputs = Counter()
+        for ids, C in edge_components(H, kept):
+            if len(ids) > 1:
+                entries, b, rest, _, _ = _kdm_case(C)
+                xs = solver_mod._matchable_probes(entries, b, rest)
+                inputs += _grid_inputs(entries, b, [w[e] for e in ids], xs)
         singles = [w[ids[0]] for ids, _ in edge_components(H, kept) if len(ids) == 1]
         products = []
         for threads in (1, 2, 3):
             calls.clear()
             totals.clear()
             d = solve_kdm(H, SieveConfig(m=gf.m, seed=seed, threads=threads))
-            assert set(calls) <= set(inputs)
-            if threads == 1:
-                assert not Counter(calls) - inputs
-                seen["determinants"] += len(calls)
+            assert Counter(calls) == inputs, (rep, threads)
+            seen["determinants"] += len(calls)
             products.append(reduce(gf.mul, totals, 1))
             assert d.yes == all(totals)
         assert products[0] == products[1] == products[2]
@@ -1273,7 +1277,7 @@ def test_general_and_bipartite_kernels_walk_the_same_x(monkeypatch):
             walked.clear()
             total = sieve_decide(Hypergraph(n, k, H.edges), u, w, gf)
             entries = solver_mod._bipartite_entries(H, p[i], p[j])
-            expect = solver_mod._matchable_probes(entries, b, rest)[0]
+            expect = solver_mod._matchable_probes(entries, b, rest)
             assert walked == [expect], (k, n, i, j)
             seen["yielded"] += len(expect)
             seen["pruned"] += (1 << rest.bit_count()) - len(expect)
@@ -1306,34 +1310,47 @@ def _kdm_with_cancelling_twins(rng, gf, k, n, swap):
 def test_bipartite_kernel_matches_cover_sum_at_every_split():
     # the determinant pass, over the walk's X list split at every point,
     # against the cover enumeration; k = 4 puts two vertices of each edge
-    # in V - U, so hit counts reach 2
+    # in V - U, so hit counts reach 2.  Beside the cancelling twins, dense
+    # unfiltered instances put cells off every perfect matching of the
+    # root support (between its Dulmage-Mendelsohn blocks), which each X's
+    # determinant reads along with the rest
     rng = random.Random(16)
-    pick = random.Random(16)    # root matchings, off the instance stream
-    nonzero = 0
+    seen = {"nonzero": 0, "stray cells": 0}
     for gf in (GF8, GF64):
         for k, sizes in ((3, (6, 9, 12, 15)), (4, (8, 12))):
             for swap in (False, True):
                 for n in (*sizes, *sizes):
-                    H, w = _kdm_with_cancelling_twins(rng, gf, k, n, swap)
-                    u = [*H.partition[0], *H.partition[1]]
-                    entries, b, rest, _, _ = _kdm_case(H)
-                    xs = solver_mod._matchable_probes(entries, b, rest)[0]
-                    whole = solver_mod._sweep_kdm(entries, _root_matching(entries, b, pick), w,
-                                                  gf, xs)
-                    assert gf.mul(whole, whole) == covers_weight_sum(H, u, w, gf)
-                    for cut in range(len(xs) + 1):
-                        head = solver_mod._sweep_kdm(entries, _root_matching(entries, b, pick), w,
-                                                     gf, xs[:cut])
-                        tail = solver_mod._sweep_kdm(entries, _root_matching(entries, b, pick), w,
-                                                     gf, xs[cut:])
-                        assert head ^ tail == whole, (n, k, cut)
-                    nonzero += bool(whole)
-    assert nonzero >= 10
+                    dense = rand_instance(rng, k, n, 3 * n // k, plant_prob=0.5,
+                                          min_edges=2 * n // k, kdm=True)
+                    for H, w in (_kdm_with_cancelling_twins(rng, gf, k, n, swap),
+                                 (dense, [gf.sample(rng) for _ in dense.edges])):
+                        u = [*H.partition[0], *H.partition[1]]
+                        entries, b, rest, _, _ = _kdm_case(H)
+                        xs = solver_mod._matchable_probes(entries, b, rest)
+                        whole = solver_mod._sweep_kdm(entries, b, w, gf, xs)
+                        assert gf.mul(whole, whole) == covers_weight_sum(H, u, w, gf)
+                        for cut in range(len(xs) + 1):
+                            head = solver_mod._sweep_kdm(entries, b, w, gf, xs[:cut])
+                            tail = solver_mod._sweep_kdm(entries, b, w, gf, xs[cut:])
+                            assert head ^ tail == whole, (n, k, cut)
+                        used = _matched_cells(_live_grid(entries, b, w, 0)[0])
+                        seen["nonzero"] += bool(whole)
+                        seen["stray cells"] += bool(used) and any((r, c) not in used
+                                                                  for *_, r, c in entries)
+    assert min(seen.values()) >= 10, seen
 
 
 def _matchable(rows):
     b = len(rows)
     return any(all(rows[r] >> perm[r] & 1 for r in range(b)) for perm in permutations(range(b)))
+
+
+def _matched_cells(rows):
+    """The cells (r, c) in some perfect matching of the support whose row
+    r has bit c of rows[r] set, by brute force over permutations."""
+    b = len(rows)
+    return {(r, c) for perm in permutations(range(b))
+            if all(rows[r] >> perm[r] & 1 for r in range(b)) for r, c in enumerate(perm)}
 
 
 def _live_grid(entries, b, weights, x):
@@ -1347,54 +1364,15 @@ def _live_grid(entries, b, weights, x):
     return support, mat
 
 
-def _dm_blocks(entries, b):
-    """(rows, cols) of each Dulmage-Mendelsohn block of the root support,
-    by brute force: the connected components of the cells that lie in
-    some perfect matching.  None when the support has no perfect
-    matching."""
-    support = [0] * b
-    for _, _, r, c in entries:
-        support[r] |= 1 << c
-    part = list(range(2 * b))   # union-find over rows 0..b-1 and columns b..2b-1
-
-    def find(v):
-        while part[v] != v:
-            v = part[v]
-        return v
-
-    perms = [p for p in permutations(range(b)) if all(support[r] >> c & 1 for r, c in enumerate(p))]
-    for perm in perms:
-        for r, c in enumerate(perm):
-            part[find(r)] = find(b + c)
-    groups = {}
-    for v in range(2 * b):
-        groups.setdefault(find(v), []).append(v)
-    return [([v for v in g if v < b], [v - b for v in g if v >= b])
-            for g in groups.values()] if perms else None
-
-
-def _block_mat(mat, rows, cols):
-    return [[mat[r][c] for c in cols] for r in rows]
-
-
 def _canon(rows):
     """A matrix's dense or {col: value} rows, zeros left out, as a sorted
     tuple, so the order of the rows does not count."""
     return tuple(sorted(tuple(sorted(row.items())) for row in _nonzero_rows(rows)))
 
 
-def _block_inputs(entries, b, w, xs):
-    """(Counter of the canonical live grids, one per distinct (block, key)
-    of a root block wider than 1x1 with key = x & the vertices of its
-    edges, x in xs; the number of (wide block, X) pairs)."""
-    inputs, pairs = Counter(), 0
-    for rows, cols in _dm_blocks(entries, b) or []:
-        if len(cols) > 1:
-            seen = reduce(or_, (mk for mk, _, r, c in entries if r in rows and c in cols))
-            pairs += len(xs)
-            for key in {x & seen for x in xs}:
-                inputs[_canon(_block_mat(_live_grid(entries, b, w, key)[1], rows, cols))] += 1
-    return inputs, pairs
+def _grid_inputs(entries, b, w, xs):
+    """Counter of the canonical live grids of the X in xs, one per X."""
+    return Counter(_canon(_live_grid(entries, b, w, x)[1]) for x in xs)
 
 
 def _pattern(mat):
@@ -1423,21 +1401,6 @@ def test_perfect_matching_check_against_permutations():
                    for r in range(b)]
             assert ref_det(mat, GF64) == 0
     assert min(seen.values()) >= 100
-
-
-def _root_matching(entries, b, pick):
-    """A perfect matching of the root support (X = {}) as _sweep_kdm takes
-    it, (row of each column, column of each row), drawn by `pick` from
-    all of them by brute force; None when it has none.  No sweep may
-    depend on which one it gets."""
-    support = [0] * b
-    for _, _, r, c in entries:
-        support[r] |= 1 << c
-    perms = [p for p in permutations(range(b)) if all(support[r] >> c & 1 for r, c in enumerate(p))]
-    if not perms:
-        return None
-    col_of = list(pick.choice(perms))
-    return sorted(range(b), key=col_of.__getitem__), col_of
 
 
 def _kdm_case(H):
@@ -1470,12 +1433,13 @@ def _nonzero_rows(rows):
 def test_matchable_probes_yield_exactly_the_matchable_sets(monkeypatch):
     # brute force over every code: the walk yields exactly the X of the
     # walk model (a perfect matching of the live support, and every lower
-    # vertex in a cell that one uses), in code order; the determinant pass,
-    # over the whole list and over 2 to 7 slices cut where a code range
-    # would split, hands each slice's determinant the live grid of a root
-    # block at one of its X, at most once per (block, key), and the
-    # slices XOR to the whole total; k = 4 puts two vertices of each edge
-    # in V - U, so hit counts reach 2, and twins duplicate or cancel cells
+    # vertex in a cell that one uses), in code order, and nothing when the
+    # root support has no perfect matching; the determinant pass, over the
+    # whole list and over 2 to 7 slices cut where a code range would
+    # split, hands the determinant the live grid of each of a slice's X,
+    # once each, and the slices XOR to the whole total; k = 4 puts two
+    # vertices of each edge in V - U, so hit counts reach 2, and twins
+    # duplicate or cancel cells
     mats = []
     inner_det = solver_mod.determinant
 
@@ -1485,7 +1449,6 @@ def test_matchable_probes_yield_exactly_the_matchable_sets(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "determinant", computing)
     rng = random.Random(22)
-    pick = random.Random(22)    # root matchings, off the instance stream
     seen = {"yielded": 0, "pruned": 0, "cancelled": 0, "nonzero": 0, "root matchings": 0}
     for rep in range(8):
         gf = (GF8, GF64)[rep % 2]
@@ -1498,17 +1461,12 @@ def test_matchable_probes_yield_exactly_the_matchable_sets(monkeypatch):
                 mat = _live_grid(entries, b, w, xs[c])[1]
                 expect.append((xs[c], mat))
                 seen["cancelled"] += not _matchable(_pattern(mat))
-            walked, root = solver_mod._matchable_probes(entries, b, rest)
+            walked = solver_mod._matchable_probes(entries, b, rest)
             assert walked == [x for x, _ in expect]
-            # the returned matching is perfect on the root support and
-            # uses only live cells; without one the walk yields nothing
-            if root is None:
-                assert walked == [] and _dm_blocks(entries, b) is None
-            else:
-                row_of, col_of = root
-                assert all(row_of[c] == r for r, c in enumerate(col_of))
-                assert set(enumerate(col_of)) <= {(r, c) for *_, r, c in entries}
+            if _matchable(_live_grid(entries, b, w, 0)[0]):
                 seen["root matchings"] += 1
+            else:
+                assert walked == []
             total = 0
             for _, mat in expect:
                 total ^= ref_det(mat, gf)
@@ -1521,10 +1479,8 @@ def test_matchable_probes_yield_exactly_the_matchable_sets(monkeypatch):
                 swept = 0
                 for a, z in zip(bounds, bounds[1:]):
                     mats.clear()
-                    matching = _root_matching(entries, b, pick)
-                    swept ^= solver_mod._sweep_kdm(entries, matching, w, gf, walked[a:z])
-                    inputs = _block_inputs(entries, b, w, walked[a:z])[0]
-                    assert not Counter(mats) - inputs, (k, n, bounds)
+                    swept ^= solver_mod._sweep_kdm(entries, b, w, gf, walked[a:z])
+                    assert Counter(mats) == _grid_inputs(entries, b, w, walked[a:z]), (k, n, bounds)
                 assert swept == total, (k, n, bounds)
             u = [*H.partition[0], *H.partition[1]]
             assert gf.mul(total, total) == covers_weight_sum(H, u, w, gf)
@@ -1547,14 +1503,13 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
         walked.append(inner_walk(*args))
         return walked[-1]
 
-    def sweeping(entries, matching, weights, gf, xs, threads):
+    def sweeping(entries, b, weights, gf, xs, threads):
         swept.extend(xs)
-        return inner_sweep(entries, matching, weights, gf, xs, threads)
+        return inner_sweep(entries, b, weights, gf, xs, threads)
 
     monkeypatch.setattr(solver_mod, "_matchable_probes", walking)
     monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
     rng = random.Random(18)
-    pick = random.Random(18)    # root matchings, off the instance stream
     skipped = cancelled = 0
     for rep in range(30):
         gf = (GF8, GF64)[rep % 2]
@@ -1563,11 +1518,10 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
         walked.clear()
         swept.clear()
         sieve_decide(H, [*H.partition[0], *H.partition[1]], w, gf)
-        [(winner, _)] = walked
+        [winner] = walked
         entries, b, rest, _, xs = _kdm_case(H)
         assert winner == [xs[c] for c in _kdm_model(entries, b, rest)[0]] == swept
-        matching = _root_matching(entries, b, pick)
-        probe = {x: inner_sweep(entries, matching, w, gf, [x]) for x in winner}
+        probe = {x: inner_sweep(entries, b, w, gf, [x]) for x in winner}
         left = 0
         for x in xs:
             support, mat = _live_grid(entries, b, w, x)
@@ -1581,80 +1535,6 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
                 assert probe[x] == ref_det(mat, gf) == 0
         assert left == 0
     assert skipped >= 20 and cancelled >= 5
-
-
-def test_sweep_factors_over_the_root_blocks(monkeypatch):
-    # the root support's Dulmage-Mendelsohn blocks, by brute force: at
-    # every code, the product of the blocks' live determinants, and the
-    # one-X sweep when the root support has a perfect matching, equal the
-    # live grid's determinant.  Over the
-    # walked list and over lists that spare one wide block's vertices,
-    # every determinant input is a wide block's live grid at one listed
-    # X, once per (block, key) at most, and a block that no X of a
-    # nonempty list touches is computed once; the list swept twice sums to zero with
-    # no further call, its repeated keys hitting the memo.  1 to 3
-    # threads give one sieve value, the cover sum
-    calls = []
-    inner_det = solver_mod.determinant
-
-    def computing(rows, gf):
-        calls.append(_canon(rows))
-        return inner_det(rows, gf)
-
-    monkeypatch.setattr(solver_mod, "determinant", computing)
-    rng = random.Random(31)
-    pick = random.Random(31)    # root matchings, off the instance stream
-    seen = {"wide blocks": 0, "untouched": 0, "memo hits": 0, "nonzero": 0, "no matching": 0}
-    for rep in range(8):
-        gf = (GF8, GF64)[rep % 2]
-        for k, n in ((3, 9), (3, 12), (4, 12), (4, 16)):
-            dense = rand_instance(rng, k, n, 3 * n // k, plant_prob=0.5, min_edges=2 * n // k,
-                                  kdm=True)
-            for H, w in (_kdm_with_cancelling_twins(rng, gf, k, n, rep % 4 >= 2),
-                         (dense, [gf.sample(rng) for _ in dense.edges])):
-                entries, b, rest, _, xs = _kdm_case(H)
-                blocks = _dm_blocks(entries, b)
-                matching = _root_matching(entries, b, pick)
-                for x in xs:
-                    mat = _live_grid(entries, b, w, x)[1]
-                    det = ref_det(mat, gf)
-                    parts = [ref_det(_block_mat(mat, *blk), gf) for blk in blocks or []]
-                    assert (reduce(gf.mul, parts, 1) if blocks else 0) == det
-                    if matching is None:  # no X has a perfect matching, so none is swept
-                        continue
-                    calls.clear()
-                    assert solver_mod._sweep_kdm(entries, matching, w, gf, [x]) == det
-                    assert not Counter(calls) - _block_inputs(entries, b, w, [x])[0]
-                wide = [(rows, cols, reduce(or_, (mk for mk, _, r, c in entries
-                                                  if r in rows and c in cols)))
-                        for rows, cols in blocks or [] if len(cols) > 1]
-                lists = [solver_mod._matchable_probes(entries, b, rest)]
-                assert (lists[0][1] is None) == (blocks is None)
-                lists += [([x for x in xs if not x & vertices], matching) for _, _, vertices in wide]
-                for xl, root in lists:
-                    calls.clear()
-                    total = solver_mod._sweep_kdm(entries, root, w, gf, xl)
-                    assert total == reduce(xor, (ref_det(_live_grid(entries, b, w, x)[1], gf)
-                                                 for x in xl), 0)
-                    inputs, pairs = _block_inputs(entries, b, w, xl)
-                    made = Counter(calls)
-                    assert not made - inputs
-                    for rows, cols, vertices in wide:  # an empty list computes nothing
-                        if xl and not vertices & reduce(or_, xl, 0):
-                            full = _live_grid(entries, b, w, 0)[1]
-                            assert made[_canon(_block_mat(full, rows, cols))] >= 1
-                            seen["untouched"] += 1
-                    calls.clear()
-                    assert solver_mod._sweep_kdm(entries, matching, w, gf, xl + xl) == 0
-                    assert Counter(calls) == made
-                    seen["memo hits"] += pairs > sum(inputs.values())
-                u = [*H.partition[0], *H.partition[1]]
-                values = {sieve_decide(H, u, w, gf, threads) for threads in (1, 2, 3)}
-                assert values == {covers_weight_sum(H, u, w, gf)}
-                seen["wide blocks"] += len(wide)
-                seen["nonzero"] += values != {0}
-                seen["no matching"] += blocks is None
-    assert min(seen.values()) >= 5, seen
 
 
 def test_solve_xkc_planted_yes():
