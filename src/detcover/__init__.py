@@ -2,9 +2,9 @@
 k-dimensional matching, with exact oracles and parameter tables."""
 
 from .gf2m import GF2m, GF8, GF64, field_for, is_irreducible
-from .hypergraph import (Hypergraph, ParseError, ProjectedView, Violation,
-                         generate, parse, project, restrict_avoiding,
-                         serialize, validate)
+from .hypergraph import (Hypergraph, ParseError, ProjectedView, generate,
+                         parse, project, restrict_avoiding, serialize,
+                         validate)
 from .linalg import determinant, evaluate, interpolate, series_determinant
 from .matchweight import cover_weight, elementary_symmetric, loop_weights
 from .oracle import dlx_count, dlx_enumerate, ie_count
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GF2m", "GF8", "GF64", "field_for", "is_irreducible",
-    "Hypergraph", "ParseError", "ProjectedView", "Violation",
+    "Hypergraph", "ParseError", "ProjectedView",
     "generate", "parse", "project", "restrict_avoiding", "serialize", "validate",
     "determinant", "evaluate", "interpolate", "series_determinant",
     "cover_weight", "elementary_symmetric", "loop_weights",

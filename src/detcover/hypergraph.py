@@ -4,7 +4,8 @@ An instance is n vertices (dense ids 0..n-1) plus a list of k-edges kept
 as sorted tuples; the list may repeat an edge (multiset semantics, edge
 id = list position).  Matching-style instances additionally carry a
 partition of the vertices into k equal blocks, and a legal edge then
-meets every block exactly once.
+meets every block exactly once.  An instance is validated once, when it
+is built: Hypergraph raises ValueError("kind: message") on a violation.
 
 The on-disk form is one line of JSON:
 
@@ -24,6 +25,7 @@ edges meeting X by their vertex bitmasks.
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import random
@@ -35,27 +37,35 @@ class ParseError(ValueError):
 
 
 @dataclass
-class Violation:
-    """One structural problem found by validate()."""
-
-    kind: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.kind}: {self.message}"
-
-
-@dataclass
 class Hypergraph:
+    """A well-formed instance in canonical form: construction validates
+    it, then sorts each edge and each partition block into a tuple.  It
+    is not mutated afterwards (edge_masks caches the edges); keep()
+    builds a sub-instance without checking it again."""
+
     n: int
     k: int
     edges: list[tuple[int, ...]]
     partition: list[tuple[int, ...]] | None = None
 
+    def __post_init__(self):
+        validate(self)  # before sorting: sorted() raises TypeError on mixed vertex types
+        self.edges = [tuple(sorted(e)) for e in self.edges]
+        if self.partition is not None:
+            self.partition = [tuple(sorted(b)) for b in self.partition]
+
     @functools.cached_property
     def edge_masks(self) -> list[int]:
         """Per-edge vertex bitmask; bit v set iff vertex v is in the edge."""
         return [_mask(e) for e in self.edges]
+
+    def keep(self, ids) -> Hypergraph:
+        """The instance of the edges `ids` with the same vertices, partition
+        and masks; a multiset of valid edges is valid, so it is not checked."""
+        sub = copy.copy(self)
+        sub.edges = [self.edges[i] for i in ids]
+        sub.edge_masks = [self.edge_masks[i] for i in ids]
+        return sub
 
 
 def _mask(vertices) -> int:
@@ -65,44 +75,45 @@ def _mask(vertices) -> int:
     return m
 
 
-def validate(H: Hypergraph) -> Violation | None:
-    """First structural violation, or None for a well-formed instance."""
+def validate(H: Hypergraph) -> None:
+    """Raise ValueError("kind: message") on the first structural
+    violation; return None for a well-formed instance."""
     if not isinstance(H.n, int) or not isinstance(H.k, int):
-        return Violation("shape", "n and k must be integers")
+        raise ValueError("shape: n and k must be integers")
     if H.k < 2:
-        return Violation("shape", f"k must be at least 2, got {H.k}")
+        raise ValueError(f"shape: k must be at least 2, got {H.k}")
     if H.n < 0:
-        return Violation("shape", f"n must be nonnegative, got {H.n}")
+        raise ValueError(f"shape: n must be nonnegative, got {H.n}")
     for eid, e in enumerate(H.edges):
         if len(e) != H.k:
-            return Violation("arity", f"edge {eid} has {len(e)} vertices, expected {H.k}")
+            raise ValueError(f"arity: edge {eid} has {len(e)} vertices, expected {H.k}")
         for v in e:
             if not isinstance(v, int) or isinstance(v, bool):
-                return Violation("vertex-range", f"edge {eid} has non-integer vertex {v!r}")
+                raise ValueError(f"vertex-range: edge {eid} has non-integer vertex {v!r}")
             if v < 0 or v >= H.n:
-                return Violation("vertex-range", f"edge {eid} vertex {v} outside 0..{H.n - 1}")
+                raise ValueError(f"vertex-range: edge {eid} vertex {v} outside 0..{H.n - 1}")
         if len(set(e)) != H.k:
-            return Violation("repeated-vertex", f"edge {eid} repeats a vertex")
+            raise ValueError(f"repeated-vertex: edge {eid} repeats a vertex")
     if H.partition is not None:
         for b, block in enumerate(H.partition):
             for v in block:
                 if not isinstance(v, int) or isinstance(v, bool):
-                    return Violation("vertex-range",
-                                     f"partition block {b} has non-integer vertex {v!r}")
+                    raise ValueError(f"vertex-range: partition block {b} "
+                                     f"has non-integer vertex {v!r}")
         if H.n % H.k != 0:
-            return Violation("partition-shape", f"n={H.n} is not divisible by k={H.k}")
+            raise ValueError(f"partition-shape: n={H.n} is not divisible by k={H.k}")
         if len(H.partition) != H.k:
-            return Violation("partition-shape",
-                             f"partition has {len(H.partition)} blocks, expected {H.k}")
+            raise ValueError(f"partition-shape: partition has {len(H.partition)} blocks, "
+                             f"expected {H.k}")
         size = H.n // H.k
         seen: set[int] = set()
         for b, block in enumerate(H.partition):
             if len(block) != size:
-                return Violation("partition-shape",
-                                 f"block {b} has {len(block)} vertices, expected {size}")
+                raise ValueError(f"partition-shape: block {b} has {len(block)} vertices, "
+                                 f"expected {size}")
             seen.update(block)
         if seen != set(range(H.n)):
-            return Violation("partition-cover", "blocks do not partition the vertex set")
+            raise ValueError("partition-cover: blocks do not partition the vertex set")
         home = [0] * H.n        # home[v]: the block holding v
         for b, block in enumerate(H.partition):
             for v in block:
@@ -111,9 +122,8 @@ def validate(H: Hypergraph) -> Violation | None:
             met = [home[v] for v in e]
             if len(set(met)) < H.k:  # k vertices in fewer than k blocks
                 b = next(b for b in range(H.k) if met.count(b) != 1)
-                return Violation("partition-meet",
-                                 f"edge {eid} meets block {b} {met.count(b)} times, expected once")
-    return None
+                raise ValueError(f"partition-meet: edge {eid} meets block {b} "
+                                 f"{met.count(b)} times, expected once")
 
 
 @dataclass
@@ -181,7 +191,8 @@ def restrict_avoiding(view: ProjectedView, H: Hypergraph, x_mask: int) -> Projec
 
 
 def parse(text: str) -> Hypergraph:
-    """Instance from a JSON document; validates before returning."""
+    """Instance from a JSON document; ParseError if it is malformed or
+    the instance it names is invalid."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -204,13 +215,10 @@ def parse(text: str) -> Hypergraph:
     if partition is not None:
         if not isinstance(partition, list) or any(not isinstance(b, list) for b in partition):
             raise ParseError("partition must be a list of lists")
-    # validate before sorting: sorted() raises TypeError on mixed vertex types
-    violation = validate(Hypergraph(n, k, edges, partition))
-    if violation is not None:
-        raise ParseError(str(violation))
-    if partition is not None:
-        partition = [tuple(sorted(b)) for b in partition]
-    return Hypergraph(n, k, [tuple(sorted(e)) for e in edges], partition)
+    try:
+        return Hypergraph(n, k, edges, partition)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def serialize(H: Hypergraph) -> str:
@@ -248,17 +256,14 @@ def generate(rng: random.Random, k: int, n: int, edge_count: int,
         partition = [tuple(range(b * size, (b + 1) * size)) for b in range(k)]
         if plant:
             perms = [rng.sample(block, size) for block in partition]
-            edges += [tuple(sorted(perms[b][j] for b in range(k))) for j in range(size)]
+            edges += [tuple(perms[b][j] for b in range(k)) for j in range(size)]
         while len(edges) < edge_count:
-            edges.append(tuple(sorted(rng.choice(block) for block in partition)))
+            edges.append(tuple(rng.choice(block) for block in partition))
     else:
         if plant and n:
             order = rng.sample(range(n), n)
-            edges += [tuple(sorted(order[j * k:(j + 1) * k])) for j in range(cover_size)]
+            edges += [tuple(order[j * k:(j + 1) * k]) for j in range(cover_size)]
         while len(edges) < edge_count:
-            edges.append(tuple(sorted(rng.sample(range(n), k))))
+            edges.append(tuple(rng.sample(range(n), k)))
     rng.shuffle(edges)
-    H = Hypergraph(n, k, edges, partition)
-    violation = validate(H)
-    assert violation is None, violation
-    return H
+    return Hypergraph(n, k, edges, partition)

@@ -19,16 +19,18 @@ pair of blocks would give the same total.  The general probe squares
 pair weights, the bipartite one does not; since squaring is additive in
 characteristic 2, the square of the bipartite sum is the general sum.
 
-solve_xkc knows no partition.  Each attempt samples U of size
-round(t*n) (t from the exponent optimizer), keeps the edges meeting it
-at most twice (no cover edge meets it more often when U is good), draws
-one weight per kept edge and calls sieve_decide; a nonzero sum ends the
-run with yes, and the attempt budget is ceil(ln(1/eps)/p).  solve_kdm
-takes U as partition blocks 0 and 1, which every edge meets exactly
-twice, so one attempt of nominally 2^(n(k-2)/k) probes decides the
-instance.  Answers are one sided: yes is always backed by a nonzero
-certificate, or by a cover in hand.  An instance with a vertex in no
-edge has no cover, so both answer it no before any attempt.
+A Hypergraph validates itself when built, so neither solver checks its
+instance again.  solve_xkc knows no partition.  Each attempt samples U
+of size round(t*n) (t from the exponent optimizer), keeps the edges
+meeting it at most twice (no cover edge meets it more often when U is
+good) as H.keep(ids), draws one weight per kept edge and calls
+sieve_decide; a nonzero sum ends the run with yes, and the attempt
+budget is ceil(ln(1/eps)/p).  solve_kdm takes U as partition blocks 0
+and 1, which every edge meets exactly twice, so one attempt of
+nominally 2^(n(k-2)/k) probes decides the instance.  Answers are one
+sided: yes is always backed by a nonzero certificate, or by a cover in
+hand.  An instance with a vertex in no edge has no cover, so both
+answer it no before any attempt.
 
 Every exact cover projects to a perfect matching of every pair of
 blocks, so solve_kdm first drops each edge whose cell lies in no
@@ -97,7 +99,8 @@ from itertools import combinations, cycle
 from operator import or_, xor
 
 from .gf2m import GF2m, field_for
-from .hypergraph import Hypergraph, project, restrict_avoiding, validate
+from .hypergraph import Hypergraph, project, restrict_avoiding
+from .hypergraph import validate  # unused; perfbench/tracing.py patches this name
 from .linalg import determinant
 from .matchweight import cover_weight
 from .params import check_epsilon, optimize, repetitions
@@ -319,18 +322,14 @@ def _live_probes(view, masks, need, rest):
 
 def _bipartite_entries(H: Hypergraph, left, right) -> list[tuple[int, int, int, int]]:
     """(edge mask, edge id, row, col) per edge: row and col are the
-    positions of the edge's vertices in the blocks `left` and `right`."""
-    if not len(left) == len(right) == H.n // H.k:
-        raise ValueError("paired partition blocks must hold n/k vertices each")
+    positions of its vertices in the partition blocks `left` and `right`."""
     lpos = {v: i for i, v in enumerate(left)}
     rpos = {v: i for i, v in enumerate(right)}
     entries = []
     for eid, (e, mk) in enumerate(zip(H.edges, H.edge_masks)):
-        rows = [lpos[v] for v in e if v in lpos]
-        cols = [rpos[v] for v in e if v in rpos]
-        if len(rows) != 1 or len(cols) != 1:
-            raise ValueError(f"edge {eid} does not join the paired partition blocks")
-        entries.append((mk, eid, rows[0], cols[0]))
+        [row] = [lpos[v] for v in e if v in lpos]
+        [col] = [rpos[v] for v in e if v in rpos]
+        entries.append((mk, eid, row, col))
     return entries
 
 
@@ -496,10 +495,8 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     """Summed cover weight at the given edge weights; nonzero proves a
     cover exists.  Requires every edge to meet U at most twice.
 
-    When H carries a partition and U is exactly its blocks 0 and 1, every
-    edge must meet each of those two blocks once (the other blocks may
-    hold anything: the square counts exact covers all the same); each X
-    whose live support has a perfect matching is probed by one
+    When H carries a partition and U is exactly its blocks 0 and 1, each
+    X whose live support has a perfect matching is probed by one
     bipartite determinant between blocks 0 and 1 (_sweep_kdm), and the
     result is the square of their XOR.  Otherwise each probe is
     cover_weight on the edges avoiding X.  All give the same element.
@@ -621,9 +618,6 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
     loop (see the module docstring)."""
     t0 = time.perf_counter()
     cfg = cfg or SieveConfig()
-    violation = validate(H)
-    if violation is not None:
-        raise ValueError(str(violation))
     if partitioned and H.partition is None:
         raise ValueError("partitioned solver needs an instance with a partition")
     n, k = H.n, H.k
@@ -648,10 +642,9 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
     for attempt in range(1, max_attempts + 1):
         u_vertices = sorted(rng.sample(range(n), tn))
         u_mask = sum(1 << v for v in u_vertices)
-        keep = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
-        weights = [gf.sample(rng) for _ in keep]
-        sub = Hypergraph(n, k, [H.edges[eid] for eid in keep], H.partition)
-        if sieve_decide(sub, u_vertices, weights, gf, cfg.threads):
+        ids = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
+        weights = [gf.sample(rng) for _ in ids]
+        if sieve_decide(H.keep(ids), u_vertices, weights, gf, cfg.threads):
             answer = "yes"
             break
     return Decision(answer, attempt << (n - tn), attempt, time.perf_counter() - t0,

@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from detcover import (Hypergraph, ParseError, dlx_count, generate, parse,
-                      project, restrict_avoiding, serialize, validate)
+from detcover import (Hypergraph, ParseError, SieveConfig, dlx_count, generate, parse,
+                      project, restrict_avoiding, serialize, solve_kdm, solve_xkc,
+                      validate)
+from detcover import hypergraph as hypergraph_mod
+from detcover import solver as solver_mod
 
 from conftest import filtered_for
 
@@ -24,50 +27,110 @@ def test_validate_accepts_well_formed():
 
 
 def test_validate_flags_arity():
-    v = validate(_h(6, 3, [(0, 1)]))
-    assert v is not None and v.kind == "arity"
+    with pytest.raises(ValueError, match="^arity: "):
+        _h(6, 3, [(0, 1)])
 
 
 def test_validate_flags_vertex_range():
-    v = validate(_h(6, 3, [(0, 1, 6)]))
-    assert v is not None and v.kind == "vertex-range"
-    v = validate(_h(6, 3, [(-1, 1, 2)]))
-    assert v is not None and v.kind == "vertex-range"
+    with pytest.raises(ValueError, match="^vertex-range: "):
+        _h(6, 3, [(0, 1, 6)])
+    with pytest.raises(ValueError, match="^vertex-range: "):
+        _h(6, 3, [(-1, 1, 2)])
 
 
 def test_validate_flags_repeated_vertex():
-    v = validate(_h(6, 3, [(1, 1, 2)]))
-    assert v is not None and v.kind == "repeated-vertex"
+    with pytest.raises(ValueError, match="^repeated-vertex: "):
+        _h(6, 3, [(1, 1, 2)])
 
 
 def test_validate_flags_partition_problems():
-    v = validate(_h(4, 2, [(0, 1)], [(0, 1), (2, 3)]))
-    assert v is not None and v.kind == "partition-meet"
-    assert "block 0" in v.message and "2 times" in v.message
-    v = validate(_h(4, 2, [], [(0, 1, 2), (3,)]))
-    assert v is not None and v.kind == "partition-shape"
-    v = validate(_h(4, 2, [], [(0, 1), (1, 2)]))
-    assert v is not None and v.kind == "partition-cover"
-    v = validate(_h(3, 2, [], [(0, 1), (2,)]))
-    assert v is not None and v.kind == "partition-shape"
+    with pytest.raises(ValueError, match="^partition-meet: .*block 0 2 times"):
+        _h(4, 2, [(0, 1)], [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="^partition-shape: "):
+        _h(4, 2, [], [(0, 1, 2), (3,)])
+    with pytest.raises(ValueError, match="^partition-cover: "):
+        _h(4, 2, [], [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="^partition-shape: "):
+        _h(3, 2, [], [(0, 1), (2,)])
 
 
 def test_validate_reports_the_first_edge_that_breaks_the_partition():
     # edge 1 meets block 1 twice and block 2 never; the later edge 2
     # misses the earlier block 0.  Edges come first, then blocks in order
     blocks = [(0, 1), (2, 3), (4, 5)]
-    v = validate(_h(6, 3, [(0, 2, 4), (0, 2, 3), (2, 4, 5)], blocks))
-    assert v is not None and v.kind == "partition-meet"
-    assert v.message == "edge 1 meets block 1 2 times, expected once"
-    v = validate(_h(6, 3, [(0, 2, 4), (2, 4, 5), (0, 2, 3)], blocks))
-    assert v.message == "edge 1 meets block 0 0 times, expected once"
+    with pytest.raises(ValueError) as exc:
+        _h(6, 3, [(0, 2, 4), (0, 2, 3), (2, 4, 5)], blocks)
+    assert str(exc.value) == "partition-meet: edge 1 meets block 1 2 times, expected once"
+    with pytest.raises(ValueError) as exc:
+        _h(6, 3, [(0, 2, 4), (2, 4, 5), (0, 2, 3)], blocks)
+    assert str(exc.value) == "partition-meet: edge 1 meets block 0 0 times, expected once"
 
 
 def test_validate_flags_bad_shape():
-    v = validate(_h(3, 1, []))
-    assert v is not None and v.kind == "shape"
-    v = validate(_h(-1, 3, []))
-    assert v is not None and v.kind == "shape"
+    with pytest.raises(ValueError, match="^shape: "):
+        _h(3, 1, [])
+    with pytest.raises(ValueError, match="^shape: "):
+        _h(-1, 3, [])
+
+
+def test_construction_sorts_and_raises_the_validate_message():
+    H = Hypergraph(3, 3, [[2, 0, 1]], [[1], [0], [2]])
+    assert H.edges == [(0, 1, 2)] and H.partition == [(1,), (0,), (2,)]
+    H = Hypergraph(4, 2, [(3, 0), (2, 1)], [(2, 0), (3, 1)])
+    assert H.edges == [(0, 3), (1, 2)] and H.partition == [(0, 2), (1, 3)]
+    with pytest.raises(ValueError) as exc:
+        Hypergraph(6, 3, [(0, 1, 2), (5, 3)])
+    assert str(exc.value) == "arity: edge 1 has 2 vertices, expected 3"
+    with pytest.raises(ValueError) as exc:  # checked before sorting meets the mixed types
+        Hypergraph(6, 3, [(0, "1", 2)])
+    assert str(exc.value) == "vertex-range: edge 0 has non-integer vertex '1'"
+
+
+def test_keep_equals_a_fresh_construction_without_validating(monkeypatch):
+    rng = random.Random(12)
+    for kdm in (False, True):
+        H = generate(rng, 3, 12, 10, kdm=kdm)
+        calls = []
+        monkeypatch.setattr(hypergraph_mod, "validate", lambda H: calls.append(H))
+        ids = [7, 0, 3, 3, 9]
+        sub = H.keep(ids)
+        monkeypatch.undo()
+        assert calls == []
+        fresh = Hypergraph(H.n, H.k, [H.edges[i] for i in ids], H.partition)
+        assert sub == fresh and sub.edge_masks == fresh.edge_masks
+        assert len(H.edges) == len(H.edge_masks) == 10  # the parent is left as it was
+        assert H.keep([]).edges == H.keep([]).edge_masks == []
+
+
+def test_validate_runs_once_per_built_instance(monkeypatch):
+    calls = []
+    original = hypergraph_mod.validate
+
+    def counting(H):
+        calls.append(H)
+        return original(H)
+
+    monkeypatch.setattr(hypergraph_mod, "validate", counting)
+    rng = random.Random(13)
+    for kdm in (False, True):
+        text = serialize(generate(rng, 3, 12, 9, plant=True, kdm=kdm))
+        calls.clear()
+        H = parse(text)
+        assert calls == [H]     # one check per parsed document, none again
+    H = Hypergraph(9, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (4, 5, 6), (6, 7, 8)])
+    calls.clear()
+    d = solve_xkc(H, SieveConfig(seed=1, epsilon=0.01))
+    assert calls == [] and d.attempts > 1     # no check in any attempt
+    swept = []                  # per instance: the components of two or more edges
+    for seed in range(6):
+        H = generate(random.Random(seed), 3, 12, 12, plant=True, kdm=True)
+        kept, _ = solver_mod._matching_filter(H)
+        parts = solver_mod._components([H.edge_masks[e] for e in kept])
+        swept.append(sum(len(part) > 1 for part in parts))
+        calls.clear()
+        solve_kdm(H, SieveConfig(seed=seed))
+        assert len(calls) == swept[-1]  # _component builds, and checks, each swept one
+    assert 0 in swept and max(swept) > 1
 
 
 def test_project_classifies():

@@ -2,12 +2,13 @@
 in that file."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "detcover"
-# kept only so that perfbench/tracing.py can patch them on matchweight
-PATCHED = {"matchweight.py": {"determinant", "interpolate"}}
+# kept only so that perfbench/tracing.py can patch them
+PATCHED = {"matchweight.py": {"determinant", "interpolate"}, "solver.py": {"validate"}}
 
 
 def _dead_imports(source):
@@ -41,3 +42,12 @@ def test_no_test_file_imports_a_name_it_never_uses():
     assert TESTS / "conftest.py" in files and len(files) >= 10
     dead = {p.name: _dead_imports(p.read_text(encoding="utf-8")) for p in files}
     assert not any(dead.values()), dead
+
+
+def test_every_patched_name_is_a_span_target():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  TESTS.parent / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    patched = {(name.removesuffix(".py"), attr) for name, attrs in PATCHED.items() for attr in attrs}
+    assert patched <= set(tracing.SPAN_TARGETS)
