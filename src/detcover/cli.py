@@ -168,7 +168,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--epsilon", type=float, default=2.0 ** -20)
     p.add_argument("--m", type=int, choices=[8, 64], default=64)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted (at least 1) and ignored: every sweep runs on one thread")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--force", action="store_true",
                    help="run even when the probe count is huge")

@@ -78,7 +78,7 @@ def _mask(vertices) -> int:
 def validate(H: Hypergraph) -> None:
     """Raise ValueError("kind: message") on the first structural
     violation; return None for a well-formed instance."""
-    if not isinstance(H.n, int) or not isinstance(H.k, int):
+    if any(not isinstance(x, int) or isinstance(x, bool) for x in (H.n, H.k)):
         raise ValueError("shape: n and k must be integers")
     if H.k < 2:
         raise ValueError(f"shape: k must be at least 2, got {H.k}")
@@ -205,10 +205,6 @@ def parse(text: str) -> Hypergraph:
         if key not in doc:
             raise ParseError(f"missing required key {key!r}")
     k, n, edges = doc["k"], doc["n"], doc["edges"]
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ParseError("k must be an integer")
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ParseError("n must be an integer")
     if not isinstance(edges, list) or any(not isinstance(e, list) for e in edges):
         raise ParseError("edges must be a list of lists")
     partition = doc.get("partition")

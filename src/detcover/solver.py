@@ -79,20 +79,16 @@ one family, searches for another when it loses an edge, and restricts
 the view to each X that has one.  The bipartite kernel,
 _matchable_probes, uses an edge when it lies in a perfect matching of
 the live support; it keeps the support and one perfect matching,
-repaired by augmenting paths as cells empty, and lists each X whose
-support has one; _sweep_kdm then takes one b x b determinant of each
-listed X's live entries.  Each X is walked once.  Threaded runs deal
-the walked X round robin to at most os.cpu_count() workers, which
-compute what one thread does, and the XOR of their shares is
-bit-identical for any worker count.
+repaired by augmenting paths as cells empty, and yields each X whose
+support has one; _sweep_kdm takes one b x b determinant of each such
+X's live entries as it comes.  Each X is walked once, and every sweep
+runs on the calling thread.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations, cycle
@@ -113,7 +109,7 @@ class SieveConfig:
     m: int = 64              # field degree, 8 or 64
     seed: int = 0            # master seed for U sampling and edge weights
     epsilon: float = 2.0 ** -20  # false-no budget of solve_xkc
-    threads: int = 1         # workers dealt the X of a sweep, at most os.cpu_count()
+    threads: int = 1         # accepted and checked, never read: every sweep runs on one thread
 
     def __post_init__(self):
         if self.threads < 1:
@@ -389,8 +385,9 @@ def _reach(support, row_of, c) -> int:
 
 def _matchable_probes(entries, b, rest):
     """The X of _walk whose live edges, those avoiding X, have a perfect
-    matching on the b x b grid, as a list; [] when the root support
-    (X = {}) has none.  The walk reads the support alone, never a weight.
+    matching on the b x b grid, yielded as the walk reaches them; none
+    when the root support (X = {}) has none.  The walk reads the support
+    alone, never a weight.
 
     A dead edge leaves its cell's live count, and its row's support when
     the cell empties.  The kernel keeps one perfect matching of the
@@ -413,7 +410,7 @@ def _matchable_probes(entries, b, rest):
         support[r] |= 1 << c
     matching = _perfect_matching(support)
     if matching is None:
-        return []
+        return
     row_of, col_of = matching
 
     def kill(ids):
@@ -454,18 +451,16 @@ def _matchable_probes(entries, b, rest):
 
         return uses
 
-    return list(_walk(rest, [mk for mk, *_ in entries], kill, revive, user))
+    yield from _walk(rest, [mk for mk, *_ in entries], kill, revive, user)
 
 
-def _sweep_kdm(entries, b, weights, gf, xs, threads=1):
-    """XOR of the b x b bipartite determinants at the X in the list xs.
+def _sweep_kdm(entries, b, weights, gf, xs):
+    """XOR of the b x b bipartite determinants at the X in xs.
 
     Row r is the r-th vertex of the left block of the entries' pair and
     column c the c-th of its right block; X's (r, c) entry XORs the
     weights of the live edges (those avoiding X) that join them.  Each X
-    costs one determinant of its live {col: value} rows.  The X are dealt
-    to `threads` workers (see _xor_probes), which share nothing they
-    write.
+    costs one determinant of its live {col: value} rows.
     """
     def probe(x):
         rows = [{} for _ in range(b)]
@@ -474,24 +469,10 @@ def _sweep_kdm(entries, b, weights, gf, xs, threads=1):
                 rows[r][c] = rows[r].get(c, 0) ^ weights[eid]
         return determinant(rows, gf)
 
-    return _xor_probes(probe, xs, threads)
-
-
-def _xor_probes(probe, xs, threads: int) -> int:
-    """XOR of probe(x) over the X in xs.  One thread probes xs as it
-    comes, without listing it; more list xs and deal it round robin to
-    min(threads, len(xs), os.cpu_count()) workers."""
-    if threads > 1:
-        xs = list(xs)
-        parts = min(threads, len(xs), os.cpu_count() or 1)
-        if parts > 1:
-            with ThreadPoolExecutor(max_workers=parts) as pool:
-                shares = pool.map(lambda i: _xor_probes(probe, xs[i::parts], 1), range(parts))
-                return reduce(xor, shares)
     return reduce(xor, map(probe, xs), 0)
 
 
-def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1) -> int:
+def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m) -> int:
     """Summed cover weight at the given edge weights; nonzero proves a
     cover exists.  Requires every edge to meet U at most twice.
 
@@ -500,14 +481,8 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
     bipartite determinant between blocks 0 and 1 (_sweep_kdm), and the
     result is the square of their XOR.  Otherwise each probe is
     cover_weight on the edges avoiding X.  All give the same element.
-
-    The X are walked once.  One thread probes the X as they come; with
-    threads > 1 the walked X are dealt round robin to at most that many
-    workers, whose shares combine by XOR, so the value is bit-identical
-    for every worker count.
+    The X are walked once and probed as they come, never listed.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     if len(weights) != len(H.edges):
         raise ValueError(f"{len(weights)} weights for {len(H.edges)} edges")
     if H.n == 0 or H.n % H.k != 0:
@@ -518,13 +493,13 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m, threads: int = 1)
         entries = _bipartite_entries(H, p[0], p[1])
         rest = ((1 << H.n) - 1) ^ sum(1 << v for v in u_vertices)
         b = H.n // H.k
-        total = _sweep_kdm(entries, b, weights, gf, _matchable_probes(entries, b, rest), threads)
+        total = _sweep_kdm(entries, b, weights, gf, _matchable_probes(entries, b, rest))
         return gf.mul(total, total)
     view = project(H, u_vertices)
     rest = ((1 << H.n) - 1) ^ view.u_mask
     xs = _live_probes(view, H.edge_masks, H.n // H.k, rest)
-    return _xor_probes(lambda x: cover_weight(restrict_avoiding(view, H, x), weights, H.n, H.k, gf),
-                       xs, threads)
+    return reduce(xor, (cover_weight(restrict_avoiding(view, H, x), weights, H.n, H.k, gf)
+                        for x in xs), 0)
 
 
 def _matching_filter(H: Hypergraph):
@@ -592,7 +567,7 @@ def _component(H: Hypergraph, ids) -> Hypergraph:
                       [tuple(label[v] for v in block if v in label) for block in H.partition])
 
 
-def _sieve_kdm(H: Hypergraph, rng, gf: GF2m, threads: int) -> tuple[str, str | None]:
+def _sieve_kdm(H: Hypergraph, rng, gf: GF2m) -> tuple[str, str | None]:
     """solve_kdm's (answer, reason): the matching filter, then one sweep
     per connected component of the edges it keeps (see the module
     docstring), at one weight per edge of H, drawn in edge order."""
@@ -607,8 +582,7 @@ def _sieve_kdm(H: Hypergraph, rng, gf: GF2m, threads: int) -> tuple[str, str | N
     weights = [gf.sample(rng) for _ in H.edges]
     for ids in swept:
         C = _component(H, ids)
-        if not sieve_decide(C, [*C.partition[0], *C.partition[1]], [weights[e] for e in ids],
-                            gf, threads):
+        if not sieve_decide(C, [*C.partition[0], *C.partition[1]], [weights[e] for e in ids], gf):
             return "no", None
     return "yes", None
 
@@ -634,7 +608,7 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
     rng = random.Random(cfg.seed)
     tn = u_size(H, partitioned)
     if partitioned:
-        answer, reason = _sieve_kdm(H, rng, gf, cfg.threads)
+        answer, reason = _sieve_kdm(H, rng, gf)
         return Decision(answer, 1 << (n - tn), 1, time.perf_counter() - t0, reason=reason,
                         u_fraction=tn / n, max_attempts=1)
     max_attempts = repetitions(n, k, tn / n, cfg.epsilon)
@@ -644,7 +618,7 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
         u_mask = sum(1 << v for v in u_vertices)
         ids = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
         weights = [gf.sample(rng) for _ in ids]
-        if sieve_decide(H.keep(ids), u_vertices, weights, gf, cfg.threads):
+        if sieve_decide(H.keep(ids), u_vertices, weights, gf):
             answer = "yes"
             break
     return Decision(answer, attempt << (n - tn), attempt, time.perf_counter() - t0,

@@ -6,6 +6,7 @@ criterion; any miss fails the corresponding test outright.
 
 import itertools
 import random
+import threading
 import time
 
 from detcover import (GF8, GF64, Hypergraph, ProjectedView, REFERENCE_ROWS,
@@ -237,18 +238,28 @@ def test_criterion_10_partitioned_probe_counts(monkeypatch):
     _ok(10, "probe counts are exactly 4, 8, 16, 32 for n = 6, 9, 12, 15 at k = 3")
 
 
-def test_criterion_11_worker_count_never_changes_the_sum():
+def test_criterion_11_worker_count_never_changes_the_sum(monkeypatch):
+    # every sweep runs on the calling thread: no solve starts a thread,
+    # and the accepted worker count changes nothing a solve reports
+    def refuse(thread):
+        raise AssertionError(f"a solve started thread {thread.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     rng = random.Random(1111)
+    seen = {"kdm yes": 0, "kdm no": 0, "xkc yes": 0, "xkc no": 0}
     for _ in range(50):
-        n = rng.choice([6, 9])
-        H0 = rand_instance(rng, 3, n, 10, min_edges=1)
-        u = sorted(rng.sample(range(n), rng.choice([3, 4])))
-        H = filtered_for(H0, u)
-        w = [GF64.sample(rng) for _ in H.edges]
-        one = sieve_decide(H, u, w, GF64, 1)
-        assert sieve_decide(H, u, w, GF64, 4) == one
-        assert sieve_decide(H, u, w, GF64, 8) == one
-    _ok(11, "sieve sums bit-identical across 1, 4 and 8 workers on 50 instances")
+        H = rand_instance(rng, 3, rng.choice([6, 9]), 10, min_edges=1, kdm=True)
+        seed = rng.randrange(10 ** 6)
+        for name, solve in (("kdm", solve_kdm), ("xkc", solve_xkc)):
+            one, four, eight = (solve(H, SieveConfig(seed=seed, threads=threads))
+                                for threads in (1, 4, 8))
+            key = (one.answer, one.probes, one.attempts, one.reason)
+            assert (four.answer, four.probes, four.attempts, four.reason) == key
+            assert (eight.answer, eight.probes, eight.attempts, eight.reason) == key
+            seen[f"{name} {one.answer}"] += 1
+    assert min(seen.values()) >= 5, seen
+    _ok(11, "solve_kdm and solve_xkc decide 50 instances alike at 1, 4 and 8 workers, "
+            "starting no thread")
 
 
 def test_criterion_12_field_axioms_and_independent_product():

@@ -104,8 +104,7 @@ def test_committed_sieve_totals(monkeypatch):
     triples = run.sieve_triples({"hypergraph": hypergraph})
     assert sorted(name for name, *_ in triples) == sorted(committed)
     for name, H, u, weights in triples:
-        for threads in (1, 3):
-            assert f"{solver.sieve_decide(H, u, weights, gf, threads):#x}" == committed[name]
+        assert f"{solver.sieve_decide(H, u, weights, gf):#x}" == committed[name]
     kernels = []
     inner = solver._sweep_kdm
 
@@ -117,7 +116,5 @@ def test_committed_sieve_totals(monkeypatch):
     _, H, u, weights = next(t for t in triples if t[0] == "kdm15")
     blocks = [tuple(range(0, 5)), tuple(range(5, 10)), tuple(range(10, 15))]
     partitioned = Hypergraph(H.n, H.k, H.edges, blocks)
-    for threads in (1, 3):
-        kernels.clear()
-        assert f"{solver.sieve_decide(partitioned, u, weights, gf, threads):#x}" == committed["kdm15"]
-        assert kernels and set(kernels) == {5}
+    assert f"{solver.sieve_decide(partitioned, u, weights, gf):#x}" == committed["kdm15"]
+    assert kernels and set(kernels) == {5}

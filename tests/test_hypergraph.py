@@ -73,6 +73,13 @@ def test_validate_flags_bad_shape():
         _h(-1, 3, [])
 
 
+def test_construction_refuses_a_bool_n_or_k():
+    for n, k in ((True, 2), (False, 2), (4, True)):
+        with pytest.raises(ValueError) as exc:
+            Hypergraph(n, k, [])
+        assert str(exc.value) == "shape: n and k must be integers"
+
+
 def test_construction_sorts_and_raises_the_validate_message():
     H = Hypergraph(3, 3, [[2, 0, 1]], [[1], [0], [2]])
     assert H.edges == [(0, 1, 2)] and H.partition == [(1,), (0,), (2,)]
@@ -250,6 +257,14 @@ def test_parse_rejects_malformed():
         parse('[1,2,3]')
     with pytest.raises(ParseError):
         parse('{"k":"3","n":6,"edges":[]}')
+
+
+def test_parse_refuses_a_bool_or_string_n_or_k_with_the_shape_message():
+    for doc in ('{"k":3,"n":true,"edges":[]}', '{"k":true,"n":2,"edges":[]}',
+                '{"k":"3","n":6,"edges":[]}', '{"k":3,"n":6.0,"edges":[]}'):
+        with pytest.raises(ParseError) as exc:
+            parse(doc)
+        assert str(exc.value) == "shape: n and k must be integers", doc
 
 
 def test_parse_rejects_deep_nesting():

@@ -1,7 +1,6 @@
 """The sieve against explicit enumeration, plus both end-to-end solvers."""
 
 import random
-import sys
 from bisect import bisect_left
 from collections import Counter
 from functools import reduce
@@ -188,19 +187,6 @@ def test_sieve_probe_count(monkeypatch):
     assert skipped >= 100
 
 
-def test_parallel_sieve_is_bit_identical():
-    rng = random.Random(4)
-    for _ in range(10):
-        n = rng.choice([6, 9])
-        H0 = rand_instance(rng, 3, n, 9, min_edges=1)
-        u = sorted(rng.sample(range(n), 3))
-        H = filtered_for(H0, u)
-        w = [GF64.sample(rng) for _ in H.edges]
-        serial = sieve_decide(H, u, w, GF64)
-        for threads in (1, 2, 4, 8, 64):
-            assert sieve_decide(H, u, w, GF64, threads) == serial
-
-
 def _code_order(rest, masks):
     """The vertices of `rest` in the walks' code order: bit i of a code
     puts the i-th in X.  Fewest edges (vertex bitmasks `masks`) first,
@@ -217,9 +203,8 @@ def _in_code_order(rest, masks):
 def test_sweep_filters_each_avoided_set_once(monkeypatch):
     # against the brute-force walk model: each sieve walks once, yields
     # its passing X once each, in increasing code order, and only those
-    # reach the filter, once each; one thread filters each X as the walk
-    # yields it, more are dealt the walked X, and every count gives one
-    # total; the X never yielded have probe values that XOR to zero
+    # reach the filter, once each, as the walk yields them; the X never
+    # yielded have probe values that XOR to zero
     walks, events = [], []
     inner_walk, inner_restrict = solver_mod._walk, solver_mod.restrict_avoiding
 
@@ -245,17 +230,11 @@ def test_sweep_filters_each_avoided_set_once(monkeypatch):
         walk = _in_code_order(rest, H.edge_masks)
         expect = [walk[c] for c in _walk_model(rest, H.edge_masks, _families(H, u))[0]]
         assert len(expect) < len(walk)
-        totals = set()
-        for threads in (1, 3, 64):
-            walks.clear()
-            events.clear()
-            totals.add(sieve_decide(H, u, w, GF64, threads))
-            assert len(walks) == 1 or not expect and not walks  # no walk: the root has no family
-            assert [x for kind, x in events if kind == "yield"] == expect
-            assert sorted(x for kind, x in events if kind == "filter") == sorted(expect)
-            if threads == 1:    # the walk itself, never listed
-                assert events == [(kind, x) for x in expect for kind in ("yield", "filter")]
-        assert len(totals) == 1
+        walks.clear()
+        events.clear()
+        sieve_decide(H, u, w, GF64)
+        assert len(walks) == 1 or not expect and not walks  # no walk: the root has no family
+        assert events == [(kind, x) for x in expect for kind in ("yield", "filter")]  # never listed
         values = [cover_weight_brute(H, u, [v for v in rest if x >> v & 1], w, GF64)
                   for x in set(walk) - set(expect)]
         assert reduce(xor, values, 0) == 0
@@ -425,11 +404,10 @@ def test_relabelling_v_minus_u_keeps_totals_and_answers():
         w = [gf.sample(rng) for _ in H.edges]
         total = sieve_decide(H, u, w, gf)
         solve = solve_kdm if kdm else solve_xkc
-        for threads in (1, 3):
-            assert sieve_decide(G, u, w, gf, threads) == total, (rep, threads)
-            cfg = SieveConfig(m=gf.m, seed=rep, threads=threads)
-            before, after = solve(H0, cfg), solve(G0, cfg)
-            assert before.answer == after.answer, (rep, threads)
+        assert sieve_decide(G, u, w, gf) == total, rep
+        cfg = SieveConfig(m=gf.m, seed=rep)
+        before, after = solve(H0, cfg), solve(G0, cfg)
+        assert before.answer == after.answer, rep
         seen["nonzero"] += bool(total)
         seen[before.answer] += 1
     assert min(seen.values()) >= 5, seen
@@ -522,7 +500,7 @@ def test_skipped_subtrees_cancel():
                 total = reduce(xor, (probe[c] for c in yielded), 0)
                 u = [*H.partition[0], *H.partition[1]]
                 assert gf.mul(total, total) == covers_weight_sum(H, u, w, gf)
-                walk = solver_mod._matchable_probes(entries, b, rest)
+                walk = list(solver_mod._matchable_probes(entries, b, rest))
                 assert walk == [xs[c] for c in yielded], (k, n)
                 seen[f"k = {k} pruned"] += len(pruned)
                 seen["nonzero"] += bool(total)
@@ -547,9 +525,10 @@ def test_walk_is_output_sensitive(monkeypatch):
     handed = []                 # (b, the X list) of each sweep
     inner_sweep = solver_mod._sweep_kdm
 
-    def sweeping(entries, b, weights, gf, xs, *args):
-        handed.append((b, list(xs)))
-        return inner_sweep(entries, b, weights, gf, xs, *args)
+    def sweeping(entries, b, weights, gf, xs):
+        xs = list(xs)           # runs the walk, which the sweep drives
+        handed.append((b, xs))
+        return inner_sweep(entries, b, weights, gf, xs)
 
     monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
     rng = random.Random(21)
@@ -640,161 +619,6 @@ def test_worker_count_below_one_is_rejected():
     for threads in (0, -3):
         with pytest.raises(ValueError, match="threads"):
             SieveConfig(threads=threads)
-    H = Hypergraph(6, 3, [(0, 1, 2), (3, 4, 5)])
-    with pytest.raises(ValueError, match="threads"):
-        sieve_decide(H, [0, 3], [1, 2], GF64, 0)
-    # sieves that end at 0 before any probe check it too: a root support
-    # with no perfect matching, and U too large for any family
-    kdm = Hypergraph(6, 3, [(0, 2, 4)], [(0, 1), (2, 3), (4, 5)])
-    assert sieve_decide(kdm, [0, 1, 2, 3], [1], GF64) == 0
-    with pytest.raises(ValueError, match="threads"):
-        sieve_decide(kdm, [0, 1, 2, 3], [1], GF64, 0)
-    wide = Hypergraph(6, 3, [(0, 1, 2), (2, 3, 4)])
-    assert sieve_decide(wide, [0, 1, 3, 4, 5], [1, 2], GF64) == 0
-    with pytest.raises(ValueError, match="threads"):
-        sieve_decide(wide, [0, 1, 3, 4, 5], [1, 2], GF64, 0)
-
-
-def _inline_pool(log):
-    """A stand-in for ThreadPoolExecutor that runs each mapped call
-    inline, so any worker count is checked without starting a thread;
-    each map appends (max_workers, its argument tuples) to log."""
-    class InlinePool:
-        def __init__(self, max_workers):
-            self.size = max_workers
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            log.append((self.size, list(zip(*iterables))))
-            return [fn(*args) for args in log[-1][1]]
-
-    return InlinePool
-
-
-def test_worker_pool_is_capped_at_cpu_count(monkeypatch):
-    # every count walks once and deals the walked X round robin to
-    # min(threads, len, cpu_count) workers, one map call each; the
-    # stand-in pool runs worker i's share whole before worker i + 1's
-    log, walks, filtered = [], [], []
-    inner_walk, inner_restrict = solver_mod._walk, solver_mod.restrict_avoiding
-
-    def walking(*args):
-        walks.append(args)
-        return inner_walk(*args)
-
-    def recording(view, H, x_mask):
-        filtered.append(x_mask)
-        return inner_restrict(view, H, x_mask)
-
-    monkeypatch.setattr(solver_mod, "ThreadPoolExecutor", _inline_pool(log))
-    monkeypatch.setattr(solver_mod.os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(solver_mod, "_walk", walking)
-    monkeypatch.setattr(solver_mod, "restrict_avoiding", recording)
-    rng = random.Random(12)
-    u = [0, 1, 4]
-    H = filtered_for(generate(rng, 3, 9, 6, plant=True), u)
-    w = [GF64.sample(rng) for _ in H.edges]
-    serial = sieve_decide(H, u, w, GF64)
-    whole = list(filtered)
-    assert len(whole) == 4 and len(walks) == 1 and not log
-    for threads in (2, 4, 64, 100_000):
-        walks.clear()
-        filtered.clear()
-        assert sieve_decide(H, u, w, GF64, threads) == serial
-        parts = min(threads, 3)
-        assert len(walks) == 1 and log[-1] == (parts, [(i,) for i in range(parts)])
-        assert filtered == [x for i in range(parts) for x in whole[i::parts]]
-    assert len(log) == 4
-    # kdm deals the X list its walk kept, one X a worker here
-    kdm = generate(random.Random(24), 3, 12, 8, plant=True, kdm=True)
-    entries, b, rest, _, _ = _kdm_case(_filtered(kdm))
-    xs = solver_mod._matchable_probes(entries, b, rest)
-    d = solve_kdm(kdm, SieveConfig(seed=1, threads=100_000))
-    assert d.yes and d.probes == 16 and len(xs) == 3
-    assert log[-1] == (3, [(0,), (1,), (2,)])
-
-
-def test_threads_share_one_kdm_set_up(monkeypatch):
-    # the kdm sieve walks once and deals only the walked X to the
-    # workers, each X's determinant to one of them: at every thread count
-    # each walked X's live grid is computed exactly once
-    log, calls = [], []
-    inner_det = solver_mod.determinant
-
-    def computing(rows, gf):
-        calls.append(_canon(rows))
-        return inner_det(rows, gf)
-
-    monkeypatch.setattr(solver_mod, "determinant", computing)
-    monkeypatch.setattr(solver_mod, "ThreadPoolExecutor", _inline_pool(log))
-    monkeypatch.setattr(solver_mod.os, "cpu_count", lambda: 4)
-    rng = random.Random(33)
-    seen = {"dealt": 0, "determinants": 0}
-    for rep in range(12):
-        gf = (GF8, GF64)[rep % 2]
-        k, n = rng.choice([(3, 21), (4, 16), (4, 20)])
-        H = generate(rng, k, n, n, plant=True, kdm=True)  # n edges: long X lists
-        w = [gf.sample(rng) for _ in H.edges]
-        u = [*H.partition[0], *H.partition[1]]
-        entries, b, rest, _, _ = _kdm_case(H)
-        xs = solver_mod._matchable_probes(entries, b, rest)
-        grids = _grid_inputs(entries, b, w, xs)
-        calls.clear()
-        log.clear()
-        total = sieve_decide(H, u, w, gf)
-        assert Counter(calls) == grids and not log, rep
-        for threads in (2, 3, 100_000):
-            calls.clear()
-            log.clear()
-            assert sieve_decide(H, u, w, gf, threads) == total
-            assert Counter(calls) == grids, (rep, threads)
-            parts = min(threads, len(xs), 4)
-            assert log == ([(parts, [(i,) for i in range(parts)])] if parts > 1 else [])
-            seen["dealt"] += parts > 1
-        seen["determinants"] += len(xs)
-    assert seen["dealt"] >= 24 and seen["determinants"] >= 60, seen
-
-
-def test_racing_workers_compute_each_x_once(monkeypatch):
-    # real threads, more than the cores, switching every microsecond: the
-    # workers share nothing they write, so each walked X's live grid is
-    # computed exactly once, and the total holds
-    calls = []
-    inner_det = solver_mod.determinant
-
-    def computing(rows, gf):
-        calls.append(_canon(rows))
-        return inner_det(rows, gf)
-
-    monkeypatch.setattr(solver_mod, "determinant", computing)
-    monkeypatch.setattr(solver_mod.os, "cpu_count", lambda: 8)
-    rng = random.Random(34)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for rep in range(6):
-            gf = (GF8, GF64)[rep % 2]
-            H = generate(rng, 4, 20, 20, plant=True, kdm=True)
-            w = [gf.sample(rng) for _ in H.edges]
-            u = [*H.partition[0], *H.partition[1]]
-            entries, b, rest, _, _ = _kdm_case(H)
-            xs = solver_mod._matchable_probes(entries, b, rest)
-            assert len(xs) > 1, rep  # so two workers or more race
-            grids = _grid_inputs(entries, b, w, xs)
-            calls.clear()
-            total = sieve_decide(H, u, w, gf)
-            assert Counter(calls) == grids, rep
-            for _ in range(3):
-                calls.clear()
-                assert sieve_decide(H, u, w, gf, 8) == total, rep
-                assert Counter(calls) == grids, rep
-    finally:
-        sys.setswitchinterval(interval)
 
 
 def test_solve_kdm_planted_yes():
@@ -921,9 +745,10 @@ def test_solve_kdm_walks_blocks_0_and_1_once(monkeypatch):
         events.append(("walk", rest))
         return inner_walk(rest, *args)
 
-    def sweeping(entries, b, weights, gf, xs, threads):
-        events.append(("sweep", list(xs)))
-        return inner_sweep(entries, b, weights, gf, xs, threads)
+    def sweeping(entries, b, weights, gf, xs):
+        xs = list(xs)           # runs the walk, which the sweep drives
+        events.append(("sweep", xs))
+        return inner_sweep(entries, b, weights, gf, xs)
 
     monkeypatch.setattr(solver_mod, "_walk", walking)
     monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
@@ -949,12 +774,12 @@ def test_solve_kdm_walks_blocks_0_and_1_once(monkeypatch):
 def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
     # solve_kdm's determinant calls against the brute-force live grids,
     # at the weights the solver draws (one per edge, in edge order): each
-    # call gets {col: value} rows, and at 1 to 3 threads the calls are
-    # exactly the live grid of each swept component (one of more than one
-    # edge) at each X its walk kept, once each.  The one-X sweep of the
-    # whole filtered instance is its live grid's determinant, and each
-    # solve's product of its component totals (one sieve_decide per swept
-    # component) agrees for 1 to 3 threads
+    # call gets {col: value} rows, and the calls are exactly the live grid
+    # of each swept component (one of more than one edge) at each X its
+    # walk kept, once each.  The one-X sweep of the whole filtered
+    # instance is its live grid's determinant, and each solve's product of
+    # its component totals (one sieve_decide per swept component) times
+    # the squared one-edge weights is the cover sum
     calls, totals = [], []
     seen = {"determinants": 0, "nonzero": 0}
     inner_det, inner_total = solver_mod.determinant, solver_mod.sieve_decide
@@ -991,21 +816,17 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
         for ids, C in edge_components(H, kept):
             if len(ids) > 1:
                 entries, b, rest, _, _ = _kdm_case(C)
-                xs = solver_mod._matchable_probes(entries, b, rest)
+                xs = list(solver_mod._matchable_probes(entries, b, rest))
                 inputs += _grid_inputs(entries, b, [w[e] for e in ids], xs)
         singles = [w[ids[0]] for ids, _ in edge_components(H, kept) if len(ids) == 1]
-        products = []
-        for threads in (1, 2, 3):
-            calls.clear()
-            totals.clear()
-            d = solve_kdm(H, SieveConfig(m=gf.m, seed=seed, threads=threads))
-            assert Counter(calls) == inputs, (rep, threads)
-            seen["determinants"] += len(calls)
-            products.append(reduce(gf.mul, totals, 1))
-            assert d.yes == all(totals)
-        assert products[0] == products[1] == products[2]
+        calls.clear()
+        totals.clear()
+        d = solve_kdm(H, SieveConfig(m=gf.m, seed=seed))
+        assert Counter(calls) == inputs, rep
+        seen["determinants"] += len(calls)
+        assert d.yes == all(totals)
         u = [*H.partition[0], *H.partition[1]]
-        whole = reduce(gf.mul, (gf.mul(x, x) for x in singles), products[0])
+        whole = reduce(gf.mul, (gf.mul(x, x) for x in singles), reduce(gf.mul, totals, 1))
         assert whole == covers_weight_sum(H, u, w, gf)
         seen["nonzero"] += bool(whole)
     assert min(seen.values()) >= 6, seen
@@ -1235,13 +1056,12 @@ def test_bipartite_and_general_probes_agree(monkeypatch):
         u = [*H.partition[0], *H.partition[1]]
         w = [gf.sample(rng) for _ in H.edges]
         expect = covers_weight_sum(H, u, w, gf)
-        for threads in (1, 3):
-            kernels.clear()
-            assert sieve_decide(H, u, w, gf, threads) == expect
-            assert set(kernels) == {"_sweep_kdm"}
-            kernels.clear()
-            assert sieve_decide(Hypergraph(H.n, H.k, H.edges), u, w, gf, threads) == expect
-            assert set(kernels) == {"_live_probes"}
+        kernels.clear()
+        assert sieve_decide(H, u, w, gf) == expect
+        assert set(kernels) == {"_sweep_kdm"}
+        kernels.clear()
+        assert sieve_decide(Hypergraph(H.n, H.k, H.edges), u, w, gf) == expect
+        assert set(kernels) == {"_live_probes"}
         nonzero += bool(expect)
     assert nonzero >= 10
 
@@ -1277,7 +1097,7 @@ def test_general_and_bipartite_kernels_walk_the_same_x(monkeypatch):
             walked.clear()
             total = sieve_decide(Hypergraph(n, k, H.edges), u, w, gf)
             entries = solver_mod._bipartite_entries(H, p[i], p[j])
-            expect = solver_mod._matchable_probes(entries, b, rest)
+            expect = list(solver_mod._matchable_probes(entries, b, rest))
             assert walked == [expect], (k, n, i, j)
             seen["yielded"] += len(expect)
             seen["pruned"] += (1 << rest.bit_count()) - len(expect)
@@ -1326,7 +1146,7 @@ def test_bipartite_kernel_matches_cover_sum_at_every_split():
                                  (dense, [gf.sample(rng) for _ in dense.edges])):
                         u = [*H.partition[0], *H.partition[1]]
                         entries, b, rest, _, _ = _kdm_case(H)
-                        xs = solver_mod._matchable_probes(entries, b, rest)
+                        xs = list(solver_mod._matchable_probes(entries, b, rest))
                         whole = solver_mod._sweep_kdm(entries, b, w, gf, xs)
                         assert gf.mul(whole, whole) == covers_weight_sum(H, u, w, gf)
                         for cut in range(len(xs) + 1):
@@ -1461,7 +1281,7 @@ def test_matchable_probes_yield_exactly_the_matchable_sets(monkeypatch):
                 mat = _live_grid(entries, b, w, xs[c])[1]
                 expect.append((xs[c], mat))
                 seen["cancelled"] += not _matchable(_pattern(mat))
-            walked = solver_mod._matchable_probes(entries, b, rest)
+            walked = list(solver_mod._matchable_probes(entries, b, rest))
             assert walked == [x for x, _ in expect]
             if _matchable(_live_grid(entries, b, w, 0)[0]):
                 seen["root matchings"] += 1
@@ -1500,12 +1320,12 @@ def test_matching_check_skips_exactly_the_unmatchable_probes(monkeypatch):
     inner_walk, inner_sweep = solver_mod._matchable_probes, solver_mod._sweep_kdm
 
     def walking(*args):
-        walked.append(inner_walk(*args))
+        walked.append(list(inner_walk(*args)))
         return walked[-1]
 
-    def sweeping(entries, b, weights, gf, xs, threads):
+    def sweeping(entries, b, weights, gf, xs):
         swept.extend(xs)
-        return inner_sweep(entries, b, weights, gf, xs, threads)
+        return inner_sweep(entries, b, weights, gf, xs)
 
     monkeypatch.setattr(solver_mod, "_matchable_probes", walking)
     monkeypatch.setattr(solver_mod, "_sweep_kdm", sweeping)
