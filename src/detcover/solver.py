@@ -24,13 +24,15 @@ instance again.  solve_xkc knows no partition.  Each attempt samples U
 of size round(t*n) (t from the exponent optimizer), keeps the edges
 meeting it at most twice (no cover edge meets it more often when U is
 good) as H.keep(ids), draws one weight per kept edge and calls
-sieve_decide; a nonzero sum ends the run with yes, and the attempt
-budget is ceil(ln(1/eps)/p).  solve_kdm takes U as partition blocks 0
-and 1, which every edge meets exactly twice, so one attempt of
-nominally 2^(n(k-2)/k) probes decides the instance.  Answers are one
-sided: yes is always backed by a nonzero certificate, or by a cover in
-hand.  An instance with a vertex in no edge has no cover, so both
-answer it no before any attempt.
+sieve_decide, unless _refuted proves that the kept edges hold no exact
+cover, so that the sum is zero at any weights; a refuted attempt still
+draws its U and weights and counts as an attempt.  A nonzero sum ends
+the run with yes, and the attempt budget is ceil(ln(1/eps)/p).
+solve_kdm takes U as partition blocks 0 and 1, which every edge meets
+exactly twice, so one attempt of nominally 2^(n(k-2)/k) probes decides
+the instance.  Answers are one sided: yes is always backed by a nonzero
+certificate, or by a cover in hand.  An instance with a vertex in no
+edge has no cover, so both answer it no before any attempt.
 
 Every exact cover projects to a perfect matching of every pair of
 blocks, so solve_kdm first drops each edge whose cell lies in no
@@ -558,6 +560,52 @@ def _components(masks) -> list[list[int]]:
     return [sorted(ids) for _, ids in parts]
 
 
+def _refuted(masks, n, k) -> bool:
+    """True when the edges with vertex bitmasks `masks` provably hold no
+    exact cover of the vertices 0..n-1; False says nothing.  Edge sets
+    are bitmasks of edge ids: through[v] holds the edges through vertex
+    v, meets[i] those that meet edge i.  Run to a fixpoint: a vertex in
+    no live edge refutes; a live edge that misses v but meets every live
+    edge through v lies in no cover, since the cover's edge through v
+    would meet it (the clash rule of Knuth's exact-cover preprocessor,
+    TAOCP 7.2.2.1).  With one live edge through v, that edge is forced
+    (as in Knuth's Algorithm X) and the rule drops every edge meeting
+    it.  Then a connected component of the live edges whose vertex count
+    is not a multiple of k refutes."""
+    through = [0] * n
+    for i, mk in enumerate(masks):
+        while mk:
+            low = mk & -mk
+            mk ^= low
+            through[low.bit_length() - 1] |= 1 << i
+    meets = []
+    for mk in masks:
+        near = 0
+        while mk:
+            low = mk & -mk
+            mk ^= low
+            near |= through[low.bit_length() - 1]
+        meets.append(near)
+    live = (1 << len(masks)) - 1
+    dropped = True
+    while dropped:
+        dropped = False
+        for t in through:
+            t &= live
+            if not t:
+                return True
+            clash = live & ~t   # the live edges outside t that meet every edge of t
+            while t and clash:
+                low = t & -t
+                t ^= low
+                clash &= meets[low.bit_length() - 1]
+            if clash:
+                live ^= clash
+                dropped = True
+    kept = [mk for i, mk in enumerate(masks) if live >> i & 1]
+    return any(reduce(or_, (kept[i] for i in part)).bit_count() % k for part in _components(kept))
+
+
 def _component(H: Hypergraph, ids) -> Hypergraph:
     """The instance of H's edges `ids` on the vertices they hold,
     relabelled 0.. in increasing order, with each partition block cut to
@@ -618,7 +666,8 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
         u_mask = sum(1 << v for v in u_vertices)
         ids = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
         weights = [gf.sample(rng) for _ in ids]
-        if sieve_decide(H.keep(ids), u_vertices, weights, gf):
+        sub = H.keep(ids)
+        if not _refuted(sub.edge_masks, n, k) and sieve_decide(sub, u_vertices, weights, gf):
             answer = "yes"
             break
     return Decision(answer, attempt << (n - tn), attempt, time.perf_counter() - t0,

@@ -1428,3 +1428,93 @@ def test_solver_soundness_small_mix():
             assert covers >= 1
         if covers == 0:
             assert d.answer == "no"
+
+
+def _masks(edges):
+    return [sum(1 << v for v in e) for e in edges]
+
+
+def test_refuted_never_refutes_an_instance_with_a_cover():
+    rng = random.Random(34)
+    covered = Counter()         # (has a cover, refuted) over instances with no bare vertex
+    for _ in range(600):
+        k = rng.choice([2, 3, 4])
+        n = k * rng.randint(1, 4)
+        H = rand_instance(rng, k, n, 2 * n, plant_prob=0.3, min_edges=n // k)
+        edges = H.edges + [rng.choice(H.edges) for _ in range(rng.randint(0, 3))]
+        H = Hypergraph(n, k, edges)  # repeated edges included
+        covers = dlx_count(H)
+        fires = solver_mod._refuted(H.edge_masks, n, k)
+        assert not (fires and covers), H.edges
+        if reduce(or_, H.edge_masks) == (1 << n) - 1:
+            covered[bool(covers), fires] += 1
+    # _refuted settles at least four of five no-instances with no bare vertex
+    assert covered[True, False] >= 200
+    assert covered[False, True] >= 50 and covered[False, True] >= 4 * covered[False, False]
+
+
+def test_refuted_rules():
+    refuted = solver_mod._refuted
+    # vertex 5 lies in no edge
+    assert refuted(_masks([(0, 1, 2), (2, 3, 4)]), 6, 3)
+    # clash: every vertex lies in two edges and no edge is forced, but
+    # (1, 3, 5) and (2, 4, 5) meet both edges through vertex 0, so
+    # neither lies in a cover, and vertex 5 is left in no edge
+    assert refuted(_masks([(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]), 6, 3)
+    # forced chain: (0, 1) is forced and kills (1, 2); only then is (2, 3)
+    # forced, which kills both edges through vertex 4
+    assert refuted(_masks([(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]), 6, 2)
+    # two 5-cycles: no rule drops an edge, and each component holds 5
+    # vertices, not a multiple of k = 2
+    cycles = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    assert refuted(_masks(cycles), 10, 2)
+    # the rows and columns of a 3 x 3 grid: two covers, nothing refuted
+    grid = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8)]
+    assert not refuted(_masks(grid), 9, 3)
+
+
+def test_refutation_never_changes_a_decision(monkeypatch):
+    # a refuted attempt still draws its U and weights, so every later
+    # attempt sees the same random stream as with the refutation off
+    def decisions():
+        rng = random.Random(35)
+        out = []
+        for _ in range(200):
+            k = rng.choice([2, 3, 3, 4])
+            n = k * rng.randint(2, 3)
+            H = rand_instance(rng, k, n, 2 * n, plant_prob=0.5, min_edges=n)
+            for m in (8, 64):
+                d = solve_xkc(H, SieveConfig(m=m, seed=rng.randrange(10 ** 6)))
+                out.append((d.answer, d.probes, d.attempts, d.max_attempts, d.reason))
+        return out
+
+    refuted = solver_mod._refuted
+    fired = Counter()
+
+    def counted(*args):
+        fires = refuted(*args)
+        fired[fires] += 1
+        return fires
+
+    monkeypatch.setattr(solver_mod, "_refuted", counted)
+    shipped = decisions()
+    monkeypatch.setattr(solver_mod, "_refuted", lambda *args: False)
+    assert decisions() == shipped
+    assert fired[True] >= 500 and fired[False] >= 100  # both kinds of attempt ran
+    assert Counter(d[0] for d in shipped)["yes"] >= 200
+
+
+def test_refuted_attempts_are_not_swept(monkeypatch):
+    # vertex 4 forces (4, 5, 6), which kills (6, 7, 8) and leaves vertex
+    # 7 bare; every attempt's kept edges are refuted, so none is swept
+    H = Hypergraph(9, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (4, 5, 6), (6, 7, 8)])
+
+    def sweep(*args):
+        raise AssertionError("sieve_decide called on a refuted attempt")
+
+    monkeypatch.setattr(solver_mod, "sieve_decide", sweep)
+    for seed in range(5):
+        d = solve_xkc(H, SieveConfig(seed=seed))
+        assert (d.answer, d.reason) == ("no", None)
+        assert d.attempts == d.max_attempts == 22  # the full budget is spent
+        assert d.probes == d.attempts << (H.n - solver_mod.u_size(H, False))
