@@ -25,7 +25,6 @@ edges meeting X by their vertex bitmasks.
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 import random
@@ -40,8 +39,7 @@ class ParseError(ValueError):
 class Hypergraph:
     """A well-formed instance in canonical form: construction validates
     it, then sorts each edge and each partition block into a tuple.  It
-    is not mutated afterwards (edge_masks caches the edges); keep()
-    builds a sub-instance without checking it again."""
+    is not mutated afterwards (edge_masks caches the edges)."""
 
     n: int
     k: int
@@ -58,14 +56,6 @@ class Hypergraph:
     def edge_masks(self) -> list[int]:
         """Per-edge vertex bitmask; bit v set iff vertex v is in the edge."""
         return [_mask(e) for e in self.edges]
-
-    def keep(self, ids) -> Hypergraph:
-        """The instance of the edges `ids` with the same vertices, partition
-        and masks; a multiset of valid edges is valid, so it is not checked."""
-        sub = copy.copy(self)
-        sub.edges = [self.edges[i] for i in ids]
-        sub.edge_masks = [self.edge_masks[i] for i in ids]
-        return sub
 
 
 def _mask(vertices) -> int:

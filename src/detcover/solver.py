@@ -23,40 +23,35 @@ A Hypergraph validates itself when built, so neither solver checks its
 instance again.  solve_xkc knows no partition.  Each attempt samples U
 of size round(t*n) (t from the exponent optimizer), keeps the edges
 meeting it at most twice (no cover edge meets it more often when U is
-good) as H.keep(ids), draws one weight per kept edge and calls
-sieve_decide, unless _refuted proves that the kept edges hold no exact
-cover, so that the sum is zero at any weights; a refuted attempt still
-draws its U and weights and counts as an attempt.  A nonzero sum ends
-the run with yes, and the attempt budget is ceil(ln(1/eps)/p).
-solve_kdm takes U as partition blocks 0 and 1, which every edge meets
-exactly twice, so one attempt of nominally 2^(n(k-2)/k) probes decides
-the instance.  Answers are one sided: yes is always backed by a nonzero
-certificate, or by a cover in hand.  An instance with a vertex in no
-edge has no cover, so both answer it no before any attempt.
+good), draws one weight per kept edge and sieves those edges (below).
+A nonzero sum ends the run with yes, and the attempt budget is
+ceil(ln(1/eps)/p).  solve_kdm takes U as partition blocks 0 and 1,
+which every edge meets exactly twice, draws one weight per edge and
+sieves every edge once: one attempt of nominally 2^(n(k-2)/k) probes
+decides the instance.  Answers are one sided: yes is always backed by
+a nonzero certificate, or by a cover in hand.  An instance with a
+vertex in no edge has no cover, so both answer it no before any
+attempt.
 
-Every exact cover projects to a perfect matching of every pair of
-blocks, so solve_kdm first drops each edge whose cell lies in no
-perfect matching of some pair's support: such an edge is in no cover
-and adds nothing to the total.  _matching_filter applies the bipartite
-kernel's Dulmage-Mendelsohn test (below) to each pair in turn, and
-cycles through the pairs until every pair in a row drops nothing
-(Regin's AllDifferent filtering).  A pair left with no perfect matching
-answers no, with its blocks as the reason, before any sweep.
-
-The kept edges then split into connected components, two edges joined
-when they share a vertex.  Every cover is one cover per component, so
-the sieve total is the product of the components' totals, and a
-component of n_i vertices costs 2^((k-2)n_i/k) probes on its own.  Each
-component's blocks are equal in size: a component's cells form whole
-components of every pair's support, and a perfect matching of that
-support matches them among themselves.  A one-edge component is its own
-cover and is not swept (its total would be w^2).  Each larger one is
-relabelled 0.. in vertex order, with its partition blocks, and sieved
-on its blocks 0 and 1 at the weights of its edges: one weight is drawn
-per edge of the instance, in edge order.  The answer is yes iff every
-swept component's total is nonzero; the first zero answers no.  When
-every component is one edge, the kept edges are one exact cover and
-no sweep runs.
+Both solvers sieve through _sieve, one reduction and then the sweeps.
+The sieve adds up exact covers alone, so dropping an edge that lies in
+no cover is exact.  _reduced drops such edges by the clash rule of
+Knuth's exact-cover preprocessor, run to a fixpoint: an edge that
+misses a vertex v but meets every edge through v is in no cover.  A
+vertex left in no edge answers no.  The kept edges then split into
+connected components, two edges joined when they share a vertex.
+Every cover is one cover per component, so the sieve total is the
+product of the components' totals, and a component of n_i vertices, u_i
+of them in U, costs 2^(n_i - u_i) probes on its own.  A component whose
+vertex count is not a multiple of k, or whose partition blocks differ
+in size, holds no cover and answers no.  A one-edge component is its
+own cover and is not swept (its total would be a power of its weight).
+Each larger one is relabelled 0.. in vertex order, with its partition
+blocks and its part of U, and sieved at the weights of its edges; for
+kdm that part of U is the component's blocks 0 and 1, so it gets the
+bipartite probe.  The answer is yes iff every swept component's total
+is nonzero; the first zero answers no.  When every component is one
+edge, the kept edges are one exact cover and no sweep runs.
 
 X is named by a code whose bit i puts the i-th vertex of V - U in X,
 counting from the vertex in the fewest edges (equal counts by label).
@@ -93,7 +88,6 @@ import random
 import time
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, cycle
 from operator import or_, xor
 
 from .gf2m import GF2m, field_for
@@ -504,41 +498,6 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m) -> int:
                         for x in xs), 0)
 
 
-def _matching_filter(H: Hypergraph):
-    """(the ids of the edges that stay, in edge order, None), or (None,
-    (i, j)) when those edges hold no perfect matching of blocks i and j
-    (see the module docstring).  For each pair of blocks in turn,
-    an edge stays iff its cell lies in a perfect matching of the pair's
-    support, that is iff its column reaches the column matched to its row
-    (_reach; a matched cell reaches itself).  The pairs take turns
-    until every pair in a row removes nothing: Regin's AllDifferent
-    filtering (AAAI 1994), run to its fixpoint.  A pair that removes
-    edges counts as the first quiet pair of the next row, since a second
-    pass would remove nothing: each cell left lies in a perfect matching
-    that the removal kept."""
-    b = H.n // H.k
-    place = {v: (t, pos) for t, block in enumerate(H.partition) for pos, v in enumerate(block)}
-    # at[e][t]: the position in block t of edge e's vertex there (an edge meets each block once)
-    at = [[pos for _, pos in sorted(map(place.get, edge))] for edge in H.edges]
-    keep = list(range(len(H.edges)))
-    pairs = list(combinations(range(H.k), 2))
-    quiet = 0                   # pairs in a row, ending here, that would remove nothing now
-    for i, j in cycle(pairs):
-        support = [0] * b
-        for e in keep:
-            support[at[e][i]] |= 1 << at[e][j]
-        matching = _perfect_matching(support)
-        if matching is None:
-            return None, (i, j)
-        row_of, col_of = matching
-        reach = [_reach(support, row_of, c) for c in range(b)]
-        before = len(keep)
-        keep = [e for e in keep if reach[at[e][j]] >> col_of[at[e][i]] & 1]
-        quiet = 1 if len(keep) < before else quiet + 1
-        if quiet == len(pairs):
-            return keep, None
-
-
 def _components(masks) -> list[list[int]]:
     """The connected components of the edges whose vertex bitmasks are
     `masks`, two edges joined when they share a vertex: each a list of
@@ -560,18 +519,17 @@ def _components(masks) -> list[list[int]]:
     return [sorted(ids) for _, ids in parts]
 
 
-def _refuted(masks, n, k) -> bool:
-    """True when the edges with vertex bitmasks `masks` provably hold no
-    exact cover of the vertices 0..n-1; False says nothing.  Edge sets
-    are bitmasks of edge ids: through[v] holds the edges through vertex
-    v, meets[i] those that meet edge i.  Run to a fixpoint: a vertex in
-    no live edge refutes; a live edge that misses v but meets every live
-    edge through v lies in no cover, since the cover's edge through v
-    would meet it (the clash rule of Knuth's exact-cover preprocessor,
-    TAOCP 7.2.2.1).  With one live edge through v, that edge is forced
-    (as in Knuth's Algorithm X) and the rule drops every edge meeting
-    it.  Then a connected component of the live edges whose vertex count
-    is not a multiple of k refutes."""
+def _reduced(masks, n) -> list[int] | None:
+    """The indices, increasing, of the edges with vertex bitmasks `masks`
+    that the clash rule keeps, or None when it leaves a vertex of 0..n-1
+    in no edge; every edge of every exact cover is kept.  Edge sets are
+    bitmasks of edge indices: through[v] holds the edges through vertex
+    v, meets[i] those that meet edge i.  Run to a fixpoint: a live edge
+    that misses v but meets every live edge through v lies in no cover,
+    since the cover's edge through v would meet it (the clash rule of
+    Knuth's exact-cover preprocessor, TAOCP 7.2.2.1).  With one live
+    edge through v, that edge is forced (as in Knuth's Algorithm X) and
+    the rule drops every edge meeting it."""
     through = [0] * n
     for i, mk in enumerate(masks):
         while mk:
@@ -593,7 +551,7 @@ def _refuted(masks, n, k) -> bool:
         for t in through:
             t &= live
             if not t:
-                return True
+                return None
             clash = live & ~t   # the live edges outside t that meet every edge of t
             while t and clash:
                 low = t & -t
@@ -602,37 +560,46 @@ def _refuted(masks, n, k) -> bool:
             if clash:
                 live ^= clash
                 dropped = True
-    kept = [mk for i, mk in enumerate(masks) if live >> i & 1]
-    return any(reduce(or_, (kept[i] for i in part)).bit_count() % k for part in _components(kept))
+    return [i for i in range(len(masks)) if live >> i & 1]
 
 
-def _component(H: Hypergraph, ids) -> Hypergraph:
+def _component(H: Hypergraph, ids, u_vertices) -> tuple[Hypergraph, list[int]]:
     """The instance of H's edges `ids` on the vertices they hold,
     relabelled 0.. in increasing order, with each partition block cut to
-    those vertices in its own order."""
+    those vertices in its own order, and the vertices of U it holds,
+    relabelled."""
     label = {v: i for i, v in enumerate(sorted({v for e in ids for v in H.edges[e]}))}
-    return Hypergraph(len(label), H.k, [tuple(label[v] for v in H.edges[e]) for e in ids],
-                      [tuple(label[v] for v in block if v in label) for block in H.partition])
+    blocks = None if H.partition is None else [
+        tuple(label[v] for v in block if v in label) for block in H.partition]
+    return (Hypergraph(len(label), H.k, [tuple(label[v] for v in H.edges[e]) for e in ids], blocks),
+            [label[v] for v in u_vertices if v in label])
 
 
-def _sieve_kdm(H: Hypergraph, rng, gf: GF2m) -> tuple[str, str | None]:
-    """solve_kdm's (answer, reason): the matching filter, then one sweep
-    per connected component of the edges it keeps (see the module
-    docstring), at one weight per edge of H, drawn in edge order."""
-    kept, bare = _matching_filter(H)
-    if bare is not None:
-        return "no", (f"matching: no perfect matching of blocks {bare[0]} and {bare[1]} "
-                      f"survives the matching filter")
-    swept = [[kept[i] for i in part] for part in _components([H.edge_masks[e] for e in kept])
-             if len(part) > 1]    # a one-edge component is its own cover
+def _sieve(H: Hypergraph, u_vertices, ids, weights, gf: GF2m) -> tuple[bool, str | None]:
+    """Whether H's edges `ids`, at weight weights[j] for edge ids[j],
+    hold an exact cover as far as the sieve on U can tell, and the
+    reason when the answer needs no sweep: _reduced, then the component
+    checks and one sieve_decide per component of more than one kept edge
+    (see the module docstring).  Every edge must meet U at most twice."""
+    masks = [H.edge_masks[e] for e in ids]
+    kept = _reduced(masks, H.n)
+    if kept is None:
+        return False, "clash: a vertex lies in no edge that the clash rule keeps"
+    parts = [[kept[i] for i in part] for part in _components([masks[j] for j in kept])]
+    blocks = [sum(1 << v for v in block) for block in H.partition or ()]
+    for part in parts:
+        mk = reduce(or_, (masks[j] for j in part))
+        if mk.bit_count() % H.k or len({(mk & block).bit_count() for block in blocks}) > 1:
+            return False, (f"component: no edges cover the {mk.bit_count()} vertices "
+                           f"of a component of the kept edges exactly")
+    swept = [part for part in parts if len(part) > 1]    # a one-edge component is its own cover
     if not swept:
-        return "yes", "matching: the filtered edges are one exact cover"
-    weights = [gf.sample(rng) for _ in H.edges]
-    for ids in swept:
-        C = _component(H, ids)
-        if not sieve_decide(C, [*C.partition[0], *C.partition[1]], [weights[e] for e in ids], gf):
-            return "no", None
-    return "yes", None
+        return True, "clash: the kept edges are one exact cover"
+    for part in swept:
+        C, u = _component(H, [ids[j] for j in part], u_vertices)
+        if not sieve_decide(C, u, [weights[j] for j in part], gf):
+            return False, None
+    return True, None
 
 
 def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decision:
@@ -656,9 +623,10 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
     rng = random.Random(cfg.seed)
     tn = u_size(H, partitioned)
     if partitioned:
-        answer, reason = _sieve_kdm(H, rng, gf)
-        return Decision(answer, 1 << (n - tn), 1, time.perf_counter() - t0, reason=reason,
-                        u_fraction=tn / n, max_attempts=1)
+        weights = [gf.sample(rng) for _ in H.edges]
+        yes, reason = _sieve(H, [*H.partition[0], *H.partition[1]], range(len(H.edges)), weights, gf)
+        return Decision("yes" if yes else "no", 1 << (n - tn), 1, time.perf_counter() - t0,
+                        reason=reason, u_fraction=tn / n, max_attempts=1)
     max_attempts = repetitions(n, k, tn / n, cfg.epsilon)
     answer = "no"
     for attempt in range(1, max_attempts + 1):
@@ -666,8 +634,7 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
         u_mask = sum(1 << v for v in u_vertices)
         ids = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
         weights = [gf.sample(rng) for _ in ids]
-        sub = H.keep(ids)
-        if not _refuted(sub.edge_masks, n, k) and sieve_decide(sub, u_vertices, weights, gf):
+        if _sieve(H, u_vertices, ids, weights, gf)[0]:
             answer = "yes"
             break
     return Decision(answer, attempt << (n - tn), attempt, time.perf_counter() - t0,

@@ -231,7 +231,7 @@ def edge_components(H: Hypergraph, ids) -> list[tuple[list[int], Hypergraph]]:
     they share a vertex, ordered by their lowest edge id: each as (its
     edge ids, increasing; the instance of those edges on the vertices
     they hold, relabelled 0.. in increasing order, with every partition
-    block cut to them).  Breadth first over a vertex -> edges table."""
+    block, if any, cut to them).  Breadth first over a vertex -> edges table."""
     holding = {}
     for e in ids:
         for v in H.edges[e]:
@@ -250,7 +250,8 @@ def edge_components(H: Hypergraph, ids) -> list[tuple[list[int], Hypergraph]]:
                         queue.append(g)
         vertices = sorted({v for f in queue for v in H.edges[f]})
         label = {v: i for i, v in enumerate(vertices)}
-        blocks = [tuple(label[v] for v in block if v in label) for block in H.partition]
+        blocks = None if H.partition is None else [
+            tuple(label[v] for v in block if v in label) for block in H.partition]
         C = Hypergraph(len(vertices), H.k, [tuple(label[v] for v in H.edges[f]) for f in sorted(queue)],
                        blocks)
         parts.append((sorted(queue), C))

@@ -210,7 +210,7 @@ def test_criterion_09_planted_instances_answer_yes():
 
 def test_criterion_10_partitioned_probe_counts(monkeypatch):
     # the nominal count of one sweep, 2^(n - 2n/k), and one walk per
-    # component of more than one edge of what the matching filter keeps,
+    # component of more than one edge of what the clash rule keeps,
     # over the whole of that component's V - (its blocks 0 and 1), so the
     # X each sweep takes come from all of its codes
     walks = []
@@ -229,7 +229,7 @@ def test_criterion_10_partitioned_probe_counts(monkeypatch):
         walks.clear()
         d = solve_kdm(H, SieveConfig(seed=rng.randrange(2 ** 31)))
         assert d.yes and d.probes == probes and d.attempts == 1, (n, d.probes)
-        kept, _ = solver_mod._matching_filter(H)
+        kept = solver_mod._reduced(H.edge_masks, H.n)
         parts = [C for ids, C in edge_components(H, kept) if len(ids) > 1]
         assert walks == [((1 << C.n) - 1) ^ sum(1 << v for v in (*C.partition[0], *C.partition[1]))
                          for C in parts], (n, walks)

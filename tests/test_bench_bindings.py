@@ -7,7 +7,8 @@ linalg.interpolate.  A rename breaks only traced benchmark runs, which
 this suite does not start, so the bindings are checked here.  run.py also
 restates the |U| rule in its cost model; if that drifts from
 solver.u_size, every benchmark solve fails its probe-count check.  Its
-fixed sieve triples must still give the totals in fingerprints.json, or
+fixed sieve triples must still give the totals in fingerprints.json, and
+the first solves of each committed xkc list their solve digests, or
 every benchmark solve fails as well.
 """
 
@@ -118,3 +119,22 @@ def test_committed_sieve_totals(monkeypatch):
     partitioned = Hypergraph(H.n, H.k, H.edges, blocks)
     assert f"{solver.sieve_decide(partitioned, u, weights, gf):#x}" == committed["kdm15"]
     assert kernels and set(kernels) == {5}
+
+
+def test_committed_xkc_solve_digests(monkeypatch):
+    # the benchmark fails every solve of a full-size xkc list whose first
+    # solves drift from the committed digest, and CI runs no full-size
+    # list; so each committed digest is recomputed here from the
+    # benchmark's own instance stream, solver settings and digest
+    run = _run_module(monkeypatch)
+    committed = json.loads((RUN.parent / "fingerprints.json").read_text())["solve_digests"]
+    assert sorted(committed) == ["xkc_no", "xkc_yes"]
+    for name, table in committed.items():
+        w = run.WORKLOADS[name]
+        for seed, expect in table.items():
+            results = []
+            for inst in run.instances(w, int(seed), run.FINGERPRINT_SOLVES, False):
+                cfg = solver.SieveConfig(m=run.FIELD_DEGREE, seed=inst.solver_seed,
+                                         epsilon=run.EPSILON, threads=w.threads)
+                results.append((solver.solve_xkc(hypergraph.parse(inst.doc), cfg), 0.0))
+            assert run.digest(results) == expect, (name, seed)

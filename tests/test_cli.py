@@ -342,24 +342,31 @@ def test_params_bad_k_range_is_refused_before_any_row(capsys, ks):
     assert code == 2 and out == "" and err.startswith(f"error: bad k range {ks!r}")
 
 
-def test_solve_names_the_blocks_the_matching_filter_empties(tmp_path, capsys):
-    # every pair of blocks has a perfect matching, but the edges that lie
-    # in one for blocks 0 and 2 leave block 1's vertex 3 in no edge
+@pytest.mark.parametrize("doc, reason", [
+    # vertex 0 lies only in (0, 4, 7), which the clash rule forces; that
+    # drops (1, 3, 7) and (2, 3, 7), so vertex 1 lies only in (1, 5, 6),
+    # which drops (2, 3, 6) and (2, 5, 8) and leaves vertex 2 in no edge
+    ({"k": 3, "n": 9, "partition": [[0, 1, 2], [3, 4, 5], [6, 7, 8]],
+      "edges": [[0, 4, 7], [1, 3, 7], [1, 5, 6], [2, 3, 6], [2, 3, 7], [2, 5, 8]]},
+     "clash: a vertex lies in no edge that the clash rule keeps"),
+    # the clash rule drops nothing, and the component K_{2,3} on
+    # {0, 1} x {5, 6, 7} has blocks of two and three vertices
+    ({"k": 2, "n": 10, "partition": [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]],
+      "edges": [[a, b] for a in (0, 1) for b in (5, 6, 7)] + [[a, b] for a in (2, 3, 4) for b in (8, 9)]},
+     "component: no edges cover the 5 vertices of a component of the kept edges exactly")],
+    ids=["clash", "component"])
+def test_solve_names_the_rule_that_answers_no(tmp_path, capsys, doc, reason):
     path = tmp_path / "inst.json"
-    path.write_text(json.dumps({
-        "k": 3, "n": 9, "partition": [[0, 1, 2], [3, 4, 5], [6, 7, 8]],
-        "edges": [[0, 4, 7], [1, 3, 7], [1, 5, 6], [2, 3, 6], [2, 3, 7], [2, 5, 8]]}))
+    path.write_text(json.dumps(doc))
     code, out, err = _run(capsys, "solve", "--input", str(path), "--seed", "1")
     assert code == 1 and err == ""
     lines = out.splitlines()
-    assert {"answer: no", "probes: 8", "attempts: 1"} <= set(lines)
-    assert "reason: matching: no perfect matching of blocks 1 and 2 survives the matching filter" in lines
-
+    assert {"answer: no", "attempts: 1", f"reason: {reason}"} <= set(lines)
 
 
 def test_solve_reports_a_cover_the_filter_leaves(tmp_path, capsys):
-    # the matching filter leaves the edges of one exact cover, so no sweep
-    # runs and the report says why
+    # the clash rule forces (1, 3, 5), which drops (0, 3, 5) and leaves
+    # the edges of one exact cover, so no sweep runs and the report says why
     path = tmp_path / "inst.json"
     path.write_text(json.dumps({
         "k": 3, "n": 6, "partition": [[0, 1], [2, 3], [4, 5]],
@@ -368,7 +375,7 @@ def test_solve_reports_a_cover_the_filter_leaves(tmp_path, capsys):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["answer"] == "yes" and report["probes"] == 4 and report["attempts"] == 1
-    assert report["reason"] == "matching: the filtered edges are one exact cover"
+    assert report["reason"] == "clash: the kept edges are one exact cover"
     assert list(report)[-1] == "elapsed_ms"
 
 README = Path(__file__).resolve().parent.parent / "README.md"

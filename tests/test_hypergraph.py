@@ -93,22 +93,6 @@ def test_construction_sorts_and_raises_the_validate_message():
     assert str(exc.value) == "vertex-range: edge 0 has non-integer vertex '1'"
 
 
-def test_keep_equals_a_fresh_construction_without_validating(monkeypatch):
-    rng = random.Random(12)
-    for kdm in (False, True):
-        H = generate(rng, 3, 12, 10, kdm=kdm)
-        calls = []
-        monkeypatch.setattr(hypergraph_mod, "validate", lambda H: calls.append(H))
-        ids = [7, 0, 3, 3, 9]
-        sub = H.keep(ids)
-        monkeypatch.undo()
-        assert calls == []
-        fresh = Hypergraph(H.n, H.k, [H.edges[i] for i in ids], H.partition)
-        assert sub == fresh and sub.edge_masks == fresh.edge_masks
-        assert len(H.edges) == len(H.edge_masks) == 10  # the parent is left as it was
-        assert H.keep([]).edges == H.keep([]).edge_masks == []
-
-
 def test_validate_runs_once_per_built_instance(monkeypatch):
     calls = []
     original = hypergraph_mod.validate
@@ -124,20 +108,21 @@ def test_validate_runs_once_per_built_instance(monkeypatch):
         calls.clear()
         H = parse(text)
         assert calls == [H]     # one check per parsed document, none again
-    H = Hypergraph(9, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (4, 5, 6), (6, 7, 8)])
-    calls.clear()
-    d = solve_xkc(H, SieveConfig(seed=1, epsilon=0.01))
-    assert calls == [] and d.attempts > 1     # no check in any attempt
-    swept = []                  # per instance: the components of two or more edges
+    # a solve checks no instance but the components it sweeps, each built
+    # once by _component, in both modes
+    swept = []
+    inner = solver_mod.sieve_decide
+    monkeypatch.setattr(solver_mod, "sieve_decide", lambda C, *args: swept.append(C) or inner(C, *args))
+    counts = []
     for seed in range(6):
-        H = generate(random.Random(seed), 3, 12, 12, plant=True, kdm=True)
-        kept, _ = solver_mod._matching_filter(H)
-        parts = solver_mod._components([H.edge_masks[e] for e in kept])
-        swept.append(sum(len(part) > 1 for part in parts))
-        calls.clear()
-        solve_kdm(H, SieveConfig(seed=seed))
-        assert len(calls) == swept[-1]  # _component builds, and checks, each swept one
-    assert 0 in swept and max(swept) > 1
+        for kdm in (False, True):
+            H = generate(random.Random(seed), 3, 12, 12, plant=True, kdm=kdm)
+            calls.clear()
+            swept.clear()
+            (solve_kdm if kdm else solve_xkc)(H, SieveConfig(seed=seed, epsilon=0.01))
+            assert calls == swept and all(a is b for a, b in zip(calls, swept))
+            counts.append(len(swept))
+    assert 0 in counts and max(counts) > 1
 
 
 def test_project_classifies():

@@ -632,18 +632,30 @@ def test_solve_kdm_planted_yes():
 
 
 def test_solve_kdm_unsolvable_no():
-    # block-0 vertices 1 and 2 lie only in edges through vertex 3, so no
-    # two of their edges are disjoint; every vertex lies in an edge.
-    # Blocks 0 and 1 have no perfect matching, so the matching filter
-    # answers and names them.  The second instance passes the filter
-    # (each pair of blocks is a 2x2 grid, full) and has no cover, so the
-    # sieve answers with no reason
-    H = Hypergraph(9, 3, [(0, 3, 6), (0, 4, 7), (0, 5, 8), (1, 3, 6), (2, 3, 7)],
-                   [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
-    full = Hypergraph(6, 3, [(0, 2, 5), (0, 3, 4), (1, 2, 4), (1, 3, 5)], [(0, 1), (2, 3), (4, 5)])
-    assert solver_mod._matching_filter(full) == ([0, 1, 2, 3], None) and not dlx_count(full)
-    bare = "matching: no perfect matching of blocks 0 and 1 survives the matching filter"
-    for H, reason in ((H, bare), (full, None)):
+    # instances with no cover, every vertex in an edge.  In the first,
+    # block-0 vertex 1 lies only in (1, 3, 6), which the clash rule
+    # forces; that drops both other edges through vertex 3 and leaves
+    # vertex 2 in no edge.  In the next two, the clash rule drops
+    # nothing, but the component K_{2,3} on {0, 1} x {5, 6, 7} (5
+    # vertices) or K_{2,4} on {0, 1} x {6, 7, 8, 9} (6 vertices) has
+    # blocks of unequal size; building it as an instance would raise,
+    # so the checks come first.  In the last, every vertex lies in two
+    # edges and the clash rule drops nothing: one component, blocks of
+    # four, and only the sieve answers, with no reason
+    bare = Hypergraph(9, 3, [(0, 3, 6), (0, 4, 7), (0, 5, 8), (1, 3, 6), (2, 3, 7)],
+                      [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
+    split = Hypergraph(10, 2, [(a, b) for a in (0, 1) for b in (5, 6, 7)]
+                       + [(a, b) for a in (2, 3, 4) for b in (8, 9)], [range(5), range(5, 10)])
+    even = Hypergraph(12, 2, [(a, b) for a in (0, 1) for b in (6, 7, 8, 9)]
+                      + [(a, b) for a in (2, 3, 4, 5) for b in (10, 11)], [range(6), range(6, 12)])
+    swept = Hypergraph(12, 3, [(0, 5, 8), (0, 6, 9), (1, 4, 10), (1, 7, 8), (2, 5, 11), (2, 6, 10),
+                               (3, 4, 9), (3, 7, 11)], [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)])
+    for H in (split, even, swept):
+        assert solver_mod._reduced(H.edge_masks, H.n) == list(range(len(H.edges)))
+    component = "component: no edges cover the {} vertices of a component of the kept edges exactly"
+    for H, reason in ((bare, "clash: a vertex lies in no edge that the clash rule keeps"),
+                      (split, component.format(5)), (even, component.format(6)), (swept, None)):
+        assert not dlx_count(H)
         n, k = H.n, H.k
         for seed in range(10):
             d = solve_kdm(H, SieveConfig(seed=seed))
@@ -716,7 +728,7 @@ def test_every_pair_of_blocks_gives_the_same_total():
 def _planted_matchings(rng, k, n, count, extra=0):
     """A partitioned instance on shuffled blocks whose edges are `count`
     random perfect matchings of the blocks, each an exact cover, and
-    `extra` random edges, duplicates dropped.  The matching filter keeps
+    `extra` random edges, duplicates dropped.  The clash rule keeps
     every edge of the matchings, so the support it leaves has pairs of
     blocks with more than one perfect matching."""
     b = n // k
@@ -727,15 +739,15 @@ def _planted_matchings(rng, k, n, count, extra=0):
     return Hypergraph(n, k, sorted(edges), blocks)
 
 
-def _filtered(H):
-    """H less the edges that solve_kdm's matching filter drops."""
-    kept, _ = solver_mod._matching_filter(H)
-    return Hypergraph(H.n, H.k, [H.edges[e] for e in kept], H.partition)
+def _kept(H):
+    """The ids of the edges of a kdm instance H that solve_kdm's clash
+    rule keeps, or None when it leaves a vertex in no edge."""
+    return solver_mod._reduced(H.edge_masks, H.n)
 
 
 def test_solve_kdm_walks_blocks_0_and_1_once(monkeypatch):
-    # per component of more than one edge of what the matching filter
-    # keeps, in the order of their lowest edge ids: one walk over the
+    # per component of more than one edge of what the clash rule keeps,
+    # in the order of their lowest edge ids: one walk over the
     # component's V - (its blocks 0 and 1), then one determinant pass
     # over the X the walk model yields
     events = []
@@ -761,7 +773,7 @@ def test_solve_kdm_walks_blocks_0_and_1_once(monkeypatch):
             d = solve_kdm(H, SieveConfig(seed=rng.randrange(100)))
             assert d.yes
             expect = []
-            for ids, C in edge_components(H, solver_mod._matching_filter(H)[0]):
+            for ids, C in edge_components(H, _kept(H)):
                 if len(ids) > 1:
                     entries, b, rest, codes, every = _kdm_case(C)
                     expect += [("walk", rest),
@@ -776,7 +788,7 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
     # at the weights the solver draws (one per edge, in edge order): each
     # call gets {col: value} rows, and the calls are exactly the live grid
     # of each swept component (one of more than one edge) at each X its
-    # walk kept, once each.  The one-X sweep of the whole filtered
+    # walk kept, once each.  The one-X sweep of the whole reduced
     # instance is its live grid's determinant, and each solve's product of
     # its component totals (one sieve_decide per swept component) times
     # the squared one-edge weights is the cover sum
@@ -795,7 +807,7 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "determinant", computing)
     monkeypatch.setattr(solver_mod, "sieve_decide", totalling)
-    # the sweep runs on what the matching filter keeps, at the weights
+    # the sweep runs on what the clash rule keeps, at the weights
     # drawn for the kept edges; planted matchings keep root blocks wider
     # than 1x1 there, where most random instances keep one cover's edges
     rng = random.Random(29)
@@ -806,7 +818,7 @@ def test_determinant_gets_the_live_rows_of_each_kept_x(monkeypatch):
         seed = rng.randrange(10 ** 6)
         wrng = random.Random(seed)
         w = [gf.sample(wrng) for _ in H.edges]
-        kept, _ = solver_mod._matching_filter(H)
+        kept = _kept(H)
         F, wf = Hypergraph(n, k, [H.edges[e] for e in kept], H.partition), [w[e] for e in kept]
         entries, b, rest, _, _ = _kdm_case(F)
         for x in solver_mod._matchable_probes(entries, b, rest):
@@ -840,17 +852,19 @@ def _with_duplicates(rng, H, count):
 
 
 def test_component_split_keeps_the_total():
-    # solve_kdm sieves each connected component of the kept edges on its
-    # own: the product of the components' totals, times w^2 for each
-    # one-edge component, is the total on the whole filtered instance,
-    # and every component's blocks are equal in size
+    # _sieve sieves each connected component of the kept edges on its
+    # own, in both modes: the product of the components' totals, each on
+    # its part of U, one-edge components included, is the total on the
+    # whole instance.  A kdm component's part of U is its blocks 0 and 1.
+    # When the clash rule or a component check answers, the instance has
+    # no cover
     rng = random.Random(30)
-    seen = {"swept": 0, "singles": 0, "one": 0, "bare": 0}
-    for rep in range(160):
+    seen = Counter()
+    for rep in range(200):
         gf = (GF8, GF64)[rep % 2]
         k = (2, 3, 4)[rep % 3]
         n = k * rng.randint(1, 12 // k)
-        kind = rep % 4
+        kind = rep % 5
         if kind == 0:           # planted or not, maybe a duplicate
             H = rand_instance(rng, k, n, n // k + rng.randint(0, 4), plant_prob=0.5, kdm=True)
             H = _with_duplicates(rng, H, rng.randint(0, 1))
@@ -859,35 +873,42 @@ def test_component_split_keeps_the_total():
         elif kind == 2:         # a cover, some of its edges twice or more
             H = _with_duplicates(rng, generate(rng, k, n, n // k, plant=True, kdm=True),
                                  rng.randint(2, 3))
-        else:                   # every pair of blocks with several perfect matchings
+        elif kind == 3:         # every pair of blocks with several perfect matchings
             H = _planted_matchings(rng, k, n, rng.randint(2, 3), rng.randint(0, 4))
-        w = [gf.sample(rng) for _ in H.edges]
-        d = solve_kdm(H, SieveConfig(seed=rep))
-        assert d.yes == (dlx_count(H) > 0), rep
-        kept, bare = solver_mod._matching_filter(H)
-        if bare is not None:
-            seen["bare"] += 1
+        else:                   # no partition, planted or not, maybe a duplicate
+            H = _with_duplicates(rng, rand_instance(rng, k, n, 2 * n, plant_prob=0.5), rng.randint(0, 2))
+        if H.partition is None:
+            u = sorted(rng.sample(range(n), solver_mod.u_size(H, False)))
+            u_mask = sum(1 << v for v in u)
+            ids = [e for e, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
+        else:
+            u, ids = [*H.partition[0], *H.partition[1]], range(len(H.edges))
+        w = [gf.sample(rng) for _ in ids]
+        F = Hypergraph(n, k, [H.edges[e] for e in ids], H.partition)
+        whole = sieve_decide(F, u, w, gf)
+        sieved, reason = solver_mod._sieve(H, u, ids, w, gf)
+        if reason is not None and not sieved:  # answered before any sweep
+            assert not whole and not dlx_count(F), rep
+            seen["answered no"] += 1
             continue
+        kept = [ids[j] for j in solver_mod._reduced([H.edge_masks[e] for e in ids], n)]
         parts = edge_components(H, kept)
         split = solver_mod._components([H.edge_masks[e] for e in kept])
-        assert [[kept[i] for i in part] for part in split] == [ids for ids, _ in parts], rep
-        product = 1
-        for ids, C in parts:
-            assert solver_mod._component(H, ids) == C
-            assert {len(block) for block in C.partition} == {C.n // k} and C.n % k == 0, rep
-            if len(ids) == 1:
-                product = gf.mul(product, gf.mul(w[ids[0]], w[ids[0]]))
-            else:
-                total = sieve_decide(C, [*C.partition[0], *C.partition[1]], [w[e] for e in ids], gf)
-                product = gf.mul(product, total)
-        F = Hypergraph(n, k, [H.edges[e] for e in kept], H.partition)
-        u = [*H.partition[0], *H.partition[1]]
-        assert product == sieve_decide(F, u, [w[e] for e in kept], gf), rep
-        swept = sum(len(ids) > 1 for ids, _ in parts)
-        seen["swept"] += swept > 1
-        seen["singles"] += not swept
-        seen["one"] += len(parts) == 1
-    assert min(seen.values()) >= 15, seen
+        assert [[kept[i] for i in part] for part in split] == [part for part, _ in parts], rep
+        weight = dict(zip(ids, w))
+        totals = []
+        for part, C in parts:
+            built, part_u = solver_mod._component(H, part, u)
+            assert built == C, rep
+            if C.partition is not None:
+                assert set(part_u) == {*C.partition[0], *C.partition[1]}, rep
+            totals.append(sieve_decide(C, part_u, [weight[e] for e in part], gf))
+        assert reduce(gf.mul, totals, 1) == whole, rep
+        assert sieved == all(t for t, (part, _) in zip(totals, parts) if len(part) > 1), rep
+        swept = sum(len(part) > 1 for part, _ in parts)
+        seen["several swept" if swept > 1 else "one swept" if swept else "none swept"] += 1
+        seen["xkc" if H.partition is None else "kdm"] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 15, seen
 
 
 def test_one_edge_components_need_no_sweep(monkeypatch):
@@ -910,7 +931,7 @@ def test_one_edge_components_need_no_sweep(monkeypatch):
     assert w == [0, 245] and sieve_decide(cover, [0, 1, 2, 3], w, GF8) == 0
     walks.clear()
     d = solve_kdm(cover, SieveConfig(m=8, seed=139))
-    assert d.yes and d.reason == "matching: the filtered edges are one exact cover"
+    assert d.yes and d.reason == "clash: the kept edges are one exact cover"
     assert d.probes == 4 and d.attempts == d.max_attempts == 1 and not walks
     # a duplicated edge is a two-edge component, swept on its own; the
     # other edge, weight 0, is not
@@ -936,102 +957,6 @@ def test_solve_kdm_agrees_with_the_oracle():
         assert d.yes == expect, (H, rep)
         answers[expect] += 1
     assert min(answers.values()) >= 15, answers
-
-
-def test_matching_filter_runs_to_its_fixpoint():
-    # blocks {0, 1, 2}, {3, 4, 5}, {6, 7, 8}.  Between blocks 0 and 2,
-    # vertex 7 lies only in edges through vertex 2, so edge 6 = (2, 3, 6)
-    # goes.  Then vertex 3 lies only in edges through vertex 1 (edges 2
-    # and 3), so between blocks 0 and 1 vertex 1's edges 4 and 5 go too.
-    # Pair (0, 1) comes first and keeps them in the first round, so only
-    # a second round drops them; the third removes nothing.  What is
-    # left is the edges of the two covers
-    H = Hypergraph(9, 3, [(0, 4, 6), (0, 5, 8), (1, 3, 6), (1, 3, 8), (1, 4, 8), (1, 5, 8),
-                          (2, 3, 6), (2, 4, 7), (2, 5, 7)],
-                   [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
-    support = [0] * 3           # pair (0, 1) of H: row a, column b - 3
-    for a, b, _ in H.edges:
-        support[a] |= 1 << b - 3
-    in_matching = {(r, perm[r]) for perm in permutations(range(3))
-                   if all(support[r] >> perm[r] & 1 for r in range(3)) for r in range(3)}
-    assert {(1, 1), (1, 2)} <= in_matching  # edges 4 and 5 pass pair (0, 1) of H
-    kept, bare = solver_mod._matching_filter(H)
-    assert bare is None and kept == [0, 1, 2, 3, 7, 8]
-    assert sorted(e for cover in dlx_enumerate(H) for e in cover) == kept
-
-
-def test_matching_filter_stops_once_every_pair_is_quiet(monkeypatch):
-    # the cover (0, 3, 6), (1, 4, 7), (2, 5, 8) plus edge 3 = (0, 4, 8).
-    # Vertex 1 lies only in edge 1, so between blocks 0 and 1 it must
-    # take vertex 4, and pair (0, 1) drops edge 3.  Pairs (0, 2) and
-    # (1, 2) then drop nothing, and (0, 1) would drop nothing again: the
-    # filter stops after three matchings, where a closing round over
-    # every pair would take six
-    H = Hypergraph(9, 3, [(0, 3, 6), (1, 4, 7), (2, 5, 8), (0, 4, 8)],
-                   [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
-    supports = []
-
-    def counting(support, _inner=solver_mod._perfect_matching):
-        supports.append(list(support))
-        return _inner(support)
-
-    monkeypatch.setattr(solver_mod, "_perfect_matching", counting)
-    assert solver_mod._matching_filter(H) == ([0, 1, 2], None)
-    assert supports == [[0b011, 0b010, 0b100], [0b001, 0b010, 0b100], [0b001, 0b010, 0b100]]
-
-
-def test_solve_kdm_answers_no_when_the_filter_empties_a_pair():
-    # every pair of blocks has a perfect matching at first.  Between
-    # blocks 0 and 2, vertex 0 lies only in an edge through 7 and vertex 8
-    # only in edges through 2, so vertex 1 must take 6: edges 1, 3 and 4
-    # go, and block 1's vertex 3 is left in no edge between blocks 1 and
-    # 2.  No sweep runs
-    H = Hypergraph(9, 3, [(0, 4, 7), (1, 3, 7), (1, 5, 6), (2, 3, 6), (2, 3, 7), (2, 5, 8)],
-                   [(0, 1, 2), (3, 4, 5), (6, 7, 8)])
-    for i, j in combinations(range(3), 2):
-        rows = [0] * 3
-        for e in H.edges:
-            rows[e[i] - 3 * i] |= 1 << e[j] - 3 * j
-        assert _matchable(rows), (i, j)
-    assert solver_mod._matching_filter(H) == (None, (1, 2)) and not dlx_count(H)
-    n, k = 9, 3
-    for seed in range(4):
-        d = solve_kdm(H, SieveConfig(seed=seed))
-        assert d.answer == "no"
-        assert d.reason == "matching: no perfect matching of blocks 1 and 2 survives the matching filter"
-        assert d.attempts == d.max_attempts == 1 and d.probes == 2 ** (n - 2 * n // k)
-
-
-def test_matching_filter_keeps_every_cover_and_the_sieve_total():
-    # random partitioned instances, planted or not: every edge of every
-    # exact cover survives the filter, and the sieve total on what
-    # survives, at the weights of the surviving edges, is the total on
-    # the whole instance and the summed cover weight
-    rng = random.Random(43)
-    seen = {"dropped": 0, "bare": 0, "nonzero": 0}
-    for rep in range(90):
-        gf = (GF8, GF64)[rep % 2]
-        k = (2, 3, 4)[rep % 3]
-        n = k * rng.randint(1, 12 // k)
-        if rep % 5 == 4:
-            H = _planted_matchings(rng, k, n, rng.randint(1, 3), rng.randint(0, 6))
-        else:
-            H = rand_instance(rng, k, n, n // k + rng.randint(0, 6), plant_prob=0.5, kdm=True)
-        w = [gf.sample(rng) for _ in H.edges]
-        u = [*H.partition[0], *H.partition[1]]
-        whole = sieve_decide(H, u, w, gf)
-        assert whole == covers_weight_sum(H, u, w, gf), rep
-        kept, bare = solver_mod._matching_filter(H)
-        if bare is not None:
-            assert not whole and not dlx_count(H), rep
-            seen["bare"] += 1
-            continue
-        assert {e for cover in dlx_enumerate(H) for e in cover} <= set(kept), rep
-        F = Hypergraph(n, k, [H.edges[e] for e in kept], H.partition)
-        assert sieve_decide(F, u, [w[e] for e in kept], gf) == whole, rep
-        seen["dropped"] += len(H.edges) > len(kept)
-        seen["nonzero"] += bool(whole)
-    assert min(seen.values()) >= 15, seen
 
 
 def test_bipartite_and_general_probes_agree(monkeypatch):
@@ -1434,48 +1359,68 @@ def _masks(edges):
     return [sum(1 << v for v in e) for e in edges]
 
 
-def test_refuted_never_refutes_an_instance_with_a_cover():
+def test_reduced_keeps_every_cover_edge():
+    # partitioned and unpartitioned instances, planted or not, with
+    # repeated edges: every edge of every exact cover is kept, and no
+    # edge is kept where a vertex is left in no edge (None).  The clash
+    # rule drops an edge or answers on most instances of both kinds
     rng = random.Random(34)
-    covered = Counter()         # (has a cover, refuted) over instances with no bare vertex
-    for _ in range(600):
+    seen = Counter()            # (partitioned, has a cover, what the rule did)
+    for rep in range(600):
         k = rng.choice([2, 3, 4])
         n = k * rng.randint(1, 4)
-        H = rand_instance(rng, k, n, 2 * n, plant_prob=0.3, min_edges=n // k)
+        H = rand_instance(rng, k, n, 2 * n, plant_prob=0.3, min_edges=n // k, kdm=rep % 2 == 1)
         edges = H.edges + [rng.choice(H.edges) for _ in range(rng.randint(0, 3))]
-        H = Hypergraph(n, k, edges)  # repeated edges included
-        covers = dlx_count(H)
-        fires = solver_mod._refuted(H.edge_masks, n, k)
-        assert not (fires and covers), H.edges
-        if reduce(or_, H.edge_masks) == (1 << n) - 1:
-            covered[bool(covers), fires] += 1
-    # _refuted settles at least four of five no-instances with no bare vertex
-    assert covered[True, False] >= 200
-    assert covered[False, True] >= 50 and covered[False, True] >= 4 * covered[False, False]
+        H = Hypergraph(n, k, edges, H.partition)  # repeated edges included
+        covers = dlx_enumerate(H)
+        kept = solver_mod._reduced(H.edge_masks, n)
+        if kept is None:
+            assert not covers, H
+            did = "none"
+        else:
+            assert kept == sorted(set(kept)) and {e for cover in covers for e in cover} <= set(kept), H
+            did = "dropped" if len(kept) < len(edges) else "kept all"
+        seen[H.partition is not None, bool(covers), did] += 1
+    for partitioned in (False, True):
+        assert seen[partitioned, True, "dropped"] >= 30, seen
+        assert seen[partitioned, False, "none"] >= 2 * seen[partitioned, False, "kept all"], seen
+        assert seen[partitioned, False, "none"] >= 30, seen
 
 
 def test_refuted_rules():
-    refuted = solver_mod._refuted
+    # _reduced's clash rule, and _sieve's component check after it
+    def reduced(edges, n):
+        return solver_mod._reduced(_masks(edges), n)
+
     # vertex 5 lies in no edge
-    assert refuted(_masks([(0, 1, 2), (2, 3, 4)]), 6, 3)
+    assert reduced([(0, 1, 2), (2, 3, 4)], 6) is None
     # clash: every vertex lies in two edges and no edge is forced, but
     # (1, 3, 5) and (2, 4, 5) meet both edges through vertex 0, so
     # neither lies in a cover, and vertex 5 is left in no edge
-    assert refuted(_masks([(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)]), 6, 3)
+    assert reduced([(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)], 6) is None
     # forced chain: (0, 1) is forced and kills (1, 2); only then is (2, 3)
     # forced, which kills both edges through vertex 4
-    assert refuted(_masks([(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)]), 6, 2)
-    # two 5-cycles: no rule drops an edge, and each component holds 5
-    # vertices, not a multiple of k = 2
-    cycles = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
-    assert refuted(_masks(cycles), 10, 2)
-    # the rows and columns of a 3 x 3 grid: two covers, nothing refuted
+    assert reduced([(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)], 6) is None
+    # a cover plus (0, 4, 8): vertex 1 lies only in (1, 4, 7), which is
+    # forced and kills (0, 4, 8); the cover is kept
+    assert reduced([(0, 3, 6), (1, 4, 7), (2, 5, 8), (0, 4, 8)], 9) == [0, 1, 2]
+    # the rows and columns of a 3 x 3 grid: two covers, nothing dropped
     grid = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8)]
-    assert not refuted(_masks(grid), 9, 3)
+    assert reduced(grid, 9) == list(range(6))
+    # two 5-cycles: no rule drops an edge, and each component holds 5
+    # vertices, not a multiple of k = 2, so _sieve answers before any sweep
+    cycles = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
+    assert reduced(cycles, 10) == list(range(10))
+    H = Hypergraph(10, 2, cycles)
+    assert solver_mod._sieve(H, range(10), range(10), [1] * 10, GF64) == (
+        False, "component: no edges cover the 5 vertices of a component of the kept edges exactly")
 
 
 def test_refutation_never_changes_a_decision(monkeypatch):
-    # a refuted attempt still draws its U and weights, so every later
-    # attempt sees the same random stream as with the refutation off
+    # the clash rule drops only edges that lie in no cover, and a refuted
+    # attempt still draws its U and weights, so at m = 64 every decision
+    # is the one made with the rule off (every edge kept, None only for a
+    # vertex in no edge)
     def decisions():
         rng = random.Random(35)
         out = []
@@ -1483,30 +1428,50 @@ def test_refutation_never_changes_a_decision(monkeypatch):
             k = rng.choice([2, 3, 3, 4])
             n = k * rng.randint(2, 3)
             H = rand_instance(rng, k, n, 2 * n, plant_prob=0.5, min_edges=n)
-            for m in (8, 64):
-                d = solve_xkc(H, SieveConfig(m=m, seed=rng.randrange(10 ** 6)))
-                out.append((d.answer, d.probes, d.attempts, d.max_attempts, d.reason))
+            d = solve_xkc(H, SieveConfig(seed=rng.randrange(10 ** 6)))
+            out.append((d.answer, d.probes, d.attempts, d.max_attempts, d.reason))
         return out
 
-    refuted = solver_mod._refuted
+    reduced = solver_mod._reduced
     fired = Counter()
 
-    def counted(*args):
-        fires = refuted(*args)
-        fired[fires] += 1
-        return fires
+    def counted(masks, n):
+        kept = reduced(masks, n)
+        fired["none" if kept is None else "dropped" if len(kept) < len(masks) else "kept all"] += 1
+        return kept
 
-    monkeypatch.setattr(solver_mod, "_refuted", counted)
+    def keeping(masks, n):
+        return list(range(len(masks))) if reduce(or_, masks, 0) == (1 << n) - 1 else None
+
+    monkeypatch.setattr(solver_mod, "_reduced", counted)
     shipped = decisions()
-    monkeypatch.setattr(solver_mod, "_refuted", lambda *args: False)
+    monkeypatch.setattr(solver_mod, "_reduced", keeping)
     assert decisions() == shipped
-    assert fired[True] >= 500 and fired[False] >= 100  # both kinds of attempt ran
-    assert Counter(d[0] for d in shipped)["yes"] >= 200
+    assert fired["none"] >= 500 and fired["dropped"] >= 100, fired  # the rule fired both ways
+    assert Counter(d[0] for d in shipped)["yes"] >= 100
+
+
+def test_both_solvers_reduce_once_per_attempt(monkeypatch):
+    # solve_kdm calls _reduced once, solve_xkc once per attempt, and
+    # neither reaches sieve_decide but through _sieve
+    calls, inner = [], solver_mod._reduced
+    monkeypatch.setattr(solver_mod, "_reduced", lambda masks, n: calls.append(n) or inner(masks, n))
+    rng = random.Random(36)
+    seen = Counter()
+    for rep in range(40):
+        kdm = rep % 2 == 1
+        H = rand_instance(rng, 3, 9, 12, plant_prob=0.5, min_edges=3, kdm=kdm)
+        calls.clear()
+        d = (solve_kdm if kdm else solve_xkc)(H, SieveConfig(seed=rep, epsilon=0.01))
+        assert calls == [H.n] * d.attempts, rep
+        seen[kdm, d.attempts > 1] += 1
+    assert seen[True, False] >= 10 and seen[False, True] >= 5, seen
 
 
 def test_refuted_attempts_are_not_swept(monkeypatch):
     # vertex 4 forces (4, 5, 6), which kills (6, 7, 8) and leaves vertex
-    # 7 bare; every attempt's kept edges are refuted, so none is swept
+    # 7 bare; the clash rule refutes every attempt's kept edges, so none
+    # is swept
     H = Hypergraph(9, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (4, 5, 6), (6, 7, 8)])
 
     def sweep(*args):
