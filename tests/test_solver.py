@@ -1359,32 +1359,64 @@ def _masks(edges):
     return [sum(1 << v for v in e) for e in edges]
 
 
-def test_reduced_keeps_every_cover_edge():
-    # partitioned and unpartitioned instances, planted or not, with
-    # repeated edges: every edge of every exact cover is kept, and no
-    # edge is kept where a vertex is left in no edge (None).  The clash
-    # rule drops an edge or answers on most instances of both kinds
+def test_refuted_never_refutes_an_instance_with_a_cover(monkeypatch):
+    # unpartitioned instances, planted or not, with repeated edges: _sieve
+    # refutes (answers no before any sweep) only instances with no cover,
+    # and _reduced keeps every edge of every exact cover.  sieve_decide is
+    # patched to yes, so an answer of no is one of the rules
+    monkeypatch.setattr(solver_mod, "sieve_decide", lambda *args: True)
     rng = random.Random(34)
-    seen = Counter()            # (partitioned, has a cover, what the rule did)
-    for rep in range(600):
+    covered = Counter()         # (has a cover, refuted) over instances with no bare vertex
+    for _ in range(600):
         k = rng.choice([2, 3, 4])
         n = k * rng.randint(1, 4)
-        H = rand_instance(rng, k, n, 2 * n, plant_prob=0.3, min_edges=n // k, kdm=rep % 2 == 1)
+        H = rand_instance(rng, k, n, 2 * n, plant_prob=0.3, min_edges=n // k)
         edges = H.edges + [rng.choice(H.edges) for _ in range(rng.randint(0, 3))]
-        H = Hypergraph(n, k, edges, H.partition)  # repeated edges included
+        H = Hypergraph(n, k, edges)  # repeated edges included
         covers = dlx_enumerate(H)
+        fires = not solver_mod._sieve(H, [], range(len(edges)), [1] * len(edges), GF64)[0]
+        assert not (fires and covers), H.edges
         kept = solver_mod._reduced(H.edge_masks, n)
-        if kept is None:
-            assert not covers, H
-            did = "none"
-        else:
+        if covers:
             assert kept == sorted(set(kept)) and {e for cover in covers for e in cover} <= set(kept), H
-            did = "dropped" if len(kept) < len(edges) else "kept all"
-        seen[H.partition is not None, bool(covers), did] += 1
-    for partitioned in (False, True):
-        assert seen[partitioned, True, "dropped"] >= 30, seen
-        assert seen[partitioned, False, "none"] >= 2 * seen[partitioned, False, "kept all"], seen
-        assert seen[partitioned, False, "none"] >= 30, seen
+        if reduce(or_, H.edge_masks) == (1 << n) - 1:
+            covered[bool(covers), fires] += 1
+    # the rules settle at least four of five no-instances with no bare vertex
+    assert covered[True, False] >= 200
+    assert covered[False, True] >= 50 and covered[False, True] >= 4 * covered[False, False]
+
+
+def test_matching_filter_keeps_every_cover_and_the_sieve_total():
+    # the clash rule is solve_kdm's filter now (it replaced the matching
+    # filter).  Random partitioned instances, planted or not: every edge
+    # of every exact cover survives it, and the sieve total on what
+    # survives, at the weights of the surviving edges, is the total on
+    # the whole instance and the summed cover weight
+    rng = random.Random(43)
+    seen = {"dropped": 0, "bare": 0, "nonzero": 0}
+    for rep in range(90):
+        gf = (GF8, GF64)[rep % 2]
+        k = (2, 3, 4)[rep % 3]
+        n = k * rng.randint(1, 12 // k)
+        if rep % 5 == 4:
+            H = _planted_matchings(rng, k, n, rng.randint(1, 3), rng.randint(0, 6))
+        else:
+            H = rand_instance(rng, k, n, n // k + rng.randint(0, 6), plant_prob=0.5, kdm=True)
+        w = [gf.sample(rng) for _ in H.edges]
+        u = [*H.partition[0], *H.partition[1]]
+        whole = sieve_decide(H, u, w, gf)
+        assert whole == covers_weight_sum(H, u, w, gf), rep
+        kept = _kept(H)
+        if kept is None:
+            assert not whole and not dlx_count(H), rep
+            seen["bare"] += 1
+            continue
+        assert {e for cover in dlx_enumerate(H) for e in cover} <= set(kept), rep
+        F = Hypergraph(n, k, [H.edges[e] for e in kept], H.partition)
+        assert sieve_decide(F, u, [w[e] for e in kept], gf) == whole, rep
+        seen["dropped"] += len(H.edges) > len(kept)
+        seen["nonzero"] += bool(whole)
+    assert min(seen.values()) >= 15, seen
 
 
 def test_refuted_rules():
