@@ -19,7 +19,7 @@ import time
 from .hypergraph import Hypergraph, generate, parse, serialize
 from .oracle import dlx_count, ie_count
 from .params import REFERENCE_ROWS, general_bound, kdm_base, optimize
-from .solver import SieveConfig, solve_kdm, solve_xkc, u_size
+from .solver import SieveConfig, kept_components, solve_kdm, solve_xkc, u_size
 
 PROBE_EXPONENT_LIMIT = 30  # refuse 2^q sweeps beyond this without --force
 K_RANGE_LIMIT = 1000       # most rows one params call computes
@@ -49,12 +49,16 @@ def cmd_solve(args) -> int:
     if mode == "kdm" and H.partition is None:
         print("error: kdm mode needs an instance with a partition", file=sys.stderr)
         return 2
-    # an indivisible n is answered without a sweep
+    # an indivisible n is answered without a sweep, and so is an instance
+    # the root reduction refutes, or (kdm) leaves no component to sweep;
+    # an xkc cover found there still draws its attempts
     q = H.n - u_size(H, mode == "kdm") if H.n % H.k == 0 else 0
     if q > PROBE_EXPONENT_LIMIT and not args.force:
-        print(f"error: sweep would take 2^{q} probes; rerun with --force "
-              f"to accept the wait", file=sys.stderr)
-        return 2
+        parts = kept_components(H, range(len(H.edges)))[0]
+        if parts is not None and (mode == "xkc" or any(len(part) > 1 for part in parts)):
+            print(f"error: sweep would take 2^{q} probes; rerun with --force "
+                  f"to accept the wait", file=sys.stderr)
+            return 2
     seed = args.seed if args.seed is not None else random.SystemRandom().randrange(2 ** 32)
     cfg = SieveConfig(m=args.m, seed=seed, epsilon=args.epsilon, threads=args.threads)
     decision = solve_kdm(H, cfg) if mode == "kdm" else solve_xkc(H, cfg)

@@ -20,10 +20,13 @@ pair weights, the bipartite one does not; since squaring is additive in
 characteristic 2, the square of the bipartite sum is the general sum.
 
 A Hypergraph validates itself when built, so neither solver checks its
-instance again.  solve_xkc knows no partition.  Each attempt samples U
-of size round(t*n) (t from the exponent optimizer), keeps the edges
-meeting it at most twice (no cover edge meets it more often when U is
-good), draws one weight per kept edge and sieves those edges (below).
+instance again.  solve_xkc knows no partition.  It first reduces the
+whole instance once, the root (below); a root no answers every attempt
+no, so the run reports no with its whole attempt budget decided and no
+U drawn.  Otherwise each attempt samples U of size round(t*n) (t from
+the exponent optimizer), keeps the edges meeting it at most twice (no
+cover edge meets it more often when U is good), draws one weight per
+kept edge and sieves those of them the root kept (below).
 A nonzero sum ends the run with yes, and the attempt budget is
 ceil(ln(1/eps)/p).  solve_kdm takes U as partition blocks 0 and 1,
 which every edge meets exactly twice, draws one weight per edge and
@@ -33,7 +36,7 @@ a nonzero certificate, or by a cover in hand.  An instance with a
 vertex in no edge has no cover, so both answer it no before any
 attempt.
 
-Both solvers sieve through _sieve, one reduction and then the sweeps.
+Both solvers sieve through _sieve: kept_components, then the sweeps.
 The sieve adds up exact covers alone, so dropping an edge that lies in
 no cover is exact.  _reduced drops such edges by the clash rule of
 Knuth's exact-cover preprocessor, run to a fixpoint: an edge that
@@ -52,6 +55,14 @@ kdm that part of U is the component's blocks 0 and 1, so it gets the
 bipartite probe.  The answer is yes iff every swept component's total
 is nonzero; the first zero answers no.  When every component is one
 edge, the kept edges are one exact cover and no sweep runs.
+
+The clash rule is monotone under edge deletion: an edge it drops from
+a set it drops from every subset holding it.  So a subset keeps only
+edges the set keeps, the same ones whether reduced alone or within the
+set's kept edges, a vertex the set leaves bare stays bare, and a
+component whose vertex count is not a multiple of k does not split into
+components that all are.  An xkc attempt sieves a subset of the edges,
+so the root's no holds for it.
 
 X is named by a code whose bit i puts the i-th vertex of V - U in X,
 counting from the vertex in the fewest edges (equal counts by label).
@@ -120,7 +131,7 @@ class Decision:
 
     answer: str              # "yes" or "no"
     probes: int              # nominal X count, 2^|V - U| per attempt, skipped X included
-    attempts: int            # U draws consumed
+    attempts: int            # U draws made, or the whole budget when the root refutes them all
     elapsed: float           # wall seconds
     reason: str | None = None
     u_fraction: float | None = None
@@ -575,23 +586,33 @@ def _component(H: Hypergraph, ids, u_vertices) -> tuple[Hypergraph, list[int]]:
             [label[v] for v in u_vertices if v in label])
 
 
-def _sieve(H: Hypergraph, u_vertices, ids, weights, gf: GF2m) -> tuple[bool, str | None]:
-    """Whether H's edges `ids`, at weight weights[j] for edge ids[j],
-    hold an exact cover as far as the sieve on U can tell, and the
-    reason when the answer needs no sweep: _reduced, then the component
-    checks and one sieve_decide per component of more than one kept edge
-    (see the module docstring).  Every edge must meet U at most twice."""
+def kept_components(H: Hypergraph, ids) -> tuple[list[list[int]] | None, str | None]:
+    """The components, as increasing lists of positions in `ids`, of the
+    edges among H's edges `ids` that _reduced keeps; or None and the
+    reason when the rules of the module docstring find they hold no cover."""
     masks = [H.edge_masks[e] for e in ids]
     kept = _reduced(masks, H.n)
     if kept is None:
-        return False, "clash: a vertex lies in no edge that the clash rule keeps"
+        return None, "clash: a vertex lies in no edge that the clash rule keeps"
     parts = [[kept[i] for i in part] for part in _components([masks[j] for j in kept])]
     blocks = [sum(1 << v for v in block) for block in H.partition or ()]
     for part in parts:
         mk = reduce(or_, (masks[j] for j in part))
         if mk.bit_count() % H.k or len({(mk & block).bit_count() for block in blocks}) > 1:
-            return False, (f"component: no edges cover the {mk.bit_count()} vertices "
-                           f"of a component of the kept edges exactly")
+            return None, (f"component: no edges cover the {mk.bit_count()} vertices "
+                          f"of a component of the kept edges exactly")
+    return parts, None
+
+
+def _sieve(H: Hypergraph, u_vertices, ids, weights, gf: GF2m) -> tuple[bool, str | None]:
+    """Whether H's edges `ids`, at weight weights[j] for edge ids[j],
+    hold an exact cover as far as the sieve on U can tell, and the
+    reason when no sweep was needed: kept_components, then one
+    sieve_decide per component of more than one edge.  Every edge must
+    meet U at most twice."""
+    parts, reason = kept_components(H, ids)
+    if parts is None:
+        return False, reason
     swept = [part for part in parts if len(part) > 1]    # a one-edge component is its own cover
     if not swept:
         return True, "clash: the kept edges are one exact cover"
@@ -628,13 +649,19 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
         return Decision("yes" if yes else "no", 1 << (n - tn), 1, time.perf_counter() - t0,
                         reason=reason, u_fraction=tn / n, max_attempts=1)
     max_attempts = repetitions(n, k, tn / n, cfg.epsilon)
+    root, reason = kept_components(H, range(len(H.edges)))
+    if root is None:            # each attempt would answer no (see the module docstring)
+        return Decision("no", max_attempts << (n - tn), max_attempts, time.perf_counter() - t0,
+                        reason=reason, u_fraction=tn / n, max_attempts=max_attempts)
+    kept = {e for part in root for e in part}
     answer = "no"
     for attempt in range(1, max_attempts + 1):
         u_vertices = sorted(rng.sample(range(n), tn))
         u_mask = sum(1 << v for v in u_vertices)
         ids = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
-        weights = [gf.sample(rng) for _ in ids]
-        if _sieve(H, u_vertices, ids, weights, gf)[0]:
+        weight = {e: gf.sample(rng) for e in ids}     # every edge of ids draws, kept or not
+        ids = [e for e in ids if e in kept]
+        if _sieve(H, u_vertices, ids, [weight[e] for e in ids], gf)[0]:
             answer = "yes"
             break
     return Decision(answer, attempt << (n - tn), attempt, time.perf_counter() - t0,

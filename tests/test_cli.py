@@ -249,11 +249,40 @@ def test_solve_kdm_mode_needs_partition(tmp_path, capsys):
 
 
 def test_solve_refuses_huge_sweeps(tmp_path, capsys):
-    _run(capsys, "gen", "--k", "3", "--n", "93", "--edges", "5", "--seed", "1",
-         "--out", str(tmp_path / "big.json"))
-    code, _, err = _run(capsys, "solve", "--input", str(tmp_path / "big.json"))
-    assert code == 2
-    assert "--force" in err
+    # n = 96: the rows and columns of a 3 x 3 grid (two covers, nothing
+    # dropped, one six-edge component to sweep) beside 29 lone triples;
+    # and 32 lone triples, a cover in hand at the root, whose xkc
+    # attempts are still drawn and swept
+    grid = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [0, 3, 6], [1, 4, 7], [2, 5, 8]]
+    for edges in (grid + [[v, v + 1, v + 2] for v in range(9, 96, 3)],
+                  [[v, v + 1, v + 2] for v in range(0, 96, 3)]):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"k": 3, "n": 96, "edges": edges}))
+        code, _, err = _run(capsys, "solve", "--input", str(path))
+        assert code == 2
+        assert "--force" in err
+
+
+def test_solve_answers_huge_instances_the_reduction_settles(tmp_path, capsys):
+    # no sweep would run, so the probe guard lets these through: a planted
+    # kdm instance whose kept edges are its cover, and an xkc instance
+    # that the clash rule refutes at the root ((1, 3, 5) and (2, 4, 5)
+    # meet both edges through vertex 0)
+    path = tmp_path / "kdm.json"
+    _run(capsys, "gen", "--k", "3", "--n", "96", "--edges", "32", "--plant", "--kdm",
+         "--seed", "1", "--out", str(path))
+    code, out, err = _run(capsys, "solve", "--input", str(path), "--seed", "1")
+    assert code == 0 and err == "" and "answer: yes" in out
+    clash = [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]
+    path = tmp_path / "xkc.json"
+    path.write_text(json.dumps({"k": 3, "n": 96,
+                                "edges": clash + [[v, v + 1, v + 2] for v in range(6, 96, 3)]}))
+    code, out, err = _run(capsys, "solve", "--input", str(path), "--seed", "1",
+                          "--format", "json")
+    report = json.loads(out)
+    assert code == 1 and err == "" and report["answer"] == "no"
+    assert report["attempts"] == report["max_attempts"] > 1
+    assert report["reason"].startswith("clash: ")
 
 
 def test_count_methods_agree(tmp_path, capsys):

@@ -8,6 +8,8 @@ from itertools import combinations, permutations, product
 from operator import or_, xor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detcover import (GF8, GF64, Hypergraph, SieveConfig, cover_weight, dlx_count, dlx_enumerate,
                       generate, project, restrict_avoiding, sieve_decide, solve_kdm, solve_xkc)
@@ -1448,11 +1450,52 @@ def test_refuted_rules():
         False, "component: no edges cover the 5 vertices of a component of the kept edges exactly")
 
 
+@st.composite
+def _instance_and_subset(draw):
+    """A k in {2, 3, 4} instance, maybe holding a planted cover, with a
+    random subset of its edge ids."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = k * draw(st.integers(1, 4))
+    edge = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True)
+    edges = draw(st.lists(edge, max_size=2 * n))
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        edges += [order[i:i + k] for i in range(0, n, k)]
+    H = Hypergraph(n, k, [tuple(e) for e in draw(st.permutations(edges))])
+    sub = [e for e in range(len(H.edges)) if draw(st.booleans())]
+    return H, sub
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_instance_and_subset())
+def test_reduction_is_monotone_under_edge_deletion(case):
+    # what solve_xkc's root reduction rests on: for edge sets S' within
+    # S, a refuted S leaves S' refuted, S' keeps only edges S keeps, and
+    # reducing S' within S's kept edges keeps what reducing S' keeps
+    H, sub = case
+
+    def kept(ids):
+        got = solver_mod._reduced([H.edge_masks[e] for e in ids], H.n)
+        return None if got is None else [ids[j] for j in got]
+
+    whole, part = kept(range(len(H.edges))), kept(sub)
+    if whole is None:
+        assert part is None
+        assert solver_mod.kept_components(H, sub)[0] is None
+        return
+    assert part is None or set(part) <= set(whole)
+    assert kept([e for e in sub if e in set(whole)]) == part
+    if solver_mod.kept_components(H, range(len(H.edges)))[0] is None:
+        assert solver_mod.kept_components(H, sub)[0] is None
+
+
 def test_refutation_never_changes_a_decision(monkeypatch):
     # the clash rule drops only edges that lie in no cover, and a refuted
-    # attempt still draws its U and weights, so at m = 64 every decision
-    # is the one made with the rule off (every edge kept, None only for a
-    # vertex in no edge)
+    # attempt still draws its U and weights, so at m = 64 every
+    # (answer, probes, attempts, max_attempts) is the one made with the
+    # rule off (every edge kept, None only for a vertex in no edge).  A
+    # root refutation settles the whole budget at once; it alone adds a
+    # reason
     def decisions():
         rng = random.Random(35)
         out = []
@@ -1469,7 +1512,7 @@ def test_refutation_never_changes_a_decision(monkeypatch):
 
     def counted(masks, n):
         kept = reduced(masks, n)
-        fired["none" if kept is None else "dropped" if len(kept) < len(masks) else "kept all"] += 1
+        fired["dropped"] += kept is not None and len(kept) < len(masks)
         return kept
 
     def keeping(masks, n):
@@ -1478,32 +1521,46 @@ def test_refutation_never_changes_a_decision(monkeypatch):
     monkeypatch.setattr(solver_mod, "_reduced", counted)
     shipped = decisions()
     monkeypatch.setattr(solver_mod, "_reduced", keeping)
-    assert decisions() == shipped
-    assert fired["none"] >= 500 and fired["dropped"] >= 100, fired  # the rule fired both ways
+    plain = decisions()
+    for ours, theirs in zip(shipped, plain):
+        assert ours[:4] == theirs[:4]
+        if ours[4] != theirs[4]:  # refuted at the root: the full budget, no U drawn
+            assert ours[0] == "no" and ours[2] == ours[3] and theirs[4] is None, ours
+            assert ours[4].startswith(("clash: a vertex", "component: ")), ours
+            fired["root"] += 1
+    assert fired["root"] >= 20 and fired["dropped"] >= 100, fired  # the rule fired both ways
     assert Counter(d[0] for d in shipped)["yes"] >= 100
 
 
 def test_both_solvers_reduce_once_per_attempt(monkeypatch):
-    # solve_kdm calls _reduced once, solve_xkc once per attempt, and
-    # neither reaches sieve_decide but through _sieve
+    # solve_kdm calls _reduced once; solve_xkc once at the root, then once
+    # per drawn attempt, and draws none when the root refutes; neither
+    # reaches sieve_decide but through _sieve
     calls, inner = [], solver_mod._reduced
     monkeypatch.setattr(solver_mod, "_reduced", lambda masks, n: calls.append(n) or inner(masks, n))
     rng = random.Random(36)
     seen = Counter()
-    for rep in range(40):
+    for rep in range(80):
         kdm = rep % 2 == 1
         H = rand_instance(rng, 3, 9, 12, plant_prob=0.5, min_edges=3, kdm=kdm)
         calls.clear()
         d = (solve_kdm if kdm else solve_xkc)(H, SieveConfig(seed=rep, epsilon=0.01))
-        assert calls == [H.n] * d.attempts, rep
-        seen[kdm, d.attempts > 1] += 1
-    assert seen[True, False] >= 10 and seen[False, True] >= 5, seen
+        if kdm or d.attempts == 0:  # kdm's one attempt is its root; no U for a bare vertex
+            assert calls == [H.n] * d.attempts, rep
+            seen["kdm" if kdm else "bare"] += 1
+        elif d.reason is not None:  # refuted at the root
+            assert calls == [H.n] and d.attempts == d.max_attempts, rep
+            seen["root"] += 1
+        else:
+            assert calls == [H.n] * (1 + d.attempts), rep
+            seen["drawn", d.attempts > 1] += 1
+    assert seen["kdm"] == 40 and seen["root"] >= 2 and seen["drawn", True] >= 4, seen
 
 
 def test_refuted_attempts_are_not_swept(monkeypatch):
     # vertex 4 forces (4, 5, 6), which kills (6, 7, 8) and leaves vertex
-    # 7 bare; the clash rule refutes every attempt's kept edges, so none
-    # is swept
+    # 7 bare; the clash rule refutes the whole instance at the root, so
+    # the full budget is settled and nothing is swept
     H = Hypergraph(9, 3, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (4, 5, 6), (6, 7, 8)])
 
     def sweep(*args):
@@ -1512,6 +1569,6 @@ def test_refuted_attempts_are_not_swept(monkeypatch):
     monkeypatch.setattr(solver_mod, "sieve_decide", sweep)
     for seed in range(5):
         d = solve_xkc(H, SieveConfig(seed=seed))
-        assert (d.answer, d.reason) == ("no", None)
+        assert (d.answer, d.reason) == ("no", "clash: a vertex lies in no edge that the clash rule keeps")
         assert d.attempts == d.max_attempts == 22  # the full budget is spent
         assert d.probes == d.attempts << (H.n - solver_mod.u_size(H, False))
