@@ -20,28 +20,30 @@ pair weights, the bipartite one does not; since squaring is additive in
 characteristic 2, the square of the bipartite sum is the general sum.
 
 A Hypergraph validates itself when built, so neither solver checks its
-instance again.  solve_xkc knows no partition.  It first reduces the
-whole instance once, the root (below); a root no answers every attempt
-no, so the run reports no with its whole attempt budget decided and no
-U drawn.  Otherwise each attempt samples U of size round(t*n) (t from
-the exponent optimizer), keeps the edges meeting it at most twice (no
-cover edge meets it more often when U is good), draws one weight per
-kept edge and sieves those of them the root kept (below).
-A nonzero sum ends the run with yes, and the attempt budget is
-ceil(ln(1/eps)/p).  solve_kdm takes U as partition blocks 0 and 1,
-which every edge meets exactly twice, draws one weight per edge and
-sieves every edge once: one attempt of nominally 2^(n(k-2)/k) probes
-decides the instance.  Answers are one sided: yes is always backed by
-a nonzero certificate, or by a cover in hand.  An instance with a
-vertex in no edge has no cover, so both answer it no before any
-attempt.
+instance again.  An instance with a vertex in no edge has no cover, so
+both answer it no before any attempt.  Both then run one loop, which
+differs only in how an attempt chooses U and in its attempt budget.
+The loop first reduces the whole instance once, the root (below); a
+root no answers every attempt no, so the run reports no with its whole
+budget decided and no U drawn.  Otherwise each attempt chooses U,
+draws one weight per edge meeting U at most twice (no cover edge meets
+it more often when U is good), in edge order, and sieves the
+root-kept edges that drew one (below).  A nonzero sum ends the run
+with yes; a run that spends its budget answers no.  solve_xkc knows no
+partition: its U is a random sample of round(t*n) vertices (t from the
+exponent optimizer), and its budget is ceil(ln(1/eps)/p).  solve_kdm
+fixes U to partition blocks 0 and 1, which every edge meets exactly
+twice, so every edge draws, and its budget is 1: one attempt of
+nominally 2^(n(k-2)/k) probes decides the instance.  Answers are one
+sided: yes is always backed by a nonzero certificate, or by a cover in
+hand.
 
-Both solvers sieve through _sieve: kept_components, then the sweeps.
-The sieve adds up exact covers alone, so dropping an edge that lies in
-no cover is exact.  _reduced drops such edges by the clash rule of
-Knuth's exact-cover preprocessor, run to a fixpoint: an edge that
-misses a vertex v but meets every edge through v is in no cover.  A
-vertex left in no edge answers no.  The kept edges then split into
+An attempt sieves through _sieve, on the components kept_components
+finds.  The sieve adds up exact covers alone, so dropping an edge that
+lies in no cover is exact.  _reduced drops such edges by the clash
+rule of Knuth's exact-cover preprocessor, run to a fixpoint: an edge
+that misses a vertex v but meets every edge through v is in no cover.
+A vertex left in no edge answers no.  The kept edges then split into
 connected components, two edges joined when they share a vertex.
 Every cover is one cover per component, so the sieve total is the
 product of the components' totals, and a component of n_i vertices, u_i
@@ -61,8 +63,11 @@ a set it drops from every subset holding it.  So a subset keeps only
 edges the set keeps, the same ones whether reduced alone or within the
 set's kept edges, a vertex the set leaves bare stays bare, and a
 component whose vertex count is not a multiple of k does not split into
-components that all are.  An xkc attempt sieves a subset of the edges,
-so the root's no holds for it.
+components that all are.  An attempt sieves a subset of the edges, so
+the root's no holds for it.  The kept edges are the largest subset the
+rule drops nothing from, so an attempt whose U drops no root-kept edge
+keeps exactly the root's and sieves the root's components; any other
+attempt reduces its root-kept edges again.
 
 X is named by a code whose bit i puts the i-th vertex of V - U in X,
 counting from the vertex in the fewest edges (equal counts by label).
@@ -133,7 +138,8 @@ class Decision:
     probes: int              # nominal X count, 2^|V - U| per attempt, skipped X included
     attempts: int            # U draws made, or the whole budget when the root refutes them all
     elapsed: float           # wall seconds
-    reason: str | None = None
+    reason: str | None = None   # yes: the check or the deciding attempt's cover in hand that
+                                # made a sweep needless; no: the refuting check or root, or None
     u_fraction: float | None = None
     max_attempts: int | None = None
 
@@ -509,29 +515,28 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m) -> int:
                         for x in xs), 0)
 
 
-def _components(masks) -> list[list[int]]:
-    """The connected components of the edges whose vertex bitmasks are
-    `masks`, two edges joined when they share a vertex: each a list of
-    indices into masks, increasing, the lists ordered by their first
-    index.  Each edge in turn merges the components it meets."""
-    parts = []                  # (vertex bitmask, indices) of the components so far
-    for i, mk in enumerate(masks):
-        ids = [i]
-        apart = []
+def _components(masks, ids) -> list[list[int]]:
+    """The connected components of the edges `ids`, edge i of vertex
+    bitmask masks[i], two edges joined when they share a vertex: each an
+    increasing list of edge ids, the lists ordered by their first id.
+    Each edge in turn merges the components it meets."""
+    parts = []                  # (vertex bitmask, edge ids) of the components so far
+    for i in ids:
+        mk, joined, apart = masks[i], [i], []
         for part in parts:
             if part[0] & mk:
                 mk |= part[0]
-                ids += part[1]
+                joined += part[1]
             else:
                 apart.append(part)
-        apart.append((mk, ids))
+        apart.append((mk, joined))
         parts = apart
     parts.sort(key=lambda part: min(part[1]))
-    return [sorted(ids) for _, ids in parts]
+    return [sorted(joined) for _, joined in parts]
 
 
-def _reduced(masks, n) -> list[int] | None:
-    """The indices, increasing, of the edges with vertex bitmasks `masks`
+def _reduced(edges, n) -> list[int] | None:
+    """The indices, increasing, of the edges (vertex tuples) `edges`
     that the clash rule keeps, or None when it leaves a vertex of 0..n-1
     in no edge; every edge of every exact cover is kept.  Edge sets are
     bitmasks of edge indices: through[v] holds the edges through vertex
@@ -542,20 +547,11 @@ def _reduced(masks, n) -> list[int] | None:
     edge through v, that edge is forced (as in Knuth's Algorithm X) and
     the rule drops every edge meeting it."""
     through = [0] * n
-    for i, mk in enumerate(masks):
-        while mk:
-            low = mk & -mk
-            mk ^= low
-            through[low.bit_length() - 1] |= 1 << i
-    meets = []
-    for mk in masks:
-        near = 0
-        while mk:
-            low = mk & -mk
-            mk ^= low
-            near |= through[low.bit_length() - 1]
-        meets.append(near)
-    live = (1 << len(masks)) - 1
+    for i, e in enumerate(edges):
+        for v in e:
+            through[v] |= 1 << i
+    meets = [reduce(or_, map(through.__getitem__, e)) for e in edges]
+    live = (1 << len(edges)) - 1
     dropped = True
     while dropped:
         dropped = False
@@ -571,7 +567,7 @@ def _reduced(masks, n) -> list[int] | None:
             if clash:
                 live ^= clash
                 dropped = True
-    return [i for i in range(len(masks)) if live >> i & 1]
+    return [i for i in range(len(edges)) if live >> i & 1]
 
 
 def _component(H: Hypergraph, ids, u_vertices) -> tuple[Hypergraph, list[int]]:
@@ -587,44 +583,40 @@ def _component(H: Hypergraph, ids, u_vertices) -> tuple[Hypergraph, list[int]]:
 
 
 def kept_components(H: Hypergraph, ids) -> tuple[list[list[int]] | None, str | None]:
-    """The components, as increasing lists of positions in `ids`, of the
-    edges among H's edges `ids` that _reduced keeps; or None and the
-    reason when the rules of the module docstring find they hold no cover."""
-    masks = [H.edge_masks[e] for e in ids]
-    kept = _reduced(masks, H.n)
+    """The components, as increasing lists of edge ids, of the edges
+    among H's edges `ids` that _reduced keeps; or None and the reason
+    when the rules of the module docstring find they hold no cover."""
+    kept = _reduced([H.edges[e] for e in ids], H.n)
     if kept is None:
         return None, "clash: a vertex lies in no edge that the clash rule keeps"
-    parts = [[kept[i] for i in part] for part in _components([masks[j] for j in kept])]
+    parts = _components(H.edge_masks, [ids[j] for j in kept])
     blocks = [sum(1 << v for v in block) for block in H.partition or ()]
     for part in parts:
-        mk = reduce(or_, (masks[j] for j in part))
+        mk = reduce(or_, (H.edge_masks[e] for e in part))
         if mk.bit_count() % H.k or len({(mk & block).bit_count() for block in blocks}) > 1:
             return None, (f"component: no edges cover the {mk.bit_count()} vertices "
                           f"of a component of the kept edges exactly")
     return parts, None
 
 
-def _sieve(H: Hypergraph, u_vertices, ids, weights, gf: GF2m) -> tuple[bool, str | None]:
-    """Whether H's edges `ids`, at weight weights[j] for edge ids[j],
-    hold an exact cover as far as the sieve on U can tell, and the
-    reason when no sweep was needed: kept_components, then one
-    sieve_decide per component of more than one edge.  Every edge must
+def _sieve(H: Hypergraph, u_vertices, parts, weights, gf: GF2m) -> tuple[bool, str | None]:
+    """Whether the components `parts` of kept_components, at weight
+    weights[e] for edge e, hold an exact cover as far as the sieve on U
+    can tell, and the reason when no sweep was needed: one sieve_decide
+    per component of more than one edge.  Every edge of `parts` must
     meet U at most twice."""
-    parts, reason = kept_components(H, ids)
-    if parts is None:
-        return False, reason
     swept = [part for part in parts if len(part) > 1]    # a one-edge component is its own cover
     if not swept:
         return True, "clash: the kept edges are one exact cover"
     for part in swept:
-        C, u = _component(H, [ids[j] for j in part], u_vertices)
-        if not sieve_decide(C, u, [weights[j] for j in part], gf):
+        C, u = _component(H, part, u_vertices)
+        if not sieve_decide(C, u, [weights[e] for e in part], gf):
             return False, None
     return True, None
 
 
 def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decision:
-    """The checks of both solvers, then kdm's one sweep or xkc's attempt
+    """The checks of both solvers, the root reduction, then the attempt
     loop (see the module docstring)."""
     t0 = time.perf_counter()
     cfg = cfg or SieveConfig()
@@ -643,28 +635,28 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
                         reason=f"uncovered: {uncovered} of {n} vertices lie in no edge")
     rng = random.Random(cfg.seed)
     tn = u_size(H, partitioned)
-    if partitioned:
-        weights = [gf.sample(rng) for _ in H.edges]
-        yes, reason = _sieve(H, [*H.partition[0], *H.partition[1]], range(len(H.edges)), weights, gf)
-        return Decision("yes" if yes else "no", 1 << (n - tn), 1, time.perf_counter() - t0,
-                        reason=reason, u_fraction=tn / n, max_attempts=1)
-    max_attempts = repetitions(n, k, tn / n, cfg.epsilon)
+    max_attempts = 1 if partitioned else repetitions(n, k, tn / n, cfg.epsilon)
     root, reason = kept_components(H, range(len(H.edges)))
     if root is None:            # each attempt would answer no (see the module docstring)
         return Decision("no", max_attempts << (n - tn), max_attempts, time.perf_counter() - t0,
                         reason=reason, u_fraction=tn / n, max_attempts=max_attempts)
-    kept = {e for part in root for e in part}
-    answer = "no"
+    kept = [e for part in root for e in part]
+    blocks = [*H.partition[0], *H.partition[1]] if partitioned else None
     for attempt in range(1, max_attempts + 1):
-        u_vertices = sorted(rng.sample(range(n), tn))
+        u_vertices = blocks or sorted(rng.sample(range(n), tn))
         u_mask = sum(1 << v for v in u_vertices)
-        ids = [eid for eid, mk in enumerate(H.edge_masks) if (mk & u_mask).bit_count() <= 2]
-        weight = {e: gf.sample(rng) for e in ids}     # every edge of ids draws, kept or not
-        ids = [e for e in ids if e in kept]
-        if _sieve(H, u_vertices, ids, [weight[e] for e in ids], gf)[0]:
-            answer = "yes"
-            break
-    return Decision(answer, attempt << (n - tn), attempt, time.perf_counter() - t0,
+        # each edge meeting U at most twice draws, root-kept or not, so the
+        # random stream does not depend on the reduction
+        weights = [gf.sample(rng) if (mk & u_mask).bit_count() <= 2 else None
+                   for mk in H.edge_masks]
+        ids = [e for e in kept if weights[e] is not None]
+        parts = root if len(ids) == len(kept) else kept_components(H, ids)[0]
+        if parts is not None:
+            yes, reason = _sieve(H, u_vertices, parts, weights, gf)
+            if yes:
+                return Decision("yes", attempt << (n - tn), attempt, time.perf_counter() - t0,
+                                reason=reason, u_fraction=tn / n, max_attempts=max_attempts)
+    return Decision("no", max_attempts << (n - tn), max_attempts, time.perf_counter() - t0,
                     u_fraction=tn / n, max_attempts=max_attempts)
 
 

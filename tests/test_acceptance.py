@@ -229,7 +229,7 @@ def test_criterion_10_partitioned_probe_counts(monkeypatch):
         walks.clear()
         d = solve_kdm(H, SieveConfig(seed=rng.randrange(2 ** 31)))
         assert d.yes and d.probes == probes and d.attempts == 1, (n, d.probes)
-        kept = solver_mod._reduced(H.edge_masks, H.n)
+        kept = solver_mod._reduced(H.edges, H.n)
         parts = [C for ids, C in edge_components(H, kept) if len(ids) > 1]
         assert walks == [((1 << C.n) - 1) ^ sum(1 << v for v in (*C.partition[0], *C.partition[1]))
                          for C in parts], (n, walks)

@@ -653,7 +653,7 @@ def test_solve_kdm_unsolvable_no():
     swept = Hypergraph(12, 3, [(0, 5, 8), (0, 6, 9), (1, 4, 10), (1, 7, 8), (2, 5, 11), (2, 6, 10),
                                (3, 4, 9), (3, 7, 11)], [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)])
     for H in (split, even, swept):
-        assert solver_mod._reduced(H.edge_masks, H.n) == list(range(len(H.edges)))
+        assert solver_mod._reduced(H.edges, H.n) == list(range(len(H.edges)))
     component = "component: no edges cover the {} vertices of a component of the kept edges exactly"
     for H, reason in ((bare, "clash: a vertex lies in no edge that the clash rule keeps"),
                       (split, component.format(5)), (even, component.format(6)), (swept, None)):
@@ -744,7 +744,7 @@ def _planted_matchings(rng, k, n, count, extra=0):
 def _kept(H):
     """The ids of the edges of a kdm instance H that solve_kdm's clash
     rule keeps, or None when it leaves a vertex in no edge."""
-    return solver_mod._reduced(H.edge_masks, H.n)
+    return solver_mod._reduced(H.edges, H.n)
 
 
 def test_solve_kdm_walks_blocks_0_and_1_once(monkeypatch):
@@ -888,16 +888,16 @@ def test_component_split_keeps_the_total():
         w = [gf.sample(rng) for _ in ids]
         F = Hypergraph(n, k, [H.edges[e] for e in ids], H.partition)
         whole = sieve_decide(F, u, w, gf)
-        sieved, reason = solver_mod._sieve(H, u, ids, w, gf)
-        if reason is not None and not sieved:  # answered before any sweep
+        split = solver_mod.kept_components(H, ids)[0]
+        if split is None:       # answered before any sweep
             assert not whole and not dlx_count(F), rep
             seen["answered no"] += 1
             continue
-        kept = [ids[j] for j in solver_mod._reduced([H.edge_masks[e] for e in ids], n)]
+        kept = [ids[j] for j in solver_mod._reduced([H.edges[e] for e in ids], n)]
         parts = edge_components(H, kept)
-        split = solver_mod._components([H.edge_masks[e] for e in kept])
-        assert [[kept[i] for i in part] for part in split] == [part for part, _ in parts], rep
+        assert split == [part for part, _ in parts], rep
         weight = dict(zip(ids, w))
+        sieved = solver_mod._sieve(H, u, split, [weight.get(e) for e in range(len(H.edges))], gf)[0]
         totals = []
         for part, C in parts:
             built, part_u = solver_mod._component(H, part, u)
@@ -1357,15 +1357,12 @@ def test_solver_soundness_small_mix():
             assert d.answer == "no"
 
 
-def _masks(edges):
-    return [sum(1 << v for v in e) for e in edges]
-
-
 def test_refuted_never_refutes_an_instance_with_a_cover(monkeypatch):
-    # unpartitioned instances, planted or not, with repeated edges: _sieve
-    # refutes (answers no before any sweep) only instances with no cover,
-    # and _reduced keeps every edge of every exact cover.  sieve_decide is
-    # patched to yes, so an answer of no is one of the rules
+    # unpartitioned instances, planted or not, with repeated edges:
+    # kept_components refutes (answers no before any sweep) only
+    # instances with no cover, and _reduced keeps every edge of every
+    # exact cover.  sieve_decide is patched to yes, so an answer of no is
+    # one of the rules
     monkeypatch.setattr(solver_mod, "sieve_decide", lambda *args: True)
     rng = random.Random(34)
     covered = Counter()         # (has a cover, refuted) over instances with no bare vertex
@@ -1376,9 +1373,10 @@ def test_refuted_never_refutes_an_instance_with_a_cover(monkeypatch):
         edges = H.edges + [rng.choice(H.edges) for _ in range(rng.randint(0, 3))]
         H = Hypergraph(n, k, edges)  # repeated edges included
         covers = dlx_enumerate(H)
-        fires = not solver_mod._sieve(H, [], range(len(edges)), [1] * len(edges), GF64)[0]
+        parts = solver_mod.kept_components(H, range(len(edges)))[0]
+        fires = parts is None or not solver_mod._sieve(H, [], parts, [1] * len(edges), GF64)[0]
         assert not (fires and covers), H.edges
-        kept = solver_mod._reduced(H.edge_masks, n)
+        kept = solver_mod._reduced(H.edges, n)
         if covers:
             assert kept == sorted(set(kept)) and {e for cover in covers for e in cover} <= set(kept), H
         if reduce(or_, H.edge_masks) == (1 << n) - 1:
@@ -1422,9 +1420,8 @@ def test_matching_filter_keeps_every_cover_and_the_sieve_total():
 
 
 def test_refuted_rules():
-    # _reduced's clash rule, and _sieve's component check after it
-    def reduced(edges, n):
-        return solver_mod._reduced(_masks(edges), n)
+    # _reduced's clash rule, and kept_components's component check after it
+    reduced = solver_mod._reduced
 
     # vertex 5 lies in no edge
     assert reduced([(0, 1, 2), (2, 3, 4)], 6) is None
@@ -1442,12 +1439,13 @@ def test_refuted_rules():
     grid = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8)]
     assert reduced(grid, 9) == list(range(6))
     # two 5-cycles: no rule drops an edge, and each component holds 5
-    # vertices, not a multiple of k = 2, so _sieve answers before any sweep
+    # vertices, not a multiple of k = 2, so kept_components answers
+    # before any sweep
     cycles = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
     assert reduced(cycles, 10) == list(range(10))
     H = Hypergraph(10, 2, cycles)
-    assert solver_mod._sieve(H, range(10), range(10), [1] * 10, GF64) == (
-        False, "component: no edges cover the 5 vertices of a component of the kept edges exactly")
+    assert solver_mod.kept_components(H, range(10)) == (
+        None, "component: no edges cover the 5 vertices of a component of the kept edges exactly")
 
 
 @st.composite
@@ -1475,7 +1473,7 @@ def test_reduction_is_monotone_under_edge_deletion(case):
     H, sub = case
 
     def kept(ids):
-        got = solver_mod._reduced([H.edge_masks[e] for e in ids], H.n)
+        got = solver_mod._reduced([H.edges[e] for e in ids], H.n)
         return None if got is None else [ids[j] for j in got]
 
     whole, part = kept(range(len(H.edges))), kept(sub)
@@ -1494,8 +1492,9 @@ def test_refutation_never_changes_a_decision(monkeypatch):
     # attempt still draws its U and weights, so at m = 64 every
     # (answer, probes, attempts, max_attempts) is the one made with the
     # rule off (every edge kept, None only for a vertex in no edge).  A
-    # root refutation settles the whole budget at once; it alone adds a
-    # reason
+    # root refutation settles the whole budget at once and adds its
+    # reason; a yes whose deciding attempt keeps one exact cover's edges
+    # alone, which the rule off may not, adds the cover-in-hand reason
     def decisions():
         rng = random.Random(35)
         out = []
@@ -1510,13 +1509,13 @@ def test_refutation_never_changes_a_decision(monkeypatch):
     reduced = solver_mod._reduced
     fired = Counter()
 
-    def counted(masks, n):
-        kept = reduced(masks, n)
-        fired["dropped"] += kept is not None and len(kept) < len(masks)
+    def counted(edges, n):
+        kept = reduced(edges, n)
+        fired["dropped"] += kept is not None and len(kept) < len(edges)
         return kept
 
-    def keeping(masks, n):
-        return list(range(len(masks))) if reduce(or_, masks, 0) == (1 << n) - 1 else None
+    def keeping(edges, n):
+        return list(range(len(edges))) if len({v for e in edges for v in e}) == n else None
 
     monkeypatch.setattr(solver_mod, "_reduced", counted)
     shipped = decisions()
@@ -1524,20 +1523,44 @@ def test_refutation_never_changes_a_decision(monkeypatch):
     plain = decisions()
     for ours, theirs in zip(shipped, plain):
         assert ours[:4] == theirs[:4]
-        if ours[4] != theirs[4]:  # refuted at the root: the full budget, no U drawn
-            assert ours[0] == "no" and ours[2] == ours[3] and theirs[4] is None, ours
+        if ours[4] == theirs[4]:
+            continue
+        assert theirs[4] is None, ours
+        if ours[0] == "yes":    # the deciding attempt's kept edges are one exact cover
+            assert ours[4] == "clash: the kept edges are one exact cover", ours
+            fired["cover"] += 1
+        else:                   # refuted at the root: the full budget, no U drawn
+            assert ours[2] == ours[3], ours
             assert ours[4].startswith(("clash: a vertex", "component: ")), ours
             fired["root"] += 1
     assert fired["root"] >= 20 and fired["dropped"] >= 100, fired  # the rule fired both ways
+    assert fired["cover"] >= 20, fired
     assert Counter(d[0] for d in shipped)["yes"] >= 100
 
 
+def _xkc_stream(H, seed, attempts, gf=GF64):
+    """(U, weights) of solve_xkc's first `attempts` attempts at `seed`,
+    replayed from the documented stream: U = sorted(rng.sample(range(n),
+    tn)), then one gf.sample per edge that meets U at most twice, in
+    edge-id order; the weight of any other edge is None."""
+    rng = random.Random(seed)
+    tn = solver_mod.u_size(H, False)
+    stream = []
+    for _ in range(attempts):
+        u = sorted(rng.sample(range(H.n), tn))
+        stream.append((u, [gf.sample(rng) if len(set(e) & set(u)) <= 2 else None for e in H.edges]))
+    return stream
+
+
 def test_both_solvers_reduce_once_per_attempt(monkeypatch):
-    # solve_kdm calls _reduced once; solve_xkc once at the root, then once
-    # per drawn attempt, and draws none when the root refutes; neither
-    # reaches sieve_decide but through _sieve
+    # solve_kdm calls _reduced once, at the root: its one U, blocks 0 and
+    # 1, drops no edge.  solve_xkc calls it once at the root, then once
+    # per attempt whose U drops a root-kept edge (one meeting U three or
+    # more times); an attempt that drops none sieves the root's
+    # components.  It draws no U when the root refutes.  Neither reaches
+    # sieve_decide but through _sieve
     calls, inner = [], solver_mod._reduced
-    monkeypatch.setattr(solver_mod, "_reduced", lambda masks, n: calls.append(n) or inner(masks, n))
+    monkeypatch.setattr(solver_mod, "_reduced", lambda edges, n: calls.append(n) or inner(edges, n))
     rng = random.Random(36)
     seen = Counter()
     for rep in range(80):
@@ -1548,13 +1571,75 @@ def test_both_solvers_reduce_once_per_attempt(monkeypatch):
         if kdm or d.attempts == 0:  # kdm's one attempt is its root; no U for a bare vertex
             assert calls == [H.n] * d.attempts, rep
             seen["kdm" if kdm else "bare"] += 1
-        elif d.reason is not None:  # refuted at the root
+        elif not d.yes and d.reason is not None:  # refuted at the root
             assert calls == [H.n] and d.attempts == d.max_attempts, rep
             seen["root"] += 1
         else:
-            assert calls == [H.n] * (1 + d.attempts), rep
+            kept = inner(H.edges, H.n)
+            drops = sum(any(w[e] is None for e in kept) for _, w in _xkc_stream(H, rep, d.attempts))
+            assert calls == [H.n] * (1 + drops), rep
             seen["drawn", d.attempts > 1] += 1
+            seen["reused"] += drops < d.attempts
     assert seen["kdm"] == 40 and seen["root"] >= 2 and seen["drawn", True] >= 4, seen
+    assert seen["reused"] >= 10, seen
+
+
+def _clash_kept(H, ids):
+    """What the clash rule keeps of H's edges `ids`, or None when it
+    leaves a vertex in no edge: until it drops nothing, drop the edges
+    that miss a vertex v and meet every edge through v."""
+    live = list(ids)
+    while True:
+        for v in range(H.n):
+            through = [set(H.edges[e]) for e in live if v in H.edges[e]]
+            if not through:
+                return None
+            clash = {e for e in live if v not in H.edges[e] and all(t & set(H.edges[e]) for t in through)}
+            if clash:
+                live = [e for e in live if e not in clash]
+                break
+        else:
+            return live
+
+
+def test_xkc_attempt_weights_follow_the_documented_stream(monkeypatch):
+    # a planted cover among more edges, (0, 5, 11) listed twice: the root
+    # keeps a component that must be swept.  At seed 3 the first three
+    # attempts drop a root-kept edge and reduce again, and the fourth
+    # keeps them all and answers yes.  Each sieve_decide call, in order,
+    # gets the next swept component of its attempt's kept edges, on that
+    # attempt's replayed U, at the replayed weights of the component's
+    # edges in edge-id order; an attempt stops at its first zero total
+    H = Hypergraph(12, 3, [(0, 5, 11), (1, 3, 7), (3, 6, 8), (0, 1, 5), (2, 7, 9), (2, 3, 10),
+                           (0, 1, 8), (0, 8, 11), (6, 9, 10), (2, 4, 8), (3, 4, 5), (4, 7, 11),
+                           (0, 5, 11), (4, 5, 10), (0, 2, 5), (5, 10, 11)])
+    calls, inner = [], solver_mod.sieve_decide
+
+    def deciding(C, u, weights, gf):
+        calls.append((C, u, weights, inner(C, u, weights, gf)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(solver_mod, "sieve_decide", deciding)
+    d = solve_xkc(H, SieveConfig(seed=3))
+    assert d.yes and d.attempts == 4
+    root = _clash_kept(H, range(len(H.edges)))
+    got, dropped = iter(calls), []
+    for u, w in _xkc_stream(H, 3, d.attempts):
+        dropped.append(any(w[e] is None for e in root))
+        kept = _clash_kept(H, [e for e in root if w[e] is not None])
+        parts = [] if kept is None else edge_components(H, kept)
+        if any(C.n % H.k for _, C in parts):
+            continue            # a component no cover can fill: no sweep
+        for ids, _ in parts:
+            if len(ids) > 1:
+                C, part_u, weights, total = next(got)
+                assert (C, part_u) == solver_mod._component(H, ids, u)
+                assert weights == [w[e] for e in ids]
+                if not total:
+                    break
+    assert next(got, None) is None
+    assert dropped == [True, True, True, False] and len(calls) == 3
+    assert calls[-1][-1] == 0x52f133d8d590fec9
 
 
 def test_refuted_attempts_are_not_swept(monkeypatch):
