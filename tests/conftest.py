@@ -6,9 +6,11 @@ explicit enumeration instead of determinants)."""
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
-from detcover import GF2m, Hypergraph, ProjectedView, dlx_enumerate, generate
+from detcover import (GF2m, Hypergraph, ParamRow, ProjectedView, dlx_enumerate,
+                      generate, runtime_base)
 
 
 def rand_instance(rng: random.Random, k: int, n: int, max_edges: int,
@@ -19,6 +21,34 @@ def rand_instance(rng: random.Random, k: int, n: int, max_edges: int,
     edges = rng.randint(min_edges, max_edges)
     plant = edges >= n // k and rng.random() < plant_prob
     return generate(rng, k, n, edges, plant=plant, kdm=kdm)
+
+
+def ref_optimize(k: int) -> ParamRow:
+    """The exponent optimizer as a plain scan: every point of the four
+    shrinking grids, clamped repeats included, through runtime_base; a
+    point replaces the incumbent only if its base is strictly smaller."""
+    best = (math.inf, 0.0, 0.0)
+    lo12, lo2 = 0.0, 0.0
+    span = 1.0
+    step = 0.02
+    for _ in range(4):
+        steps = round(span / step)
+        for i in range(steps + 1):
+            t12 = min(lo12 + i * step, 1.0)
+            for j in range(steps + 1):
+                t2 = min(lo2 + j * step, t12)
+                c = runtime_base(k, t12, t2)
+                if c < best[0]:
+                    best = (c, t12, t2)
+        _, b12, b2 = best
+        lo12 = max(0.0, b12 - 2 * step)
+        lo2 = max(0.0, b2 - 2 * step)
+        span = 4 * step
+        step /= 10
+    c, tau12, tau2 = best
+    t = (tau12 + tau2) / k
+    return ParamRow(k=k, tau12=tau12, tau2=tau2, t=t,
+                    attempt_base=c / 2.0 ** (1.0 - t), base=c)
 
 
 def ref_mul(a: int, b: int, m: int, reduction: int) -> int:

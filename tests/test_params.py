@@ -13,6 +13,8 @@ import pytest
 from detcover import (REFERENCE_ROWS, general_bound, kdm_base, optimize,
                       repetitions, runtime_base, success_probability_exact)
 
+from conftest import ref_optimize
+
 
 def test_runtime_base_domain():
     with pytest.raises(ValueError):
@@ -51,6 +53,33 @@ def test_optimize_finds_interior_minimum():
 def test_optimize_rejects_small_k():
     with pytest.raises(ValueError):
         optimize(2)
+
+
+def test_optimize_equals_the_plain_grid_scan_bit_for_bit():
+    for k in (*range(3, 21), 145, 1000):
+        assert optimize(k) == ref_optimize(k), k
+    # the minimizer is a sum of grid steps, so IEEE arithmetic fixes its bits
+    pins = {3: ("0x1.ec1a8ac5c13fdp-1", "0x1.5bf9c62a1b5c9p-1"),
+            4: ("0x1.df43419e30016p-1", "0x1.39c0ebedfa440p-1"),
+            5: ("0x1.d7b2031ceaf26p-1", "0x1.2a5269595fedbp-1"),
+            6: ("0x1.d2c27a63736cfp-1", "0x1.21797cc39ffd6p-1"),
+            7: ("0x1.cf47304039ac0p-1", "0x1.1bb2fec56d5d0p-1"),
+            8: ("0x1.ccb5350092cd0p-1", "0x1.17a4e7ab75644p-1")}
+    for k, (tau12, tau2) in pins.items():
+        row = optimize(k)
+        assert (row.tau12.hex(), row.tau2.hex()) == (tau12, tau2), k
+
+
+def test_optimize_base_is_runtime_base_at_its_minimizer():
+    for k in range(3, 21):
+        row = optimize(k)
+        assert row.base == runtime_base(k, row.tau12, row.tau2), k
+
+
+def test_optimize_refuses_a_k_too_large_for_a_float():
+    # the CLI maps this to exit status 2 (test_solve_k_too_large_for_a_float_is_an_error)
+    with pytest.raises(OverflowError):
+        optimize(10 ** 400)
 
 
 def test_general_bound_dominates_and_grows():
