@@ -19,7 +19,7 @@ import time
 from .hypergraph import Hypergraph, generate, parse, serialize
 from .oracle import dlx_count, ie_count
 from .params import REFERENCE_ROWS, general_bound, kdm_base, optimize
-from .solver import SieveConfig, kept_components, solve_kdm, solve_xkc, u_size
+from .solver import SieveConfig, settle, solve_kdm, solve_xkc, u_size
 
 PROBE_EXPONENT_LIMIT = 30  # refuse 2^q sweeps beyond this without --force
 K_RANGE_LIMIT = 1000       # most rows one params call computes
@@ -46,16 +46,13 @@ def cmd_solve(args) -> int:
     mode = args.mode
     if mode == "auto":
         mode = "kdm" if H.partition is not None else "xkc"
-    if mode == "kdm" and H.partition is None:
-        print("error: kdm mode needs an instance with a partition", file=sys.stderr)
-        return 2
-    # an indivisible n is answered without a sweep, and so is an instance
-    # the root reduction refutes, or (kdm) leaves no component to sweep;
-    # an xkc cover found there still draws its attempts
-    q = H.n - u_size(H, mode == "kdm") if H.n % H.k == 0 else 0
+    # settle makes the solve's own checks, cheapest first, so an instance
+    # a check or the root reduction answers is let through, and so is a
+    # kdm root with no component to sweep; an xkc root still draws its attempts
+    q = H.n - u_size(H, mode == "kdm")
     if q > PROBE_EXPONENT_LIMIT and not args.force:
-        parts = kept_components(H, range(len(H.edges)))[0]
-        if parts is not None and (mode == "xkc" or any(len(part) > 1 for part in parts)):
+        root = settle(H, mode == "kdm")[1]
+        if root is not None and (mode == "xkc" or any(len(part) > 1 for part in root)):
             print(f"error: sweep would take 2^{q} probes; rerun with --force "
                   f"to accept the wait", file=sys.stderr)
             return 2

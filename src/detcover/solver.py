@@ -20,38 +20,39 @@ pair weights, the bipartite one does not; since squaring is additive in
 characteristic 2, the square of the bipartite sum is the general sum.
 
 A Hypergraph validates itself when built, so neither solver checks its
-instance again.  An instance with a vertex in no edge has no cover, so
-both answer it no before any attempt.  Both then run one loop, which
-differs only in how an attempt chooses U and in its attempt budget.
-The loop first reduces the whole instance once, the root (below); a
-root no answers every attempt no, so the run reports no with its whole
-budget decided and no U drawn.  Otherwise each attempt chooses U,
-draws one weight per edge meeting U at most twice (no cover edge meets
-it more often when U is good), in edge order, and sieves the
-root-kept edges that drew one (below).  A nonzero sum ends the run
-with yes; a run that spends its budget answers no.  solve_xkc knows no
-partition: its U is a random sample of round(t*n) vertices (t from the
-exponent optimizer), and its budget is ceil(ln(1/eps)/p).  solve_kdm
-fixes U to partition blocks 0 and 1, which every edge meets exactly
-twice, so every edge draws, and its budget is 1: one attempt of
-nominally 2^(n(k-2)/k) probes decides the instance.  Answers are one
-sided: yes is always backed by a nonzero certificate, or by a cover in
-hand.
+instance again.  Both first call settle, which orders the checks made
+before any U is drawn, cheapest first: an empty instance answers yes,
+and one whose n is not a multiple of k, or with a vertex in no edge,
+answers no.  It then reduces the whole instance once, the root (below);
+a root no answers every attempt no, so the run reports no with its
+whole budget decided and no U drawn.  Otherwise both run one loop,
+which differs only in how an attempt chooses U and in its attempt
+budget.  Each attempt chooses U, draws one weight per edge meeting U at
+most twice (no cover edge meets it more often when U is good), in edge
+order, and sieves the root-kept edges that drew one (below).  A nonzero
+sum ends the run with yes; a run that spends its budget answers no.
+solve_xkc knows no partition: its U is a random sample of round(t*n)
+vertices (t from the exponent optimizer), and its budget is
+ceil(ln(1/eps)/p).  solve_kdm fixes U to partition blocks 0 and 1,
+which every edge meets exactly twice, so every edge draws, and its
+budget is 1: one attempt of nominally 2^(n(k-2)/k) probes decides the
+instance.  Answers are one sided: yes is always backed by a nonzero
+certificate, or by a cover in hand.
 
 An attempt sieves through _sieve, on the components kept_components
-finds.  The sieve adds up exact covers alone, so dropping an edge that
-lies in no cover is exact.  _reduced drops such edges by the clash
-rule of Knuth's exact-cover preprocessor, run to a fixpoint: an edge
-that misses a vertex v but meets every edge through v is in no cover.
-A vertex left in no edge answers no.  The kept edges then split into
-connected components, two edges joined when they share a vertex.
-Every cover is one cover per component, so the sieve total is the
-product of the components' totals, and a component of n_i vertices, u_i
-of them in U, costs 2^(n_i - u_i) probes on its own.  A component whose
-vertex count is not a multiple of k, or whose partition blocks differ
-in size, holds no cover and answers no.  A one-edge component is its
-own cover and is not swept (its total would be a power of its weight).
-Each larger one is relabelled 0.. in vertex order, with its partition
+finds in one pass that reduces, splits and checks.  The sieve adds up
+exact covers alone, so dropping an edge that lies in no cover is exact:
+the clash rule of Knuth's exact-cover preprocessor, run to a fixpoint,
+drops an edge that misses a vertex v but meets every edge through v.  A
+vertex left in no edge answers no.  The kept edges then split into
+connected components, two edges joined when they share a vertex.  Every
+cover is one cover per component, so the sieve total is the product of
+the components' totals, and a component of n_i vertices, u_i of them in
+U, costs 2^(n_i - u_i) probes on its own.  A component whose vertex
+count is not a multiple of k, or whose partition blocks differ in size,
+holds no cover and answers no.  A one-edge component is its own cover
+and is not swept (its total would be a power of its weight).  Each
+larger one is relabelled 0.. in vertex order, with its partition
 blocks and its part of U, and sieved at the weights of its edges; for
 kdm that part of U is the component's blocks 0 and 1, so it gets the
 bipartite probe.  The answer is yes iff every swept component's total
@@ -515,61 +516,6 @@ def sieve_decide(H: Hypergraph, u_vertices, weights, gf: GF2m) -> int:
                         for x in xs), 0)
 
 
-def _components(masks, ids) -> list[list[int]]:
-    """The connected components of the edges `ids`, edge i of vertex
-    bitmask masks[i], two edges joined when they share a vertex: each an
-    increasing list of edge ids, the lists ordered by their first id.
-    Each edge in turn merges the components it meets."""
-    parts = []                  # (vertex bitmask, edge ids) of the components so far
-    for i in ids:
-        mk, joined, apart = masks[i], [i], []
-        for part in parts:
-            if part[0] & mk:
-                mk |= part[0]
-                joined += part[1]
-            else:
-                apart.append(part)
-        apart.append((mk, joined))
-        parts = apart
-    parts.sort(key=lambda part: min(part[1]))
-    return [sorted(joined) for _, joined in parts]
-
-
-def _reduced(edges, n) -> list[int] | None:
-    """The indices, increasing, of the edges (vertex tuples) `edges`
-    that the clash rule keeps, or None when it leaves a vertex of 0..n-1
-    in no edge; every edge of every exact cover is kept.  Edge sets are
-    bitmasks of edge indices: through[v] holds the edges through vertex
-    v, meets[i] those that meet edge i.  Run to a fixpoint: a live edge
-    that misses v but meets every live edge through v lies in no cover,
-    since the cover's edge through v would meet it (the clash rule of
-    Knuth's exact-cover preprocessor, TAOCP 7.2.2.1).  With one live
-    edge through v, that edge is forced (as in Knuth's Algorithm X) and
-    the rule drops every edge meeting it."""
-    through = [0] * n
-    for i, e in enumerate(edges):
-        for v in e:
-            through[v] |= 1 << i
-    meets = [reduce(or_, map(through.__getitem__, e)) for e in edges]
-    live = (1 << len(edges)) - 1
-    dropped = True
-    while dropped:
-        dropped = False
-        for t in through:
-            t &= live
-            if not t:
-                return None
-            clash = live & ~t   # the live edges outside t that meet every edge of t
-            while t and clash:
-                low = t & -t
-                t ^= low
-                clash &= meets[low.bit_length() - 1]
-            if clash:
-                live ^= clash
-                dropped = True
-    return [i for i in range(len(edges)) if live >> i & 1]
-
-
 def _component(H: Hypergraph, ids, u_vertices) -> tuple[Hypergraph, list[int]]:
     """The instance of H's edges `ids` on the vertices they hold,
     relabelled 0.. in increasing order, with each partition block cut to
@@ -583,19 +529,60 @@ def _component(H: Hypergraph, ids, u_vertices) -> tuple[Hypergraph, list[int]]:
 
 
 def kept_components(H: Hypergraph, ids) -> tuple[list[list[int]] | None, str | None]:
-    """The components, as increasing lists of edge ids, of the edges
-    among H's edges `ids` that _reduced keeps; or None and the reason
-    when the rules of the module docstring find they hold no cover."""
-    kept = _reduced([H.edges[e] for e in ids], H.n)
-    if kept is None:
-        return None, "clash: a vertex lies in no edge that the clash rule keeps"
-    parts = _components(H.edge_masks, [ids[j] for j in kept])
+    """The connected components of the edges among H's edges `ids` that
+    the clash rule keeps, two edges joined when they share a vertex, as
+    increasing lists of edge ids ordered by their first id; or None and
+    the reason when the rule leaves a vertex in no edge, or else for the
+    first component that fails the vertex-count or block-size check.
+
+    One bitset table over the positions of sorted(ids): through[v] holds
+    the edges through vertex v, meets[i] those that meet edge i.  The
+    rule, to a fixpoint: a live edge that misses v but meets every live
+    edge through v lies in no cover, since the cover's edge through v
+    would meet it (Knuth's exact-cover preprocessor, TAOCP 7.2.2.1); a
+    vertex's only live edge is forced, and every edge meeting it goes.
+    Each component then grows along meets from the lowest live edge
+    left, ORing its vertex mask, and is checked whole."""
+    ids = sorted(ids)
+    edges = [H.edges[e] for e in ids]
+    through = [0] * H.n
+    for i, e in enumerate(edges):
+        for v in e:
+            through[v] |= 1 << i
+    meets = [reduce(or_, map(through.__getitem__, e)) for e in edges]
+    live = (1 << len(edges)) - 1
+    dropped = True
+    while dropped:
+        dropped = False
+        for t in through:
+            t &= live
+            if not t:
+                return None, "clash: a vertex lies in no edge that the clash rule keeps"
+            clash = live & ~t   # the live edges outside t that meet every edge of t
+            while t and clash:
+                low = t & -t
+                t ^= low
+                clash &= meets[low.bit_length() - 1]
+            if clash:
+                live ^= clash
+                dropped = True
     blocks = [sum(1 << v for v in block) for block in H.partition or ()]
-    for part in parts:
-        mk = reduce(or_, (H.edge_masks[e] for e in part))
+    parts = []
+    while live:
+        todo, part, mk = live & -live, [], 0    # todo: reached, not yet visited
+        live ^= todo
+        while todo:
+            low = todo & -todo
+            i = low.bit_length() - 1
+            part.append(ids[i])
+            mk |= H.edge_masks[ids[i]]
+            reached = meets[i] & live
+            live ^= reached
+            todo = (todo ^ low) | reached
         if mk.bit_count() % H.k or len({(mk & block).bit_count() for block in blocks}) > 1:
             return None, (f"component: no edges cover the {mk.bit_count()} vertices "
                           f"of a component of the kept edges exactly")
+        parts.append(sorted(part))
     return parts, None
 
 
@@ -615,31 +602,45 @@ def _sieve(H: Hypergraph, u_vertices, parts, weights, gf: GF2m) -> tuple[bool, s
     return True, None
 
 
-def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decision:
-    """The checks of both solvers, the root reduction, then the attempt
-    loop (see the module docstring)."""
-    t0 = time.perf_counter()
-    cfg = cfg or SieveConfig()
+def settle(H: Hypergraph, partitioned: bool) -> tuple[str | None, list[list[int]] | None, str | None]:
+    """(answer, root, reason) of the checks both solvers make before any U
+    is drawn, cheapest first; a partitioned solve of an unpartitioned H
+    raises ValueError.  When a check decides H, answer is "yes" or "no"
+    and root is None; otherwise answer is None and (root, reason) is
+    kept_components of every edge, root None when it refutes H."""
     if partitioned and H.partition is None:
         raise ValueError("partitioned solver needs an instance with a partition")
     n, k = H.n, H.k
     if n == 0:
-        return Decision("yes", 0, 0, time.perf_counter() - t0, reason="empty instance")
+        return "yes", None, "empty instance"
     if n % k != 0:
-        return Decision("no", 0, 0, time.perf_counter() - t0,
-                        reason=f"cardinality: n={n} is not a multiple of k={k}")
-    gf = field_for(cfg.m)
+        return "no", None, f"cardinality: n={n} is not a multiple of k={k}"
     uncovered = n - reduce(or_, H.edge_masks, 0).bit_count()
     if uncovered:
-        return Decision("no", 0, 0, time.perf_counter() - t0,
-                        reason=f"uncovered: {uncovered} of {n} vertices lie in no edge")
-    rng = random.Random(cfg.seed)
+        return "no", None, f"uncovered: {uncovered} of {n} vertices lie in no edge"
+    return (None, *kept_components(H, range(len(H.edges))))
+
+
+def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decision:
+    """settle's checks and root, then the attempt loop (see the module
+    docstring)."""
+    t0 = time.perf_counter()
+    cfg = cfg or SieveConfig()
+    answer, root, reason = settle(H, partitioned)
+    if answer is not None:
+        return Decision(answer, 0, 0, time.perf_counter() - t0, reason=reason)
+    n, k = H.n, H.k
     tn = u_size(H, partitioned)
     max_attempts = 1 if partitioned else repetitions(n, k, tn / n, cfg.epsilon)
-    root, reason = kept_components(H, range(len(H.edges)))
-    if root is None:            # each attempt would answer no (see the module docstring)
-        return Decision("no", max_attempts << (n - tn), max_attempts, time.perf_counter() - t0,
+
+    def decided(answer, attempts, reason=None):
+        return Decision(answer, attempts << (n - tn), attempts, time.perf_counter() - t0,
                         reason=reason, u_fraction=tn / n, max_attempts=max_attempts)
+
+    if root is None:            # each attempt would answer no (see the module docstring)
+        return decided("no", max_attempts, reason)
+    gf = field_for(cfg.m)
+    rng = random.Random(cfg.seed)
     kept = [e for part in root for e in part]
     blocks = [*H.partition[0], *H.partition[1]] if partitioned else None
     for attempt in range(1, max_attempts + 1):
@@ -654,10 +655,8 @@ def _solve(H: Hypergraph, cfg: SieveConfig | None, partitioned: bool) -> Decisio
         if parts is not None:
             yes, reason = _sieve(H, u_vertices, parts, weights, gf)
             if yes:
-                return Decision("yes", attempt << (n - tn), attempt, time.perf_counter() - t0,
-                                reason=reason, u_fraction=tn / n, max_attempts=max_attempts)
-    return Decision("no", max_attempts << (n - tn), max_attempts, time.perf_counter() - t0,
-                    u_fraction=tn / n, max_attempts=max_attempts)
+                return decided("yes", attempt, reason)
+    return decided("no", max_attempts)
 
 
 def solve_kdm(H: Hypergraph, cfg: SieveConfig | None = None) -> Decision:

@@ -256,12 +256,10 @@ def filtered_for(H: Hypergraph, u_vertices) -> Hypergraph:
     return Hypergraph(H.n, H.k, [H.edges[e] for e in keep])
 
 
-def edge_components(H: Hypergraph, ids) -> list[tuple[list[int], Hypergraph]]:
+def edge_parts(H: Hypergraph, ids) -> list[list[int]]:
     """The connected components of H's edges `ids`, two edges joined when
-    they share a vertex, ordered by their lowest edge id: each as (its
-    edge ids, increasing; the instance of those edges on the vertices
-    they hold, relabelled 0.. in increasing order, with every partition
-    block, if any, cut to them).  Breadth first over a vertex -> edges table."""
+    they share a vertex, in the order of their first edge in `ids`: each
+    its edge ids, increasing.  Breadth first over a vertex -> edges table."""
     holding = {}
     for e in ids:
         for v in H.edges[e]:
@@ -278,11 +276,20 @@ def edge_components(H: Hypergraph, ids) -> list[tuple[list[int], Hypergraph]]:
                     if g not in placed:
                         placed.add(g)
                         queue.append(g)
-        vertices = sorted({v for f in queue for v in H.edges[f]})
+        parts.append(sorted(queue))
+    return parts
+
+
+def edge_components(H: Hypergraph, ids) -> list[tuple[list[int], Hypergraph]]:
+    """The edge_parts of H's edges `ids`, each as (its edge ids; the
+    instance of those edges on the vertices they hold, relabelled 0.. in
+    increasing order, with every partition block, if any, cut to them)."""
+    out = []
+    for part in edge_parts(H, ids):
+        vertices = sorted({v for f in part for v in H.edges[f]})
         label = {v: i for i, v in enumerate(vertices)}
         blocks = None if H.partition is None else [
             tuple(label[v] for v in block if v in label) for block in H.partition]
-        C = Hypergraph(len(vertices), H.k, [tuple(label[v] for v in H.edges[f]) for f in sorted(queue)],
-                       blocks)
-        parts.append((sorted(queue), C))
-    return parts
+        out.append((part, Hypergraph(len(vertices), H.k,
+                                     [tuple(label[v] for v in H.edges[f]) for f in part], blocks)))
+    return out

@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -169,16 +170,19 @@ def test_module_run_exit_codes(tmp_path, capsys, module):
 
 
 def test_solve_huge_empty_instance_fails_cleanly(tmp_path):
-    # no edges, so every vertex lies in none and the answer is no before
+    # so few edges that a vertex lies in none, and the answer is no before
     # any U is drawn or any attempt budget summed; n = 2^64 once looped
-    # over params' t2, and n = 2^40 once ran out of memory sampling U
+    # over params' t2, and n = 2^40 once ran out of memory sampling U.
+    # Without --force, the probe guard reaches the same check first: the
+    # k = 3 cases once ran the root reduction there, out of memory
     path = tmp_path / "huge.json"
-    for k, n in ((2, 2 ** 64), (2, 2 ** 40), (3, 3 * 2 ** 40)):
-        path.write_text(json.dumps({"k": k, "n": n, "edges": []}))
-        run = _run_module("detcover", "solve", "--input", str(path), "--seed", "1", "--force")
-        assert run.returncode == 1 and run.stderr == "", (n, run.stderr)
+    for (k, n, edges), force in product(((2, 2 ** 64, []), (2, 2 ** 40, []), (3, 3 * 2 ** 40, []),
+                                        (3, 3 * 2 ** 40, [[0, 1, 2]])), ([], ["--force"])):
+        path.write_text(json.dumps({"k": k, "n": n, "edges": edges}))
+        run = _run_module("detcover", "solve", "--input", str(path), "--seed", "1", *force)
+        assert run.returncode == 1 and run.stderr == "", (n, force, run.stderr)
         assert "answer: no" in run.stdout
-        assert f"reason: uncovered: {n} of {n} vertices lie in no edge" in run.stdout
+        assert f"reason: uncovered: {n - 3 * len(edges)} of {n} vertices lie in no edge" in run.stdout
 
 
 def test_solve_malformed_instance(tmp_path, capsys):
@@ -242,10 +246,13 @@ def test_solve_rejects_worker_count_below_one(tmp_path, capsys):
 
 
 def test_solve_kdm_mode_needs_partition(tmp_path, capsys):
-    path = tmp_path / "inst.json"
-    path.write_text('{"k":3,"n":6,"edges":[[0,1,2]]}')
-    code, _, err = _run(capsys, "solve", "--input", str(path), "--mode", "kdm")
-    assert code == 2 and "partition" in err
+    # the solver's own check; at n = 96 the probe guard (2^32 probes)
+    # reaches it first, through settle
+    for n in (6, 96):
+        path = tmp_path / "inst.json"
+        path.write_text('{"k":3,"n":%d,"edges":[[0,1,2]]}' % n)
+        code, _, err = _run(capsys, "solve", "--input", str(path), "--mode", "kdm")
+        assert code == 2 and "partition" in err, n
 
 
 def test_solve_refuses_huge_sweeps(tmp_path, capsys):

@@ -8,15 +8,15 @@ from itertools import combinations, permutations, product
 from operator import or_, xor
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detcover import (GF8, GF64, Hypergraph, SieveConfig, cover_weight, dlx_count, dlx_enumerate,
                       generate, project, restrict_avoiding, sieve_decide, solve_kdm, solve_xkc)
 from detcover import solver as solver_mod
 
-from conftest import (cover_weight_brute, covers_weight_sum, edge_components, filtered_for,
-                      rand_instance, ref_det)
+from conftest import (cover_weight_brute, covers_weight_sum, edge_components, edge_parts,
+                      filtered_for, rand_instance, ref_det)
 
 
 def test_sieve_single_probe_when_u_is_everything():
@@ -653,7 +653,7 @@ def test_solve_kdm_unsolvable_no():
     swept = Hypergraph(12, 3, [(0, 5, 8), (0, 6, 9), (1, 4, 10), (1, 7, 8), (2, 5, 11), (2, 6, 10),
                                (3, 4, 9), (3, 7, 11)], [(0, 1, 2, 3), (4, 5, 6, 7), (8, 9, 10, 11)])
     for H in (split, even, swept):
-        assert solver_mod._reduced(H.edges, H.n) == list(range(len(H.edges)))
+        assert _clash_kept(H, range(len(H.edges))) == list(range(len(H.edges)))
     component = "component: no edges cover the {} vertices of a component of the kept edges exactly"
     for H, reason in ((bare, "clash: a vertex lies in no edge that the clash rule keeps"),
                       (split, component.format(5)), (even, component.format(6)), (swept, None)):
@@ -742,9 +742,10 @@ def _planted_matchings(rng, k, n, count, extra=0):
 
 
 def _kept(H):
-    """The ids of the edges of a kdm instance H that solve_kdm's clash
-    rule keeps, or None when it leaves a vertex in no edge."""
-    return solver_mod._reduced(H.edges, H.n)
+    """The ids of the edges of a kdm instance H that the clash rule keeps,
+    or None when it leaves a vertex in no edge: the set-based reference,
+    which kept_components follows (test_kept_components_follows_the_reference)."""
+    return _clash_kept(H, range(len(H.edges)))
 
 
 def test_solve_kdm_walks_blocks_0_and_1_once(monkeypatch):
@@ -893,8 +894,7 @@ def test_component_split_keeps_the_total():
             assert not whole and not dlx_count(F), rep
             seen["answered no"] += 1
             continue
-        kept = [ids[j] for j in solver_mod._reduced([H.edges[e] for e in ids], n)]
-        parts = edge_components(H, kept)
+        parts = edge_components(H, _clash_kept(H, ids))
         assert split == [part for part, _ in parts], rep
         weight = dict(zip(ids, w))
         sieved = solver_mod._sieve(H, u, split, [weight.get(e) for e in range(len(H.edges))], gf)[0]
@@ -1360,9 +1360,9 @@ def test_solver_soundness_small_mix():
 def test_refuted_never_refutes_an_instance_with_a_cover(monkeypatch):
     # unpartitioned instances, planted or not, with repeated edges:
     # kept_components refutes (answers no before any sweep) only
-    # instances with no cover, and _reduced keeps every edge of every
-    # exact cover.  sieve_decide is patched to yes, so an answer of no is
-    # one of the rules
+    # instances with no cover, and keeps every edge of every exact cover,
+    # in disjoint increasing parts.  sieve_decide is patched to yes, so an
+    # answer of no is one of the rules
     monkeypatch.setattr(solver_mod, "sieve_decide", lambda *args: True)
     rng = random.Random(34)
     covered = Counter()         # (has a cover, refuted) over instances with no bare vertex
@@ -1376,9 +1376,10 @@ def test_refuted_never_refutes_an_instance_with_a_cover(monkeypatch):
         parts = solver_mod.kept_components(H, range(len(edges)))[0]
         fires = parts is None or not solver_mod._sieve(H, [], parts, [1] * len(edges), GF64)[0]
         assert not (fires and covers), H.edges
-        kept = solver_mod._reduced(H.edges, n)
         if covers:
-            assert kept == sorted(set(kept)) and {e for cover in covers for e in cover} <= set(kept), H
+            kept = [e for part in parts for e in part]
+            assert all(part == sorted(part) for part in parts) and len(set(kept)) == len(kept), H
+            assert {e for cover in covers for e in cover} <= set(kept), H
         if reduce(or_, H.edge_masks) == (1 << n) - 1:
             covered[bool(covers), fires] += 1
     # the rules settle at least four of five no-instances with no bare vertex
@@ -1420,18 +1421,23 @@ def test_matching_filter_keeps_every_cover_and_the_sieve_total():
 
 
 def test_refuted_rules():
-    # _reduced's clash rule, and kept_components's component check after it
-    reduced = solver_mod._reduced
+    # kept_components's clash rule, and its component check after it
+    def reduced(edges, n):      # the kept edge ids, increasing, or the reason for a no
+        parts, reason = solver_mod.kept_components(Hypergraph(n, len(edges[0]), edges),
+                                                   range(len(edges)))
+        return reason if parts is None else sorted(e for part in parts for e in part)
+
+    bare = "clash: a vertex lies in no edge that the clash rule keeps"
 
     # vertex 5 lies in no edge
-    assert reduced([(0, 1, 2), (2, 3, 4)], 6) is None
+    assert reduced([(0, 1, 2), (2, 3, 4)], 6) == bare
     # clash: every vertex lies in two edges and no edge is forced, but
     # (1, 3, 5) and (2, 4, 5) meet both edges through vertex 0, so
     # neither lies in a cover, and vertex 5 is left in no edge
-    assert reduced([(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)], 6) is None
+    assert reduced([(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 5)], 6) == bare
     # forced chain: (0, 1) is forced and kills (1, 2); only then is (2, 3)
     # forced, which kills both edges through vertex 4
-    assert reduced([(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)], 6) is None
+    assert reduced([(0, 1), (1, 2), (2, 3), (3, 4), (3, 5)], 6) == bare
     # a cover plus (0, 4, 8): vertex 1 lies only in (1, 4, 7), which is
     # forced and kills (0, 4, 8); the cover is kept
     assert reduced([(0, 3, 6), (1, 4, 7), (2, 5, 8), (0, 4, 8)], 9) == [0, 1, 2]
@@ -1442,8 +1448,8 @@ def test_refuted_rules():
     # vertices, not a multiple of k = 2, so kept_components answers
     # before any sweep
     cycles = [(i, (i + 1) % 5) for i in range(5)] + [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
-    assert reduced(cycles, 10) == list(range(10))
     H = Hypergraph(10, 2, cycles)
+    assert _clash_kept(H, range(10)) == list(range(10))
     assert solver_mod.kept_components(H, range(10)) == (
         None, "component: no edges cover the 5 vertices of a component of the kept edges exactly")
 
@@ -1470,19 +1476,16 @@ def test_reduction_is_monotone_under_edge_deletion(case):
     # what solve_xkc's root reduction rests on: for edge sets S' within
     # S, a refuted S leaves S' refuted, S' keeps only edges S keeps, and
     # reducing S' within S's kept edges keeps what reducing S' keeps
+    # (the clash rule as the set-based reference, which kept_components
+    # follows)
     H, sub = case
-
-    def kept(ids):
-        got = solver_mod._reduced([H.edges[e] for e in ids], H.n)
-        return None if got is None else [ids[j] for j in got]
-
-    whole, part = kept(range(len(H.edges))), kept(sub)
+    whole, part = _clash_kept(H, range(len(H.edges))), _clash_kept(H, sub)
     if whole is None:
         assert part is None
         assert solver_mod.kept_components(H, sub)[0] is None
         return
     assert part is None or set(part) <= set(whole)
-    assert kept([e for e in sub if e in set(whole)]) == part
+    assert _clash_kept(H, [e for e in sub if e in set(whole)]) == part
     if solver_mod.kept_components(H, range(len(H.edges)))[0] is None:
         assert solver_mod.kept_components(H, sub)[0] is None
 
@@ -1506,20 +1509,22 @@ def test_refutation_never_changes_a_decision(monkeypatch):
             out.append((d.answer, d.probes, d.attempts, d.max_attempts, d.reason))
         return out
 
-    reduced = solver_mod._reduced
+    inner = solver_mod.kept_components
     fired = Counter()
 
-    def counted(edges, n):
-        kept = reduced(edges, n)
-        fired["dropped"] += kept is not None and len(kept) < len(edges)
-        return kept
+    def counted(H, ids):
+        parts, reason = inner(H, ids)
+        fired["dropped"] += parts is not None and sum(map(len, parts)) < len(ids)
+        return parts, reason
 
-    def keeping(edges, n):
-        return list(range(len(edges))) if len({v for e in edges for v in e}) == n else None
+    def keeping(H, ids):        # the split and the checks, with the clash rule off
+        if len({v for e in ids for v in H.edges[e]}) < H.n:
+            return None, "clash: a vertex lies in no edge that the clash rule keeps"
+        return _checked(H, edge_parts(H, sorted(ids)))
 
-    monkeypatch.setattr(solver_mod, "_reduced", counted)
+    monkeypatch.setattr(solver_mod, "kept_components", counted)
     shipped = decisions()
-    monkeypatch.setattr(solver_mod, "_reduced", keeping)
+    monkeypatch.setattr(solver_mod, "kept_components", keeping)
     plain = decisions()
     for ours, theirs in zip(shipped, plain):
         assert ours[:4] == theirs[:4]
@@ -1553,14 +1558,14 @@ def _xkc_stream(H, seed, attempts, gf=GF64):
 
 
 def test_both_solvers_reduce_once_per_attempt(monkeypatch):
-    # solve_kdm calls _reduced once, at the root: its one U, blocks 0 and
-    # 1, drops no edge.  solve_xkc calls it once at the root, then once
+    # solve_kdm calls kept_components once, at the root: its one U, blocks
+    # 0 and 1, drops no edge.  solve_xkc calls it once at the root, then once
     # per attempt whose U drops a root-kept edge (one meeting U three or
     # more times); an attempt that drops none sieves the root's
     # components.  It draws no U when the root refutes.  Neither reaches
     # sieve_decide but through _sieve
-    calls, inner = [], solver_mod._reduced
-    monkeypatch.setattr(solver_mod, "_reduced", lambda edges, n: calls.append(n) or inner(edges, n))
+    calls, inner = [], solver_mod.kept_components
+    monkeypatch.setattr(solver_mod, "kept_components", lambda H, ids: calls.append(H.n) or inner(H, ids))
     rng = random.Random(36)
     seen = Counter()
     for rep in range(80):
@@ -1575,7 +1580,7 @@ def test_both_solvers_reduce_once_per_attempt(monkeypatch):
             assert calls == [H.n] and d.attempts == d.max_attempts, rep
             seen["root"] += 1
         else:
-            kept = inner(H.edges, H.n)
+            kept = [e for part in inner(H, range(len(H.edges)))[0] for e in part]
             drops = sum(any(w[e] is None for e in kept) for _, w in _xkc_stream(H, rep, d.attempts))
             assert calls == [H.n] * (1 + drops), rep
             seen["drawn", d.attempts > 1] += 1
@@ -1600,6 +1605,86 @@ def _clash_kept(H, ids):
                 break
         else:
             return live
+
+
+def _checked(H, parts):
+    """(parts, None), or None and the reason for the first of the parts
+    (lists of H's edge ids) whose vertex count is not a multiple of k or
+    whose partition blocks, if any, differ in size."""
+    for part in parts:
+        vertices = {v for e in part for v in H.edges[e]}
+        if len(vertices) % H.k or len({len(vertices & set(b)) for b in H.partition or ()}) > 1:
+            return None, (f"component: no edges cover the {len(vertices)} vertices "
+                          f"of a component of the kept edges exactly")
+    return parts, None
+
+
+@st.composite
+def _instance_and_ids(draw):
+    """A k in {2, 3, 4} instance, partitioned or not, with all or a random
+    subset of its edge ids in any order.  Its edges are random, maybe
+    with a planted cover, or pieces on runs of the vertices that the
+    clash rule may leave whole: unpartitioned, the k-sets of consecutive
+    vertices around a cycle on each run; partitioned, every edge across
+    the j-th runs of the blocks.  A piece whose vertex count is not a
+    multiple of k, or whose runs differ in length, fails the check."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = k * draw(st.integers(1, 12 // k + 2))
+    b, order = n // k, draw(st.permutations(range(n)))
+    blocks = [order[t * b:(t + 1) * b] for t in range(k)] if draw(st.booleans()) else None
+
+    def runs(vertices, count, least):   # `vertices` cut into `count` runs of `least` or more
+        spare = len(vertices) - count * least
+        cuts = sorted(draw(st.lists(st.integers(0, spare), min_size=count - 1, max_size=count - 1)))
+        ends = [least * (j + 1) + c for j, c in enumerate([*cuts, spare])]
+        return [vertices[i:j] for i, j in zip([0, *ends], ends)]
+
+    if draw(st.booleans()) and blocks:
+        # runs of 2 or more where b allows, so no vertex is forced, and of
+        # at most about 3, so the product stays small
+        count = draw(st.integers(-(-b // 3), max(-(-b // 3), b // 2)))
+        pieces = zip(*(runs(block, count, 2 if 2 * count <= b else 1) for block in blocks))
+        edges = [e for piece in pieces for e in product(*piece)]
+    elif blocks:                # an edge takes one vertex of each block
+        edge = st.tuples(*(st.sampled_from(block) for block in blocks))
+        planted = [tuple(block[i] for block in blocks) for i in range(b)]
+        edges = draw(st.lists(edge, max_size=2 * n)) + (planted if draw(st.booleans()) else [])
+    elif draw(st.booleans()):   # no clash around a cycle of 3k - 1 or more
+        least = min(3 * k - 1, n)
+        edges = sorted({tuple(sorted(run[(i + j) % len(run)] for j in range(k)))
+                        for run in runs(order, draw(st.integers(1, n // least)), least)
+                        for i in range(len(run))})
+    else:
+        edge = st.lists(st.integers(0, n - 1), min_size=k, max_size=k, unique=True).map(tuple)
+        planted = [tuple(order[i:i + k]) for i in range(0, n, k)]
+        edges = draw(st.lists(edge, max_size=2 * n)) + (planted if draw(st.booleans()) else [])
+    H = Hypergraph(n, k, draw(st.permutations(edges)), blocks)
+    ids = range(len(H.edges)) if draw(st.booleans()) else [
+        e for e in range(len(H.edges)) if draw(st.booleans())]
+    return H, draw(st.permutations(ids))
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_instance_and_ids())
+@example(case=(Hypergraph(12, 2, [(5 + i, 5 + (i + 1) % 7) for i in range(7)]  # a 7-cycle, a 5-cycle
+                          + [(i, (i + 1) % 5) for i in range(5)]), [3, 8, 0, 11, 5, 9, 1, 6, 10, 2, 7, 4]))
+@example(case=(Hypergraph(12, 2, [(a, b) for a in (2, 3, 4, 5) for b in (10, 11)]  # K_{4,2}, K_{2,4}
+                          + [(a, b) for a in (0, 1) for b in (6, 7, 8, 9)], [range(6), range(6, 12)]),
+               [11, 0, 5, 2, 7, 9, 1, 4, 3, 10, 6, 8, 15, 13, 12, 14]))
+@example(case=(Hypergraph(8, 3, [(i, (i + 1) % 8, (i + 2) % 8) for i in range(8)]), range(7, -1, -1)))
+def test_kept_components_follows_the_reference(case):
+    # kept_components against an independent reference: the set-based
+    # clash rule, then conftest's breadth-first split of the sorted kept
+    # ids, then the vertex-count and block-size check of each component,
+    # the first failing one giving the reason.  The examples fail the
+    # checks: a cycle of 7 vertices listed before one of 5 at k = 2 (the
+    # reason names 7), K_{2,4} listed after K_{4,2} (6 vertices each, in
+    # blocks of unequal size), and a cycle of 8 vertices at k = 3
+    H, ids = case
+    kept = _clash_kept(H, sorted(ids))
+    expect = ((None, "clash: a vertex lies in no edge that the clash rule keeps") if kept is None
+              else _checked(H, edge_parts(H, kept)))
+    assert solver_mod.kept_components(H, ids) == expect
 
 
 def test_xkc_attempt_weights_follow_the_documented_stream(monkeypatch):
